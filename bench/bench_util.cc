@@ -405,6 +405,70 @@ runSmpSweep(const std::vector<SmpSweepCell>& cells)
     return results;
 }
 
+void
+runClosedLoop(MemoryPlatform& platform, std::uint32_t queue_depth,
+              std::uint64_t completions,
+              const std::function<MemAccess()>& next_access,
+              const std::function<void(std::uint64_t, Tick, Tick)>& on_done)
+{
+    struct Slot
+    {
+        Tick nextIssue = 0;
+        Tick issued = 0;
+        Tick done = 0;
+        bool inflight = false;
+        bool arrived = false;
+    };
+    // Shared with the completion callbacks: accesses still in flight at
+    // return keep their slots alive until they fire.
+    auto slots = std::make_shared<std::vector<Slot>>(queue_depth);
+    DomainConductor& eq = platform.conductor();
+    std::uint64_t n = 0;
+
+    // Report completed slots; returns whether any were pending.
+    auto harvest = [&]() -> bool {
+        bool any = false;
+        for (Slot& s : *slots) {
+            if (!s.arrived)
+                continue;
+            on_done(n++, s.issued, s.done);
+            s.nextIssue = s.done;
+            s.inflight = false;
+            s.arrived = false;
+            any = true;
+        }
+        return any;
+    };
+
+    while (n < completions) {
+        Slot* next = nullptr;
+        for (Slot& s : *slots)
+            if (!s.inflight && (!next || s.nextIssue < next->nextIssue))
+                next = &s;
+        if (!next) {
+            // Everything in flight: wait for one completion.
+            bool stepped = true;
+            while (!harvest() && (stepped = eq.step())) {
+            }
+            if (!stepped)
+                throw std::runtime_error("access never completed");
+            continue;
+        }
+        while (eq.nextTick() < next->nextIssue && eq.step()) {
+        }
+        if (harvest())
+            continue;
+        next->inflight = true;
+        next->issued = next->nextIssue;
+        std::size_t i = static_cast<std::size_t>(next - slots->data());
+        platform.access(next_access(), next->issued,
+                        [slots, i](Tick w, const LatencyBreakdown&) {
+                            (*slots)[i].arrived = true;
+                            (*slots)[i].done = w;
+                        });
+    }
+}
+
 std::string
 jsonOutPath(const std::string& fallback)
 {

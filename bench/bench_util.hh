@@ -185,6 +185,27 @@ void runCells(std::size_t count,
               const std::function<std::string(std::size_t)>& label,
               const std::function<void(std::size_t)>& body);
 
+/**
+ * Closed-loop queue-depth driver for harnesses that issue raw platform
+ * accesses (fig_gc, fig_tiering): @p queue_depth slots share
+ * @p platform, each issuing its next access at its previous completion
+ * tick. Conducted like SmpModel: the idle slot with the lowest issue
+ * tick (slot index breaks ties) issues next, after every strictly
+ * earlier event has fired; a completion landing first may free an
+ * earlier-issuing slot, so the pick is redone after any harvest.
+ *
+ * @p next_access is called once per issue, in issue order, and
+ * @p on_done(n, issued, done) once per completion with its 0-based
+ * index n. Returns once @p completions accesses have completed (one
+ * harvest may report a few more); accesses still in flight stay
+ * pending. Throws std::runtime_error if the platform's events drain
+ * with every slot in flight.
+ */
+void runClosedLoop(
+    MemoryPlatform& platform, std::uint32_t queue_depth,
+    std::uint64_t completions, const std::function<MemAccess()>& next_access,
+    const std::function<void(std::uint64_t, Tick, Tick)>& on_done);
+
 /** Print a harness banner with the figure reference. */
 void banner(const std::string& figure, const std::string& what);
 

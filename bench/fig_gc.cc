@@ -174,25 +174,10 @@ runCell(const GcCell& cell, const BenchGeometry& geom,
     std::uint64_t window =
         std::min<std::uint64_t>(3 * geom.hostMemBytes,
                                 platform->capacity());
-    EventQueue& eq = platform->eventQueue();
     Rng rng(99);
-
-    // queueDepth independent closed loops over one shared platform,
-    // conducted like SmpModel: always issue the slot with the lowest
-    // issue tick, after draining strictly-earlier events.
-    struct Slot
-    {
-        Tick nextIssue = 0;
-        Tick issued = 0;
-        Tick done = 0;
-        bool inflight = false;
-        bool arrived = false;
-    };
-    std::vector<Slot> slots(queueDepth);
 
     std::vector<Tick> lat;
     lat.reserve(measured);
-    std::uint64_t completions = 0;
     Tick measure_start = 0;
     Tick last_done = 0;
     PageFtl& sampled_ftl = ssd.pageFtl();
@@ -203,75 +188,33 @@ runCell(const GcCell& cell, const BenchGeometry& geom,
     std::uint64_t base_writes = 0;
     std::uint64_t base_relocs = 0;
 
-    // Record completed slots; returns whether any were pending.
-    auto harvest = [&]() -> bool {
-        bool any = false;
-        for (auto& s : slots) {
-            if (!s.arrived)
-                continue;
-            if (completions == warmup) {
-                measure_start = s.issued;
+    runClosedLoop(
+        *platform, queueDepth, warmup + measured,
+        [&] {
+            Addr addr = rng.below(window) & ~Addr(63);
+            return MemAccess{addr, 64, MemOp::Write};
+        },
+        [&](std::uint64_t n, Tick issued, Tick done) {
+            if (n == warmup) {
+                measure_start = issued;
                 base_writes = sampled_ftl.stats().hostWrites;
                 base_relocs = sampled_ftl.stats().gcRelocations;
             }
-            if (completions >= warmup && lat.size() < measured) {
-                lat.push_back(s.done - s.issued);
-                last_done = std::max(last_done, s.done);
-                // Sample the device-wide free level at every measured
-                // completion: "sustained" free level, not just the
-                // end-of-run snapshot, is what the pacer equalizes.
-                double sum = 0;
-                for (std::uint64_t pu = 0;
-                     pu < sampled_ftl.parallelUnits(); ++pu)
-                    sum += sampled_ftl.freeBlocksOf(pu);
-                free_sum +=
-                    sum / static_cast<double>(sampled_ftl.parallelUnits());
-                ++free_samples;
-            }
-            ++completions;
-            s.nextIssue = s.done;
-            s.inflight = false;
-            s.arrived = false;
-            any = true;
-        }
-        return any;
-    };
-
-    while (completions < warmup + measured) {
-        // Conductor (platform.hh "Multiple outstanding accesses"):
-        // issue the idle slot with the lowest issue tick, after firing
-        // every strictly-earlier event. A completion landing first may
-        // create an even earlier-issuing slot, so re-select after any
-        // harvest.
-        Slot* next = nullptr;
-        for (auto& s : slots)
-            if (!s.inflight && (!next || s.nextIssue < next->nextIssue))
-                next = &s;
-        if (!next) {
-            // Everything in flight: wait for one completion.
-            bool stepped = true;
-            while (!harvest() && (stepped = eq.step())) {
-            }
-            if (!stepped)
-                throw std::runtime_error("access never completed");
-            continue;
-        }
-        while (eq.nextTick() < next->nextIssue && eq.step()) {
-        }
-        if (harvest())
-            continue;
-        next->inflight = true;
-        next->arrived = false;
-        next->issued = next->nextIssue;
-        Addr addr = rng.below(window) & ~Addr(63);
-        MemAccess acc{addr, 64, MemOp::Write};
-        Slot* slot = next;
-        platform->access(acc, next->nextIssue,
-                         [slot](Tick w, const LatencyBreakdown&) {
-                             slot->arrived = true;
-                             slot->done = w;
-                         });
-    }
+            if (n < warmup || lat.size() >= measured)
+                return;
+            lat.push_back(done - issued);
+            last_done = std::max(last_done, done);
+            // Sample the device-wide free level at every measured
+            // completion: "sustained" free level, not just the
+            // end-of-run snapshot, is what the pacer equalizes.
+            double sum = 0;
+            for (std::uint64_t pu = 0; pu < sampled_ftl.parallelUnits();
+                 ++pu)
+                sum += sampled_ftl.freeBlocksOf(pu);
+            free_sum +=
+                sum / static_cast<double>(sampled_ftl.parallelUnits());
+            ++free_samples;
+        });
 
     std::sort(lat.begin(), lat.end());
     res.p50us = static_cast<double>(lat[lat.size() / 2]) * 1e-6;

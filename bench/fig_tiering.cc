@@ -192,78 +192,31 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
         ftl.onFlashReset();
     }
     ZipfGenerator zipf(frames, cell.theta);
-    EventQueue& eq = platform->eventQueue();
     Rng rng(1234);
 
-    struct Slot
-    {
-        Tick nextIssue = 0;
-        Tick issued = 0;
-        Tick done = 0;
-        bool inflight = false;
-        bool arrived = false;
-    };
-    std::vector<Slot> slots(queueDepth);
-
-    std::uint64_t completions = 0;
     Tick measure_start = 0;
     Tick last_done = 0;
     std::uint64_t lat_sum = 0;
     std::uint64_t lat_n = 0;
 
-    auto harvest = [&]() -> bool {
-        bool any = false;
-        for (auto& s : slots) {
-            if (!s.arrived)
-                continue;
-            if (completions == warmup)
-                measure_start = s.issued;
-            if (completions >= warmup && lat_n < measured) {
-                lat_sum += s.done - s.issued;
-                last_done = std::max(last_done, s.done);
+    runClosedLoop(
+        *platform, queueDepth, warmup + measured,
+        [&] {
+            // One uniform draw for the page, one for the line, one for
+            // the op: the stream is identical across modes and reruns.
+            Addr addr = zipf.next(rng) * 4096 + rng.below(64) * 64;
+            bool is_read = rng.uniform() < 0.8;
+            return MemAccess{addr, 64, is_read ? MemOp::Read : MemOp::Write};
+        },
+        [&](std::uint64_t n, Tick issued, Tick done) {
+            if (n == warmup)
+                measure_start = issued;
+            if (n >= warmup && lat_n < measured) {
+                lat_sum += done - issued;
+                last_done = std::max(last_done, done);
                 ++lat_n;
             }
-            ++completions;
-            s.nextIssue = s.done;
-            s.inflight = false;
-            s.arrived = false;
-            any = true;
-        }
-        return any;
-    };
-
-    while (completions < warmup + measured) {
-        Slot* next = nullptr;
-        for (auto& s : slots)
-            if (!s.inflight && (!next || s.nextIssue < next->nextIssue))
-                next = &s;
-        if (!next) {
-            bool stepped = true;
-            while (!harvest() && (stepped = eq.step())) {
-            }
-            if (!stepped)
-                throw std::runtime_error("access never completed");
-            continue;
-        }
-        while (eq.nextTick() < next->nextIssue && eq.step()) {
-        }
-        if (harvest())
-            continue;
-        next->inflight = true;
-        next->arrived = false;
-        next->issued = next->nextIssue;
-        // One uniform draw for the page, one for the line, one for the
-        // op: the stream is identical across modes and reruns.
-        Addr addr = zipf.next(rng) * 4096 + rng.below(64) * 64;
-        bool is_read = rng.uniform() < 0.8;
-        MemAccess acc{addr, 64, is_read ? MemOp::Read : MemOp::Write};
-        Slot* slot = next;
-        platform->access(acc, next->nextIssue,
-                         [slot](Tick w, const LatencyBreakdown&) {
-                             slot->arrived = true;
-                             slot->done = w;
-                         });
-    }
+        });
 
     HotnessTracker* tracker = nullptr;
     if (auto* m = dynamic_cast<MmapPlatform*>(platform.get())) {

@@ -32,7 +32,7 @@
  *    completion ahead of every pending event, so callers must only use
  *    the fast path when no live event is pending at or before the
  *    returned tick — the simplest sufficient gate is
- *    eventQueue().empty() at issue (what CoreModel and SmpModel use) —
+ *    eventQueue().empty() at issue (what SmpModel uses) —
  *    and should then advanceTo() the returned tick to keep now() where
  *    the fired completion event would have left it.
  *
@@ -112,8 +112,8 @@
  *    call delegates, so the two are interchangeable there; for a
  *    sharded platform eventQueue() is only the hub domain (cross-shard
  *    coordination events such as flush fences) and pumping it alone
- *    would starve the shards. CoreModel, SmpModel and accessSync()
- *    are all conductor clients.
+ *    would starve the shards. SmpModel (which CoreModel runs with one
+ *    core) and accessSync() are both conductor clients.
  *  - The inline fast-path gate becomes conductor().empty(): an access
  *    may complete inline only when NO domain has a pending event, so a
  *    routed inline completion can never race another shard's in-flight

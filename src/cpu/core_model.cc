@@ -1,26 +1,12 @@
 #include "cpu/core_model.hh"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
-#include "sim/logging.hh"
+#include "cpu/smp_model.hh"
 
 namespace hams {
-
-namespace {
-
-/**
- * Slow-path completion mailbox: the callback parks {tick, breakdown}
- * here and the run loop pumps the event queue until it lands. The
- * capture is a single pointer, well inside the inline budget.
- */
-struct Mailbox
-{
-    bool arrived = false;
-    Tick when = 0;
-    LatencyBreakdown bd;
-};
-
-} // namespace
 
 void
 finalizeRunResult(RunResult& res, double freq_ghz,
@@ -65,133 +51,12 @@ CoreModel::CoreModel(MemoryPlatform& platform, const CoreConfig& cfg)
 RunResult
 CoreModel::run(WorkloadGenerator& gen, std::uint64_t instruction_budget)
 {
-    // Drive the platform's domain conductor: one delegating domain for
-    // a single-device platform, the cross-domain interleaver for a
-    // sharded one (contract in baselines/platform.hh).
-    DomainConductor& eq = platform.conductor();
-    CacheModel l1(cfg.l1);
-    CacheModel l2(cfg.l2);
-
-    RunResult res;
-    res.workload = gen.spec().name;
-    res.platform = platform.name();
-
-    Tick start = eq.now();
-    Tick now = start;
-
-    Mailbox mail;
-    auto onDone = [&mail](Tick done, const LatencyBreakdown& bd) {
-        mail.arrived = true;
-        mail.when = done;
-        mail.bd = bd;
-    };
-    auto pump = [&](const char* what) {
-        while (!mail.arrived && eq.step()) {
-        }
-        if (!mail.arrived)
-            panic("core run: event queue drained awaiting ", what);
-    };
-
-    // The trampoline: every op retires in this flat loop. Accesses that
-    // the platform completes inline (tryAccess, legal only while the
-    // event queue is empty) cost no event and no stack growth; true
-    // misses and flushes schedule a completion event and pump the queue
-    // until it fires — exactly the interleaving of an all-events run,
-    // so simulated time is bit-identical with the fast path on or off.
-    WorkloadOp op;
-    for (;;) {
-        if (res.instructions >= instruction_budget)
-            break;
-        if (!gen.next(op))
-            break;
-
-        if (op.computeInstructions > 0) {
-            res.instructions += op.computeInstructions;
-            Tick t = cycles(op.computeInstructions * cfg.baseCpi);
-            now += t;
-            res.activeTime += t;
-        }
-        if (op.opBoundary)
-            ++res.opsCompleted;
-        if (op.newPage)
-            ++res.pagesTouched;
-
-        if (op.flushBarrier) {
-            Tick issue = now;
-            mail.arrived = false;
-            platform.flush(issue, onDone);
-            pump("flush completion");
-            res.flushTime += mail.when - issue;
-            res.stallTime += mail.when - issue;
-            now = mail.when;
-            continue;
-        }
-
-        if (!op.hasAccess)
-            continue;
-
-        ++res.instructions;
-        ++res.memInstructions;
-        bool is_write = op.access.op == MemOp::Write;
-
-        CacheResult r1 = l1.access(op.access.addr, is_write);
-        if (r1.hit) {
-            ++res.l1Hits;
-            now += cfg.l1.hitLatency;
-            res.activeTime += cfg.l1.hitLatency;
-            continue;
-        }
-
-        // L1 miss: the L1 victim (if dirty) writes into L2.
-        if (r1.evictedDirty)
-            l2.access(r1.evictedLine, /*is_write=*/true);
-
-        CacheResult r2 = l2.access(op.access.addr, is_write);
-        if (r2.evictedDirty && cfg.writebackEvictions) {
-            // Dirty L2 victim drains to the platform in the background;
-            // it occupies resources but does not stall the core. With
-            // the queue empty the inline path applies the same side
-            // effects without parking a dead completion event.
-            MemAccess wb{r2.evictedLine % platform.capacity(), 64,
-                         MemOp::Write};
-            InlineCompletion wbDone;
-            if (!(cfg.inlineFastPath && eq.empty() &&
-                  platform.tryAccess(wb, now, wbDone)))
-                platform.access(wb, now, nullptr);
-            ++res.platformAccesses;
-        }
-        if (r2.hit) {
-            ++res.l2Hits;
-            now += cfg.l2.hitLatency;
-            res.activeTime += cfg.l2.hitLatency;
-            continue;
-        }
-
-        // L2 miss: consult the platform and stall until it answers.
-        ++res.platformAccesses;
-        Tick issue = now;
-        InlineCompletion ic;
-        if (cfg.inlineFastPath && eq.empty() &&
-            platform.tryAccess(op.access, issue, ic)) {
-            // Keep now() where the fired completion event would have
-            // left it (immediate-completion contract, platform.hh).
-            eq.advanceTo(ic.done);
-            res.stallTime += ic.done - issue;
-            res.stallBreakdown += ic.bd;
-            now = ic.done;
-            continue;
-        }
-        mail.arrived = false;
-        platform.access(op.access, issue, onDone);
-        pump("access completion");
-        res.stallTime += mail.when - issue;
-        res.stallBreakdown += mail.bd;
-        now = mail.when;
-    }
-
-    res.simTime = now - start;
-    finalizeRunResult(res, cfg.freqGhz, cpuPower);
-    return res;
+    // One retire loop serves every driver: a single core is a 1-core
+    // SmpModel run (solo rules in cpu/smp_model.hh).
+    SmpModel smp(platform, SmpConfig{cfg});
+    HAMS_LINT_SUPPRESS("one-element generator list, built once per run() call; not per-access work")
+    std::vector<WorkloadGenerator*> gens{&gen};
+    return std::move(smp.run(gens, instruction_budget).perCore[0]);
 }
 
 } // namespace hams

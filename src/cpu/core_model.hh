@@ -71,10 +71,10 @@ struct RunResult
 
 /**
  * Fill @p res's derived rate/energy fields from its raw counters.
- * Shared by CoreModel and SmpModel (cpu/smp_model.hh) so a per-core
- * result is finalized bit-identically by either driver; for an SMP
- * combined view the counters are sums and simTime the max core time,
- * making ipc/opsPerSec aggregate (cross-core) rates.
+ * Used by SmpModel (cpu/smp_model.hh) for every per-core result and
+ * the combined view; for the combined view the counters are sums and
+ * simTime the max core time, making ipc/opsPerSec aggregate
+ * (cross-core) rates.
  */
 void finalizeRunResult(RunResult& res, double freq_ghz,
                        const CpuPowerModel& cpu_power);
@@ -92,7 +92,7 @@ void finalizeRunResult(RunResult& res, double freq_ghz,
 void mergeRunResult(RunResult& into, const RunResult& from);
 
 /**
- * Drives a WorkloadGenerator against a MemoryPlatform.
+ * Drives a WorkloadGenerator against a MemoryPlatform on one core.
  */
 class CoreModel
 {
@@ -100,25 +100,19 @@ class CoreModel
     CoreModel(MemoryPlatform& platform, const CoreConfig& cfg = {});
 
     /**
-     * Execute @p instruction_budget instructions (compute + memory).
+     * Execute @p instruction_budget instructions (compute + memory) and
+     * return aggregate metrics.
      *
-     * The run loop is an iterative trampoline: ops retire in a flat
-     * loop, platform accesses complete inline via tryAccess when the
-     * event queue is empty, and only true misses/flushes fall back to
-     * scheduling a completion event and pumping the queue. Returns
-     * aggregate metrics.
+     * A thin wrapper: this is a 1-core SmpModel run (cpu/smp_model.hh)
+     * returning perCore[0], so one retire loop serves single- and
+     * multi-core callers. Its solo-only rules (advanceTo after an
+     * inline completion, no end-of-run resync) are documented there.
      */
     HAMS_HOT_PATH RunResult run(WorkloadGenerator& gen, std::uint64_t instruction_budget);
 
   private:
-    Tick cycles(double n) const
-    {
-        return static_cast<Tick>(n * 1000.0 / cfg.freqGhz);
-    }
-
     MemoryPlatform& platform;
     CoreConfig cfg;
-    CpuPowerModel cpuPower;
 };
 
 } // namespace hams

@@ -106,7 +106,7 @@ SmpModel::advance(CoreCtx& c)
         if (r2.evictedDirty && cfg.core.writebackEvictions) {
             // Yield the background writeback to the conductor so it
             // lands on the platform in global tick order, then resume
-            // this instruction where CoreModel would.
+            // this instruction where it left off.
             c.wb = MemAccess{r2.evictedLine % platform.capacity(), 64,
                              MemOp::Write};
             c.r2Hit = r2.hit;
@@ -133,25 +133,22 @@ SmpModel::onAccessDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd)
     c.res.stallTime += done - c.issueAt;
     c.res.stallBreakdown += bd;
     c.now = done;
-    advance(c);
 }
 
 void
 SmpModel::onFlushDone(CoreCtx& c, Tick done, const LatencyBreakdown&)
 {
-    // Flush time is charged to flushTime/stallTime but, as in
-    // CoreModel, not to the per-category stall breakdown.
+    // Flush time is charged to flushTime/stallTime but not to the
+    // per-category stall breakdown.
     c.blocked = false;
     c.res.flushTime += done - c.issueAt;
     c.res.stallTime += done - c.issueAt;
     c.now = done;
-    advance(c);
 }
 
 void
-SmpModel::issue(CoreCtx& c)
+SmpModel::issue(CoreCtx& c, DomainConductor& eq)
 {
-    DomainConductor& eq = platform.conductor();
     switch (c.pending) {
       case CoreCtx::Pending::Wb: {
         // Background drain of a dirty L2 victim: occupies platform
@@ -174,11 +171,9 @@ SmpModel::issue(CoreCtx& c)
             platform.tryAccess(c.op.access, c.issueAt, ic)) {
             // With several cores, no advanceTo(): others may still
             // issue at ticks below ic.done (multi-outstanding
-            // contract, platform.hh). A solo conductor is the sole
-            // issuer and keeps CoreModel's semantics — without the
-            // advance, the next run() would start from a lagging
-            // eq.now() and shift every issue tick relative to the
-            // devices' absolute-tick state.
+            // contract, platform.hh). A solo core is the sole issuer
+            // and keeps now() where the fired completion event would
+            // have left it (solo rules, smp_model.hh).
             if (solo)
                 eq.advanceTo(ic.done);
             c.res.stallTime += ic.done - c.issueAt;
@@ -216,90 +211,94 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     if (gens.empty())
         fatal("smp run: no cores (empty generator list)");
 
-    SmpResult result;
+    // The SMP conductor is a client of the platform's DOMAIN conductor:
+    // one delegating domain on a single device, the cross-domain
+    // interleaver on a sharded platform, so the retire loop below is
+    // oblivious to how many event queues sit under it.
+    DomainConductor& eq = platform.conductor();
+    Tick start = eq.now();
+    solo = gens.size() == 1;
 
-    // One core has no cross-core ordering to enforce; CoreModel's
-    // trampoline (inline fast path + advanceTo) is the specified
-    // behaviour, so delegate and stay bit-identical to it.
-    if (gens.size() == 1 && !cfg.forceConductor) {
-        CoreModel core(platform, cfg.core);
-        HAMS_LINT_SUPPRESS("per-run result assembly, once per run() call; not per-access work")
-        result.perCore.push_back(core.run(*gens[0], per_core_budget));
-    } else {
-        // The SMP conductor is a client of the platform's DOMAIN
-        // conductor: one delegating domain on a single device, the
-        // cross-domain interleaver on a sharded platform, so the retire
-        // loop below is oblivious to how many event queues sit under it.
-        DomainConductor& eq = platform.conductor();
-        Tick start = eq.now();
-        solo = gens.size() == 1;
+    std::vector<CoreCtx> ctxs;
+    ctxs.reserve(gens.size());
+    for (WorkloadGenerator* gen : gens) {
+        HAMS_LINT_SUPPRESS("capacity reserved to the core count just above; per-run setup")
+        ctxs.emplace_back(cfg.core, gen, per_core_budget);
+        CoreCtx& c = ctxs.back();
+        c.now = start;
+        c.res.workload = gen->spec().name;
+        c.res.platform = platform.name();
+    }
 
-        std::vector<CoreCtx> ctxs;
-        ctxs.reserve(gens.size());
-        for (WorkloadGenerator* gen : gens) {
-            HAMS_LINT_SUPPRESS("capacity reserved to the core count just above; per-run setup")
-            ctxs.emplace_back(cfg.core, gen, per_core_budget);
-            CoreCtx& c = ctxs.back();
-            c.now = start;
-            c.res.workload = gen->spec().name;
-            c.res.platform = platform.name();
-            advance(c);
-        }
-
-        // The conductor: always serve the ready core with the lowest
-        // issue tick (core index breaks ties), but first let every
-        // event strictly earlier than that tick fire — a landing
-        // completion may unblock a core that belongs in front.
-        for (;;) {
-            CoreCtx* best = nullptr;
-            bool alive = false;
-            for (CoreCtx& c : ctxs) {
-                if (c.finished)
-                    continue;
-                alive = true;
-                if (c.blocked)
-                    continue;
-                if (!best || c.now < best->now)
-                    best = &c;
-            }
-            if (!alive)
-                break;
-            if (!best) {
-                // Every live core is parked on a completion event.
-                if (!eq.step())
-                    panic("smp run: event queue drained with ",
-                          "blocked cores");
+    // The conductor: always serve the ready core with the lowest issue
+    // tick (core index breaks ties), but first let every event strictly
+    // earlier than that tick fire — a landing completion may unblock a
+    // core that belongs in front.
+    for (;;) {
+        CoreCtx* best = nullptr;
+        bool alive = false;
+        for (CoreCtx& c : ctxs) {
+            // A core that is neither waiting nor about to issue (just
+            // started, or resumed by a completion) first retires up to
+            // its next platform interaction.
+            if (!c.finished && !c.blocked &&
+                c.pending == CoreCtx::Pending::None)
+                advance(c);
+            if (c.finished)
                 continue;
-            }
-            if (eq.nextTick() < best->now) {
-                eq.step(); // may unblock a core: re-pick
+            alive = true;
+            if (c.blocked)
                 continue;
-            }
-            issue(*best);
+            if (!best || c.now < best->now)
+                best = &c;
         }
+        if (!alive)
+            break;
+        if (!best) {
+            // Every live core is parked on a completion event.
+            if (!eq.step())
+                panic("smp run: event queue drained with blocked cores");
+            continue;
+        }
+        // empty() first: the inline check skips the heap probe in the
+        // common case of nothing pending.
+        if (!eq.empty() && eq.nextTick() < best->now) {
+            eq.step(); // may unblock a core: re-pick
+            continue;
+        }
+        issue(*best, eq);
+        // Solo inline streak: with one core and an empty queue the pick
+        // above would choose this core again and fire nothing, so keep
+        // issuing without it while accesses complete inline.
+        while (solo && eq.empty() && best->pending != CoreCtx::Pending::None)
+            issue(*best, eq);
+    }
 
-        // Resync simulated time to the cores before returning: inline
-        // completions never advanced the queue, and the next run() on
-        // this platform starts at eq.now() — left lagging, the
-        // devices' absolute-tick busy state (DRAM bank freeAt, link
-        // busyUntil) would charge this run's tail to the next run as
-        // phantom queueing, leaking warmup into measurement. Leftover
-        // background-writeback completions at or before the end tick
-        // fire on the way (they carry no callbacks a finished core
-        // cares about); later ones stay pending, as with CoreModel.
+    // Multi-core only: resync simulated time to the cores before
+    // returning. Inline completions never advanced the queue, and the
+    // next run() on this platform starts at eq.now() — left lagging,
+    // the devices' absolute-tick busy state (DRAM bank freeAt, link
+    // busyUntil) would charge this run's tail to the next run as
+    // phantom queueing, leaking warmup into measurement. Leftover
+    // background-writeback completions at or before the end tick fire
+    // on the way (they carry no callbacks a finished core cares about);
+    // later ones stay pending. A solo core skips this: see the solo
+    // rules in smp_model.hh.
+    if (!solo) {
         Tick end = start;
         for (const CoreCtx& c : ctxs)
             end = std::max(end, c.now);
         while (eq.nextTick() <= end)
             eq.step();
         eq.advanceTo(end);
+    }
 
-        for (CoreCtx& c : ctxs) {
-            c.res.simTime = c.now - start;
-            finalizeRunResult(c.res, cfg.core.freqGhz, cpuPower);
-            HAMS_LINT_SUPPRESS("per-run result assembly after the retire loop; not per-access work")
-            result.perCore.push_back(std::move(c.res));
-        }
+    SmpResult result;
+    for (CoreCtx& c : ctxs) {
+        c.res.simTime = c.now - start;
+        finalizeRunResult(c.res, cfg.core.freqGhz, cpuPower);
+        HAMS_LINT_SUPPRESS("per-run result assembly after the retire loop; not per-access work")
+        result.perCore.push_back(std::move(c.res));
     }
 
     // Aggregate view: summed counters over the longest core's time

@@ -19,12 +19,11 @@
  * Platforms apply their side effects at access()/flush() call time, so
  * call order across cores IS simulated-time order. The conductor
  * therefore always issues the ready core with the smallest issue tick
- * (ties broken by core index) and, with more than one core, first
- * drains every pending event strictly earlier than that tick — a
- * completion that lands may unblock a core whose next access belongs
- * before the one about to be issued. Same-tick ties keep CoreModel's
- * issue-then-fire order: the access is applied, then pending events at
- * that tick fire.
+ * (ties broken by core index) and first drains every pending event
+ * strictly earlier than that tick — a completion that lands may
+ * unblock a core whose next access belongs before the one about to be
+ * issued. Same-tick ties issue first: the access is applied, then
+ * pending events at that tick fire.
  *
  * The SMP conductor is itself a client of the platform's
  * DomainConductor (sim/domain_conductor.hh): "pending events" above
@@ -37,18 +36,36 @@
  * The immediate-completion fast path stays gated on an empty event
  * queue (contract in baselines/platform.hh): any other core's
  * outstanding access holds a live completion event, so the gate
- * naturally declines and the access takes the event path. Unlike the
- * single-core trampoline the conductor does not advanceTo() after an
- * inline completion — other cores may still legally issue below the
- * completed tick.
+ * naturally declines and the access takes the event path. With several
+ * cores the conductor does not advanceTo() after an inline completion
+ * — other cores may still legally issue below the completed tick.
  *
- * Single-core invariant
- * ---------------------
- * With one core there is no cross-core ordering to enforce, and
- * CoreModel's trampoline is the specified behaviour — run() delegates
- * to CoreModel::run for N == 1, so a 1-core SmpModel run is
- * bit-identical (RunResult, platform stats, event interleaving) to
- * today's single-core driver. tests/test_smp.cc pins this.
+ * One retire loop, two solo rules
+ * -------------------------------
+ * This conductor is the only retire loop in the simulator:
+ * CoreModel::run is a 1-core SmpModel run returning perCore[0]. A run
+ * with one core differs from an N-core run in exactly two rules, both
+ * decided by gens.size() and neither a knob:
+ *
+ *  - After an inline completion the solo core advanceTo()s the
+ *    completion tick, keeping now() where the fired completion event
+ *    would have left it (immediate-completion contract,
+ *    baselines/platform.hh). Without it the next run() would start
+ *    from a lagging eq.now() and shift every issue tick relative to
+ *    the devices' absolute-tick state. This is what keeps single-core
+ *    results byte-identical to the earlier dedicated single-core
+ *    driver, on which every figure table was recorded.
+ *  - A solo run skips the end-of-run resync (fire events up to the
+ *    last core's tick, then advanceTo() it) that an N-core run needs
+ *    to stop warmup tails leaking into a following measured run.
+ *    Applied to one core, the resync moves the nvdimm-C SQLite cells
+ *    of fig16 (seqSel, rndSel, seqIns, update) and one fig19 rndSel
+ *    cell; tests/test_core_model.cc pins the solo rule on nvdimm-C.
+ *
+ * A solo core also keeps issuing in a tight loop while its accesses
+ * complete inline on an empty queue — the pick it skips would select
+ * it again and fire nothing — which is a host-time shortcut, not a
+ * semantic rule.
  */
 
 #ifndef HAMS_CPU_SMP_MODEL_HH_
@@ -70,17 +87,6 @@ namespace hams {
 struct SmpConfig
 {
     CoreConfig core;
-
-    /**
-     * Test hook: run the conductor even for a single core instead of
-     * delegating to CoreModel. On platforms whose events carry no
-     * state changes (every arithmetic baseline applies side effects at
-     * access() call time), simulated outputs are bit-identical either
-     * way — which is exactly what tests/test_smp.cc uses to
-     * differentially validate the conductor's retire loop against
-     * CoreModel's.
-     */
-    bool forceConductor = false;
 };
 
 /** What an N-core run produces. */
@@ -115,8 +121,8 @@ class SmpModel
     /**
      * Run every generator for @p per_core_budget instructions on its
      * own core (gens.size() cores). Generators keep their stream
-     * position across calls, so warmup-then-measure works exactly like
-     * CoreModel; caches are rebuilt cold per call, also like CoreModel.
+     * position across calls, so warmup-then-measure works on the
+     * continuing streams; caches are rebuilt cold per call.
      */
     HAMS_HOT_PATH SmpResult run(const std::vector<WorkloadGenerator*>& gens,
                   std::uint64_t per_core_budget);
@@ -136,18 +142,23 @@ class SmpModel
      */
     HAMS_HOT_PATH void advance(CoreCtx& c);
 
-    /** Issue @p c's pending interaction at tick c.now. */
-    HAMS_HOT_PATH void issue(CoreCtx& c);
+    /** Issue @p c's pending interaction at tick c.now on the
+     *  platform's conductor @p eq. */
+    HAMS_HOT_PATH void issue(CoreCtx& c, DomainConductor& eq);
 
+    /**
+     * Completion callbacks: charge the stall and unblock @p c. They
+     * retire nothing — the conductor resumes the core on its next
+     * pick, keeping the retire path out of the event-callback stack.
+     */
     HAMS_HOT_PATH void onAccessDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd);
     HAMS_HOT_PATH void onFlushDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd);
 
     MemoryPlatform& platform;
     SmpConfig cfg;
     CpuPowerModel cpuPower;
-    /** Exactly one core in the current run (forceConductor): the sole
-     *  issuer may advanceTo() after inline completions, as CoreModel
-     *  does. */
+    /** Exactly one core in the current run: the solo rules above
+     *  apply. */
     bool solo = false;
 };
 

@@ -4,7 +4,8 @@
  * (platform × workload) cell at any thread count and never yields a
  * partial table, and sweep tables are bit-identical across
  * HAMS_BENCH_THREADS settings — the property that lets the figure
- * harnesses print deterministic tables from parallel runs.
+ * harnesses print deterministic tables from parallel runs — and the
+ * closed-loop queue-depth driver reports every completion once.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +202,42 @@ TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
                       parallel[i].hams.waiterPeakDepth);
         }
     }
+}
+
+/**
+ * Drive @p qd closed loops of 64 B writes on a small mmap platform and
+ * check the runClosedLoop contract: every completion reported once, in
+ * index order, at most @p qd accesses left in flight, and (for QD 1)
+ * each access issued at its predecessor's completion tick.
+ */
+void
+closedLoopContract(std::uint32_t qd)
+{
+    auto platform = bench::makePlatform("mmap", tinyGeom());
+    std::uint64_t issues = 0, seen = 0;
+    Tick prev_done = 0;
+    bench::runClosedLoop(
+        *platform, qd, 300,
+        [&] {
+            Addr addr = (issues++ * 7919 * 64) % (64ull << 20);
+            return MemAccess{addr, 64, MemOp::Write};
+        },
+        [&](std::uint64_t n, Tick issued, Tick done) {
+            EXPECT_EQ(n, seen++);
+            EXPECT_LT(issued, done);
+            if (qd == 1)
+                EXPECT_EQ(issued, prev_done);
+            prev_done = done;
+        });
+    EXPECT_GE(seen, 300u);
+    EXPECT_LE(issues - seen, qd);
+}
+
+TEST(ClosedLoop, LockStepAtQueueDepthOne) { closedLoopContract(1); }
+
+TEST(ClosedLoop, EveryCompletionReportedOnceAtDepthEight)
+{
+    closedLoopContract(8);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/mmap_platform.hh"
+#include "baselines/nvdimm_c_platform.hh"
 #include "baselines/oracle_platform.hh"
 #include "core/hams_system.hh"
 #include "cpu/cache_model.hh"
@@ -175,6 +176,39 @@ TEST(CoreModel, FlushBarriersStallOnMmap)
     auto gen = makeWorkload("rndIns", 32ull << 20);
     RunResult r = core.run(*gen, 2000000);
     EXPECT_GT(r.flushTime, 0u);
+}
+
+TEST(CoreModel, SoloRunSkipsEndOfRunResync)
+{
+    // CoreModel runs the SMP conductor with one core, which must not
+    // apply the multi-core end-of-run resync (cpu/smp_model.hh, solo
+    // rules): on nvdimm-C it moves the measured run's start tick and
+    // with it the SQLite cells of fig16. The figures below were
+    // recorded from the dedicated single-core driver the figure tables
+    // were produced with.
+    NvdimmCConfig cfg;
+    cfg.dramBytes = 16ull << 20;
+    cfg.flashRawBytes = 1ull << 30;
+    NvdimmCPlatform p(cfg);
+    auto gen = makeWorkload("seqSel", 22ull << 20);
+    CoreModel core(p);
+    RunResult warm = core.run(*gen, 1000000);
+    RunResult r = core.run(*gen, 2000000);
+
+    EXPECT_EQ(warm.simTime, 1412379788u);
+    EXPECT_EQ(r.simTime, 2086343072u);
+    EXPECT_EQ(r.instructions, 2000208u);
+    EXPECT_EQ(r.memInstructions, 208u);
+    EXPECT_EQ(r.platformAccesses, 204u);
+    EXPECT_EQ(r.l1Hits, 4u);
+    EXPECT_EQ(r.l2Hits, 0u);
+    EXPECT_EQ(r.opsCompleted, 42u);
+    EXPECT_EQ(r.pagesTouched, 164u);
+    EXPECT_EQ(r.activeTime, 1000004000u);
+    EXPECT_EQ(r.stallTime, 1086339072u);
+    EXPECT_EQ(r.flushTime, 0u);
+    EXPECT_EQ(r.stallBreakdown.ssd, 102410000u);
+    EXPECT_EQ(p.eventQueue().now(), 3494721860u);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Immediate-completion fast-path tests: the CoreModel trampoline with
+ * Immediate-completion fast-path tests: the core retire loop with
  * tryAccess inline completions must be observationally identical to the
  * all-events path — every simulated-time field of RunResult, the HAMS
  * controller stats and the NVMe engine stats bit-for-bit — and the hit
@@ -202,7 +202,7 @@ TEST(FastPathDifferential, SqliteUpdateOnHamsExtend)
 TEST(FastPathDifferential, PersistModeFallsBackIdentically)
 {
     // Persist mode never completes inline (tryAccess declines); the
-    // trampoline's fallback path must still match the all-events run.
+    // event-path fallback must still match the all-events run.
     auto make = [] { return smallHams(HamsMode::Persist); };
     auto p_on = make();
     auto p_off = make();

@@ -1,11 +1,13 @@
 /**
  * @file
- * SmpModel tests: a 1-core SmpModel run is bit-identical (full
- * RunResult, HamsStats, engine stats, event-queue time) to
- * CoreModel::run on the same seed; N-core runs are bit-identical
- * across reruns; contention counters (wait lists, persist gate) grow
- * with core count on a shared HAMS platform; and the per-core hit path
- * through the SMP conductor stays allocation-free.
+ * SmpModel tests: core 0 of a 1-core SmpModel run reproduces the
+ * single-core stream (makeCoreWorkload(w, ds, 0, 1) drives the same
+ * ops as makeWorkload(w, ds), so the full RunResult, HamsStats, engine
+ * stats and event-queue time match CoreModel::run on the same seed);
+ * N-core runs are bit-identical across reruns; contention counters
+ * (wait lists, persist gate) grow with core count on a shared HAMS
+ * platform; and the per-core hit path through the SMP conductor stays
+ * allocation-free.
  */
 
 #include <gtest/gtest.h>
@@ -126,7 +128,7 @@ runSmp(MemoryPlatform& platform, const std::string& workload,
 }
 
 // ---------------------------------------------------------------------
-// 1-core SmpModel == CoreModel, bit for bit.
+// Core 0 of 1 replays the single-core workload stream, bit for bit.
 // ---------------------------------------------------------------------
 
 template <typename MakePlatform>
@@ -208,64 +210,6 @@ TEST(SmpOneCore, BitIdenticalToCoreModelOnHamsPersist)
 
     expectIdentical(meas_core, meas_smp.perCore[0], "rndRd TP");
     expectIdentical(p_core->stats(), p_smp->stats(), "rndRd HamsStats");
-}
-
-// ---------------------------------------------------------------------
-// Forced-conductor differential: run the SMP conductor (not the N==1
-// delegation) against CoreModel on a platform whose events carry no
-// state changes — mmap applies every side effect at access()/flush()
-// call time, so issue order (which both drivers share for one core)
-// fully determines the results and the retire loops must agree bit for
-// bit. This is what catches a CoreModel accounting change that is not
-// mirrored in SmpModel::advance.
-// ---------------------------------------------------------------------
-
-void
-conductorDifferential(const std::string& workload, std::uint64_t budget,
-                      bool inline_on)
-{
-    auto p_core = smallMmap();
-    auto p_smp = smallMmap();
-
-    auto gen_core = makeWorkload(workload, 32ull << 20);
-    CoreConfig cc;
-    cc.inlineFastPath = inline_on;
-    CoreModel core(*p_core, cc);
-    RunResult warm_core = core.run(*gen_core, budget / 2);
-    RunResult meas_core = core.run(*gen_core, budget);
-
-    auto gen_smp = makeCoreWorkload(workload, 32ull << 20, 0, 1);
-    std::vector<WorkloadGenerator*> gens{gen_smp.get()};
-    SmpConfig cfg;
-    cfg.core.inlineFastPath = inline_on;
-    cfg.forceConductor = true;
-    SmpModel smp(*p_smp, cfg);
-    SmpResult warm_smp = smp.run(gens, budget / 2);
-    SmpResult meas_smp = smp.run(gens, budget);
-
-    std::string tag = workload + " conductor vs CoreModel";
-    expectIdentical(warm_core, warm_smp.perCore[0],
-                    (tag + " (warmup)").c_str());
-    expectIdentical(meas_core, meas_smp.perCore[0],
-                    (tag + " (measure)").c_str());
-    EXPECT_EQ(p_core->pageFaults(), p_smp->pageFaults()) << tag;
-    EXPECT_EQ(p_core->pageCacheHits(), p_smp->pageCacheHits()) << tag;
-    EXPECT_EQ(p_core->writebacks(), p_smp->writebacks()) << tag;
-}
-
-TEST(SmpConductorDifferential, RndWrOnMmapMatchesCoreModel)
-{
-    conductorDifferential("rndWr", 200000, true);
-}
-
-TEST(SmpConductorDifferential, UpdateWithFlushesMatchesCoreModel)
-{
-    conductorDifferential("update", 600000, true);
-}
-
-TEST(SmpConductorDifferential, EventPathMatchesCoreModel)
-{
-    conductorDifferential("rndWr", 200000, false);
 }
 
 // ---------------------------------------------------------------------

@@ -511,7 +511,7 @@ TEST(TieringDifferential, InlineFastPathIdentityWithTieringOn)
 {
     // Tight-topology hams with pinning + cold placement (no internal
     // buffer, so migration stays silently off and the inline contract
-    // holds): forcing the trampoline on/off must not move a single
+    // holds): forcing the inline fast path on/off must not move a single
     // simulated tick OR a single tracker counter — the touch happens
     // exactly once per dispatch on both paths.
     auto run = [](bool inline_on, RunResult& meas,
