@@ -11,7 +11,8 @@
  * harness verifies the simulated-time outputs are bit-identical (it
  * exits non-zero otherwise, so CI smoke runs double as a correctness
  * check) and reports host-ns per platform access, allocs per access,
- * and the speedup.
+ * the speedup, and the events fired per access on the inline half — a
+ * deterministic count showing how often the fast path engaged.
  *
  * Results land in BENCH_macro.json (HAMS_BENCH_JSON overrides;
  * HAMS_BENCH_SCALE enlarges the runs).
@@ -37,6 +38,7 @@ struct CellReport
     double inlineNsPerAccess = 0; //!< fast path on
     double speedup = 0;
     double allocsPerAccess = 0;   //!< fast path on
+    double inlineEventsPerAccess = 0; //!< fast path on; deterministic
     std::uint64_t accesses = 0;
     bool identical = false;
 };
@@ -83,16 +85,18 @@ struct Half
     /** Time one measured run; returns its simulated result. */
     RunResult
     measure(std::uint64_t budget, double& ns_per_access,
-            double& allocs_per_access)
+            double& allocs_per_access, double& events_per_access)
     {
         // Thread-local counting: a process-global counter would charge
         // this cell with whatever any concurrently running thread
         // allocates, quietly corrupting allocs_per_access.
         std::uint64_t allocs0 = threadAllocCallsNow();
+        std::uint64_t fired0 = platform->eventQueue().fired();
         auto t0 = std::chrono::steady_clock::now();
         RunResult r = core->run(*gen, budget);
         auto t1 = std::chrono::steady_clock::now();
         std::uint64_t allocs1 = threadAllocCallsNow();
+        std::uint64_t fired1 = platform->eventQueue().fired();
 
         double ns = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -101,6 +105,8 @@ struct Half
             r.platformAccesses ? r.platformAccesses : 1;
         ns_per_access = ns / static_cast<double>(accesses);
         allocs_per_access = static_cast<double>(allocs1 - allocs0) /
+                            static_cast<double>(accesses);
+        events_per_access = static_cast<double>(fired1 - fired0) /
                             static_cast<double>(accesses);
         return r;
     }
@@ -124,10 +130,11 @@ runCell(const std::string& platform_name, const std::string& workload,
     rep.identical = true;
     for (int i = 0; i < repetitions; ++i) {
         double off_ns = 0, on_ns = 0, off_allocs = 0, on_allocs = 0;
-        RunResult r_off =
-            off.measure(geom.instructionBudget, off_ns, off_allocs);
-        RunResult r_on =
-            on.measure(geom.instructionBudget, on_ns, on_allocs);
+        double off_events = 0;
+        RunResult r_off = off.measure(geom.instructionBudget, off_ns,
+                                      off_allocs, off_events);
+        RunResult r_on = on.measure(geom.instructionBudget, on_ns,
+                                    on_allocs, rep.inlineEventsPerAccess);
         if (i == 0 || off_ns < rep.eventNsPerAccess)
             rep.eventNsPerAccess = off_ns;
         if (i == 0 || on_ns < rep.inlineNsPerAccess)
@@ -156,8 +163,8 @@ main()
     // needs enough iterations to be stable.
     geom.instructionBudget *= 4;
 
-    // Hit-dominated cells (where the fast path matters) plus miss-heavy
-    // and persist-mode cells (where it must cost nothing).
+    // Hit-dominated cells in both HAMS modes (where the fast path
+    // matters) plus miss-heavy cells (where it must cost nothing).
     const std::vector<std::pair<std::string, std::string>> cells = {
         {"mmap", "rndRd"},    {"mmap", "rndWr"},   {"mmap", "update"},
         {"oracle", "rndRd"},  {"optane-P", "rndWr"},
@@ -165,19 +172,20 @@ main()
         {"hams-TP", "rndRd"},
     };
 
-    std::printf("\n%-10s %-8s %12s %12s %9s %11s %6s\n", "platform",
+    std::printf("\n%-10s %-8s %12s %12s %9s %11s %9s %6s\n", "platform",
                 "workload", "event ns/ac", "inline ns/ac", "speedup",
-                "allocs/ac", "same?");
+                "allocs/ac", "events/ac", "same?");
 
     std::vector<CellReport> reports;
     bool all_identical = true;
     for (const auto& [p, w] : cells) {
         CellReport rep = runCell(p, w, geom);
         all_identical = all_identical && rep.identical;
-        std::printf("%-10s %-8s %12.1f %12.1f %8.2fx %11.6f %6s\n",
+        std::printf("%-10s %-8s %12.1f %12.1f %8.2fx %11.6f %9.4f %6s\n",
                     rep.platform.c_str(), rep.workload.c_str(),
                     rep.eventNsPerAccess, rep.inlineNsPerAccess,
                     rep.speedup, rep.allocsPerAccess,
+                    rep.inlineEventsPerAccess,
                     rep.identical ? "yes" : "NO");
         reports.push_back(rep);
     }
@@ -198,11 +206,13 @@ main()
                 "    {\"name\": \"macro/%s/%s\", "
                 "\"event_ns_per_access\": %.1f, "
                 "\"inline_ns_per_access\": %.1f, \"speedup\": %.2f, "
-                "\"allocs_per_access\": %.6f, \"platform_accesses\": %llu, "
+                "\"allocs_per_access\": %.6f, "
+                "\"inline_events_per_access\": %.6f, "
+                "\"platform_accesses\": %llu, "
                 "\"sim_outputs_identical\": %s}%s\n",
                 r.platform.c_str(), r.workload.c_str(),
                 r.eventNsPerAccess, r.inlineNsPerAccess, r.speedup,
-                r.allocsPerAccess,
+                r.allocsPerAccess, r.inlineEventsPerAccess,
                 static_cast<unsigned long long>(r.accesses),
                 r.identical ? "true" : "false",
                 i + 1 < reports.size() ? "," : "");

@@ -19,7 +19,7 @@
  * breakdown, and the same side effects on device state, all applied at
  * issue time. Concretely that means the access must not depend on any
  * pending event landing first — the HAMS controller, for example, only
- * completes extend-mode hits whose frame is idle (not busy, so no
+ * completes hits (in either mode) whose frame is idle (not busy, so no
  * waiters can be parked and no fill can be racing the tag probe).
  *
  * Re-entrancy rules:
@@ -89,7 +89,7 @@
  *    fault/writeback path kicking GC) must stop opting into
  *    tryAccess() while background GC is enabled — scheduling an event
  *    at or before the returned tick would break the caller's
- *    advanceTo(). HamsSystem's inline path (extend-mode hits) never
+ *    advanceTo(). HamsSystem's inline path (idle-frame hits) never
  *    touches the SSD, so it keeps qualifying.
  *
  * Event-path completions ride pooled contexts (scheduleCompletion):

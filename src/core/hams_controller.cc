@@ -41,16 +41,14 @@ HamsController::makeOp(const MemAccess& acc, const std::uint8_t* wdata,
     op->idx = idx;
     op->newTag = 0;
     op->reqAt = 0;
-    op->line = 0;
     op->done = 0;
     op->bd = LatencyBreakdown{};
     op->cb = std::move(cb);
     return op;
 }
 
-void
-HamsController::access(const MemAccess& acc, const std::uint8_t* wdata,
-                       std::uint8_t* rdata, Tick at, AccessCb cb)
+std::uint64_t
+HamsController::frameOf(const MemAccess& acc) const
 {
     if (acc.addr + acc.size > _mosCapacity)
         fatal("MoS access [", acc.addr, ", ", acc.addr + acc.size,
@@ -58,11 +56,17 @@ HamsController::access(const MemAccess& acc, const std::uint8_t* wdata,
     if (acc.addr / cfg.pageBytes != (acc.addr + acc.size - 1) /
         cfg.pageBytes)
         fatal("MoS access crosses a page boundary; split it upstream");
+    return tags.indexOf(acc.addr);
+}
 
+void
+HamsController::access(const MemAccess& acc, const std::uint8_t* wdata,
+                       std::uint8_t* rdata, Tick at, AccessCb cb)
+{
+    std::uint64_t idx = frameOf(acc);
     ++_stats.accesses;
     if (hotness)
         hotness->touch(acc.addr);
-    std::uint64_t idx = tags.indexOf(acc.addr);
     MosTagEntry& e = tags.entry(idx);
 
     if (e.busy) {
@@ -93,7 +97,7 @@ HamsController::access(const MemAccess& acc, const std::uint8_t* wdata,
 
     Op* op = makeOp(acc, wdata, rdata, idx, std::move(cb));
     if (e.valid && e.tag == tags.tagOf(acc.addr))
-        handleHit(op, at);
+        complete(op, serveHit(acc, idx, at, op->bd));
     else
         handleMiss(op, at);
 }
@@ -102,60 +106,60 @@ bool
 HamsController::tryAccess(const MemAccess& acc, Tick at,
                           InlineCompletion& out)
 {
-    // Persist mode serialises I/O through the gate; keep its accesses
-    // on the one battle-tested path. Mid-recovery accesses need the
-    // degraded-mode admission checks (and with restore events pending
-    // the caller's queue-empty gate declines the inline path anyway).
-    if (cfg.mode != HamsMode::Extend || _recovering)
+    // Hits never touch the persist gate, the NVMe engine or the SSD, so
+    // both modes qualify: a gated miss in flight keeps an event pending
+    // and the caller's queue-empty gate declines anyway. Mid-recovery
+    // accesses need the degraded-mode admission checks in access().
+    if (_recovering)
         return false;
-    if (acc.addr + acc.size > _mosCapacity)
-        fatal("MoS access [", acc.addr, ", ", acc.addr + acc.size,
-              ") beyond capacity ", _mosCapacity);
-    if (acc.addr / cfg.pageBytes != (acc.addr + acc.size - 1) /
-        cfg.pageBytes)
-        fatal("MoS access crosses a page boundary; split it upstream");
-
-    std::uint64_t idx = tags.indexOf(acc.addr);
-    MosTagEntry& e = tags.entry(idx);
+    std::uint64_t idx = frameOf(acc);
+    const MosTagEntry& e = tags.entry(idx);
     if (e.busy || !e.valid || e.tag != tags.tagOf(acc.addr))
         return false;
 
-    // A hit on an idle frame: the same arithmetic as handleHit +
-    // serveFromFrame, minus the Op context and the completion event.
+    // A hit on an idle frame: the event path's serveHit(), minus the
+    // Op context and the completion event.
     ++_stats.accesses;
     if (hotness)
         hotness->touch(acc.addr);
-    ++_stats.hits;
-    Tick t = at + cfg.logicLatency;
-    Addr line = frameAddr(idx) + acc.addr % cfg.pageBytes;
-    Tick done = nvdimm.access(line, acc.size, acc.op, t);
     out.bd = LatencyBreakdown{};
-    out.bd.nvdimm = done - t;
-    _stats.memoryDelay += out.bd;
-    if (acc.op == MemOp::Write)
-        e.dirty = true;
-    out.done = done;
+    out.done = serveHit(acc, idx, at, out.bd);
     return true;
 }
 
-void
-HamsController::serveFromFrame(Op* op, Tick at)
+Tick
+HamsController::serveLine(const MemAccess& acc, std::uint64_t idx, Tick at,
+                          LatencyBreakdown& bd)
 {
-    op->line = frameAddr(op->idx) + op->acc.addr % cfg.pageBytes;
-    Tick done = nvdimm.access(op->line, op->acc.size, op->acc.op, at);
-    op->bd.nvdimm += done - at;
-    _stats.memoryDelay += op->bd;
+    Tick done = nvdimm.access(lineAddr(acc, idx), acc.size, acc.op, at);
+    bd.nvdimm += done - at;
+    _stats.memoryDelay += bd;
+    if (acc.op == MemOp::Write)
+        tags.entry(idx).dirty = true;
+    return done;
+}
 
-    if (op->acc.op == MemOp::Write) {
-        tags.entry(op->idx).dirty = true;
-        if (op->wdata && nvdimm.data())
-            nvdimm.data()->write(op->line, op->wdata, op->acc.size);
-    }
+Tick
+HamsController::serveHit(const MemAccess& acc, std::uint64_t idx, Tick at,
+                         LatencyBreakdown& bd)
+{
+    ++_stats.hits;
+    // The tag is read out with the line itself, so the hit path is the
+    // logic latency plus the single NVDIMM access.
+    return serveLine(acc, idx, at + cfg.logicLatency, bd);
+}
 
+void
+HamsController::complete(Op* op, Tick done)
+{
     op->done = done;
+    if (op->acc.op == MemOp::Write && op->wdata && nvdimm.data())
+        nvdimm.data()->write(lineAddr(op->acc, op->idx), op->wdata,
+                             op->acc.size);
     eq.scheduleAt(done, [this, op]() {
         if (op->rdata && nvdimm.data())
-            nvdimm.data()->read(op->line, op->rdata, op->acc.size);
+            nvdimm.data()->read(lineAddr(op->acc, op->idx), op->rdata,
+                                op->acc.size);
         AccessCb cb = std::move(op->cb);
         Tick when = op->done;
         LatencyBreakdown bd = op->bd;
@@ -165,15 +169,6 @@ HamsController::serveFromFrame(Op* op, Tick at)
         if (cb)
             cb(when, bd);
     });
-}
-
-void
-HamsController::handleHit(Op* op, Tick at)
-{
-    ++_stats.hits;
-    // The tag is read out with the line itself, so the hit path is the
-    // logic latency plus the single NVDIMM access.
-    serveFromFrame(op, at + cfg.logicLatency);
 }
 
 void
@@ -248,7 +243,7 @@ HamsController::retryMiss(Op* op, Tick at)
         return;
     }
     if (e.valid && e.tag == tags.tagOf(op->acc.addr)) {
-        handleHit(op, at);
+        complete(op, serveHit(op->acc, op->idx, at, op->bd));
         return;
     }
     handleMiss(op, at);
@@ -408,7 +403,7 @@ HamsController::onFillDone(Op* op, const NvmeCmdTrace& trace, Tick when)
     gateRelease(when);
 
     std::uint64_t idx = op->idx;
-    serveFromFrame(op, when);
+    complete(op, serveLine(op->acc, idx, when, op->bd));
     drainWaiters(idx, when);
 }
 

@@ -158,11 +158,11 @@ class HamsController
 
     /**
      * Immediate-completion fast path (contract in baselines/
-     * platform.hh): completes timing-only extend-mode hits on an idle
-     * frame — valid, tag match, no busy bit, hence no parked waiters —
-     * inline, with side effects and stats identical to access().
-     * Persist-mode accesses and anything that needs I/O return false
-     * untouched.
+     * platform.hh): completes timing-only hits on an idle frame —
+     * valid, tag match, no busy bit, hence no parked waiters — inline
+     * in either mode, through access()'s own serveHit(). Anything that
+     * needs I/O, and any access during recovery, returns false
+     * untouched. Hits never touch the persist gate.
      *
      * Background GC in the ULL-Flash needs no special casing here: a
      * hit never touches the SSD, and while a GC step event is pending
@@ -252,7 +252,6 @@ class HamsController
         std::uint64_t idx;    //!< cache frame (computed once in access())
         std::uint64_t newTag; //!< tag after the fill lands
         Tick reqAt;           //!< miss submit time (device-held check)
-        Addr line;            //!< resolved NVDIMM line address
         Tick done;            //!< completion tick
         LatencyBreakdown bd;
         AccessCb cb;
@@ -277,6 +276,15 @@ class HamsController
         return Addr(idx) * cfg.pageBytes;
     }
 
+    /** NVDIMM line @p acc touches once its page sits in frame @p idx. */
+    HAMS_HOT_PATH Addr lineAddr(const MemAccess& acc, std::uint64_t idx) const
+    {
+        return frameAddr(idx) + acc.addr % cfg.pageBytes;
+    }
+
+    /** Capacity and page-crossing checks; returns the cache frame. */
+    HAMS_HOT_PATH std::uint64_t frameOf(const MemAccess& acc) const;
+
     /** First LBA of the MoS page containing @p mos_addr. */
     HAMS_HOT_PATH std::uint64_t slbaOf(Addr mos_page_addr) const
     {
@@ -292,14 +300,21 @@ class HamsController
     HAMS_HOT_PATH Op* makeOp(const MemAccess& acc, const std::uint8_t* wdata,
                std::uint8_t* rdata, std::uint64_t idx, AccessCb cb);
 
-    HAMS_HOT_PATH void handleHit(Op* op, Tick at);
     HAMS_HOT_PATH void handleMiss(Op* op, Tick at);
 
     /** A recovery-gated miss re-decides hit/park/miss at drain time. */
     HAMS_COLD_PATH void retryMiss(Op* op, Tick at);
 
-    /** Final NVDIMM data access of a request, plus functional bytes. */
-    HAMS_HOT_PATH void serveFromFrame(Op* op, Tick at);
+    /** Final NVDIMM access of a request, charged to @p bd and stats. */
+    HAMS_HOT_PATH Tick serveLine(const MemAccess& acc, std::uint64_t idx,
+                                 Tick at, LatencyBreakdown& bd);
+
+    /** A hit: logic latency plus serveLine(). Event and inline paths. */
+    HAMS_HOT_PATH Tick serveHit(const MemAccess& acc, std::uint64_t idx,
+                                Tick at, LatencyBreakdown& bd);
+
+    /** Move functional bytes and schedule @p op's completion at @p done. */
+    HAMS_HOT_PATH void complete(Op* op, Tick done);
 
     /** Issue fill (and possibly eviction) for a missing page. */
     HAMS_HOT_PATH void startMissIo(Op* op, Tick at);

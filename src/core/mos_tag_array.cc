@@ -7,11 +7,15 @@ namespace hams {
 MosTagArray::MosTagArray(std::uint64_t cache_bytes, std::uint32_t page_bytes)
     : _pageBytes(page_bytes)
 {
-    if (page_bytes == 0 || (page_bytes & (page_bytes - 1)) != 0)
+    if (!isPow2(page_bytes))
         fatal("MoS page size must be a power of two, got ", page_bytes);
     if (cache_bytes < page_bytes)
         fatal("MoS cache smaller than one page");
     entries.resize(cache_bytes / page_bytes);
+    pageShift = log2u64(page_bytes);
+    pow2 = isPow2(sets());
+    setShift = log2u64(sets());
+    setMask = sets() - 1;
 }
 
 std::uint64_t

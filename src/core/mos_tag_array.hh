@@ -56,13 +56,15 @@ class MosTagArray
     /** Set index of a MoS address. */
     HAMS_HOT_PATH std::uint64_t indexOf(Addr mos_addr) const
     {
-        return (mos_addr / _pageBytes) % sets();
+        std::uint64_t page = mos_addr >> pageShift;
+        return pow2 ? page & setMask : page % sets();
     }
 
     /** Tag of a MoS address. */
     HAMS_HOT_PATH std::uint64_t tagOf(Addr mos_addr) const
     {
-        return (mos_addr / _pageBytes) / sets();
+        std::uint64_t page = mos_addr >> pageShift;
+        return pow2 ? page >> setShift : page / sets();
     }
 
     /** First MoS byte cached by set @p idx when holding tag @p tag. */
@@ -101,6 +103,11 @@ class MosTagArray
   private:
     std::uint32_t _pageBytes;
     std::vector<MosTagEntry> entries;
+    /** Shift/mask set decode for a power-of-two set count (else div/mod). */
+    bool pow2 = false;
+    std::uint32_t pageShift = 0;
+    std::uint32_t setShift = 0;
+    std::uint64_t setMask = 0;
 };
 
 } // namespace hams

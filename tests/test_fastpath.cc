@@ -12,6 +12,8 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "baselines/mmap_platform.hh"
 #include "core/hams_system.hh"
@@ -80,6 +82,8 @@ expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
     EXPECT_EQ(a.redundantEvictionsAvoided, b.redundantEvictionsAvoided)
         << what;
     EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
+    EXPECT_EQ(a.waiterPeakDepth, b.waiterPeakDepth) << what;
+    EXPECT_EQ(a.gateQueuePeakDepth, b.gateQueuePeakDepth) << what;
     EXPECT_EQ(a.replayedCommands, b.replayedCommands) << what;
     EXPECT_EQ(a.memoryDelay.os, b.memoryDelay.os) << what;
     EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
@@ -103,10 +107,11 @@ expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
  * Run @p workload twice (warmup + measure, the runOn() pattern — the
  * chained second run also checks event-queue time at run boundaries)
  * on two fresh, identical platforms, fast path forced on vs off, and
- * demand bit-identical simulated-time outputs.
+ * demand bit-identical simulated-time outputs. Returns the {on, off}
+ * platforms for platform-specific checks.
  */
 template <typename MakePlatform>
-void
+auto
 differential(MakePlatform make, const std::string& workload,
              std::uint64_t budget)
 {
@@ -130,6 +135,7 @@ differential(MakePlatform make, const std::string& workload,
     expectIdentical(warm_on, warm_off, (tag + " (warmup)").c_str());
     expectIdentical(meas_on, meas_off, (tag + " (measure)").c_str());
     EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now()) << tag;
+    return std::make_pair(std::move(p_on), std::move(p_off));
 }
 
 TEST(FastPathDifferential, MmfRndWrOnMmap)
@@ -137,97 +143,64 @@ TEST(FastPathDifferential, MmfRndWrOnMmap)
     differential(smallMmap, "rndWr", 200000);
 }
 
-TEST(FastPathDifferential, MmfRndWrOnHamsExtend)
-{
-    auto make = [] { return smallHams(HamsMode::Extend); };
-    auto p_on = make();
-    auto p_off = make();
-
-    auto run_both = [&](HamsSystem& sys, bool inline_on, RunResult& warm,
-                        RunResult& meas) {
-        auto gen = makeWorkload("rndWr", 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(sys, cc);
-        warm = core.run(*gen, 100000);
-        meas = core.run(*gen, 200000);
-    };
-    RunResult warm_on, meas_on, warm_off, meas_off;
-    run_both(*p_on, true, warm_on, meas_on);
-    run_both(*p_off, false, warm_off, meas_off);
-
-    expectIdentical(warm_on, warm_off, "rndWr hams-TE (warmup)");
-    expectIdentical(meas_on, meas_off, "rndWr hams-TE (measure)");
-    expectIdentical(p_on->stats(), p_off->stats(), "rndWr HamsStats");
-    expectIdentical(p_on->engineStats(), p_off->engineStats(),
-                    "rndWr NvmeEngineStats");
-    EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now());
-    // The fast path actually engaged: hits dominate and each inline
-    // completion skips the event round trip, so the fired-event count
-    // must drop well below the all-events run.
-    EXPECT_LT(p_on->eventQueue().fired(), p_off->eventQueue().fired() / 2);
-}
-
 TEST(FastPathDifferential, SqliteUpdateOnMmap)
 {
     differential(smallMmap, "update", 800000);
 }
 
-TEST(FastPathDifferential, SqliteUpdateOnHamsExtend)
+const char*
+modeName(HamsMode mode)
 {
-    auto make = [] { return smallHams(HamsMode::Extend); };
-    auto p_on = make();
-    auto p_off = make();
-    auto run_both = [&](HamsSystem& sys, bool inline_on, RunResult& warm,
-                        RunResult& meas) {
-        auto gen = makeWorkload("update", 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(sys, cc);
-        warm = core.run(*gen, 400000);
-        meas = core.run(*gen, 800000);
-    };
-    RunResult warm_on, meas_on, warm_off, meas_off;
-    run_both(*p_on, true, warm_on, meas_on);
-    run_both(*p_off, false, warm_off, meas_off);
+    return mode == HamsMode::Persist ? "Persist" : "Extend";
+}
 
-    expectIdentical(warm_on, warm_off, "update hams-TE (warmup)");
-    expectIdentical(meas_on, meas_off, "update hams-TE (measure)");
-    expectIdentical(p_on->stats(), p_off->stats(), "update HamsStats");
+/** {workload} x {Extend, Persist}, inline on vs off. */
+class HamsFastPathDifferential
+    : public ::testing::TestWithParam<std::tuple<std::string, HamsMode>>
+{
+};
+
+TEST_P(HamsFastPathDifferential, InlineOnMatchesOff)
+{
+    const auto& [workload, mode] = GetParam();
+    std::uint64_t budget = workload == "update" ? 800000 : 200000;
+    auto [p_on, p_off] =
+        differential([mode = mode] { return smallHams(mode); }, workload,
+                     budget);
+    expectIdentical(p_on->stats(), p_off->stats(), "HamsStats");
     expectIdentical(p_on->engineStats(), p_off->engineStats(),
-                    "update NvmeEngineStats");
-    EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now());
+                    "NvmeEngineStats");
+    // The fast path actually engaged: hits dominate the micro workloads
+    // and each inline completion skips the event round trip, so the
+    // fired-event count must drop well below the all-events run.
+    if (workload != "update")
+        EXPECT_LT(p_on->eventQueue().fired(),
+                  p_off->eventQueue().fired() / 2);
 }
 
-TEST(FastPathDifferential, PersistModeFallsBackIdentically)
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, HamsFastPathDifferential,
+    ::testing::Combine(::testing::Values("rndRd", "rndWr", "update"),
+                       ::testing::Values(HamsMode::Extend,
+                                         HamsMode::Persist)),
+    [](const auto& info) {
+        return std::get<0>(info.param) + modeName(std::get<1>(info.param));
+    });
+
+/** Both HAMS modes: idle-frame hits complete inline in either. */
+class FastPathZeroAlloc : public ::testing::TestWithParam<HamsMode>
 {
-    // Persist mode never completes inline (tryAccess declines); the
-    // event-path fallback must still match the all-events run.
-    auto make = [] { return smallHams(HamsMode::Persist); };
-    auto p_on = make();
-    auto p_off = make();
-    auto run_one = [&](HamsSystem& sys, bool inline_on) {
-        auto gen = makeWorkload("rndRd", 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(sys, cc);
-        return core.run(*gen, 100000);
-    };
-    RunResult on = run_one(*p_on, true);
-    RunResult off = run_one(*p_off, false);
-    expectIdentical(on, off, "rndRd hams-TP");
-    expectIdentical(p_on->stats(), p_off->stats(), "rndRd HamsStats");
-}
+};
 
-TEST(FastPathZeroAlloc, HitPathThroughFullCoreLoop)
+TEST_P(FastPathZeroAlloc, HitPathThroughFullCoreLoop)
 {
     // A working set that fits the NVDIMM cache: after the warmup run
-    // every platform access is an extend-mode hit, completed inline.
+    // every platform access is a hit, completed inline in either mode.
     // The measured runs differ only in op count, so equal allocation
     // deltas mean the per-access cost is literally zero — any per-op
     // allocation anywhere in the core loop (workload gen, caches,
     // callbacks, controller) would separate them.
-    auto sys = smallHams(HamsMode::Extend);
+    auto sys = smallHams(GetParam());
     auto gen = makeWorkload("rndRd", 16ull << 20);
     CoreModel core(*sys);
     core.run(*gen, 300000); // warm caches, pools, arenas
@@ -236,12 +209,22 @@ TEST(FastPathZeroAlloc, HitPathThroughFullCoreLoop)
     core.run(*gen, 100000);
     std::uint64_t small = allocs.delta();
     allocs.rebase();
-    core.run(*gen, 400000);
+    std::uint64_t fired = sys->eventQueue().fired();
+    RunResult r = core.run(*gen, 400000);
     std::uint64_t large = allocs.delta();
     EXPECT_EQ(small, large)
         << "per-access allocations on the inline hit path";
     EXPECT_GT(sys->stats().hits, 0u);
+    // ...and the hits really completed inline, not as events.
+    EXPECT_LT(sys->eventQueue().fired() - fired, r.platformAccesses / 100);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothModes, FastPathZeroAlloc,
+                         ::testing::Values(HamsMode::Extend,
+                                           HamsMode::Persist),
+                         [](const auto& info) {
+                             return std::string(modeName(info.param));
+                         });
 
 } // namespace
 } // namespace hams

@@ -4,7 +4,8 @@
  * single-core stream (makeCoreWorkload(w, ds, 0, 1) drives the same
  * ops as makeWorkload(w, ds), so the full RunResult, HamsStats, engine
  * stats and event-queue time match CoreModel::run on the same seed);
- * N-core runs are bit-identical across reruns; contention counters
+ * N-core runs are bit-identical across reruns and with the inline fast
+ * path on vs off; contention counters
  * (wait lists, persist gate) grow with core count on a shared HAMS
  * platform; and the per-core hit path through the SMP conductor stays
  * allocation-free.
@@ -213,14 +214,22 @@ TEST(SmpOneCore, BitIdenticalToCoreModelOnHamsPersist)
 }
 
 // ---------------------------------------------------------------------
-// N-core determinism: rerun-identical, fast path on and off.
+// N-core determinism: reruns are bit-identical with the fast path on
+// or off, and on vs off.
 // ---------------------------------------------------------------------
 
+/**
+ * Run the same N-core warmup + measure twice on fresh platforms, the
+ * fast path @p inline_first on the first run and @p inline_second on
+ * the second, and demand bit-identical results. @p first_stats, if
+ * given, receives the first run's controller stats.
+ */
 void
 rerunIdentical(const std::string& workload, HamsMode mode,
-               std::uint32_t cores, bool inline_on)
+               std::uint32_t cores, bool inline_first, bool inline_second,
+               HamsStats* first_stats = nullptr)
 {
-    auto run_once = [&](HamsSystem& sys, SmpResult& out) {
+    auto run_once = [&](HamsSystem& sys, bool inline_on, SmpResult& out) {
         std::vector<std::unique_ptr<WorkloadGenerator>> gens;
         std::vector<WorkloadGenerator*> raw;
         for (std::uint32_t c = 0; c < cores; ++c) {
@@ -238,8 +247,10 @@ rerunIdentical(const std::string& workload, HamsMode mode,
     auto p1 = smallHams(mode);
     auto p2 = smallHams(mode);
     SmpResult r1, r2;
-    run_once(*p1, r1);
-    run_once(*p2, r2);
+    run_once(*p1, inline_first, r1);
+    run_once(*p2, inline_second, r2);
+    if (first_stats)
+        *first_stats = p1->stats();
 
     ASSERT_EQ(r1.cores(), cores);
     ASSERT_EQ(r2.cores(), cores);
@@ -252,22 +263,39 @@ rerunIdentical(const std::string& workload, HamsMode mode,
     expectIdentical(p1->engineStats(), p2->engineStats(),
                     "NvmeEngineStats");
     EXPECT_EQ(p1->eventQueue().now(), p2->eventQueue().now());
-    EXPECT_EQ(p1->eventQueue().fired(), p2->eventQueue().fired());
+    if (inline_first == inline_second)
+        EXPECT_EQ(p1->eventQueue().fired(), p2->eventQueue().fired());
+    else // the fast path engaged on the inline-on side
+        EXPECT_NE(p1->eventQueue().fired(), p2->eventQueue().fired());
 }
 
 TEST(SmpDeterminism, FourCoreExtendRerunIdentical)
 {
-    rerunIdentical("update", HamsMode::Extend, 4, true);
+    rerunIdentical("update", HamsMode::Extend, 4, true, true);
 }
 
 TEST(SmpDeterminism, FourCorePersistRerunIdentical)
 {
-    rerunIdentical("rndWr", HamsMode::Persist, 4, true);
+    rerunIdentical("rndWr", HamsMode::Persist, 4, true, true);
 }
 
 TEST(SmpDeterminism, EightCoreEventPathRerunIdentical)
 {
-    rerunIdentical("rndRd", HamsMode::Extend, 8, false);
+    rerunIdentical("rndRd", HamsMode::Extend, 8, false, false);
+}
+
+TEST(SmpDeterminism, FourCorePersistInlineOnMatchesOff)
+{
+    // Persist-mode hits complete inline while four cores' misses queue
+    // on the persist gate. A hit never touches the gate, and inline
+    // completions only happen with no event pending, so every result
+    // must match the all-events run.
+    for (const char* workload : {"rndRd", "update"}) {
+        SCOPED_TRACE(workload);
+        HamsStats s;
+        rerunIdentical(workload, HamsMode::Persist, 4, true, false, &s);
+        EXPECT_GT(s.persistGateWaits, 0u) << "the gate never serialised";
+    }
 }
 
 // ---------------------------------------------------------------------

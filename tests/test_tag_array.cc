@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/mos_tag_array.hh"
 #include "sim/logging.hh"
 
@@ -97,6 +99,30 @@ TEST(MosTagArray, SweepPageSizesRoundTrip)
         for (Addr a = 0; a < (256ull << 20); a += (17ull << 20) + page) {
             Addr page_addr = a - a % page;
             EXPECT_EQ(t.mosPageAddr(t.tagOf(a), t.indexOf(a)), page_addr);
+        }
+    }
+}
+
+TEST(MosTagArray, ShiftDecodeMatchesDivision)
+{
+    // 512 sets take the shift/mask decode, 768 sets keep div/mod; both
+    // must agree with the division formula on every sampled address.
+    constexpr std::uint32_t page = 128 * 1024;
+    for (std::uint64_t sets : {512ull, 768ull}) {
+        MosTagArray t(sets * page, page);
+        ASSERT_EQ(t.sets(), sets);
+        std::mt19937_64 rng(sets);
+        for (int i = 0; i < 4096; ++i) {
+            // Tag boundaries first (the first byte of a tag's span, or
+            // the last byte of the previous one), then random addresses
+            // up to 64 GiB.
+            Addr a = i < 8 ? Addr(i) * sets * page - (i & 1)
+                           : rng() % (64ull << 30);
+            std::uint64_t p = a / page;
+            EXPECT_EQ(t.indexOf(a), p % sets) << sets << " sets, " << a;
+            EXPECT_EQ(t.tagOf(a), p / sets) << sets << " sets, " << a;
+            EXPECT_EQ(t.mosPageAddr(t.tagOf(a), t.indexOf(a)), a - a % page)
+                << sets << " sets, " << a;
         }
     }
 }
