@@ -154,6 +154,56 @@ BM_FtlAllocate(benchmark::State& state)
 BENCHMARK(BM_FtlAllocate);
 
 void
+BM_FilSuspendTrackedOps(benchmark::State& state)
+{
+    // Foreground reads on one die keep suspending background programs
+    // while Arg(0) tracked background ops stay live across the device.
+    // The suspended die and its channel each hold one tracked op and
+    // the rest sit on other channels, so a registry that walks only
+    // the affected die/channel lists costs the same at every Arg.
+    FlashGeometry g;
+    g.channels = 8;
+    g.packagesPerChannel = 1;
+    g.diesPerPackage = 4;
+    g.planesPerDie = 2;
+    g.blocksPerPlane = 16;
+    g.pagesPerBlock = 32;
+    g.pageSize = 2048;
+    Fil fil(g, NandTiming::zNand());
+    // Background work latched far in the future stays in flight for
+    // the whole run, so every foreground read suspends and bumps it.
+    const Tick horizon = seconds(1e5);
+    auto background = [&](FlashOp::Type type, std::uint32_t ch,
+                          std::uint32_t die) {
+        FlashOp op{type, FlashAddress{ch, 0, die, 0, 0, 0}.flatten(g), 2048,
+                   /*background=*/true};
+        fil.submitTracked(op, horizon);
+    };
+    background(FlashOp::Type::Program, 0, 0); // the suspended die
+    background(FlashOp::Type::Read, 0, 1);    // bumped off its channel
+    for (std::int64_t i = 2; i < state.range(0); ++i) {
+        auto ch = static_cast<std::uint32_t>(1 + i % (g.channels - 1));
+        auto die = static_cast<std::uint32_t>(i / (g.channels - 1) %
+                                              g.diesPerPackage);
+        background(i % 2 ? FlashOp::Type::Read : FlashOp::Type::Program, ch,
+                   die);
+    }
+
+    FlashOp read{FlashOp::Type::Read, 0, 2048};
+    Tick t = 0;
+    std::uint64_t suspensions = fil.activity().suspensions;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state)
+        t = fil.submit(read, t);
+    reportAllocRate(state, allocs);
+    benchmark::DoNotOptimize(t);
+    state.counters["suspensions_per_op"] = benchmark::Counter(
+        static_cast<double>(fil.activity().suspensions - suspensions) /
+        static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_FilSuspendTrackedOps)->Arg(16)->Arg(256);
+
+void
 BM_QueuePairPushFetch(benchmark::State& state)
 {
     SparseMemory mem(1 << 20);

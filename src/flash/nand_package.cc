@@ -14,6 +14,8 @@ NandPackagePool::NandPackagePool(const FlashGeometry& geom) : geom(geom)
     planeFree.assign(dies * geom.planesPerDie, 0);
     dieBgFree.assign(dies, 0);
     planeBgFree.assign(dies * geom.planesPerDie, 0);
+    dieHead.assign(dies, none);
+    chanHead.assign(geom.channels, none);
 }
 
 std::size_t
@@ -102,78 +104,81 @@ NandPackagePool::pushBackgroundOut(const FlashAddress& a, Tick from,
     // extension preserves the relative order of ops on the same die,
     // so the latest-latched op stays the latest — the FTL relies on
     // this to track one handle per GC slice.
-    auto die = static_cast<std::uint32_t>(dieIndex(a));
-    for (std::uint32_t slot : liveOps) {
-        OpRecord& r = ops[slot];
-        if (!r.transferTailed && r.die == die && r.completion > from)
-            r.completion += delta;
-    }
+    for (std::uint32_t s = dieHead[dieIndex(a)]; s != none; s = ops[s].next)
+        if (ops[s].completion > from)
+            ops[s].completion += delta;
 }
 
 FlashOpHandle
 NandPackagePool::trackOp(const FlashAddress& a, Tick completion,
                          bool transfer_tailed)
 {
-    std::uint32_t slot;
-    if (!freeOps.empty()) {
-        slot = freeOps.back();
-        freeOps.pop_back();
+    std::uint32_t slot = freeHead;
+    if (slot != none) {
+        freeHead = ops[slot].next;
     } else {
         slot = static_cast<std::uint32_t>(ops.size());
         HAMS_LINT_SUPPRESS("op-arena growth to the high-water mark of "
                            "tracked flash ops; steady state recycles "
-                           "slots off freeOps")
+                           "slots off the free list")
         ops.emplace_back();
     }
     OpRecord& r = ops[slot];
     r.live = true;
     r.transferTailed = transfer_tailed;
-    r.die = static_cast<std::uint32_t>(dieIndex(a));
-    r.channel = a.channel;
+    r.list = transfer_tailed ? a.channel
+                             : static_cast<std::uint32_t>(dieIndex(a));
     r.completion = completion;
-    HAMS_LINT_SUPPRESS("live-op list capacity is bounded by the op arena; "
-                       "steady state swap-removes as it pushes")
-    liveOps.push_back(slot);
+    std::uint32_t& head = headOf(r);
+    r.prev = none;
+    r.next = head;
+    if (head != none)
+        ops[head].prev = slot;
+    head = slot;
+    ++liveCount;
     return {slot, r.gen};
+}
+
+void
+NandPackagePool::checkLive(FlashOpHandle h, const char* what) const
+{
+    if (h.slot >= ops.size() || ops[h.slot].gen != h.gen ||
+        !ops[h.slot].live)
+        panic(what, " on a stale or invalid FlashOpHandle (slot ", h.slot,
+              " gen ", h.gen, ")");
 }
 
 Tick
 NandPackagePool::completionOf(FlashOpHandle h) const
 {
-    if (h.slot >= ops.size() || ops[h.slot].gen != h.gen ||
-        !ops[h.slot].live)
-        panic("completionOf on a stale or invalid FlashOpHandle (slot ",
-              h.slot, " gen ", h.gen, ")");
+    checkLive(h, "completionOf");
     return ops[h.slot].completion;
 }
 
 void
 NandPackagePool::releaseOp(FlashOpHandle h)
 {
-    if (h.slot >= ops.size() || ops[h.slot].gen != h.gen ||
-        !ops[h.slot].live)
-        panic("releaseOp on a stale or invalid FlashOpHandle (slot ",
-              h.slot, " gen ", h.gen, ")");
+    checkLive(h, "releaseOp");
     OpRecord& r = ops[h.slot];
+    if (r.prev != none)
+        ops[r.prev].next = r.next;
+    else
+        headOf(r) = r.next;
+    if (r.next != none)
+        ops[r.next].prev = r.prev;
     r.live = false;
     ++r.gen;
-    // liveOps order is irrelevant (extensions apply a uniform delta),
-    // so swap-with-back instead of shifting the tail.
-    auto it = std::find(liveOps.begin(), liveOps.end(), h.slot);
-    *it = liveOps.back();
-    liveOps.pop_back();
-    HAMS_LINT_SUPPRESS("free-list growth is bounded by the op arena")
-    freeOps.push_back(h.slot);
+    r.next = freeHead;
+    freeHead = h.slot;
+    --liveCount;
 }
 
 void
 NandPackagePool::bumpChannelOps(std::uint32_t ch, Tick from, Tick delta)
 {
-    for (std::uint32_t slot : liveOps) {
-        OpRecord& r = ops[slot];
-        if (r.transferTailed && r.channel == ch && r.completion > from)
-            r.completion += delta;
-    }
+    for (std::uint32_t s = chanHead[ch]; s != none; s = ops[s].next)
+        if (ops[s].completion > from)
+            ops[s].completion += delta;
 }
 
 void
@@ -185,12 +190,18 @@ NandPackagePool::reset()
     std::fill(planeBgFree.begin(), planeBgFree.end(), 0);
     // Power cycle: every outstanding handle dies with the in-flight
     // work. Generation bumps make pre-reset handles detectably stale.
-    for (std::uint32_t slot : liveOps) {
-        ops[slot].live = false;
-        ++ops[slot].gen;
-        freeOps.push_back(slot);
+    for (std::uint32_t slot = 0; slot < ops.size(); ++slot) {
+        OpRecord& r = ops[slot];
+        if (!r.live)
+            continue;
+        r.live = false;
+        ++r.gen;
+        r.next = freeHead;
+        freeHead = slot;
     }
-    liveOps.clear();
+    std::fill(dieHead.begin(), dieHead.end(), none);
+    std::fill(chanHead.begin(), chanHead.end(), none);
+    liveCount = 0;
 }
 
 } // namespace hams

@@ -24,6 +24,14 @@
  * finish", which is what lets the FTL's GC machines credit erased
  * blocks at the true erase-completion tick instead of the tick that
  * was latched at submit time.
+ *
+ * Live records are threaded through the handle arena on intrusive
+ * doubly-linked lists: a cell-tailed op (program/erase) hangs off its
+ * die's list, a transfer-tailed op (read) off its channel's list, and
+ * released slots form a free list through the same links. Registering
+ * and releasing an op are O(1), and an extension walks only the one
+ * list it can affect — O(ops on that die or channel), never O(every
+ * live op in the device).
  */
 
 #ifndef HAMS_FLASH_NAND_PACKAGE_HH_
@@ -106,8 +114,9 @@ class NandPackagePool
      * A foreground op suspended the background work pending on @p a:
      * push every background occupancy still live past @p from out by
      * @p delta (the stolen window, suspend handshake included), and
-     * extend the completion of every tracked op on the same die that
-     * was still in flight at @p from by the same window.
+     * extend the completion of every cell-tailed tracked op on the
+     * same die that was still in flight at @p from by the same window.
+     * Walks only that die's list: O(cell-tailed ops on the die).
      */
     void pushBackgroundOut(const FlashAddress& a, Tick from, Tick delta);
 
@@ -120,9 +129,10 @@ class NandPackagePool
      * is generation-tagged, so stale handles are detected, and the
      * arena never allocates once grown to the high-water mark.
      * @p transfer_tailed marks an op whose completion is a channel
-     * data transfer (a read draining the die register): only those
-     * are extended by bumpChannelOps — a program/erase completion is
-     * cell work, already covered by the die push.
+     * data transfer (a read draining the die register): it is linked
+     * on its channel's list and extended only by bumpChannelOps. Any
+     * other op's completion is cell work: it is linked on its die's
+     * list and extended only by the die push. O(1).
      */
     FlashOpHandle trackOp(const FlashAddress& a, Tick completion,
                           bool transfer_tailed);
@@ -130,21 +140,22 @@ class NandPackagePool
     /** Current (suspension-extended) completion tick of a live op. */
     Tick completionOf(FlashOpHandle h) const;
 
-    /** Retire a tracked op; its handle becomes invalid. */
+    /** Retire a tracked op (O(1) unlink); its handle becomes invalid. */
     void releaseOp(FlashOpHandle h);
 
     /**
      * A foreground transfer bumped pending background transfers off
      * channel @p ch: extend *transfer-tailed* tracked ops on that
-     * channel still in flight past @p from by @p delta. Ops whose
-     * completion is cell work are untouched — extending them here
-     * would double-count with the die push when one foreground op
-     * both claims the channel and suspends the die.
+     * channel still in flight past @p from by @p delta. Walks only
+     * the channel's list: O(transfer-tailed ops on the channel). Ops
+     * whose completion is cell work are not on it — extending them
+     * here would double-count with the die push when one foreground
+     * op both claims the channel and suspends the die.
      */
     void bumpChannelOps(std::uint32_t ch, Tick from, Tick delta);
 
     /** Live tracked ops (leak check for tests). */
-    std::size_t liveTrackedOps() const { return liveOps.size(); }
+    std::size_t liveTrackedOps() const { return liveCount; }
     ///@}
 
     /** Clear all busy state and invalidate every handle (power cycle). */
@@ -156,16 +167,28 @@ class NandPackagePool
     std::size_t dieIndex(const FlashAddress& a) const;
     std::size_t planeIndex(const FlashAddress& a) const;
 
-    /** One tracked in-flight background op. */
+    static constexpr std::uint32_t none = ~0u; //!< null list link
+
+    /** One tracked in-flight background op (or a free arena slot). */
     struct OpRecord
     {
         std::uint32_t gen = 1;
         bool live = false;
         bool transferTailed = false;
-        std::uint32_t die = 0;
-        std::uint32_t channel = 0;
+        std::uint32_t list = 0; //!< die index, or channel if transferTailed
+        std::uint32_t prev = none;
+        std::uint32_t next = none; //!< free-list link while not live
         Tick completion = 0;
     };
+
+    /** Head of the die or channel list @p r is (to be) linked on. */
+    std::uint32_t& headOf(const OpRecord& r)
+    {
+        return r.transferTailed ? chanHead[r.list] : dieHead[r.list];
+    }
+
+    /** Panic unless @p h names a live record. */
+    void checkLive(FlashOpHandle h, const char* what) const;
 
     FlashGeometry geom;
     std::vector<Tick> dieFree;    //!< foreground timeline
@@ -173,9 +196,11 @@ class NandPackagePool
     std::vector<Tick> dieBgFree;  //!< background timeline
     std::vector<Tick> planeBgFree;//!< background timeline
 
-    std::vector<OpRecord> ops;          //!< handle arena
-    std::vector<std::uint32_t> freeOps; //!< recycled arena slots
-    std::vector<std::uint32_t> liveOps; //!< slots to scan on extension
+    std::vector<OpRecord> ops;           //!< handle arena
+    std::vector<std::uint32_t> dieHead;  //!< cell-tailed ops per die
+    std::vector<std::uint32_t> chanHead; //!< transfer-tailed ops per channel
+    std::uint32_t freeHead = none;       //!< recycled arena slots
+    std::size_t liveCount = 0;
 };
 
 } // namespace hams

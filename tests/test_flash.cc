@@ -1,13 +1,19 @@
 /**
  * @file
- * Flash substrate tests: address codec, Z-NAND timing, FIL scheduling
- * and the parallelism properties the ULL-Flash design relies on.
+ * Flash substrate tests: address codec, Z-NAND timing, FIL scheduling,
+ * the parallelism properties the ULL-Flash design relies on, and the
+ * tracked-op registry checked against a linear-scan reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "flash/fil.hh"
+#include "flash/nand_package.hh"
 #include "flash/nand_timing.hh"
+#include "sim/rng.hh"
 
 namespace hams {
 namespace {
@@ -199,6 +205,191 @@ TEST(Fil, OversizedOpPanics)
     Fil fil(smallGeom(), NandTiming::zNand());
     EXPECT_DEATH(fil.submit({FlashOp::Type::Read, 0, 999999}, 0),
                  "exceed page size");
+}
+
+// ---------------------------------------------------------------------
+// Tracked-op registry (NandPackagePool) against a reference model that
+// scans every live op on each extension: the per-die and per-channel
+// lists must extend exactly the ops the full scan would.
+// ---------------------------------------------------------------------
+
+/** One live tracked op as the reference model sees it. */
+struct ModelOp
+{
+    FlashOpHandle h;
+    std::uint32_t die; //!< flat die index
+    std::uint32_t channel;
+    bool transferTailed;
+    Tick completion;
+};
+
+std::uint32_t
+flatDie(const FlashGeometry& g, const FlashAddress& a)
+{
+    return (a.channel * g.packagesPerChannel + a.package) *
+               g.diesPerPackage + a.die;
+}
+
+FlashAddress
+randomAddress(const FlashGeometry& g, Rng& rng)
+{
+    return FlashAddress{static_cast<std::uint32_t>(rng.below(g.channels)),
+                        0,
+                        static_cast<std::uint32_t>(
+                            rng.below(g.diesPerPackage)),
+                        static_cast<std::uint32_t>(rng.below(g.planesPerDie)),
+                        0, 0};
+}
+
+void
+expectMatchesModel(const NandPackagePool& pool,
+                   const std::vector<ModelOp>& model, int step)
+{
+    ASSERT_EQ(pool.liveTrackedOps(), model.size()) << "step " << step;
+    for (const ModelOp& m : model)
+        ASSERT_EQ(pool.completionOf(m.h), m.completion)
+            << "step " << step << " slot " << m.h.slot;
+}
+
+TEST(TrackedOps, MatchesLinearScanModel)
+{
+    FlashGeometry g = smallGeom(); // 4 channels x 2 dies
+    NandPackagePool pool(g);
+    std::vector<ModelOp> model;
+    Rng rng(14);
+    std::uint64_t resets = 0, pushes = 0, bumps = 0, extended = 0;
+    std::size_t peak = 0;
+    for (int step = 0; step < 20000; ++step) {
+        std::uint64_t pick = rng.below(1000);
+        if (pick < 3) {
+            pool.reset();
+            model.clear();
+            ++resets;
+        } else if (pick < 350) {
+            FlashAddress a = randomAddress(g, rng);
+            Tick completion = rng.below(100000);
+            bool xfer = rng.chance(0.5);
+            FlashOpHandle h = pool.trackOp(a, completion, xfer);
+            model.push_back({h, flatDie(g, a), a.channel, xfer, completion});
+        } else if (pick < 600) {
+            if (model.empty())
+                continue;
+            std::size_t i = rng.below(model.size());
+            pool.releaseOp(model[i].h);
+            model[i] = model.back();
+            model.pop_back();
+        } else {
+            FlashAddress a = randomAddress(g, rng);
+            Tick from = rng.below(100000);
+            Tick delta = 1 + rng.below(1000);
+            bool push = pick < 800;
+            if (push) {
+                pool.pushBackgroundOut(a, from, delta);
+                ++pushes;
+            } else {
+                pool.bumpChannelOps(a.channel, from, delta);
+                ++bumps;
+            }
+            for (ModelOp& m : model) {
+                bool hit = push ? !m.transferTailed && m.die == flatDie(g, a)
+                                : m.transferTailed && m.channel == a.channel;
+                if (hit && m.completion > from) {
+                    m.completion += delta;
+                    ++extended;
+                }
+            }
+        }
+        peak = std::max(peak, model.size());
+        expectMatchesModel(pool, model, step);
+        if (HasFatalFailure())
+            return;
+    }
+    // The sequence really exercised every operation.
+    EXPECT_GT(resets, 10u);
+    EXPECT_GT(pushes, 1000u);
+    EXPECT_GT(bumps, 1000u);
+    EXPECT_GT(extended, 1000u);
+    EXPECT_GT(peak, 4 * g.channels) << "lists never got long";
+}
+
+TEST(TrackedOps, DiePushExtendsOnlyCellTailedOpsOnThatDieInFlight)
+{
+    FlashGeometry g = smallGeom();
+    NandPackagePool pool(g);
+    FlashAddress die0{0, 0, 0, 0, 0, 0};
+    FlashAddress die0_plane1{0, 0, 0, 1, 0, 0};
+    FlashAddress die1{0, 0, 1, 0, 0, 0};
+    FlashAddress other_ch{1, 0, 0, 0, 0, 0};
+    FlashOpHandle hit = pool.trackOp(die0, 500, false);
+    FlashOpHandle hit_plane1 = pool.trackOp(die0_plane1, 600, false);
+    FlashOpHandle done = pool.trackOp(die0, 100, false); // == from
+    FlashOpHandle xfer = pool.trackOp(die0, 500, true);
+    FlashOpHandle other_die = pool.trackOp(die1, 500, false);
+    FlashOpHandle other_chan = pool.trackOp(other_ch, 500, false);
+
+    pool.pushBackgroundOut(die0, 100, 40);
+    EXPECT_EQ(pool.completionOf(hit), 540u);
+    EXPECT_EQ(pool.completionOf(hit_plane1), 640u);
+    EXPECT_EQ(pool.completionOf(done), 100u);
+    EXPECT_EQ(pool.completionOf(xfer), 500u);
+    EXPECT_EQ(pool.completionOf(other_die), 500u);
+    EXPECT_EQ(pool.completionOf(other_chan), 500u);
+}
+
+TEST(TrackedOps, ChannelBumpExtendsOnlyTransferTailedOpsOnThatChannel)
+{
+    FlashGeometry g = smallGeom();
+    NandPackagePool pool(g);
+    FlashAddress ch0_die0{0, 0, 0, 0, 0, 0};
+    FlashAddress ch0_die1{0, 0, 1, 0, 0, 0};
+    FlashAddress ch2{2, 0, 1, 0, 0, 0};
+    FlashOpHandle x0 = pool.trackOp(ch0_die0, 500, true);
+    FlashOpHandle x1 = pool.trackOp(ch0_die1, 700, true);
+    FlashOpHandle done = pool.trackOp(ch0_die1, 90, true); // < from
+    FlashOpHandle cell = pool.trackOp(ch0_die0, 500, false);
+    FlashOpHandle other = pool.trackOp(ch2, 500, true);
+
+    pool.bumpChannelOps(0, 100, 25);
+    EXPECT_EQ(pool.completionOf(x0), 525u);
+    EXPECT_EQ(pool.completionOf(x1), 725u);
+    EXPECT_EQ(pool.completionOf(done), 90u);
+    EXPECT_EQ(pool.completionOf(cell), 500u);
+    EXPECT_EQ(pool.completionOf(other), 500u);
+
+    // Releasing from the middle of a list keeps the rest linked.
+    pool.releaseOp(x1);
+    pool.bumpChannelOps(0, 100, 5);
+    EXPECT_EQ(pool.completionOf(x0), 530u);
+    EXPECT_EQ(pool.liveTrackedOps(), 4u);
+}
+
+TEST(TrackedOps, ReleasedHandlePanics)
+{
+    NandPackagePool pool(smallGeom());
+    FlashOpHandle h = pool.trackOp(FlashAddress{}, 10, false);
+    pool.releaseOp(h);
+    // The slot is recycled under a new generation: the old handle
+    // stays stale.
+    FlashOpHandle again = pool.trackOp(FlashAddress{}, 20, true);
+    EXPECT_EQ(again.slot, h.slot);
+    EXPECT_DEATH(pool.completionOf(h), "stale");
+    EXPECT_DEATH(pool.releaseOp(h), "stale");
+    EXPECT_EQ(pool.completionOf(again), 20u);
+}
+
+TEST(TrackedOps, PreResetHandlePanics)
+{
+    NandPackagePool pool(smallGeom());
+    FlashOpHandle h = pool.trackOp(FlashAddress{1, 0, 1, 0, 0, 0}, 10, false);
+    pool.reset();
+    EXPECT_EQ(pool.liveTrackedOps(), 0u);
+    EXPECT_DEATH(pool.completionOf(h), "stale");
+    EXPECT_DEATH(pool.releaseOp(h), "stale");
+    // The reset cleared the lists: an extension finds nothing stale.
+    FlashOpHandle fresh = pool.trackOp(FlashAddress{1, 0, 1, 0, 0, 0}, 50,
+                                       false);
+    pool.pushBackgroundOut(FlashAddress{1, 0, 1, 0, 0, 0}, 0, 7);
+    EXPECT_EQ(pool.completionOf(fresh), 57u);
 }
 
 } // namespace

@@ -7,7 +7,8 @@
  * N-core runs are bit-identical across reruns and with the inline fast
  * path on vs off; contention counters
  * (wait lists, persist gate) grow with core count on a shared HAMS
- * platform; and the per-core hit path through the SMP conductor stays
+ * platform; the inline fast path is tried only with no event pending;
+ * and the per-core hit path through the SMP conductor stays
  * allocation-free.
  */
 
@@ -15,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/mmap_platform.hh"
@@ -115,12 +117,13 @@ expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
 /** Warmup-then-measure an N-core SMP run on a fresh platform. */
 SmpResult
 runSmp(MemoryPlatform& platform, const std::string& workload,
-       std::uint32_t cores, std::uint64_t budget)
+       std::uint32_t cores, std::uint64_t budget,
+       std::uint64_t dataset = 32ull << 20)
 {
     std::vector<std::unique_ptr<WorkloadGenerator>> gens;
     std::vector<WorkloadGenerator*> raw;
     for (std::uint32_t c = 0; c < cores; ++c) {
-        gens.push_back(makeCoreWorkload(workload, 32ull << 20, c, cores));
+        gens.push_back(makeCoreWorkload(workload, dataset, c, cores));
         raw.push_back(gens.back().get());
     }
     SmpModel smp(platform);
@@ -295,6 +298,83 @@ TEST(SmpDeterminism, FourCorePersistInlineOnMatchesOff)
         HamsStats s;
         rerunIdentical(workload, HamsMode::Persist, 4, true, false, &s);
         EXPECT_GT(s.persistGateWaits, 0u) << "the gate never serialised";
+    }
+}
+
+// ---------------------------------------------------------------------
+// The inline gate itself: SmpModel offers an access (or a dirty-victim
+// writeback) to tryAccess() only while the conductor has no pending
+// event. The on-vs-off differentials cannot pin this — HAMS hits on
+// idle frames do not depend on pending events — so a spy checks the
+// gate directly.
+// ---------------------------------------------------------------------
+
+/**
+ * Forwards everything to a real platform and counts tryAccess() offers,
+ * separately those made while the conductor had a pending event.
+ */
+class GateSpyPlatform : public MemoryPlatform
+{
+  public:
+    explicit GateSpyPlatform(MemoryPlatform& inner) : inner(inner) {}
+
+    const std::string& name() const override { return inner.name(); }
+    std::uint64_t capacity() const override { return inner.capacity(); }
+    EventQueue& eventQueue() override { return inner.eventQueue(); }
+    DomainConductor& conductor() override { return inner.conductor(); }
+    bool persistent() const override { return inner.persistent(); }
+
+    void
+    access(const MemAccess& acc, Tick at, AccessCb cb) override
+    {
+        ++eventPath;
+        inner.access(acc, at, std::move(cb));
+    }
+
+    bool
+    tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out) override
+    {
+        ++offers;
+        if (!inner.conductor().empty())
+            ++offersWhilePending;
+        return inner.tryAccess(acc, at, out);
+    }
+
+    void
+    flush(Tick at, AccessCb cb) override
+    {
+        inner.flush(at, std::move(cb));
+    }
+
+    EnergyBreakdownJ
+    memoryEnergy(Tick elapsed) const override
+    {
+        return inner.memoryEnergy(elapsed);
+    }
+
+    std::uint64_t offers = 0;
+    std::uint64_t offersWhilePending = 0;
+    std::uint64_t eventPath = 0;
+
+  private:
+    MemoryPlatform& inner;
+};
+
+TEST(SmpInlineGate, NeverOffersTryAccessWithAnEventPending)
+{
+    // Random writes over a working set larger than the NVDIMM cache:
+    // misses keep completion events pending while other cores issue,
+    // and dirty L2 victims go out as writebacks, so both issue cases
+    // (Access and Wb) reach the gate with the queue busy.
+    for (std::uint32_t cores : {2u, 4u}) {
+        SCOPED_TRACE(cores);
+        auto sys = smallHams(HamsMode::Extend);
+        GateSpyPlatform spy(*sys);
+        runSmp(spy, "rndWr", cores, 150000, 256ull << 20);
+        EXPECT_GT(spy.offers, 0u) << "the fast path was never tried";
+        EXPECT_GT(spy.eventPath, 0u) << "nothing ever left an event pending";
+        EXPECT_EQ(spy.offersWhilePending, 0u)
+            << "tryAccess offered while an event was pending";
     }
 }
 
