@@ -14,7 +14,6 @@
 #include "baselines/optane_platform.hh"
 #include "baselines/oracle_platform.hh"
 #include "core/hams_system.hh"
-#include "core/stats_merge.hh"
 #include "sim/alloc_hook.hh"
 #include "sim/logging.hh"
 

@@ -123,7 +123,7 @@ struct SmpCellResult
     SmpResult smp;
     bool hasHamsStats = false;
     /** Valid when hasHamsStats; with devices > 1 this is the
-     *  stats_merge.hh aggregate across the HAMS shards. */
+     *  mergeFields aggregate across the HAMS shards. */
     HamsStats hams;
 
     /** Sharding-layer stats (valid when isSharded, i.e. devices > 1). */

@@ -33,39 +33,6 @@
 
 #include "bench_util.hh"
 
-namespace {
-
-using hams::RunResult;
-
-/** Bit-equality of two runs (raw counters and derived rates). */
-bool
-sameRun(const RunResult& a, const RunResult& b)
-{
-    return a.platform == b.platform && a.workload == b.workload &&
-           a.simTime == b.simTime && a.instructions == b.instructions &&
-           a.memInstructions == b.memInstructions &&
-           a.platformAccesses == b.platformAccesses &&
-           a.l1Hits == b.l1Hits && a.l2Hits == b.l2Hits &&
-           a.opsCompleted == b.opsCompleted &&
-           a.pagesTouched == b.pagesTouched &&
-           a.activeTime == b.activeTime && a.stallTime == b.stallTime &&
-           a.flushTime == b.flushTime && a.ipc == b.ipc &&
-           a.opsPerSec == b.opsPerSec && a.bytesPerSec == b.bytesPerSec;
-}
-
-bool
-sameSmp(const hams::SmpResult& a, const hams::SmpResult& b)
-{
-    if (a.perCore.size() != b.perCore.size())
-        return false;
-    for (std::size_t i = 0; i < a.perCore.size(); ++i)
-        if (!sameRun(a.perCore[i], b.perCore[i]))
-            return false;
-    return sameRun(a.combined, b.combined);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -103,8 +70,8 @@ main()
                             auto sp = makeShardedPlatform(p, geom, 1);
                             SmpResult twin =
                                 runShardedSmpOn(*sp, w, cpd, geom);
-                            if (!sameSmp(twin, results[cursor].smp))
-                                m1_identical = false;
+                            m1_identical = m1_identical &&
+                                twin == results[cursor].smp;
                         }
                         ++cursor;
                     }
@@ -123,8 +90,8 @@ main()
                             auto sp = makeShardedPlatform(p, geom, 4);
                             SmpResult twin =
                                 runShardedSmpOn(*sp, w, cpd * m, geom);
-                            if (!sameSmp(twin, results[cursor].smp))
-                                rerun_identical = false;
+                            rerun_identical = rerun_identical &&
+                                twin == results[cursor].smp;
                         }
                         ++cursor;
                     }

@@ -43,25 +43,6 @@ struct CellReport
     bool identical = false;
 };
 
-/** Simulated-time fields that must not depend on the host-side path. */
-bool
-sameSimOutputs(const RunResult& a, const RunResult& b)
-{
-    return a.simTime == b.simTime && a.instructions == b.instructions &&
-           a.memInstructions == b.memInstructions &&
-           a.platformAccesses == b.platformAccesses &&
-           a.l1Hits == b.l1Hits && a.l2Hits == b.l2Hits &&
-           a.opsCompleted == b.opsCompleted &&
-           a.pagesTouched == b.pagesTouched &&
-           a.activeTime == b.activeTime && a.stallTime == b.stallTime &&
-           a.flushTime == b.flushTime &&
-           a.stallBreakdown.os == b.stallBreakdown.os &&
-           a.stallBreakdown.nvdimm == b.stallBreakdown.nvdimm &&
-           a.stallBreakdown.dma == b.stallBreakdown.dma &&
-           a.stallBreakdown.ssd == b.stallBreakdown.ssd &&
-           a.stallBreakdown.cpu == b.stallBreakdown.cpu;
-}
-
 /** Best-of-N timing repetitions per path, to shake off host noise. */
 constexpr int repetitions = 5;
 
@@ -142,7 +123,7 @@ runCell(const std::string& platform_name, const std::string& workload,
         if (i == 0 || on_allocs < rep.allocsPerAccess)
             rep.allocsPerAccess = on_allocs;
         rep.accesses = r_on.platformAccesses;
-        rep.identical = rep.identical && sameSimOutputs(r_on, r_off);
+        rep.identical = rep.identical && r_on == r_off;
     }
 
     rep.speedup = rep.inlineNsPerAccess > 0

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/hams_system.hh"
-#include "core/stats_merge.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -223,7 +222,7 @@ ShardedPlatform::aggregatedHamsStats(HamsStats& out) const
     std::uint32_t n = 0;
     for (const auto& s : shards)
         if (auto* h = dynamic_cast<const HamsSystem*>(s.get())) {
-            mergeHamsStats(out, h->stats());
+            mergeFields(out, h->stats());
             ++n;
         }
     return n;
@@ -235,8 +234,8 @@ ShardedPlatform::aggregatedFtlStats(FtlStats& out) const
     std::uint32_t n = 0;
     for (const auto& s : shards)
         if (auto* h = dynamic_cast<const HamsSystem*>(s.get())) {
-            mergeFtlStats(out,
-                          const_cast<HamsSystem*>(h)->ullFlash().ftlStats());
+            mergeFields(out,
+                        const_cast<HamsSystem*>(h)->ullFlash().ftlStats());
             ++n;
         }
     return n;

@@ -61,6 +61,7 @@
 
 #include "baselines/platform.hh"
 #include "sim/annotations.hh"
+#include "sim/fields.hh"
 
 namespace hams {
 
@@ -94,14 +95,18 @@ struct ShardedConfig
 
 /** What the sharding layer itself did (per-shard work is in each
  *  shard's own stats; aggregate via aggregatedHamsStats etc.). */
+#define HAMS_SHARDED_STATS_FIELDS(X)                                       \
+    /* accesses routed and cross-shard flushes (M > 1) */                  \
+    X(sum, std::uint64_t, routedAccesses)                                  \
+    X(sum, std::uint64_t, flushBarriers)                                   \
+    /* Sum over barriers of (slowest - fastest shard completion). */       \
+    X(sum, Tick, flushSkewTicks)                                           \
+    /* Sum of fence release costs (flushBarriers * fenceLatency). */       \
+    X(sum, Tick, fenceTicks)
+
 struct ShardedStats
 {
-    std::uint64_t routedAccesses = 0; //!< accesses routed (M > 1)
-    std::uint64_t flushBarriers = 0;  //!< cross-shard flushes (M > 1)
-    /** Sum over barriers of (slowest - fastest shard completion). */
-    Tick flushSkewTicks = 0;
-    /** Sum of fence release costs (flushBarriers * fenceLatency). */
-    Tick fenceTicks = 0;
+    HAMS_FIELDS(ShardedStats, HAMS_SHARDED_STATS_FIELDS)
 };
 
 struct HamsStats;    // core/hams_controller.hh
@@ -165,7 +170,7 @@ class ShardedPlatform : public MemoryPlatform
     Addr rangeBase(std::uint32_t s) const;
     ///@}
 
-    /** @name Aggregated per-shard engine stats (stats_merge.hh).
+    /** @name Aggregated per-shard engine stats (mergeFields).
      * Merged across the HAMS shards: counters summed, depth peaks
      * maxed. @return number of HAMS shards folded in (0 = @p out
      * untouched, e.g. an all-mmap sharded platform). */

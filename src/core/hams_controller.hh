@@ -39,6 +39,7 @@
 #include "dram/nvdimm.hh"
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
+#include "sim/fields.hh"
 #include "sim/pool.hh"
 
 namespace hams {
@@ -82,42 +83,40 @@ struct HamsControllerConfig
 };
 
 /** Aggregate controller statistics. */
+#define HAMS_CONTROLLER_STATS_FIELDS(X)                                    \
+    X(sum, std::uint64_t, accesses)                                        \
+    X(sum, std::uint64_t, hits)                                            \
+    X(sum, std::uint64_t, misses)                                          \
+    X(sum, std::uint64_t, fills)                                           \
+    X(sum, std::uint64_t, cleanVictims)                                    \
+    X(sum, std::uint64_t, dirtyEvictions)                                  \
+    X(sum, std::uint64_t, prpClones)                                       \
+    /* accesses parked on busy bit */                                      \
+    X(sum, std::uint64_t, waitQueued)                                      \
+    X(sum, std::uint64_t, redundantEvictionsAvoided)                       \
+    /* misses serialised by persist */                                     \
+    X(sum, std::uint64_t, persistGateWaits)                                \
+    /* Contention depth (SMP runs). How hard cores pile on shared          \
+     * structures: the deepest wait list any single frame ever grew        \
+     * (concurrent accesses parked on one busy frame) and the deepest      \
+     * the persist-mode gate queue ever got. Both stay 0/1-ish for a       \
+     * single in-order core and grow with core count under contention. */ \
+    X(max, std::uint64_t, waiterPeakDepth)                                 \
+    X(max, std::uint64_t, gateQueuePeakDepth)                              \
+    X(sum, std::uint64_t, replayedCommands)                                \
+    /* Degraded-service mode (online recovery). Accesses admitted          \
+     * while recovery is in flight; the subset that touched a frame the    \
+     * restore cursor had not reached (parked until its priority restore   \
+     * lands); and misses held until journal replay drained the SQ. */     \
+    X(sum, std::uint64_t, degradedAccesses)                                \
+    X(sum, std::uint64_t, restoreStalls)                                   \
+    X(sum, std::uint64_t, recoveryGateWaits)                               \
+    /* summed across accesses */                                           \
+    X(sum, LatencyBreakdown, memoryDelay)
+
 struct HamsStats
 {
-    std::uint64_t accesses = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t fills = 0;
-    std::uint64_t cleanVictims = 0;
-    std::uint64_t dirtyEvictions = 0;
-    std::uint64_t prpClones = 0;
-    std::uint64_t waitQueued = 0;        //!< accesses parked on busy bit
-    std::uint64_t redundantEvictionsAvoided = 0;
-    std::uint64_t persistGateWaits = 0;  //!< misses serialised by persist
-    /**
-     * @name Contention depth (SMP runs). How hard cores pile on shared
-     * structures: the deepest wait list any single frame ever grew
-     * (concurrent accesses parked on one busy frame) and the deepest
-     * the persist-mode gate queue ever got. Both stay 0/1-ish for a
-     * single in-order core and grow with core count under contention.
-     */
-    ///@{
-    std::uint64_t waiterPeakDepth = 0;
-    std::uint64_t gateQueuePeakDepth = 0;
-    ///@}
-    std::uint64_t replayedCommands = 0;
-    /**
-     * @name Degraded-service mode (online recovery). Accesses admitted
-     * while recovery is in flight; the subset that touched a frame the
-     * restore cursor had not reached (parked until its priority restore
-     * lands); and misses held until journal replay drained the SQ.
-     */
-    ///@{
-    std::uint64_t degradedAccesses = 0;
-    std::uint64_t restoreStalls = 0;
-    std::uint64_t recoveryGateWaits = 0;
-    ///@}
-    LatencyBreakdown memoryDelay;        //!< summed across accesses
+    HAMS_FIELDS(HamsStats, HAMS_CONTROLLER_STATS_FIELDS)
 };
 
 /**

@@ -27,18 +27,22 @@
 #include "nvme/nvme_controller.hh"
 #include "sim/annotations.hh"
 #include "sim/event_queue.hh"
+#include "sim/fields.hh"
 #include "sim/inline_function.hh"
 
 namespace hams {
 
 /** Engine statistics. */
+#define HAMS_NVME_ENGINE_STATS_FIELDS(X) \
+    X(sum, std::uint64_t, submitted)     \
+    X(sum, std::uint64_t, completed)     \
+    X(sum, std::uint64_t, journalSets)   \
+    X(sum, std::uint64_t, journalClears) \
+    X(sum, std::uint64_t, replayed)
+
 struct NvmeEngineStats
 {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t journalSets = 0;
-    std::uint64_t journalClears = 0;
-    std::uint64_t replayed = 0;
+    HAMS_FIELDS(NvmeEngineStats, HAMS_NVME_ENGINE_STATS_FIELDS)
 };
 
 /**

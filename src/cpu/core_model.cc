@@ -1,6 +1,5 @@
 #include "cpu/core_model.hh"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -29,18 +28,7 @@ finalizeRunResult(RunResult& res, double freq_ghz,
 void
 mergeRunResult(RunResult& into, const RunResult& from)
 {
-    into.simTime = std::max(into.simTime, from.simTime);
-    into.instructions += from.instructions;
-    into.memInstructions += from.memInstructions;
-    into.platformAccesses += from.platformAccesses;
-    into.l1Hits += from.l1Hits;
-    into.l2Hits += from.l2Hits;
-    into.opsCompleted += from.opsCompleted;
-    into.pagesTouched += from.pagesTouched;
-    into.activeTime += from.activeTime;
-    into.stallTime += from.stallTime;
-    into.stallBreakdown += from.stallBreakdown;
-    into.flushTime += from.flushTime;
+    mergeFields(into, from);
 }
 
 CoreModel::CoreModel(MemoryPlatform& platform, const CoreConfig& cfg)

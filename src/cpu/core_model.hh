@@ -20,6 +20,7 @@
 #include "cpu/cache_model.hh"
 #include "energy/cpu_power.hh"
 #include "sim/annotations.hh"
+#include "sim/fields.hh"
 #include "workload/workload.hh"
 
 namespace hams {
@@ -43,30 +44,33 @@ struct CoreConfig
 };
 
 /** Everything a run produces. */
+#define HAMS_RUN_RESULT_FIELDS(X)                                          \
+    X(keep, std::string, workload)                                         \
+    X(keep, std::string, platform)                                         \
+    X(max, Tick, simTime)                                                  \
+    X(sum, std::uint64_t, instructions)                                    \
+    X(sum, std::uint64_t, memInstructions)                                 \
+    X(sum, std::uint64_t, platformAccesses)                                \
+    X(sum, std::uint64_t, l1Hits)                                          \
+    X(sum, std::uint64_t, l2Hits)                                          \
+    X(sum, std::uint64_t, opsCompleted)                                    \
+    X(sum, std::uint64_t, pagesTouched)                                    \
+    X(sum, Tick, activeTime)                                               \
+    X(sum, Tick, stallTime)                                                \
+    /* platform-attributed stall time */                                   \
+    X(sum, LatencyBreakdown, stallBreakdown)                               \
+    X(sum, Tick, flushTime)                                                \
+    /* Derived by finalizeRunResult. */                                    \
+    X(keep, double, ipc)                                                   \
+    X(keep, double, opsPerSec)                                             \
+    X(keep, double, pagesPerSec)                                           \
+    X(keep, double, bytesPerSec)                                           \
+    /* CPU energy (memory-side energy comes from the platform). */         \
+    X(keep, double, cpuEnergyJ)
+
 struct RunResult
 {
-    std::string workload;
-    std::string platform;
-    Tick simTime = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t memInstructions = 0;
-    std::uint64_t platformAccesses = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t opsCompleted = 0;
-    std::uint64_t pagesTouched = 0;
-    Tick activeTime = 0;
-    Tick stallTime = 0;
-    LatencyBreakdown stallBreakdown; //!< platform-attributed stall time
-    Tick flushTime = 0;
-
-    double ipc = 0;
-    double opsPerSec = 0;
-    double pagesPerSec = 0;
-    double bytesPerSec = 0;
-
-    /** CPU energy (memory-side energy comes from the platform). */
-    double cpuEnergyJ = 0;
+    HAMS_FIELDS(RunResult, HAMS_RUN_RESULT_FIELDS)
 };
 
 /**
@@ -80,14 +84,12 @@ void finalizeRunResult(RunResult& res, double freq_ghz,
                        const CpuPowerModel& cpu_power);
 
 /**
- * Merge @p from's raw counters into @p into: event counters sum,
- * simTime takes the max (parallel entities overlap in time, so summing
- * would double-count the wall), and the derived rate/energy fields are
- * left stale — call finalizeRunResult afterwards to rebuild them as
- * aggregate cross-entity rates. The one merge used for per-core views
- * (SmpModel::run) and per-shard views (bench scale-out tables), so the
- * two aggregations can never drift apart. Labels (workload/platform)
- * keep @p into's values.
+ * Merge @p from into @p into (mergeFields, rules in sim/fields.hh):
+ * event counters sum, simTime takes the max, and labels and the
+ * derived rate/energy fields keep @p into's values — call
+ * finalizeRunResult afterwards to rebuild the rates as aggregate
+ * cross-entity rates. Used for per-core views (SmpModel::run) and
+ * per-shard views (bench scale-out tables).
  */
 void mergeRunResult(RunResult& into, const RunResult& from);
 

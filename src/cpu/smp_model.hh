@@ -107,6 +107,11 @@ struct SmpResult
     {
         return static_cast<std::uint32_t>(perCore.size());
     }
+
+    friend bool operator==(const SmpResult& a, const SmpResult& b)
+    {
+        return a.perCore == b.perCore && a.combined == b.combined;
+    }
 };
 
 /**

@@ -86,6 +86,7 @@
 #include "flash/fil.hh"
 #include "sim/annotations.hh"
 #include "sim/event_queue.hh"
+#include "sim/fields.hh"
 #include "sim/types.hh"
 
 namespace hams {
@@ -157,42 +158,40 @@ struct FtlConfig
 };
 
 /** FTL statistics. */
+#define HAMS_FTL_STATS_FIELDS(X)                                           \
+    X(sum, std::uint64_t, hostReads)                                       \
+    X(sum, std::uint64_t, hostWrites)                                      \
+    /* GC activations that collected at least one victim block. */         \
+    X(sum, std::uint64_t, gcRuns)                                          \
+    X(sum, std::uint64_t, gcRelocations)                                   \
+    X(sum, std::uint64_t, erases)                                          \
+    /* Background-GC accounting: background step events executed;         \
+     * activations from the idle trigger; foreground writes that hit       \
+     * the reserve and their total stall time. */                          \
+    X(sum, std::uint64_t, gcBatches)                                       \
+    X(sum, std::uint64_t, gcIdleKicks)                                     \
+    X(sum, std::uint64_t, gcWriteStalls)                                   \
+    X(sum, Tick, gcStallTicks)                                             \
+    /* Host ops issued while at least one GC machine was active. */        \
+    X(sum, std::uint64_t, gcForegroundOverlap)                             \
+    /* Dedicated relocation stream blocks opened (gcStreamBlocks). */      \
+    X(sum, std::uint64_t, gcStreamBlocks)                                  \
+    /* Victims deferred by the quality gate (gcVictimQuality). */          \
+    X(sum, std::uint64_t, gcQualityDeferrals)                              \
+    /* Pacer level at the most recent background step (0 = gentlest). */   \
+    X(max, std::uint32_t, paceLevel)                                       \
+    /* Deepest pacer level reached (pool closest to the reserve). */       \
+    X(max, std::uint32_t, paceLevelMax)                                    \
+    /* Tiering (core/hotness_tracker.hh consumers): host writes routed     \
+     * into the relocation stream as cold; background promotion reads      \
+     * and demotion writes issued for tiering. */                          \
+    X(sum, std::uint64_t, tierColdWrites)                                  \
+    X(sum, std::uint64_t, tierBgReads)                                     \
+    X(sum, std::uint64_t, tierBgWrites)
+
 struct FtlStats
 {
-    std::uint64_t hostReads = 0;
-    std::uint64_t hostWrites = 0;
-    /** GC activations that collected at least one victim block. */
-    std::uint64_t gcRuns = 0;
-    std::uint64_t gcRelocations = 0;
-    std::uint64_t erases = 0;
-
-    /** @name Background-GC accounting. */
-    ///@{
-    std::uint64_t gcBatches = 0;     //!< background step events executed
-    std::uint64_t gcIdleKicks = 0;   //!< activations from the idle trigger
-    std::uint64_t gcWriteStalls = 0; //!< foreground writes that hit reserve
-    Tick gcStallTicks = 0;           //!< total foreground stall time
-    /** Host ops issued while at least one GC machine was active. */
-    std::uint64_t gcForegroundOverlap = 0;
-    /** Dedicated relocation stream blocks opened (gcStreamBlocks). */
-    std::uint64_t gcStreamBlocks = 0;
-    /** Victims deferred by the quality gate (gcVictimQuality). */
-    std::uint64_t gcQualityDeferrals = 0;
-    /** Pacer level at the most recent background step (0 = gentlest). */
-    std::uint32_t paceLevel = 0;
-    /** Deepest pacer level reached (pool closest to the reserve). */
-    std::uint32_t paceLevelMax = 0;
-    ///@}
-
-    /** @name Tiering (core/hotness_tracker.hh consumers). */
-    ///@{
-    /** Host writes routed into the relocation stream as cold. */
-    std::uint64_t tierColdWrites = 0;
-    /** Background promotion reads issued for tiering. */
-    std::uint64_t tierBgReads = 0;
-    /** Background demotion writes issued for tiering. */
-    std::uint64_t tierBgWrites = 0;
-    ///@}
+    HAMS_FIELDS(FtlStats, HAMS_FTL_STATS_FIELDS)
 };
 
 /**

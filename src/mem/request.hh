@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/fields.hh"
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
 
@@ -41,24 +42,23 @@ struct MemAccess
  *  - ssd:     flash-side service time (FTL, channel, tR/tPROG)
  *  - cpu:     compute time (only used by run-level aggregation)
  */
+#define HAMS_LATENCY_BREAKDOWN_FIELDS(X) \
+    X(sum, Tick, os)                     \
+    X(sum, Tick, nvdimm)                 \
+    X(sum, Tick, dma)                    \
+    X(sum, Tick, ssd)                    \
+    X(sum, Tick, cpu)
+
 struct LatencyBreakdown
 {
-    Tick os = 0;
-    Tick nvdimm = 0;
-    Tick dma = 0;
-    Tick ssd = 0;
-    Tick cpu = 0;
+    HAMS_FIELDS(LatencyBreakdown, HAMS_LATENCY_BREAKDOWN_FIELDS)
 
     Tick total() const { return os + nvdimm + dma + ssd + cpu; }
 
     LatencyBreakdown&
     operator+=(const LatencyBreakdown& o)
     {
-        os += o.os;
-        nvdimm += o.nvdimm;
-        dma += o.dma;
-        ssd += o.ssd;
-        cpu += o.cpu;
+        mergeFields(*this, o);
         return *this;
     }
 };

@@ -23,6 +23,7 @@
 #include "ftl/page_ftl.hh"
 #include "mem/sparse_memory.hh"
 #include "sim/annotations.hh"
+#include "sim/fields.hh"
 #include "ssd/dram_buffer.hh"
 #include "ssd/hil.hh"
 #include "sim/types.hh"
@@ -196,12 +197,19 @@ struct SsdStats
 };
 
 /** Background-migration statistics (see Ssd::attachTiering()). */
+#define HAMS_TIERING_STATS_FIELDS(X)                                       \
+    /* hot frames pulled into DRAM */                                      \
+    X(sum, std::uint64_t, promotions)                                      \
+    /* cold dirty frames pushed to flash */                                \
+    X(sum, std::uint64_t, demotions)                                       \
+    /* background steps that moved data */                                 \
+    X(sum, std::uint64_t, migSteps)                                        \
+    /* steps yielded to GC pool pressure */                                \
+    X(sum, std::uint64_t, paceDeferrals)
+
 struct TieringStats
 {
-    std::uint64_t promotions = 0;    //!< hot frames pulled into DRAM
-    std::uint64_t demotions = 0;     //!< cold dirty frames pushed to flash
-    std::uint64_t migSteps = 0;      //!< background steps that moved data
-    std::uint64_t paceDeferrals = 0; //!< steps yielded to GC pool pressure
+    HAMS_FIELDS(TieringStats, HAMS_TIERING_STATS_FIELDS)
 };
 
 /**

@@ -17,6 +17,8 @@
 
 #include "bench_util.hh"
 
+#include "expect_fields.hh"
+
 namespace hams {
 namespace {
 
@@ -69,25 +71,6 @@ sweepErrorMessage(const std::vector<SweepCell>& cells)
         return e.what();
     }
     return {};
-}
-
-void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.memInstructions, b.memInstructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.pagesTouched, b.pagesTouched) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.opsPerSec, b.opsPerSec) << what;
-    EXPECT_EQ(a.bytesPerSec, b.bytesPerSec) << what;
 }
 
 // ---------------------------------------------------------------------
@@ -164,9 +147,8 @@ TEST(RunSweepDeterminism, TableIdenticalAcrossThreadCounts)
     }
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], parallel[i],
-                        (cells[i].platform + " x " + cells[i].workload)
-                            .c_str());
+        expectSameFields(serial[i], parallel[i],
+                         cells[i].platform + " x " + cells[i].workload);
 }
 
 TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
@@ -190,17 +172,12 @@ TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(serial[i].smp.cores(), parallel[i].smp.cores());
         for (std::uint32_t c = 0; c < serial[i].smp.cores(); ++c)
-            expectIdentical(serial[i].smp.perCore[c],
-                            parallel[i].smp.perCore[c], "per-core");
-        expectIdentical(serial[i].smp.combined, parallel[i].smp.combined,
-                        "combined");
+            expectSameFields(serial[i].smp.perCore[c],
+                             parallel[i].smp.perCore[c], "per-core");
+        expectSameFields(serial[i].smp.combined, parallel[i].smp.combined,
+                         "combined");
         ASSERT_EQ(serial[i].hasHamsStats, parallel[i].hasHamsStats);
-        if (serial[i].hasHamsStats) {
-            EXPECT_EQ(serial[i].hams.waitQueued,
-                      parallel[i].hams.waitQueued);
-            EXPECT_EQ(serial[i].hams.waiterPeakDepth,
-                      parallel[i].hams.waiterPeakDepth);
-        }
+        expectSameFields(serial[i].hams, parallel[i].hams, "HamsStats");
     }
 }
 

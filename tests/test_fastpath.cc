@@ -21,6 +21,8 @@
 #include "sim/alloc_hook.hh"
 #include "workload/workload.hh"
 
+#include "expect_fields.hh"
+
 namespace hams {
 namespace {
 
@@ -45,62 +47,6 @@ smallHams(HamsMode mode)
     c.pinnedBytes = 32ull << 20;
     c.functionalData = false;
     return std::make_unique<HamsSystem>(c);
-}
-
-void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.memInstructions, b.memInstructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.pagesTouched, b.pagesTouched) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.stallBreakdown.os, b.stallBreakdown.os) << what;
-    EXPECT_EQ(a.stallBreakdown.nvdimm, b.stallBreakdown.nvdimm) << what;
-    EXPECT_EQ(a.stallBreakdown.dma, b.stallBreakdown.dma) << what;
-    EXPECT_EQ(a.stallBreakdown.ssd, b.stallBreakdown.ssd) << what;
-    EXPECT_EQ(a.stallBreakdown.cpu, b.stallBreakdown.cpu) << what;
-}
-
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.cleanVictims, b.cleanVictims) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.prpClones, b.prpClones) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-    EXPECT_EQ(a.redundantEvictionsAvoided, b.redundantEvictionsAvoided)
-        << what;
-    EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
-    EXPECT_EQ(a.waiterPeakDepth, b.waiterPeakDepth) << what;
-    EXPECT_EQ(a.gateQueuePeakDepth, b.gateQueuePeakDepth) << what;
-    EXPECT_EQ(a.replayedCommands, b.replayedCommands) << what;
-    EXPECT_EQ(a.memoryDelay.os, b.memoryDelay.os) << what;
-    EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
-    EXPECT_EQ(a.memoryDelay.dma, b.memoryDelay.dma) << what;
-    EXPECT_EQ(a.memoryDelay.ssd, b.memoryDelay.ssd) << what;
-    EXPECT_EQ(a.memoryDelay.cpu, b.memoryDelay.cpu) << what;
-}
-
-void
-expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
-                const char* what)
-{
-    EXPECT_EQ(a.submitted, b.submitted) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.journalSets, b.journalSets) << what;
-    EXPECT_EQ(a.journalClears, b.journalClears) << what;
-    EXPECT_EQ(a.replayed, b.replayed) << what;
 }
 
 /**
@@ -132,8 +78,8 @@ differential(MakePlatform make, const std::string& workload,
     run_pair(false, warm_off, meas_off, p_off);
 
     std::string tag = workload + " on " + p_on->name();
-    expectIdentical(warm_on, warm_off, (tag + " (warmup)").c_str());
-    expectIdentical(meas_on, meas_off, (tag + " (measure)").c_str());
+    expectSameFields(warm_on, warm_off, tag + " (warmup)");
+    expectSameFields(meas_on, meas_off, tag + " (measure)");
     EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now()) << tag;
     return std::make_pair(std::move(p_on), std::move(p_off));
 }
@@ -167,9 +113,9 @@ TEST_P(HamsFastPathDifferential, InlineOnMatchesOff)
     auto [p_on, p_off] =
         differential([mode = mode] { return smallHams(mode); }, workload,
                      budget);
-    expectIdentical(p_on->stats(), p_off->stats(), "HamsStats");
-    expectIdentical(p_on->engineStats(), p_off->engineStats(),
-                    "NvmeEngineStats");
+    expectSameFields(p_on->stats(), p_off->stats(), "HamsStats");
+    expectSameFields(p_on->engineStats(), p_off->engineStats(),
+                     "NvmeEngineStats");
     // The fast path actually engaged: hits dominate the micro workloads
     // and each inline completion skips the event round trip, so the
     // fired-event count must drop well below the all-events run.

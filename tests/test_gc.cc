@@ -20,6 +20,8 @@
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
+#include "expect_fields.hh"
+
 namespace hams {
 namespace {
 
@@ -243,13 +245,7 @@ TEST(BackgroundGc, SustainedWriteRerunsAreBitIdentical)
     EXPECT_EQ(ta, tb);
     EXPECT_EQ(fired_a, fired_b);
     EXPECT_EQ(ppns_a, ppns_b);
-    EXPECT_EQ(sa.gcRuns, sb.gcRuns);
-    EXPECT_EQ(sa.gcRelocations, sb.gcRelocations);
-    EXPECT_EQ(sa.erases, sb.erases);
-    EXPECT_EQ(sa.gcBatches, sb.gcBatches);
-    EXPECT_EQ(sa.gcWriteStalls, sb.gcWriteStalls);
-    EXPECT_EQ(sa.gcStallTicks, sb.gcStallTicks);
-    EXPECT_EQ(sa.gcForegroundOverlap, sb.gcForegroundOverlap);
+    expectSameFields(sa, sb, "FtlStats rerun");
 }
 
 TEST(BackgroundGc, IdleTriggerCollectsAheadOfThePressurePoint)
@@ -299,9 +295,7 @@ TEST(BackgroundGc, DisabledModeMatchesDetachedFtlExactly)
         }
     EXPECT_EQ(rig.eq.pending(), 0u);
     EXPECT_EQ(rig.eq.fired(), 0u);
-    EXPECT_EQ(rig.ftl.stats().gcRuns, ref.stats().gcRuns);
-    EXPECT_EQ(rig.ftl.stats().gcRelocations, ref.stats().gcRelocations);
-    EXPECT_EQ(rig.ftl.stats().erases, ref.stats().erases);
+    expectSameFields(rig.ftl.stats(), ref.stats(), "FtlStats vs detached");
     EXPECT_EQ(rig.ftl.stats().gcBatches, 0u);
     EXPECT_EQ(rig.ftl.stats().gcWriteStalls, 0u);
 }
@@ -552,10 +546,8 @@ TEST(GcPacer, KnobsAreInertWhenPacingOff)
     run(seconds(1), ppns_b, sb, tb);
     EXPECT_EQ(ta, tb);
     EXPECT_EQ(ppns_a, ppns_b);
-    EXPECT_EQ(sa.gcBatches, sb.gcBatches);
-    EXPECT_EQ(sa.erases, sb.erases);
+    expectSameFields(sa, sb, "FtlStats pacer knobs without pacing");
     EXPECT_EQ(sa.paceLevelMax, 0u);
-    EXPECT_EQ(sb.paceLevelMax, 0u);
 }
 
 TEST(GcPacer, HoldsHigherFreeLevelsUnderSteadyChurn)
@@ -774,8 +766,7 @@ TEST(GcQuality, KnobIsInertWithoutPacing)
     run(true, ppns_b, sb, tb);
     EXPECT_EQ(ta, tb);
     EXPECT_EQ(ppns_a, ppns_b);
-    EXPECT_EQ(sa.erases, sb.erases);
-    EXPECT_EQ(sa.gcRelocations, sb.gcRelocations);
+    expectSameFields(sa, sb, "FtlStats quality knob without pacing");
     EXPECT_EQ(sb.gcQualityDeferrals, 0u)
         << "gate engaged despite pacing off";
 }

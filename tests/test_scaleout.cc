@@ -6,26 +6,31 @@
  * CoreModel and SmpModel; M > 1 rerun determinism with the inline fast
  * path on and off; the two-phase cross-shard flush barrier against
  * per-shard twin platforms; per-shard failure isolation; zero
- * allocations on the sharded hit path; and the stats-merge helpers'
- * sum-vs-max semantics.
+ * allocations on the sharded hit path; the stats merge's sum-vs-max
+ * semantics; and that every field of each stats struct's field list
+ * takes part in equality, firstDifference and merge.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/sharded_platform.hh"
 #include "core/hams_system.hh"
-#include "core/stats_merge.hh"
 #include "cpu/core_model.hh"
 #include "cpu/smp_model.hh"
 #include "ftl/page_ftl.hh"
 #include "sim/alloc_hook.hh"
 #include "sim/domain_conductor.hh"
+#include "sim/fields.hh"
 #include "ssd/ssd.hh"
 #include "workload/workload.hh"
+
+#include "expect_fields.hh"
 
 namespace hams {
 namespace {
@@ -50,47 +55,6 @@ shardedHams(std::uint32_t m, HamsMode mode, ShardedConfig cfg = {})
     for (std::uint32_t s = 0; s < m; ++s)
         shards.push_back(smallHams(mode));
     return std::make_unique<ShardedPlatform>(std::move(shards), cfg);
-}
-
-void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.memInstructions, b.memInstructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.pagesTouched, b.pagesTouched) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.stallBreakdown.os, b.stallBreakdown.os) << what;
-    EXPECT_EQ(a.stallBreakdown.nvdimm, b.stallBreakdown.nvdimm) << what;
-    EXPECT_EQ(a.stallBreakdown.dma, b.stallBreakdown.dma) << what;
-    EXPECT_EQ(a.stallBreakdown.ssd, b.stallBreakdown.ssd) << what;
-    EXPECT_EQ(a.stallBreakdown.cpu, b.stallBreakdown.cpu) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.opsPerSec, b.opsPerSec) << what;
-    EXPECT_EQ(a.bytesPerSec, b.bytesPerSec) << what;
-    EXPECT_EQ(a.cpuEnergyJ, b.cpuEnergyJ) << what;
-}
-
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-    EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
-    EXPECT_EQ(a.waiterPeakDepth, b.waiterPeakDepth) << what;
-    EXPECT_EQ(a.gateQueuePeakDepth, b.gateQueuePeakDepth) << what;
-    EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
-    EXPECT_EQ(a.memoryDelay.ssd, b.memoryDelay.ssd) << what;
 }
 
 /** Per-(shard, core) generators: core c drives shard c % M at its
@@ -342,15 +306,14 @@ TEST(ShardedM1, BitIdenticalUnderCoreModel)
     RunResult meas_a = core_a.run(*gen_a, 400000);
     RunResult meas_b = core_b.run(*gen_b, 400000);
 
-    expectIdentical(warm_a, warm_b, "M=1 CoreModel (warmup)");
-    expectIdentical(meas_a, meas_b, "M=1 CoreModel (measure)");
+    expectSameFields(warm_a, warm_b, "M=1 CoreModel (warmup)");
+    expectSameFields(meas_a, meas_b, "M=1 CoreModel (measure)");
     auto& shard = dynamic_cast<HamsSystem&>(sp->shard(0));
-    expectIdentical(bare->stats(), shard.stats(), "M=1 HamsStats");
+    expectSameFields(bare->stats(), shard.stats(), "M=1 HamsStats");
     EXPECT_EQ(bare->eventQueue().now(), shard.eventQueue().now());
     EXPECT_EQ(bare->eventQueue().fired(), shard.eventQueue().fired());
     // Pass-through: the sharding layer never counts M = 1 traffic.
-    EXPECT_EQ(sp->shardedStats().routedAccesses, 0u);
-    EXPECT_EQ(sp->shardedStats().flushBarriers, 0u);
+    expectSameFields(sp->shardedStats(), ShardedStats{}, "M=1 ShardedStats");
 }
 
 TEST(ShardedM1, BitIdenticalUnderSmpModel)
@@ -373,10 +336,10 @@ TEST(ShardedM1, BitIdenticalUnderSmpModel)
     SmpResult b = runShardedSmp(*sp, "rndWr", 4, true, 200000);
 
     for (std::uint32_t c = 0; c < 4; ++c)
-        expectIdentical(a.perCore[c], b.perCore[c], "M=1 SMP per-core");
-    expectIdentical(a.combined, b.combined, "M=1 SMP combined");
+        expectSameFields(a.perCore[c], b.perCore[c], "M=1 SMP per-core");
+    expectSameFields(a.combined, b.combined, "M=1 SMP combined");
     auto& shard = dynamic_cast<HamsSystem&>(sp->shard(0));
-    expectIdentical(bare->stats(), shard.stats(), "M=1 SMP HamsStats");
+    expectSameFields(bare->stats(), shard.stats(), "M=1 SMP HamsStats");
     EXPECT_EQ(bare->eventQueue().now(), shard.eventQueue().now());
 }
 
@@ -394,18 +357,14 @@ TEST(ShardedDeterminism, FourShardRerunIdentical)
     SmpResult r2 = runShardedSmp(*p2, "update", 8, true, 800000);
 
     for (std::uint32_t c = 0; c < 8; ++c)
-        expectIdentical(r1.perCore[c], r2.perCore[c], "rerun per-core");
-    expectIdentical(r1.combined, r2.combined, "rerun combined");
+        expectSameFields(r1.perCore[c], r2.perCore[c], "rerun per-core");
+    expectSameFields(r1.combined, r2.combined, "rerun combined");
     HamsStats s1{}, s2{};
     EXPECT_EQ(p1->aggregatedHamsStats(s1), 4u);
     EXPECT_EQ(p2->aggregatedHamsStats(s2), 4u);
-    expectIdentical(s1, s2, "rerun aggregated HamsStats");
-    EXPECT_EQ(p1->shardedStats().routedAccesses,
-              p2->shardedStats().routedAccesses);
-    EXPECT_EQ(p1->shardedStats().flushBarriers,
-              p2->shardedStats().flushBarriers);
-    EXPECT_EQ(p1->shardedStats().flushSkewTicks,
-              p2->shardedStats().flushSkewTicks);
+    expectSameFields(s1, s2, "rerun aggregated HamsStats");
+    expectSameFields(p1->shardedStats(), p2->shardedStats(),
+                     "rerun ShardedStats");
     EXPECT_EQ(p1->conductor().now(), p2->conductor().now());
     EXPECT_EQ(p1->conductor().fired(), p2->conductor().fired());
     EXPECT_GT(p1->shardedStats().routedAccesses, 0u);
@@ -420,14 +379,14 @@ TEST(ShardedDeterminism, InlineFastPathOnOffIdentical)
     SmpResult r_off = runShardedSmp(*off, "rndWr", 4, false, 200000);
 
     for (std::uint32_t c = 0; c < 4; ++c)
-        expectIdentical(r_on.perCore[c], r_off.perCore[c],
-                        "inline on vs off");
-    expectIdentical(r_on.combined, r_off.combined,
-                    "inline on vs off combined");
+        expectSameFields(r_on.perCore[c], r_off.perCore[c],
+                         "inline on vs off");
+    expectSameFields(r_on.combined, r_off.combined,
+                     "inline on vs off combined");
     HamsStats s_on{}, s_off{};
     on->aggregatedHamsStats(s_on);
     off->aggregatedHamsStats(s_off);
-    expectIdentical(s_on, s_off, "inline on vs off HamsStats");
+    expectSameFields(s_on, s_off, "inline on vs off HamsStats");
     EXPECT_EQ(on->conductor().now(), off->conductor().now());
 }
 
@@ -611,7 +570,7 @@ TEST(ShardedZeroAlloc, HitPathThroughRoutingAndConductor)
 }
 
 // ---------------------------------------------------------------------
-// Stats-merge helpers: counters sum, peaks max — on every type.
+// Stats merge (sim/fields.hh): counters sum, peaks max — on every type.
 // ---------------------------------------------------------------------
 
 TEST(StatsMerge, HamsCountersSumAndPeaksMax)
@@ -630,7 +589,7 @@ TEST(StatsMerge, HamsCountersSumAndPeaksMax)
     b.gateQueuePeakDepth = 1;
     b.memoryDelay.nvdimm = 500;
 
-    mergeHamsStats(a, b);
+    mergeFields(a, b);
     EXPECT_EQ(a.accesses, 150u);
     EXPECT_EQ(a.hits, 120u);
     EXPECT_EQ(a.waitQueued, 7u);
@@ -653,7 +612,7 @@ TEST(StatsMerge, FtlCountersSumAndPaceLevelsMax)
     b.paceLevel = 1;
     b.paceLevelMax = 5;
 
-    mergeFtlStats(a, b);
+    mergeFields(a, b);
     EXPECT_EQ(a.hostWrites, 30u);
     EXPECT_EQ(a.gcRelocations, 10u);
     EXPECT_EQ(a.paceLevel, 2u);
@@ -669,7 +628,7 @@ TEST(StatsMerge, EngineCountersSum)
     b.submitted = 5;
     b.completed = 5;
     b.journalSets = 2;
-    mergeEngineStats(a, b);
+    mergeFields(a, b);
     EXPECT_EQ(a.submitted, 12u);
     EXPECT_EQ(a.completed, 11u);
     EXPECT_EQ(a.journalSets, 5u);
@@ -707,12 +666,127 @@ TEST(StatsMerge, AggregatedMatchesManualShardMerge)
     EXPECT_EQ(sp->aggregatedHamsStats(agg), 2u);
     HamsStats manual{};
     for (std::uint32_t s = 0; s < 2; ++s)
-        mergeHamsStats(manual,
-                       dynamic_cast<HamsSystem&>(sp->shard(s)).stats());
-    expectIdentical(agg, manual, "aggregate vs manual merge");
+        mergeFields(manual, dynamic_cast<HamsSystem&>(sp->shard(s)).stats());
+    expectSameFields(agg, manual, "aggregate vs manual merge");
     EXPECT_EQ(agg.accesses,
               dynamic_cast<HamsSystem&>(sp->shard(0)).stats().accesses +
                   dynamic_cast<HamsSystem&>(sp->shard(1)).stats().accesses);
+}
+
+// ---------------------------------------------------------------------
+// Field lists (sim/fields.hh): every listed field takes part in
+// equality, firstDifference and merge, by its rule.
+// ---------------------------------------------------------------------
+
+/** Calls f(rule, dotted name, a.leaf, b.leaf) on every scalar leaf,
+ *  recursing into fields that have their own list. */
+template <typename T, typename F>
+void
+forEachLeaf(T& a, const T& b, F&& f, const std::string& prefix = "")
+{
+    T::forEachField(a, b, [&](auto rule, const char* name, auto& x,
+                              const auto& y) {
+        if constexpr (fields::listed<std::decay_t<decltype(x)>>)
+            forEachLeaf(x, y, f, prefix + name + ".");
+        else
+            f(rule, prefix + name, x, y);
+    });
+}
+
+/** Sets a leaf to @p n (labels to its decimal string). */
+template <typename V>
+void
+setTo(V& v, std::uint64_t n)
+{
+    if constexpr (std::is_same_v<V, std::string>)
+        v = std::to_string(n);
+    else
+        v = static_cast<V>(n);
+}
+
+template <typename T>
+class StatsFields : public ::testing::Test
+{
+};
+
+using ListedStats =
+    ::testing::Types<LatencyBreakdown, HamsStats, NvmeEngineStats, FtlStats,
+                     RunResult, ShardedStats, TieringStats>;
+TYPED_TEST_SUITE(StatsFields, ListedStats);
+
+TYPED_TEST(StatsFields, ListCoversEveryMember)
+{
+    // None of these structs has padding, so a member declared outside
+    // its field list shows up as a size the list does not account for.
+    TypeParam v{};
+    std::size_t listed_bytes = 0;
+    TypeParam::forEachField(v, v, [&](auto, const char*, const auto& x,
+                                      const auto&) {
+        listed_bytes += sizeof(x);
+    });
+    EXPECT_EQ(listed_bytes, sizeof(TypeParam));
+}
+
+TYPED_TEST(StatsFields, EveryFieldTakesPartInEquality)
+{
+    const TypeParam base{};
+    EXPECT_TRUE(base == base);
+    EXPECT_EQ(firstDifference(base, base), "");
+
+    // Change leaf k alone, for k = 0, 1, ... until no leaf is left.
+    for (std::size_t k = 0;; ++k) {
+        TypeParam changed{};
+        std::string name;
+        std::size_t i = 0;
+        forEachLeaf(changed, base, [&](auto, const std::string& path,
+                                       auto& x, const auto&) {
+            if (i++ == k) {
+                setTo(x, 1);
+                name = path;
+            }
+        });
+        if (name.empty()) {
+            EXPECT_GT(k, 0u);
+            break;
+        }
+        EXPECT_FALSE(changed == base) << name;
+        EXPECT_EQ(firstDifference(changed, base), name);
+        EXPECT_EQ(firstDifference(base, changed), name);
+    }
+}
+
+TYPED_TEST(StatsFields, MergeAppliesEachFieldsRule)
+{
+    // Leaf i of a holds va(i), of b vb(i); vb alternates above and
+    // below va so max fields are checked in both directions.
+    auto va = [](std::uint64_t i) { return 100 + 7 * i; };
+    auto vb = [](std::uint64_t i) { return i % 2 ? 1 + i : 1000 + i; };
+    TypeParam a{}, b{};
+    std::uint64_t i = 0;
+    forEachLeaf(a, a, [&](auto, const std::string&, auto& x, const auto&) {
+        setTo(x, va(i++));
+    });
+    i = 0;
+    forEachLeaf(b, b, [&](auto, const std::string&, auto& x, const auto&) {
+        setTo(x, vb(i++));
+    });
+
+    TypeParam merged = a;
+    mergeFields(merged, b);
+    i = 0;
+    forEachLeaf(merged, merged, [&](auto rule, const std::string& path,
+                                    auto& x, const auto&) {
+        using Rule = decltype(rule);
+        std::uint64_t want = va(i);
+        if constexpr (std::is_same_v<Rule, fields::sum>)
+            want = va(i) + vb(i);
+        else if constexpr (std::is_same_v<Rule, fields::max>)
+            want = std::max(va(i), vb(i));
+        std::decay_t<decltype(x)> expected{};
+        setTo(expected, want);
+        EXPECT_EQ(x, expected) << path;
+        ++i;
+    });
 }
 
 } // namespace

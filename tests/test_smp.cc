@@ -28,6 +28,8 @@
 #include "ssd/ssd.hh"
 #include "workload/workload.hh"
 
+#include "expect_fields.hh"
+
 namespace hams {
 namespace {
 
@@ -52,66 +54,6 @@ smallMmap()
     c.pageCacheBytes = 48ull << 20;
     c.ssdRawBytes = 1ull << 30;
     return std::make_unique<MmapPlatform>(c);
-}
-
-void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.memInstructions, b.memInstructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.pagesTouched, b.pagesTouched) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.stallBreakdown.os, b.stallBreakdown.os) << what;
-    EXPECT_EQ(a.stallBreakdown.nvdimm, b.stallBreakdown.nvdimm) << what;
-    EXPECT_EQ(a.stallBreakdown.dma, b.stallBreakdown.dma) << what;
-    EXPECT_EQ(a.stallBreakdown.ssd, b.stallBreakdown.ssd) << what;
-    EXPECT_EQ(a.stallBreakdown.cpu, b.stallBreakdown.cpu) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.opsPerSec, b.opsPerSec) << what;
-    EXPECT_EQ(a.bytesPerSec, b.bytesPerSec) << what;
-    EXPECT_EQ(a.cpuEnergyJ, b.cpuEnergyJ) << what;
-}
-
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.cleanVictims, b.cleanVictims) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.prpClones, b.prpClones) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-    EXPECT_EQ(a.redundantEvictionsAvoided, b.redundantEvictionsAvoided)
-        << what;
-    EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
-    EXPECT_EQ(a.waiterPeakDepth, b.waiterPeakDepth) << what;
-    EXPECT_EQ(a.gateQueuePeakDepth, b.gateQueuePeakDepth) << what;
-    EXPECT_EQ(a.replayedCommands, b.replayedCommands) << what;
-    EXPECT_EQ(a.memoryDelay.os, b.memoryDelay.os) << what;
-    EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
-    EXPECT_EQ(a.memoryDelay.dma, b.memoryDelay.dma) << what;
-    EXPECT_EQ(a.memoryDelay.ssd, b.memoryDelay.ssd) << what;
-    EXPECT_EQ(a.memoryDelay.cpu, b.memoryDelay.cpu) << what;
-}
-
-void
-expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
-                const char* what)
-{
-    EXPECT_EQ(a.submitted, b.submitted) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.journalSets, b.journalSets) << what;
-    EXPECT_EQ(a.journalClears, b.journalClears) << what;
-    EXPECT_EQ(a.replayed, b.replayed) << what;
 }
 
 /** Warmup-then-measure an N-core SMP run on a fresh platform. */
@@ -157,13 +99,13 @@ oneCoreDifferential(MakePlatform make, const std::string& workload,
 
     ASSERT_EQ(warm_smp.cores(), 1u);
     std::string tag = workload + " on " + p_core->name();
-    expectIdentical(warm_core, warm_smp.perCore[0],
-                    (tag + " (warmup)").c_str());
-    expectIdentical(meas_core, meas_smp.perCore[0],
-                    (tag + " (measure)").c_str());
+    expectSameFields(warm_core, warm_smp.perCore[0],
+                     tag + " (warmup)");
+    expectSameFields(meas_core, meas_smp.perCore[0],
+                     tag + " (measure)");
     // The combined view of one core is that core.
-    expectIdentical(meas_smp.perCore[0], meas_smp.combined,
-                    (tag + " (combined)").c_str());
+    expectSameFields(meas_smp.perCore[0], meas_smp.combined,
+                     tag + " (combined)");
     EXPECT_EQ(p_core->eventQueue().now(), p_smp->eventQueue().now()) << tag;
     EXPECT_EQ(p_core->eventQueue().fired(), p_smp->eventQueue().fired())
         << tag;
@@ -190,11 +132,11 @@ TEST(SmpOneCore, BitIdenticalToCoreModelOnHamsExtend)
     SmpResult warm_smp = smp.run(gens, 200000);
     SmpResult meas_smp = smp.run(gens, 400000);
 
-    expectIdentical(warm_core, warm_smp.perCore[0], "update TE (warmup)");
-    expectIdentical(meas_core, meas_smp.perCore[0], "update TE (measure)");
-    expectIdentical(p_core->stats(), p_smp->stats(), "update HamsStats");
-    expectIdentical(p_core->engineStats(), p_smp->engineStats(),
-                    "update NvmeEngineStats");
+    expectSameFields(warm_core, warm_smp.perCore[0], "update TE (warmup)");
+    expectSameFields(meas_core, meas_smp.perCore[0], "update TE (measure)");
+    expectSameFields(p_core->stats(), p_smp->stats(), "update HamsStats");
+    expectSameFields(p_core->engineStats(), p_smp->engineStats(),
+                     "update NvmeEngineStats");
     EXPECT_EQ(p_core->eventQueue().now(), p_smp->eventQueue().now());
 }
 
@@ -212,8 +154,8 @@ TEST(SmpOneCore, BitIdenticalToCoreModelOnHamsPersist)
     SmpModel smp(*p_smp);
     SmpResult meas_smp = smp.run(gens, 150000);
 
-    expectIdentical(meas_core, meas_smp.perCore[0], "rndRd TP");
-    expectIdentical(p_core->stats(), p_smp->stats(), "rndRd HamsStats");
+    expectSameFields(meas_core, meas_smp.perCore[0], "rndRd TP");
+    expectSameFields(p_core->stats(), p_smp->stats(), "rndRd HamsStats");
 }
 
 // ---------------------------------------------------------------------
@@ -259,12 +201,12 @@ rerunIdentical(const std::string& workload, HamsMode mode,
     ASSERT_EQ(r2.cores(), cores);
     for (std::uint32_t c = 0; c < cores; ++c) {
         std::string tag = workload + " core " + std::to_string(c);
-        expectIdentical(r1.perCore[c], r2.perCore[c], tag.c_str());
+        expectSameFields(r1.perCore[c], r2.perCore[c], tag);
     }
-    expectIdentical(r1.combined, r2.combined, "combined");
-    expectIdentical(p1->stats(), p2->stats(), "HamsStats");
-    expectIdentical(p1->engineStats(), p2->engineStats(),
-                    "NvmeEngineStats");
+    expectSameFields(r1.combined, r2.combined, "combined");
+    expectSameFields(p1->stats(), p2->stats(), "HamsStats");
+    expectSameFields(p1->engineStats(), p2->engineStats(),
+                     "NvmeEngineStats");
     EXPECT_EQ(p1->eventQueue().now(), p2->eventQueue().now());
     if (inline_first == inline_second)
         EXPECT_EQ(p1->eventQueue().fired(), p2->eventQueue().fired());
@@ -494,16 +436,12 @@ TEST(SmpBackgroundGc, FourCoreRerunIdenticalAndGateSound)
 
     // Rerun-deterministic, including the device-internal engine.
     for (std::uint32_t c = 0; c < 4; ++c)
-        expectIdentical(r1.perCore[c], r2.perCore[c], "bg-GC rerun");
-    expectIdentical(r1.combined, r2.combined, "bg-GC combined");
-    expectIdentical(p1->stats(), p2->stats(), "bg-GC HamsStats");
+        expectSameFields(r1.perCore[c], r2.perCore[c], "bg-GC rerun");
+    expectSameFields(r1.combined, r2.combined, "bg-GC combined");
+    expectSameFields(p1->stats(), p2->stats(), "bg-GC HamsStats");
     EXPECT_EQ(p1->eventQueue().now(), p2->eventQueue().now());
     EXPECT_EQ(p1->eventQueue().fired(), p2->eventQueue().fired());
-    const FtlStats& fs2 = p2->ullFlash().ftlStats();
-    EXPECT_EQ(fs.gcBatches, fs2.gcBatches);
-    EXPECT_EQ(fs.gcRelocations, fs2.gcRelocations);
-    EXPECT_EQ(fs.erases, fs2.erases);
-    EXPECT_EQ(fs.gcWriteStalls, fs2.gcWriteStalls);
+    expectSameFields(fs, p2->ullFlash().ftlStats(), "bg-GC FtlStats");
 
     // Gate soundness, end to end: pending GC events force the event
     // path, so enabling the inline fast path must not change a single
@@ -513,10 +451,10 @@ TEST(SmpBackgroundGc, FourCoreRerunIdenticalAndGateSound)
     auto p3 = smallHamsBgGc();
     SmpResult r3 = runBgGcSmp(*p3, /*inline_on=*/false);
     for (std::uint32_t c = 0; c < 4; ++c)
-        expectIdentical(r1.perCore[c], r3.perCore[c],
-                        "bg-GC inline on vs off");
-    expectIdentical(p1->stats(), p3->stats(),
-                    "bg-GC HamsStats inline on vs off");
+        expectSameFields(r1.perCore[c], r3.perCore[c],
+                         "bg-GC inline on vs off");
+    expectSameFields(p1->stats(), p3->stats(),
+                     "bg-GC HamsStats inline on vs off");
     EXPECT_EQ(p1->eventQueue().now(), p3->eventQueue().now());
 }
 

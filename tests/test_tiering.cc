@@ -28,6 +28,8 @@
 #include "ssd/dram_buffer.hh"
 #include "workload/workload.hh"
 
+#include "expect_fields.hh"
+
 namespace hams {
 namespace {
 
@@ -337,50 +339,6 @@ smallHamsTE(const TieringConfig& tiering)
 }
 
 void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.stallBreakdown.os, b.stallBreakdown.os) << what;
-    EXPECT_EQ(a.stallBreakdown.nvdimm, b.stallBreakdown.nvdimm) << what;
-    EXPECT_EQ(a.stallBreakdown.dma, b.stallBreakdown.dma) << what;
-    EXPECT_EQ(a.stallBreakdown.ssd, b.stallBreakdown.ssd) << what;
-}
-
-void
-expectIdentical(const FtlStats& a, const FtlStats& b, const char* what)
-{
-    EXPECT_EQ(a.hostReads, b.hostReads) << what;
-    EXPECT_EQ(a.hostWrites, b.hostWrites) << what;
-    EXPECT_EQ(a.gcRuns, b.gcRuns) << what;
-    EXPECT_EQ(a.gcRelocations, b.gcRelocations) << what;
-    EXPECT_EQ(a.erases, b.erases) << what;
-    EXPECT_EQ(a.gcBatches, b.gcBatches) << what;
-    EXPECT_EQ(a.gcIdleKicks, b.gcIdleKicks) << what;
-    EXPECT_EQ(a.gcWriteStalls, b.gcWriteStalls) << what;
-    EXPECT_EQ(a.tierColdWrites, b.tierColdWrites) << what;
-    EXPECT_EQ(a.tierBgReads, b.tierBgReads) << what;
-    EXPECT_EQ(a.tierBgWrites, b.tierBgWrites) << what;
-}
-
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.cleanVictims, b.cleanVictims) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-}
-
-void
 expectIdentical(const HotnessTracker& a, const HotnessTracker& b,
                 const char* what)
 {
@@ -412,10 +370,10 @@ TEST(TieringDifferential, InertTrackerIsOutputInertOnMmap)
     run(off, r_off, p_off);
     run(inert, r_inert, p_inert);
 
-    expectIdentical(r_off, r_inert, "mmap off vs inert");
-    expectIdentical(p_off->backingSsd().ftlStats(),
-                    p_inert->backingSsd().ftlStats(),
-                    "mmap FTL off vs inert");
+    expectSameFields(r_off, r_inert, "mmap off vs inert");
+    expectSameFields(p_off->backingSsd().ftlStats(),
+                     p_inert->backingSsd().ftlStats(),
+                     "mmap FTL off vs inert");
     EXPECT_EQ(p_off->pageFaults(), p_inert->pageFaults());
     EXPECT_EQ(p_off->pageCacheHits(), p_inert->pageCacheHits());
     EXPECT_EQ(p_off->writebacks(), p_inert->writebacks());
@@ -447,12 +405,12 @@ TEST(TieringDifferential, InertTrackerIsOutputInertOnHamsExtend)
     run(off, r_off, p_off);
     run(inert, r_inert, p_inert);
 
-    expectIdentical(r_off, r_inert, "hams-TE off vs inert");
-    expectIdentical(p_off->stats(), p_inert->stats(),
-                    "hams-TE stats off vs inert");
-    expectIdentical(p_off->ullFlash().ftlStats(),
-                    p_inert->ullFlash().ftlStats(),
-                    "hams-TE FTL off vs inert");
+    expectSameFields(r_off, r_inert, "hams-TE off vs inert");
+    expectSameFields(p_off->stats(), p_inert->stats(),
+                     "hams-TE stats off vs inert");
+    expectSameFields(p_off->ullFlash().ftlStats(),
+                     p_inert->ullFlash().ftlStats(),
+                     "hams-TE FTL off vs inert");
     EXPECT_EQ(p_off->eventQueue().now(), p_inert->eventQueue().now());
 }
 
@@ -490,17 +448,14 @@ TEST(TieringDifferential, TieringOnRerunsBitIdentical)
     run(r1, p1);
     run(r2, p2);
 
-    expectIdentical(r1, r2, "tiering-on rerun");
-    expectIdentical(p1->backingSsd().ftlStats(),
-                    p2->backingSsd().ftlStats(), "tiering-on rerun FTL");
+    expectSameFields(r1, r2, "tiering-on rerun");
+    expectSameFields(p1->backingSsd().ftlStats(),
+                     p2->backingSsd().ftlStats(), "tiering-on rerun FTL");
     expectIdentical(*p1->hotnessTracker(), *p2->hotnessTracker(),
                     "tiering-on rerun tracker");
-    const TieringStats& t1 = p1->backingSsd().tieringStats();
-    const TieringStats& t2 = p2->backingSsd().tieringStats();
-    EXPECT_EQ(t1.promotions, t2.promotions);
-    EXPECT_EQ(t1.demotions, t2.demotions);
-    EXPECT_EQ(t1.migSteps, t2.migSteps);
-    EXPECT_EQ(t1.paceDeferrals, t2.paceDeferrals);
+    expectSameFields(p1->backingSsd().tieringStats(),
+                     p2->backingSsd().tieringStats(),
+                     "tiering-on rerun migration");
     EXPECT_EQ(p1->eventQueue().now(), p2->eventQueue().now());
 
     // The knobs actually engaged: cold placement classified writes.
@@ -531,12 +486,12 @@ TEST(TieringDifferential, InlineFastPathIdentityWithTieringOn)
     run(true, r_on, p_on);
     run(false, r_off, p_off);
 
-    expectIdentical(r_on, r_off, "hams-TE tiering inline on/off");
-    expectIdentical(p_on->stats(), p_off->stats(),
-                    "hams-TE tiering stats inline on/off");
-    expectIdentical(p_on->ullFlash().ftlStats(),
-                    p_off->ullFlash().ftlStats(),
-                    "hams-TE tiering FTL inline on/off");
+    expectSameFields(r_on, r_off, "hams-TE tiering inline on/off");
+    expectSameFields(p_on->stats(), p_off->stats(),
+                     "hams-TE tiering stats inline on/off");
+    expectSameFields(p_on->ullFlash().ftlStats(),
+                     p_off->ullFlash().ftlStats(),
+                     "hams-TE tiering FTL inline on/off");
     expectIdentical(*p_on->hotnessTracker(), *p_off->hotnessTracker(),
                     "hams-TE tracker inline on/off");
     EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now());
