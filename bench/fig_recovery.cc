@@ -173,7 +173,7 @@ runCell(const RecoveryCell& cell, std::uint64_t traffic)
         free_sum / static_cast<double>(ftl.parallelUnits());
     res.gcRelocations = ftl.stats().gcRelocations;
     std::uint64_t dirty =
-        ssd.buffer() ? ssd.buffer()->dirtyFrames().size() : 0;
+        ssd.buffer() ? ssd.buffer()->dirtyCount() : 0;
 
     res.cutTick = eq.now();
     res.drainTicks = sys.powerFail();

@@ -26,6 +26,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "ssd/device_configs.hh"
+#include "ssd/dram_buffer.hh"
 
 namespace {
 
@@ -227,6 +228,46 @@ BM_CacheModelAccess(benchmark::State& state)
     benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_CacheModelAccess);
+
+/**
+ * One mmap background writeback round on perfbench mmap_update's page
+ * cache: 12,288 resident pages of a 1 GiB file, 30% of them dirty,
+ * batch 64. Each op cleans the 64 lowest-keyed dirty pages, then
+ * re-dirties 64 random clean resident pages so the dirty population
+ * holds steady.
+ */
+void
+BM_MmapWritebackRound(benchmark::State& state)
+{
+    constexpr std::uint64_t frames = 12288;
+    constexpr std::uint64_t file_pages = (1ull << 30) / 4096;
+    constexpr std::uint32_t batch = 64;
+    DramBufferConfig cfg;
+    cfg.capacity = frames * 4096;
+    cfg.keyFrames = file_pages;
+    DramBuffer buf(cfg);
+    Rng rng(8);
+    std::vector<std::uint64_t> resident;
+    resident.reserve(frames);
+    while (resident.size() < frames) {
+        std::uint64_t page = rng.below(file_pages);
+        if (buf.contains(page))
+            continue;
+        buf.insert(page, /*dirty=*/resident.size() % 10 < 3);
+        resident.push_back(page);
+    }
+    std::uint64_t cleaned = 0;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state) {
+        cleaned += buf.forEachDirtyAscending(
+            batch, [&buf](std::uint64_t page) { buf.markClean(page); });
+        for (std::uint32_t n = 0; n < batch;)
+            n += buf.markDirty(resident[rng.below(frames)]);
+    }
+    benchmark::DoNotOptimize(cleaned);
+    reportAllocRate(state, allocs);
+}
+BENCHMARK(BM_MmapWritebackRound);
 
 void
 BM_SparseMemoryWrite4K(benchmark::State& state)

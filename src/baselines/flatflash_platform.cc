@@ -21,6 +21,7 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
     DramBufferConfig internal_cfg;
     internal_cfg.capacity = cfg.internalDramBytes;
     internal_cfg.frameSize = nvmeBlockSize;
+    internal_cfg.keyFrames = _capacity / nvmeBlockSize;
     internalTags = std::make_unique<DramBuffer>(internal_cfg);
 
     if (cfg.hostCaching) {
@@ -29,6 +30,7 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
         DramBufferConfig tag_cfg;
         tag_cfg.capacity = cfg.hostDramBytes;
         tag_cfg.frameSize = nvmeBlockSize;
+        tag_cfg.keyFrames = _capacity / nvmeBlockSize;
         hostCacheTags = std::make_unique<DramBuffer>(tag_cfg);
     }
 }

@@ -73,12 +73,13 @@ MmapPlatform::MmapPlatform(const MmapConfig& cfg)
     ssd = std::make_unique<Ssd>(backendConfig(cfg), &eq);
     link = std::make_unique<PcieLink>(backendLink(cfg));
 
+    _capacity = ssd->capacityBytes();
+
     DramBufferConfig tag_cfg;
     tag_cfg.capacity = cfg.pageCacheBytes;
     tag_cfg.frameSize = nvmeBlockSize;
+    tag_cfg.keyFrames = _capacity / nvmeBlockSize;
     cacheTags = std::make_unique<DramBuffer>(tag_cfg);
-
-    _capacity = ssd->capacityBytes();
 
     if (cfg.tiering.enabled) {
         // One tracker spans the file; page-cache keys, SSD LBAs and
@@ -114,14 +115,14 @@ MmapPlatform::maybeStartWriteback(Tick at)
         cfg.dirtyWatermark * static_cast<double>(cacheTags->maxFrames());
     if (static_cast<double>(dirtyCount) < watermark)
         return;
-    // kswapd-style background round: flush a batch of dirty pages.
-    // The scratch buffer keeps this (per newly dirtied page above the
-    // watermark) check allocation-free in steady state.
-    cacheTags->dirtyFrames(dirtyScratch);
-    std::uint32_t n = std::min<std::uint32_t>(
-        cfg.writebackBatch, static_cast<std::uint32_t>(dirtyScratch.size()));
-    for (std::uint32_t i = 0; i < n; ++i)
-        writebackPage(dirtyScratch[i], at);
+    // kswapd-style background round: flush the batch of lowest-keyed
+    // dirty pages. This runs per newly dirtied page above the
+    // watermark, so it visits only the batch, never the whole cache;
+    // writebackPage() cleans just the page it is handed, as the
+    // visitor contract requires.
+    cacheTags->forEachDirtyAscending(
+        cfg.writebackBatch,
+        [this, at](std::uint64_t page) { writebackPage(page, at); });
 }
 
 Tick
@@ -140,8 +141,7 @@ MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         ++_hits;
         done = dram->access(dramFoldAddr(acc.addr, cfg.dramBytes), acc.size, acc.op, at);
         bd.nvdimm = done - at;
-        if (acc.op == MemOp::Write && !cacheTags->isDirty(page)) {
-            cacheTags->insert(page, /*dirty=*/true);
+        if (acc.op == MemOp::Write && cacheTags->markDirty(page)) {
             ++dirtyCount;
             maybeStartWriteback(done);
         }
@@ -237,10 +237,11 @@ MmapPlatform::flush(Tick at, AccessCb cb)
     LatencyBreakdown bd;
     Tick done = at + cfg.ioStackLatency;
     bd.os += cfg.ioStackLatency;
-    cacheTags->dirtyFrames(dirtyScratch);
     Tick last = done;
-    for (std::uint64_t page : dirtyScratch)
-        last = std::max(last, writebackPage(page, done));
+    cacheTags->forEachDirtyAscending(
+        cacheTags->dirtyCount(), [this, done, &last](std::uint64_t page) {
+            last = std::max(last, writebackPage(page, done));
+        });
     bd.ssd += last - done;
     scheduleCompletion(eq, last, bd, std::move(cb));
 }

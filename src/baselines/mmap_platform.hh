@@ -17,7 +17,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "baselines/platform.hh"
 #include "dram/memory_controller.hh"
@@ -129,13 +128,15 @@ class MmapPlatform : public MemoryPlatform
     std::unique_ptr<DramBuffer> cacheTags;
     /** Hotness monitor over the file span (null unless tiering on). */
     std::unique_ptr<HotnessTracker> hotness;
-    /** Reused dirty-page list (writeback rounds + msync), no per-round
-     *  allocation once grown to the dirty high-water mark. */
-    std::vector<std::uint64_t> dirtyScratch;
-
     std::uint64_t _pageFaults = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _writebacks = 0;
+    /**
+     * Dirty pages as the writeback watermark sees them. Not
+     * cacheTags->dirtyCount(): a dirty page displaced by a fault stays
+     * counted here until its reclaim writeback runs, which is part of
+     * the modelled watermark trigger.
+     */
     std::uint64_t dirtyCount = 0;
     std::uint64_t lastFaultPage = ~0ull;
     std::uint32_t seqStreak = 0;

@@ -19,6 +19,7 @@ NvdimmCPlatform::NvdimmCPlatform(const NvdimmCConfig& cfg) : cfg(cfg)
     DramBufferConfig tag_cfg;
     tag_cfg.capacity = cfg.dramBytes;
     tag_cfg.frameSize = nvmeBlockSize;
+    tag_cfg.keyFrames = _capacity / nvmeBlockSize;
     cacheTags = std::make_unique<DramBuffer>(tag_cfg);
 }
 
@@ -51,7 +52,7 @@ NvdimmCPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         done = dram->access(dramFoldAddr(acc.addr, cfg.dramBytes), acc.size, acc.op, at);
         bd.nvdimm = done - at;
         if (acc.op == MemOp::Write)
-            cacheTags->insert(page, /*dirty=*/true);
+            cacheTags->markDirty(page);
     } else {
         // Fetch the page from flash (cheap), then wait for a refresh
         // window to move it across the shared channel (expensive).

@@ -16,6 +16,7 @@ OptanePlatform::OptanePlatform(const OptaneConfig& cfg)
         DramBufferConfig tag_cfg;
         tag_cfg.capacity = cfg.dramCacheBytes;
         tag_cfg.frameSize = nvmeBlockSize;
+        tag_cfg.keyFrames = cfg.pmmBytes / nvmeBlockSize;
         cacheTags = std::make_unique<DramBuffer>(tag_cfg);
     }
 }
@@ -83,7 +84,7 @@ OptanePlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
                                      acc.size, acc.op, at);
             bd.nvdimm = done - at;
             if (acc.op == MemOp::Write)
-                cacheTags->insert(page, /*dirty=*/true);
+                cacheTags->markDirty(page);
         } else {
             // Miss: fetch the page from media into the DRAM cache.
             Tick fetched = mediaAccess(nvmeBlockSize, MemOp::Read, at, bd);

@@ -138,7 +138,7 @@ FaultInjector::drainFrameBudget()
         // interrupted prefix is always a strict subset.
         std::uint64_t dirty = 0;
         if (ssd && ssd->buffer())
-            dirty = ssd->buffer()->dirtyFrames().size();
+            dirty = ssd->buffer()->dirtyCount();
         drainBudget = dirty ? rng.below(dirty) : 0;
         drainBudgetDrawn = true;
         _stats.drainFramesAllowed = drainBudget;

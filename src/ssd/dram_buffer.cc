@@ -13,6 +13,8 @@ DramBuffer::DramBuffer(const DramBufferConfig& cfg)
 {
     if (capacityFrames == 0)
         fatal("DRAM buffer smaller than one frame");
+    if (cfg.keyFrames == 0)
+        fatal("DRAM buffer key space (keyFrames) not set");
 
     // Table at <= 50% load so linear probes stay short.
     std::uint64_t want = std::uint64_t(capacityFrames) * 2;
@@ -21,6 +23,10 @@ DramBuffer::DramBuffer(const DramBufferConfig& cfg)
         size <<= 1;
     table.assign(size, 0);
     tableMask = static_cast<std::uint32_t>(size - 1);
+
+    std::uint64_t summary_words = (cfg.keyFrames + 4095) / 4096;
+    dirtyBits.assign(summary_words * 64, 0);
+    dirtySummary.assign(summary_words, 0);
 }
 
 Tick
@@ -134,11 +140,35 @@ DramBuffer::lookup(std::uint64_t key)
     return true;
 }
 
-bool
-DramBuffer::isDirty(std::uint64_t key) const
+void
+DramBuffer::setDirty(std::uint64_t key)
 {
-    std::uint32_t slot = findSlot(key);
-    return table[slot] != 0 && nodes[table[slot] - 1].dirty;
+    if (key >= cfg.keyFrames)
+        fatal("dirty frame key ", key, " beyond the buffer's ",
+              cfg.keyFrames, "-key space");
+    std::uint64_t w = key >> 6;
+    dirtyBits[w] |= std::uint64_t(1) << (key & 63);
+    dirtySummary[w >> 6] |= std::uint64_t(1) << (w & 63);
+    ++dirtyTotal;
+}
+
+void
+DramBuffer::clearDirty(std::uint64_t key)
+{
+    std::uint64_t w = key >> 6;
+    dirtyBits[w] &= ~(std::uint64_t(1) << (key & 63));
+    if (dirtyBits[w] == 0)
+        dirtySummary[w >> 6] &= ~(std::uint64_t(1) << (w & 63));
+    --dirtyTotal;
+}
+
+bool
+DramBuffer::markDirty(std::uint64_t key)
+{
+    if (isDirty(key) || !contains(key))
+        return false;
+    setDirty(key);
+    return true;
 }
 
 BufferEviction
@@ -150,7 +180,8 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
         std::uint32_t node = table[slot] - 1;
         lruUnlink(node);
         lruPushFront(node);
-        nodes[node].dirty = nodes[node].dirty || dirty;
+        if (dirty && !isDirty(key))
+            setDirty(key);
         return ev;
     }
 
@@ -162,8 +193,10 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
                 victim = pick;
         }
         ev.happened = true;
-        ev.dirty = nodes[victim].dirty;
         ev.frameKey = nodes[victim].key;
+        ev.dirty = isDirty(ev.frameKey);
+        if (ev.dirty)
+            clearDirty(ev.frameKey);
         lruUnlink(victim);
         eraseSlot(findSlot(nodes[victim].key));
         freeNode(victim);
@@ -175,19 +208,19 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
 
     std::uint32_t node = allocNode();
     nodes[node].key = key;
-    nodes[node].dirty = dirty;
     lruPushFront(node);
     table[slot] = node + 1;
     ++resident;
+    if (dirty)
+        setDirty(key);
     return ev;
 }
 
 void
 DramBuffer::markClean(std::uint64_t key)
 {
-    std::uint32_t slot = findSlot(key);
-    if (table[slot] != 0)
-        nodes[table[slot] - 1].dirty = false;
+    if (isDirty(key))
+        clearDirty(key);
 }
 
 void
@@ -201,27 +234,17 @@ DramBuffer::erase(std::uint64_t key)
     eraseSlot(slot);
     freeNode(node);
     --resident;
+    markClean(key);
 }
 
 std::vector<std::uint64_t>
 DramBuffer::dirtyFrames() const
 {
     std::vector<std::uint64_t> out;
-    dirtyFrames(out);
+    out.reserve(dirtyTotal);
+    forEachDirtyAscending(dirtyTotal,
+                          [&out](std::uint64_t key) { out.push_back(key); });
     return out;
-}
-
-void
-DramBuffer::dirtyFrames(std::vector<std::uint64_t>& out) const
-{
-    out.clear();
-    for (std::uint32_t n = lruHead; n != nil; n = nodes[n].next)
-        if (nodes[n].dirty)
-            HAMS_LINT_SUPPRESS("caller-owned scratch grows to the dirty "
-                               "high-water mark; capacity is reused "
-                               "across calls")
-            out.push_back(nodes[n].key);
-    std::sort(out.begin(), out.end());
 }
 
 DramBuffer::VictimSelector
@@ -254,6 +277,9 @@ DramBuffer::dropAll()
     lruHead = nil;
     lruTail = nil;
     resident = 0;
+    std::fill(dirtyBits.begin(), dirtyBits.end(), 0);
+    std::fill(dirtySummary.begin(), dirtySummary.end(), 0);
+    dirtyTotal = 0;
 }
 
 } // namespace hams

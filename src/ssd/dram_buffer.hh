@@ -16,6 +16,15 @@
  * per 4 KiB block, so lookup/insert/evict are allocation-free — an
  * intrusive doubly-linked LRU over a node arena, indexed by an
  * open-addressing hash table (linear probing, backward-shift delete).
+ *
+ * Dirty state lives in a bitmap over frame keys with one summary bit
+ * per nonzero bitmap word, not in the LRU nodes. isDirty() and
+ * markClean() are bit tests, and a writeback round takes the smallest
+ * dirty keys by count-trailing-zeros over the summary, then over the
+ * words: O(batch + summary words), whatever the number of resident
+ * frames. The bitmap is sized once, at the configured key space: one
+ * bit per key plus one summary bit per 64 keys (32 KiB + 64 summary
+ * words for a 1 GiB device), so dirtying a frame never allocates.
  */
 
 #ifndef HAMS_SSD_DRAM_BUFFER_HH_
@@ -37,6 +46,10 @@ struct DramBufferConfig
 {
     std::uint64_t capacity = 512ull << 20;
     std::uint32_t frameSize = 4096;
+    /** Key space: every frame key is below this (file pages for a page
+     *  cache, LBA blocks for an SSD buffer). Sizes the dirty bitmap;
+     *  must be set. */
+    std::uint64_t keyFrames = 0;
     double bandwidth = 6.4e9;           //!< internal DDR bytes/s
     Tick accessLatency = nanoseconds(250); //!< array + controller latency
 };
@@ -96,8 +109,22 @@ class DramBuffer
         return table[findSlot(key)] != 0;
     }
 
-    /** True if @p key is resident and dirty. */
-    HAMS_HOT_PATH bool isDirty(std::uint64_t key) const;
+    /** True if @p key is resident and dirty (a bit test, no probe:
+     *  only resident frames ever carry a dirty bit). */
+    HAMS_HOT_PATH bool
+    isDirty(std::uint64_t key) const
+    {
+        std::uint64_t w = key >> 6;
+        return w < dirtyBits.size() && ((dirtyBits[w] >> (key & 63)) & 1);
+    }
+
+    /**
+     * Mark the resident frame @p key dirty WITHOUT touching LRU order
+     * (the write-hit path has just promoted it with lookup()).
+     * @return true on a clean->dirty transition; false when the frame
+     *         was already dirty or is not resident.
+     */
+    HAMS_HOT_PATH bool markDirty(std::uint64_t key);
 
     /**
      * Insert @p key (possibly already present; then just update state).
@@ -111,15 +138,28 @@ class DramBuffer
     /** Remove a frame (invalidate). */
     HAMS_HOT_PATH void erase(std::uint64_t key);
 
-    /** All dirty frame keys (flush / supercap drain). */
-    HAMS_COLD_PATH std::vector<std::uint64_t> dirtyFrames() const;
+    /** Number of dirty frames, O(1). */
+    std::size_t dirtyCount() const { return dirtyTotal; }
 
     /**
-     * Allocation-free variant for per-access paths (the mmap
-     * writeback watermark check runs on every newly dirtied page):
-     * fills @p out — cleared, sorted — reusing its capacity.
+     * Call @p fn(key) for the @p limit smallest dirty keys (all of them
+     * when fewer are dirty), in ascending key order; returns how many
+     * were visited. Allocation-free; costs O(visited + summary words).
+     *
+     * Visitor contract: @p fn may clean or erase the key it is being
+     * handed — a writeback round does exactly that through
+     * markClean() — because the loop works on copies of the current
+     * bitmap word and summary word. It must not dirty, clean or erase
+     * any other key of this buffer: an unvisited key changed behind
+     * the loop may be skipped or visited anyway.
      */
-    HAMS_HOT_PATH void dirtyFrames(std::vector<std::uint64_t>& out) const;
+    template <typename Fn>
+    HAMS_HOT_PATH std::size_t forEachDirtyAscending(std::size_t limit,
+                                                    Fn&& fn) const;
+
+    /** All dirty frame keys, ascending (cold callers and tests; hot
+     *  paths use forEachDirtyAscending()). */
+    HAMS_COLD_PATH std::vector<std::uint64_t> dirtyFrames() const;
 
     /** Drop all contents (power loss without supercap). */
     HAMS_COLD_PATH void dropAll();
@@ -147,20 +187,19 @@ class DramBuffer
     HAMS_HOT_PATH bool
     nodeDirty(std::uint32_t node) const
     {
-        return nodes[node].dirty;
+        return isDirty(nodes[node].key);
     }
     ///@}
 
   private:
     static constexpr std::uint32_t nil = nilNode;
 
-    /** One resident frame: intrusive LRU links + metadata. */
+    /** One resident frame: key + intrusive LRU links. */
     struct Node
     {
         std::uint64_t key;
         std::uint32_t prev;
         std::uint32_t next;
-        bool dirty;
     };
 
     std::uint32_t idealSlot(std::uint64_t key) const
@@ -186,6 +225,14 @@ class DramBuffer
     void lruPushFront(std::uint32_t node);
     ///@}
 
+    /** @name Dirty bitmap maintenance. */
+    ///@{
+    /** Set @p key's (clear) dirty bit. */
+    void setDirty(std::uint64_t key);
+    /** Clear @p key's (set) dirty bit. */
+    void clearDirty(std::uint64_t key);
+    ///@}
+
     DramBufferConfig cfg;
     std::size_t capacityFrames;
     double psPerByte; //!< precomputed occupancy multiplier
@@ -204,7 +251,39 @@ class DramBuffer
 
     /** Eviction tie-break policy; empty = exact LRU tail. */
     VictimSelector victimSel;
+
+    /** Bit k%64 of word k/64 = frame key k is resident and dirty. */
+    std::vector<std::uint64_t> dirtyBits;
+    /** Bit w%64 of word w/64 = dirtyBits[w] is nonzero. dirtyBits
+     *  holds whole summary words, so every summary bit has its word. */
+    std::vector<std::uint64_t> dirtySummary;
+    std::size_t dirtyTotal = 0;
 };
+
+template <typename Fn>
+std::size_t
+DramBuffer::forEachDirtyAscending(std::size_t limit, Fn&& fn) const
+{
+    // Stopping after the dirty population spares the summary tail.
+    std::size_t want = limit < dirtyTotal ? limit : dirtyTotal;
+    std::size_t visited = 0;
+    for (std::size_t s = 0; visited < want && s < dirtySummary.size();
+         ++s) {
+        for (std::uint64_t words = dirtySummary[s];
+             words != 0 && visited < want; words &= words - 1) {
+            std::uint64_t w = s * 64 + __builtin_ctzll(words);
+            // A summary bit promises a nonzero word, so the first
+            // count-trailing-zeros needs no test.
+            std::uint64_t bits = dirtyBits[w];
+            do {
+                fn(w * 64 + __builtin_ctzll(bits));
+                ++visited;
+                bits &= bits - 1;
+            } while (bits != 0 && visited < want);
+        }
+    }
+    return visited;
+}
 
 /**
  * Cold-first victim selector: walk up to @p scan_limit frames from the

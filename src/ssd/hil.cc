@@ -86,11 +86,14 @@ Hil::flushAll(Tick at)
     Tick done = at + cfg.flushFirmware;
     if (!buffer)
         return done;
-    // Pooled scratch variant: flush runs on the flush-heavy `update`
-    // workload's hot path, so it must not allocate per invocation.
-    buffer->dirtyFrames(flushScratch);
-    for (std::uint64_t key : flushScratch)
-        done = std::max(done, writebackFrame(key, at + cfg.flushFirmware));
+    // Flush runs on the flush-heavy `update` workload's hot path, so it
+    // visits the dirty keys in place; writebackFrame() cleans just the
+    // key it is handed, as the visitor contract requires.
+    Tick issued = done;
+    buffer->forEachDirtyAscending(
+        buffer->dirtyCount(), [this, issued, &done](std::uint64_t key) {
+            done = std::max(done, writebackFrame(key, issued));
+        });
     return done;
 }
 

@@ -12,7 +12,6 @@
 #define HAMS_SSD_HIL_HH_
 
 #include <cstdint>
-#include <vector>
 
 #include "ftl/page_ftl.hh"
 #include "nvme/nvme_types.hh"
@@ -79,9 +78,6 @@ class Hil
     DramBuffer* buffer;
     std::uint32_t _unitsPerBlock;
     std::uint32_t unitSize;
-    /** Reused dirty-key list for flushAll (no per-flush allocation
-     *  once grown to the dirty high-water mark). */
-    std::vector<std::uint64_t> flushScratch;
 };
 
 } // namespace hams

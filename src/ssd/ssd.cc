@@ -12,14 +12,17 @@ Ssd::Ssd(const SsdConfig& cfg, EventQueue* eq) : cfg(cfg), eq(eq)
     fil = std::make_unique<Fil>(cfg.geom, cfg.nand);
     ftl = std::make_unique<PageFtl>(cfg.geom, *fil, cfg.ftl);
     ftl->attachEventQueue(eq);
-    if (cfg.hasBuffer)
-        buf = std::make_unique<DramBuffer>(cfg.buffer);
-    hil = std::make_unique<Hil>(cfg.hil, *ftl, buf.get(), cfg.geom);
-
     _logicalBlocks =
         ftl->logicalPages() * cfg.geom.pageSize / nvmeBlockSize;
     if (_logicalBlocks == 0)
         fatal("SSD '", cfg.name, "' exports zero capacity");
+
+    if (cfg.hasBuffer) {
+        DramBufferConfig buf_cfg = cfg.buffer;
+        buf_cfg.keyFrames = _logicalBlocks;
+        buf = std::make_unique<DramBuffer>(buf_cfg);
+    }
+    hil = std::make_unique<Hil>(cfg.hil, *ftl, buf.get(), cfg.geom);
 
     if (cfg.functionalData)
         store = std::make_unique<SparseMemory>(
@@ -356,21 +359,21 @@ Ssd::powerFail(std::uint64_t max_drain_frames)
         // ceil(frameBytes / pageSize) programs, the units pipeline
         // them — so the drain tick is bit-identical across
         // compilers and -O levels.
-        auto dirty = buf->dirtyFrames();
+        std::uint64_t dirty = buf->dirtyCount();
         std::uint64_t drained =
-            std::min<std::uint64_t>(dirty.size(), max_drain_frames);
+            std::min<std::uint64_t>(dirty, max_drain_frames);
         if (drained != 0) {
             std::uint64_t programs =
                 (drained * nvmeBlockSize + cfg.geom.pageSize - 1) /
                 cfg.geom.pageSize;
             std::uint64_t pus = cfg.geom.parallelUnits();
             drain = ((programs + pus - 1) / pus) * cfg.nand.tPROG;
-            for (std::uint64_t i = 0; i < drained; ++i)
-                destage(dirty[i]);
+            buf->forEachDirtyAscending(
+                drained, [this](std::uint64_t block) { destage(block); });
         }
         // A second failure mid-drain (max_drain_frames) loses every
         // frame past the destaged prefix.
-        if (drained != dirty.size())
+        if (drained != dirty)
             volatileData.clear();
     } else {
         // No supercap: buffered writes that never reached flash are gone.

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <list>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "baselines/mmap_platform.hh"
 #include "baselines/oracle_platform.hh"
 #include "core/hams_system.hh"
+#include "core/hotness_tracker.hh"
 #include "ssd/device_configs.hh"
 #include "ssd/ssd.hh"
 #include "cpu/core_model.hh"
@@ -384,6 +386,7 @@ TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
     DramBufferConfig cfg;
     cfg.capacity = 16 * 4096; // 16 frames: constant eviction pressure
     cfg.frameSize = 4096;
+    cfg.keyFrames = 64;
     DramBuffer buf(cfg);
     ReferenceLru ref(16);
 
@@ -416,33 +419,177 @@ TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
     }
 }
 
-TEST(DramBufferLru, DirtyFramesScratchVariantIsAllocationFree)
+TEST(DramBufferLru, WritebackRoundIsAllocationFree)
 {
     DramBufferConfig cfg;
     cfg.capacity = 32 * 4096;
     cfg.frameSize = 4096;
+    cfg.keyFrames = 64;
     DramBuffer buf(cfg);
     for (std::uint64_t k = 0; k < 24; ++k)
         buf.insert(k, /*dirty=*/true);
 
-    // First call grows the scratch to the dirty high-water mark...
-    std::vector<std::uint64_t> scratch;
-    buf.dirtyFrames(scratch);
-    ASSERT_EQ(scratch.size(), 24u);
-    EXPECT_TRUE(std::is_sorted(scratch.begin(), scratch.end()));
-
-    // ...after which repeated rounds (the mmap watermark check runs
-    // per newly dirtied page) never allocate.
+    // A round (the mmap watermark check runs one per newly dirtied
+    // page) cleans the lowest-keyed batch while visiting it, then the
+    // workload re-dirties those pages in place; neither allocates.
+    constexpr std::size_t batch = 8;
+    std::uint64_t cleaned[batch];
     alloc_hook::AllocCounter allocs;
     for (int round = 0; round < 100; ++round) {
-        buf.markClean(5);
-        buf.insert(5, /*dirty=*/true);
-        buf.dirtyFrames(scratch);
-        ASSERT_EQ(scratch.size(), 24u);
+        std::size_t n = 0;
+        std::size_t visited =
+            buf.forEachDirtyAscending(batch, [&](std::uint64_t key) {
+                buf.markClean(key);
+                cleaned[n++] = key;
+            });
+        ASSERT_EQ(visited, batch);
+        ASSERT_EQ(buf.dirtyCount(), 24u - batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+            ASSERT_EQ(cleaned[i], i) << "round " << round;
+            ASSERT_TRUE(buf.markDirty(cleaned[i]));
+        }
+        ASSERT_FALSE(buf.markDirty(cleaned[0])) << "already dirty";
     }
     EXPECT_EQ(allocs.delta(), 0u);
-    // Both variants agree.
-    EXPECT_EQ(buf.dirtyFrames(), scratch);
+    EXPECT_EQ(buf.dirtyFrames().size(), 24u);
+}
+
+/**
+ * The dirty bitmap against a std::set reference under seeded churn:
+ * inserts clean and dirty, re-dirtying resident frames, markClean,
+ * erase, writeback rounds that clean what they visit, capacity
+ * evictions (exact LRU and cold-first victims) and dropAll. Keys span
+ * five summary words (4096 keys each), in clusters that share bitmap
+ * words and straddle summary-word boundaries. After every step the
+ * ascending visit, its prefixes and dirtyCount() must match the
+ * reference.
+ */
+void
+checkDirtyAgainstReference(bool cold_first)
+{
+    constexpr std::size_t capacity = 48;
+    constexpr std::uint64_t key_space = 5 * 4096;
+    DramBufferConfig cfg;
+    cfg.capacity = capacity * 4096;
+    cfg.frameSize = 4096;
+    cfg.keyFrames = key_space;
+    DramBuffer buf(cfg);
+    TieringConfig tcfg;
+    tcfg.enabled = true;
+    tcfg.epochAccesses = 1u << 20;
+    tcfg.hotThreshold = 2;
+    HotnessTracker hot(key_space * 4096, tcfg);
+    if (cold_first)
+        buf.setVictimSelector(makeColdFirstSelector(hot, 4096, 8));
+
+    std::set<std::uint64_t> resident;
+    std::set<std::uint64_t> dirty;
+    Rng rng(cold_first ? 1234 : 4321);
+    auto pick = [&rng]() -> std::uint64_t {
+        if (rng.below(2) == 0)
+            return rng.below(key_space);
+        // 16-key clusters across the first four summary-word seams.
+        std::uint64_t i = rng.below(64);
+        return (i / 16) * 4096 + 4000 + (i % 16) * 7;
+    };
+    auto insert = [&](std::uint64_t key, bool d, int step) {
+        BufferEviction ev = buf.insert(key, d);
+        if (resident.count(key)) {
+            ASSERT_FALSE(ev.happened) << "step " << step;
+        } else if (resident.size() >= capacity) {
+            ASSERT_TRUE(ev.happened) << "step " << step;
+            ASSERT_EQ(resident.count(ev.frameKey), 1u) << "step " << step;
+            ASSERT_EQ(ev.dirty, dirty.count(ev.frameKey) == 1)
+                << "step " << step;
+            resident.erase(ev.frameKey);
+            dirty.erase(ev.frameKey);
+        } else {
+            ASSERT_FALSE(ev.happened) << "step " << step;
+        }
+        resident.insert(key);
+        if (d)
+            dirty.insert(key);
+    };
+
+    std::vector<std::uint64_t> got;
+    for (int step = 0; step < 20000; ++step) {
+        std::uint64_t key = pick();
+        switch (rng.below(16)) {
+          case 0: case 1: case 2: case 3:
+            insert(key, /*dirty=*/true, step);
+            break;
+          case 4: case 5: case 6:
+            insert(key, /*dirty=*/false, step);
+            break;
+          case 7: case 8: {
+            bool became = resident.count(key) && !dirty.count(key);
+            ASSERT_EQ(buf.markDirty(key), became) << "step " << step;
+            if (became)
+                dirty.insert(key);
+            break;
+          }
+          case 9: case 10:
+            buf.markClean(key);
+            dirty.erase(key);
+            break;
+          case 11:
+            buf.erase(key);
+            resident.erase(key);
+            dirty.erase(key);
+            break;
+          case 12: {
+            std::size_t batch = rng.below(8);
+            std::size_t visited = buf.forEachDirtyAscending(
+                batch, [&buf](std::uint64_t k) { buf.markClean(k); });
+            ASSERT_EQ(visited, std::min(batch, dirty.size()))
+                << "step " << step;
+            for (std::size_t i = 0; i < visited; ++i)
+                dirty.erase(dirty.begin());
+            break;
+          }
+          case 13:
+            if (rng.below(64) == 0) {
+                buf.dropAll();
+                resident.clear();
+                dirty.clear();
+            }
+            break;
+          default:
+            ASSERT_EQ(buf.lookup(key), resident.count(key) == 1)
+                << "step " << step;
+            hot.touch(key * 4096);
+            break;
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+        ASSERT_EQ(buf.isDirty(key), dirty.count(key) == 1)
+            << "step " << step;
+        ASSERT_EQ(buf.dirtyCount(), dirty.size()) << "step " << step;
+        ASSERT_EQ(buf.residentFrames(), resident.size()) << "step " << step;
+        std::vector<std::uint64_t> want(dirty.begin(), dirty.end());
+        ASSERT_EQ(buf.dirtyFrames(), want) << "step " << step;
+        for (std::size_t k : {std::size_t(0), std::size_t(1),
+                              std::size_t(64), want.size()}) {
+            got.clear();
+            std::size_t visited = buf.forEachDirtyAscending(
+                k, [&got](std::uint64_t key) { got.push_back(key); });
+            std::size_t n = std::min(k, want.size());
+            ASSERT_EQ(visited, n) << "step " << step << " k " << k;
+            ASSERT_EQ(got, std::vector<std::uint64_t>(want.begin(),
+                                                      want.begin() + n))
+                << "step " << step << " k " << k;
+        }
+    }
+}
+
+TEST(DramBufferDirty, AscendingMatchesSortedReference)
+{
+    for (bool cold_first : {false, true}) {
+        SCOPED_TRACE(cold_first ? "cold-first victims" : "exact LRU victims");
+        checkDirtyAgainstReference(cold_first);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 TEST(DramBufferLru, SteadyStateChurnIsAllocationFree)
@@ -450,6 +597,7 @@ TEST(DramBufferLru, SteadyStateChurnIsAllocationFree)
     DramBufferConfig cfg;
     cfg.capacity = 8 * 4096;
     cfg.frameSize = 4096;
+    cfg.keyFrames = 64;
     DramBuffer buf(cfg);
     // Warm the node arena past capacity so evictions recycle nodes.
     for (std::uint64_t k = 0; k < 32; ++k)

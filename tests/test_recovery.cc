@@ -263,9 +263,10 @@ TEST(Recovery, PooledContextsReclaimedAcrossPowerCycles)
 TEST(Recovery, SupercapDrainInterruptedBySecondFailure)
 {
     // A second power failure mid-drain: only the frames the supercap
-    // managed to destage (the lowest-keyed prefix — dirtyFrames() is
-    // sorted) are durable; everything past the interruption point
-    // reverts to its last durable version, not to torn bytes.
+    // managed to destage (the lowest-keyed prefix — the drain visits
+    // dirty keys in ascending order) are durable; everything past the
+    // interruption point reverts to its last durable version, not to
+    // torn bytes.
     SsdConfig cfg = ullFlashConfig(1ull << 30, /*functional_data=*/true,
                                    /*with_supercap=*/true,
                                    /*with_buffer=*/true);
@@ -280,7 +281,7 @@ TEST(Recovery, SupercapDrainInterruptedBySecondFailure)
                     frame.size());
         ssd.hostWrite(b, 1, /*fua=*/false, 0, frame.data());
     }
-    ASSERT_EQ(ssd.buffer()->dirtyFrames().size(), frames);
+    ASSERT_EQ(ssd.buffer()->dirtyCount(), frames);
 
     constexpr std::uint64_t budget = 3;
     eq.reset(false);

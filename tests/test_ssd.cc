@@ -29,6 +29,7 @@ tinyUll(bool buffer = true, bool supercap = false)
 TEST(DramBuffer, LruEvictsOldest)
 {
     DramBufferConfig cfg;
+    cfg.keyFrames = 1024;
     cfg.capacity = 4 * 4096;
     DramBuffer buf(cfg);
     for (std::uint64_t k = 0; k < 4; ++k)
@@ -42,6 +43,7 @@ TEST(DramBuffer, LruEvictsOldest)
 TEST(DramBuffer, DirtyStateTracked)
 {
     DramBufferConfig cfg;
+    cfg.keyFrames = 1024;
     cfg.capacity = 4 * 4096;
     DramBuffer buf(cfg);
     buf.insert(7, true);
@@ -53,6 +55,7 @@ TEST(DramBuffer, DirtyStateTracked)
 TEST(DramBuffer, InsertExistingMergesDirty)
 {
     DramBufferConfig cfg;
+    cfg.keyFrames = 1024;
     cfg.capacity = 4 * 4096;
     DramBuffer buf(cfg);
     buf.insert(7, false);
@@ -64,6 +67,7 @@ TEST(DramBuffer, InsertExistingMergesDirty)
 TEST(DramBuffer, AccessOccupiesBandwidth)
 {
     DramBufferConfig cfg;
+    cfg.keyFrames = 1024;
     cfg.bandwidth = 1e9;
     DramBuffer buf(cfg);
     Tick a = buf.access(4096, 0);
@@ -74,6 +78,7 @@ TEST(DramBuffer, AccessOccupiesBandwidth)
 TEST(DramBuffer, DirtyFramesEnumerated)
 {
     DramBufferConfig cfg;
+    cfg.keyFrames = 1024;
     cfg.capacity = 16 * 4096;
     DramBuffer buf(cfg);
     buf.insert(3, true);

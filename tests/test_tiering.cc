@@ -163,6 +163,7 @@ smallBuffer(std::uint64_t frames)
     DramBufferConfig c;
     c.capacity = frames * 4096;
     c.frameSize = 4096;
+    c.keyFrames = 1u << 16;
     return DramBuffer(c);
 }
 
