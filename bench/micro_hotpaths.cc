@@ -244,8 +244,7 @@ BM_MmapWritebackRound(benchmark::State& state)
     constexpr std::uint32_t batch = 64;
     DramBufferConfig cfg;
     cfg.capacity = frames * 4096;
-    cfg.keyFrames = file_pages;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, file_pages);
     Rng rng(8);
     std::vector<std::uint64_t> resident;
     resident.reserve(frames);

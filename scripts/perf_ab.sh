@@ -9,7 +9,8 @@
 # the host cancels — and prints per-pair host ns/access, the medians,
 # the base IQR, how many pairs the head won, the median setup_s and
 # peak RSS of each side, and whether the simulated-output fingerprints
-# and every sim_*/ok_frac metric agree.
+# and every sim_*/ok_frac metric agree. Each side's build and run
+# stderr goes to build-ab/<side>.log; a failing run prints its tail.
 #
 # Usage: scripts/perf_ab.sh <base-rev> <workload> [pairs] [seed]
 #   pairs defaults to 10, seed to 1; PERF_AB_SECONDS (default 10) sets
@@ -53,10 +54,14 @@ run_side() {
         src="${root}"
         target="${ab}/target-head"
     fi
-    local lines
-    lines="$(CARGO_TARGET_DIR="${target}" python3 "${src}/perfbench/run.py" \
-        --workload "${workload}" --seed "${seed}" \
-        --seconds "${seconds}" --trace 0 2>/dev/null)"
+    local lines log="${ab}/${side}.log"
+    if ! lines="$(CARGO_TARGET_DIR="${target}" python3 \
+        "${src}/perfbench/run.py" --workload "${workload}" \
+        --seed "${seed}" --seconds "${seconds}" --trace 0 2>"${log}")"; then
+        echo "perf_ab: ${side} run failed; tail of ${log}:" >&2
+        tail -n 20 "${log}" >&2
+        exit 1
+    fi
     printf '%s\n' "${lines}" | tail -n 2 |
         python3 -c 'import json, sys
 ctx, res = (json.loads(l) for l in sys.stdin)

@@ -21,8 +21,8 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
     DramBufferConfig internal_cfg;
     internal_cfg.capacity = cfg.internalDramBytes;
     internal_cfg.frameSize = nvmeBlockSize;
-    internal_cfg.keyFrames = _capacity / nvmeBlockSize;
-    internalTags = std::make_unique<DramBuffer>(internal_cfg);
+    internalTags = std::make_unique<DramBuffer>(
+        internal_cfg, _capacity / nvmeBlockSize);
 
     if (cfg.hostCaching) {
         hostDram = std::make_unique<MemoryController>(
@@ -30,8 +30,8 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
         DramBufferConfig tag_cfg;
         tag_cfg.capacity = cfg.hostDramBytes;
         tag_cfg.frameSize = nvmeBlockSize;
-        tag_cfg.keyFrames = _capacity / nvmeBlockSize;
-        hostCacheTags = std::make_unique<DramBuffer>(tag_cfg);
+        hostCacheTags = std::make_unique<DramBuffer>(
+            tag_cfg, _capacity / nvmeBlockSize);
     }
 }
 

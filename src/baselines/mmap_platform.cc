@@ -78,8 +78,8 @@ MmapPlatform::MmapPlatform(const MmapConfig& cfg)
     DramBufferConfig tag_cfg;
     tag_cfg.capacity = cfg.pageCacheBytes;
     tag_cfg.frameSize = nvmeBlockSize;
-    tag_cfg.keyFrames = _capacity / nvmeBlockSize;
-    cacheTags = std::make_unique<DramBuffer>(tag_cfg);
+    cacheTags = std::make_unique<DramBuffer>(
+        tag_cfg, _capacity / nvmeBlockSize);
 
     if (cfg.tiering.enabled) {
         // One tracker spans the file; page-cache keys, SSD LBAs and

@@ -19,8 +19,8 @@ NvdimmCPlatform::NvdimmCPlatform(const NvdimmCConfig& cfg) : cfg(cfg)
     DramBufferConfig tag_cfg;
     tag_cfg.capacity = cfg.dramBytes;
     tag_cfg.frameSize = nvmeBlockSize;
-    tag_cfg.keyFrames = _capacity / nvmeBlockSize;
-    cacheTags = std::make_unique<DramBuffer>(tag_cfg);
+    cacheTags = std::make_unique<DramBuffer>(
+        tag_cfg, _capacity / nvmeBlockSize);
 }
 
 NvdimmCPlatform::~NvdimmCPlatform() = default;

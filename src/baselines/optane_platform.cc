@@ -16,8 +16,8 @@ OptanePlatform::OptanePlatform(const OptaneConfig& cfg)
         DramBufferConfig tag_cfg;
         tag_cfg.capacity = cfg.dramCacheBytes;
         tag_cfg.frameSize = nvmeBlockSize;
-        tag_cfg.keyFrames = cfg.pmmBytes / nvmeBlockSize;
-        cacheTags = std::make_unique<DramBuffer>(tag_cfg);
+        cacheTags = std::make_unique<DramBuffer>(
+            tag_cfg, cfg.pmmBytes / nvmeBlockSize);
     }
 }
 

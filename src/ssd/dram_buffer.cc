@@ -7,14 +7,14 @@
 
 namespace hams {
 
-DramBuffer::DramBuffer(const DramBufferConfig& cfg)
-    : cfg(cfg), capacityFrames(cfg.capacity / cfg.frameSize),
+DramBuffer::DramBuffer(const DramBufferConfig& cfg,
+                       std::uint64_t key_frames)
+    : cfg(cfg), keyFrames(key_frames),
+      capacityFrames(cfg.capacity / cfg.frameSize),
       psPerByte(1e12 / cfg.bandwidth)
 {
     if (capacityFrames == 0)
         fatal("DRAM buffer smaller than one frame");
-    if (cfg.keyFrames == 0)
-        fatal("DRAM buffer key space (keyFrames) not set");
 
     // Table at <= 50% load so linear probes stay short.
     std::uint64_t want = std::uint64_t(capacityFrames) * 2;
@@ -24,7 +24,7 @@ DramBuffer::DramBuffer(const DramBufferConfig& cfg)
     table.assign(size, 0);
     tableMask = static_cast<std::uint32_t>(size - 1);
 
-    std::uint64_t summary_words = (cfg.keyFrames + 4095) / 4096;
+    std::uint64_t summary_words = (key_frames + 4095) / 4096;
     dirtyBits.assign(summary_words * 64, 0);
     dirtySummary.assign(summary_words, 0);
 }
@@ -143,9 +143,9 @@ DramBuffer::lookup(std::uint64_t key)
 void
 DramBuffer::setDirty(std::uint64_t key)
 {
-    if (key >= cfg.keyFrames)
+    if (key >= keyFrames)
         fatal("dirty frame key ", key, " beyond the buffer's ",
-              cfg.keyFrames, "-key space");
+              keyFrames, "-key space");
     std::uint64_t w = key >> 6;
     dirtyBits[w] |= std::uint64_t(1) << (key & 63);
     dirtySummary[w >> 6] |= std::uint64_t(1) << (w & 63);

@@ -22,7 +22,7 @@
  * markClean() are bit tests, and a writeback round takes the smallest
  * dirty keys by count-trailing-zeros over the summary, then over the
  * words: O(batch + summary words), whatever the number of resident
- * frames. The bitmap is sized once, at the configured key space: one
+ * frames. The bitmap is sized once, at the owner's key space: one
  * bit per key plus one summary bit per 64 keys (32 KiB + 64 summary
  * words for a 1 GiB device), so dirtying a frame never allocates.
  */
@@ -46,10 +46,6 @@ struct DramBufferConfig
 {
     std::uint64_t capacity = 512ull << 20;
     std::uint32_t frameSize = 4096;
-    /** Key space: every frame key is below this (file pages for a page
-     *  cache, LBA blocks for an SSD buffer). Sizes the dirty bitmap;
-     *  must be set. */
-    std::uint64_t keyFrames = 0;
     double bandwidth = 6.4e9;           //!< internal DDR bytes/s
     Tick accessLatency = nanoseconds(250); //!< array + controller latency
 };
@@ -83,7 +79,12 @@ class DramBuffer
     using VictimSelector =
         InlineFunction<std::uint32_t(const DramBuffer&)>;
 
-    explicit DramBuffer(const DramBufferConfig& cfg);
+    /**
+     * @param key_frames Key space: every frame key is below it (file
+     *        pages for a page cache, LBA blocks for an SSD buffer). It
+     *        sizes the dirty bitmap; dirtying a key beyond it is fatal.
+     */
+    DramBuffer(const DramBufferConfig& cfg, std::uint64_t key_frames);
 
     /**
      * Install an eviction tie-break policy (empty restores exact LRU).
@@ -234,6 +235,7 @@ class DramBuffer
     ///@}
 
     DramBufferConfig cfg;
+    std::uint64_t keyFrames; //!< key space (exclusive key bound)
     std::size_t capacityFrames;
     double psPerByte; //!< precomputed occupancy multiplier
     Tick busyUntil = 0;

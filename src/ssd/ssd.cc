@@ -17,11 +17,8 @@ Ssd::Ssd(const SsdConfig& cfg, EventQueue* eq) : cfg(cfg), eq(eq)
     if (_logicalBlocks == 0)
         fatal("SSD '", cfg.name, "' exports zero capacity");
 
-    if (cfg.hasBuffer) {
-        DramBufferConfig buf_cfg = cfg.buffer;
-        buf_cfg.keyFrames = _logicalBlocks;
-        buf = std::make_unique<DramBuffer>(buf_cfg);
-    }
+    if (cfg.hasBuffer)
+        buf = std::make_unique<DramBuffer>(cfg.buffer, _logicalBlocks);
     hil = std::make_unique<Hil>(cfg.hil, *ftl, buf.get(), cfg.geom);
 
     if (cfg.functionalData)

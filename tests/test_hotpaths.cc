@@ -386,8 +386,7 @@ TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
     DramBufferConfig cfg;
     cfg.capacity = 16 * 4096; // 16 frames: constant eviction pressure
     cfg.frameSize = 4096;
-    cfg.keyFrames = 64;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 64);
     ReferenceLru ref(16);
 
     Rng rng(42);
@@ -424,8 +423,7 @@ TEST(DramBufferLru, WritebackRoundIsAllocationFree)
     DramBufferConfig cfg;
     cfg.capacity = 32 * 4096;
     cfg.frameSize = 4096;
-    cfg.keyFrames = 64;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 64);
     for (std::uint64_t k = 0; k < 24; ++k)
         buf.insert(k, /*dirty=*/true);
 
@@ -472,8 +470,7 @@ checkDirtyAgainstReference(bool cold_first)
     DramBufferConfig cfg;
     cfg.capacity = capacity * 4096;
     cfg.frameSize = 4096;
-    cfg.keyFrames = key_space;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, key_space);
     TieringConfig tcfg;
     tcfg.enabled = true;
     tcfg.epochAccesses = 1u << 20;
@@ -597,8 +594,7 @@ TEST(DramBufferLru, SteadyStateChurnIsAllocationFree)
     DramBufferConfig cfg;
     cfg.capacity = 8 * 4096;
     cfg.frameSize = 4096;
-    cfg.keyFrames = 64;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 64);
     // Warm the node arena past capacity so evictions recycle nodes.
     for (std::uint64_t k = 0; k < 32; ++k)
         buf.insert(k, k % 2 == 0);

@@ -29,9 +29,8 @@ tinyUll(bool buffer = true, bool supercap = false)
 TEST(DramBuffer, LruEvictsOldest)
 {
     DramBufferConfig cfg;
-    cfg.keyFrames = 1024;
     cfg.capacity = 4 * 4096;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 1024);
     for (std::uint64_t k = 0; k < 4; ++k)
         EXPECT_FALSE(buf.insert(k, false).happened);
     buf.lookup(0); // refresh 0; victim should be 1
@@ -43,9 +42,8 @@ TEST(DramBuffer, LruEvictsOldest)
 TEST(DramBuffer, DirtyStateTracked)
 {
     DramBufferConfig cfg;
-    cfg.keyFrames = 1024;
     cfg.capacity = 4 * 4096;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 1024);
     buf.insert(7, true);
     EXPECT_TRUE(buf.isDirty(7));
     buf.markClean(7);
@@ -55,9 +53,8 @@ TEST(DramBuffer, DirtyStateTracked)
 TEST(DramBuffer, InsertExistingMergesDirty)
 {
     DramBufferConfig cfg;
-    cfg.keyFrames = 1024;
     cfg.capacity = 4 * 4096;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 1024);
     buf.insert(7, false);
     buf.insert(7, true);
     EXPECT_TRUE(buf.isDirty(7));
@@ -67,9 +64,8 @@ TEST(DramBuffer, InsertExistingMergesDirty)
 TEST(DramBuffer, AccessOccupiesBandwidth)
 {
     DramBufferConfig cfg;
-    cfg.keyFrames = 1024;
     cfg.bandwidth = 1e9;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 1024);
     Tick a = buf.access(4096, 0);
     Tick b = buf.access(4096, 0);
     EXPECT_GT(b, a); // second transfer queued behind the first
@@ -78,9 +74,8 @@ TEST(DramBuffer, AccessOccupiesBandwidth)
 TEST(DramBuffer, DirtyFramesEnumerated)
 {
     DramBufferConfig cfg;
-    cfg.keyFrames = 1024;
     cfg.capacity = 16 * 4096;
-    DramBuffer buf(cfg);
+    DramBuffer buf(cfg, 1024);
     buf.insert(3, true);
     buf.insert(5, false);
     buf.insert(9, true);

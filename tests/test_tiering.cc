@@ -163,8 +163,7 @@ smallBuffer(std::uint64_t frames)
     DramBufferConfig c;
     c.capacity = frames * 4096;
     c.frameSize = 4096;
-    c.keyFrames = 1u << 16;
-    return DramBuffer(c);
+    return DramBuffer(c, 1u << 16);
 }
 
 /**
