@@ -29,6 +29,18 @@ scale()
     return s == 0 ? 1 : s;
 }
 
+std::size_t
+benchThreads()
+{
+    std::size_t workers = std::thread::hardware_concurrency();
+    if (const char* env = std::getenv("HAMS_BENCH_THREADS")) {
+        std::uint64_t n = std::strtoull(env, nullptr, 10);
+        if (n > 0)
+            workers = static_cast<std::size_t>(n);
+    }
+    return workers == 0 ? 1 : workers;
+}
+
 BenchGeometry
 BenchGeometry::scaled()
 {
@@ -186,15 +198,7 @@ runCells(std::size_t count,
          const std::function<std::string(std::size_t)>& label,
          const std::function<void(std::size_t)>& body)
 {
-    std::size_t workers = std::thread::hardware_concurrency();
-    if (const char* env = std::getenv("HAMS_BENCH_THREADS")) {
-        std::uint64_t n = std::strtoull(env, nullptr, 10);
-        if (n > 0)
-            workers = static_cast<std::size_t>(n);
-    }
-    if (workers == 0)
-        workers = 1;
-    workers = std::min(workers, count);
+    std::size_t workers = std::min(benchThreads(), count);
 
     auto annotate = [&](std::size_t i, const char* what) {
         return "sweep cell [" + label(i) + "]: " + what;
@@ -466,6 +470,28 @@ runClosedLoop(MemoryPlatform& platform, std::uint32_t queue_depth,
                             (*slots)[i].done = w;
                         });
     }
+}
+
+Ssd&
+backingSsdOf(MemoryPlatform& platform)
+{
+    if (auto* h = dynamic_cast<HamsSystem*>(&platform))
+        return h->ullFlash();
+    if (auto* m = dynamic_cast<MmapPlatform*>(&platform))
+        return m->backingSsd();
+    panic("platform without a backing SSD");
+}
+
+void
+prefill(Ssd& ssd, std::uint64_t pages)
+{
+    PageFtl& ftl = ssd.pageFtl();
+    Tick t = 0;
+    std::uint32_t page_size = ssd.config().geom.pageSize;
+    for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
+        t = ftl.writePage(lpn, page_size, t);
+    ssd.flashLayer().reset();
+    ftl.onFlashReset(); // handles died with the FIL's registry
 }
 
 std::string

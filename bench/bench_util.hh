@@ -27,10 +27,18 @@
 #include "cpu/smp_model.hh"
 #include "workload/workload.hh"
 
+namespace hams {
+class Ssd;
+} // namespace hams
+
 namespace hams::bench {
 
 /** Multiplier from the HAMS_BENCH_SCALE environment variable. */
 std::uint64_t scale();
+
+/** Worker cap of the cell-parallel runners: HAMS_BENCH_THREADS, or
+ *  the hardware concurrency when unset (at least 1). */
+std::size_t benchThreads();
 
 /** Scaled run-geometry shared by the harnesses. */
 struct BenchGeometry
@@ -206,14 +214,26 @@ void runClosedLoop(
     std::uint64_t completions, const std::function<MemAccess()>& next_access,
     const std::function<void(std::uint64_t, Tick, Tick)>& on_done);
 
+/** The ULL-Flash behind a HAMS system or an mmap platform (panics for
+ *  any other platform). */
+Ssd& backingSsdOf(MemoryPlatform& platform);
+
+/**
+ * Lay data out on logical pages [0, @p pages) of @p ssd, then clear the
+ * flash busy-state: the device starts the measured phase idle but
+ * loaded.
+ */
+void prefill(Ssd& ssd, std::uint64_t pages);
+
 /** Print a harness banner with the figure reference. */
 void banner(const std::string& figure, const std::string& what);
 
 /**
  * Output path for machine-readable benchmark results: the
- * HAMS_BENCH_JSON environment variable, or @p fallback. Used by
- * micro_hotpaths to write BENCH_hotpaths.json so every PR records a
- * perf trajectory.
+ * HAMS_BENCH_JSON environment variable, or @p fallback. Every bench
+ * binary that writes a BENCH_*.json (micro_hotpaths and the sweeps
+ * behind harness.hh) passes its own file name as @p fallback, so run
+ * from the repo root each one updates its committed trajectory file.
  */
 std::string jsonOutPath(const std::string& fallback);
 

@@ -27,6 +27,9 @@
  * band, foreground stall ticks, write amplification (1 + GC programs
  * per host program) and the deepest pacer level reached.
  *
+ * Gate, checked in the binary (harness.hh; a failure exits 1): the
+ * pacer engages (pace_level_max > 0) in at least one paced cell.
+ *
  * Deterministic: fixed seeds, one fresh platform per cell; reruns —
  * at any HAMS_BENCH_THREADS setting — produce byte-identical tables.
  * Results land in BENCH_gc.json (HAMS_BENCH_JSON overrides,
@@ -42,6 +45,7 @@
 #include "baselines/mmap_platform.hh"
 #include "bench_util.hh"
 #include "core/hams_system.hh"
+#include "harness.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd.hh"
@@ -73,21 +77,33 @@ struct GcCell
     GcMode mode = GcMode::Sync;
 };
 
+/** One cell's result and BENCH_gc.json row. */
+#define HAMS_GC_RESULT_FIELDS(X)                                           \
+    X(keep, double, opsPerSec)                                             \
+    X(keep, double, p50Us)                                                 \
+    X(keep, double, p99Us)                                                 \
+    /* the GC cliff lives out here */                                      \
+    X(keep, double, p999Us)                                                \
+    X(keep, double, maxUs)                                                 \
+    X(keep, FtlStats, ftl)                                                 \
+    /* background (GC) flash ops and suspensions (FlashActivity) */        \
+    X(keep, std::uint64_t, gcReads)                                        \
+    X(keep, std::uint64_t, gcPrograms)                                     \
+    X(keep, std::uint64_t, gcErases)                                       \
+    X(keep, std::uint64_t, suspensions)                                    \
+    X(keep, std::uint32_t, minFreeBlocks)                                  \
+    /* end-of-run per-unit average */                                      \
+    X(keep, double, avgFreeBlocks)                                         \
+    /* sampled at every measured completion */                             \
+    X(keep, double, avgFreeSustained)                                      \
+    /* sustained free level's position in the [reserve, high] band */      \
+    X(keep, double, bandOccupancy)                                         \
+    /* 1 + GC relocations per host program */                              \
+    X(keep, double, writeAmp)
+
 struct GcResult
 {
-    double opsPerSec = 0;
-    double p50us = 0;
-    double p99us = 0;
-    double p999us = 0; //!< the GC cliff lives out here
-    double maxus = 0;
-    FtlStats ftl;
-    FlashActivity flash;
-    std::uint32_t minFree = 0;
-    double avgFree = 0;          //!< end-of-run per-unit average
-    double avgFreeSustained = 0; //!< sampled at every measured completion
-    /** Sustained free level's position in the [reserve, high] band. */
-    double bandOccupancy = 0;
-    double writeAmp = 0; //!< 1 + GC relocations per host program
+    HAMS_FIELDS(GcResult, HAMS_GC_RESULT_FIELDS)
 };
 
 std::unique_ptr<MemoryPlatform>
@@ -126,34 +142,6 @@ buildPlatform(const GcCell& cell, const BenchGeometry& geom)
     return std::make_unique<HamsSystem>(c);
 }
 
-Ssd&
-backingSsdOf(MemoryPlatform& p)
-{
-    if (auto* h = dynamic_cast<HamsSystem*>(&p))
-        return h->ullFlash();
-    if (auto* m = dynamic_cast<MmapPlatform*>(&p))
-        return m->backingSsd();
-    panic("fig_gc: platform without a backing SSD");
-}
-
-/**
- * Lay data out on @p frac of the logical space, then clear the flash
- * busy-state: the device starts the measured phase idle but full.
- */
-void
-prefill(Ssd& ssd, double frac)
-{
-    PageFtl& ftl = ssd.pageFtl();
-    auto pages = static_cast<std::uint64_t>(
-        static_cast<double>(ftl.logicalPages()) * frac);
-    Tick t = 0;
-    std::uint32_t page_size = ssd.config().geom.pageSize;
-    for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-        t = ftl.writePage(lpn, page_size, t);
-    ssd.flashLayer().reset();
-    ftl.onFlashReset(); // handles died with the FIL's registry
-}
-
 /** Outstanding accesses: sustained write pressure, not lock-step — a
  *  GC burst then delays every in-flight and arriving access, exactly
  *  the tail a QD-1 loop hides (the single triggering access would
@@ -167,7 +155,9 @@ runCell(const GcCell& cell, const BenchGeometry& geom,
     GcResult res;
     auto platform = buildPlatform(cell, geom);
     Ssd& ssd = backingSsdOf(*platform);
-    prefill(ssd, cell.fill);
+    prefill(ssd, static_cast<std::uint64_t>(
+                     static_cast<double>(ssd.pageFtl().logicalPages()) *
+                     cell.fill));
 
     // Sustained random 64 B writes over a window 3x the host cache:
     // ~2/3 of accesses miss and evict a dirty page to the device.
@@ -217,25 +207,29 @@ runCell(const GcCell& cell, const BenchGeometry& geom,
         });
 
     std::sort(lat.begin(), lat.end());
-    res.p50us = static_cast<double>(lat[lat.size() / 2]) * 1e-6;
-    res.p99us =
+    res.p50Us = static_cast<double>(lat[lat.size() / 2]) * 1e-6;
+    res.p99Us =
         static_cast<double>(lat[(lat.size() - 1) * 99 / 100]) * 1e-6;
-    res.p999us =
+    res.p999Us =
         static_cast<double>(lat[(lat.size() - 1) * 999 / 1000]) * 1e-6;
-    res.maxus = static_cast<double>(lat.back()) * 1e-6;
+    res.maxUs = static_cast<double>(lat.back()) * 1e-6;
     res.opsPerSec = static_cast<double>(lat.size()) /
                     ticksToSeconds(last_done - measure_start);
     res.ftl = ssd.ftlStats();
-    res.flash = ssd.flashActivity();
+    FlashActivity flash = ssd.flashActivity();
+    res.gcReads = flash.gcReads;
+    res.gcPrograms = flash.gcPrograms;
+    res.gcErases = flash.gcErases;
+    res.suspensions = flash.suspensions;
     PageFtl& ftl = ssd.pageFtl();
-    res.minFree = ftl.minFreeBlocks();
+    res.minFreeBlocks = ftl.minFreeBlocks();
     double sum = 0;
     for (std::uint64_t pu = 0; pu < ftl.parallelUnits(); ++pu)
         sum += ftl.freeBlocksOf(pu);
-    res.avgFree = sum / static_cast<double>(ftl.parallelUnits());
+    res.avgFreeBlocks = sum / static_cast<double>(ftl.parallelUnits());
     res.avgFreeSustained =
         free_samples > 0 ? free_sum / static_cast<double>(free_samples)
-                         : res.avgFree;
+                         : res.avgFreeBlocks;
     const FtlConfig& fcfg = ftl.config();
     res.bandOccupancy =
         (res.avgFreeSustained - fcfg.gcReserveBlocks) /
@@ -270,11 +264,16 @@ main()
     const std::vector<double> fills = {0.25, 0.50, 0.70};
 
     std::vector<GcCell> cells;
+    std::vector<std::string> names;
     for (const auto& p : platforms)
         for (double f : fills)
             for (GcMode m : {GcMode::Sync, GcMode::Bg, GcMode::Paced,
-                             GcMode::Quality})
+                             GcMode::Quality}) {
                 cells.push_back({p, f, m});
+                names.push_back("gc/" + p + "/fill" +
+                                std::to_string(static_cast<int>(f * 100)) +
+                                "/" + modeName(m));
+            }
 
     // Cells own their platform, queue and seed: embarrassingly
     // parallel through the shared sweep runner, results reported in
@@ -282,12 +281,7 @@ main()
     std::vector<GcResult> results(cells.size());
     try {
         runCells(
-            cells.size(),
-            [&](std::size_t i) {
-                return cells[i].platform + " fill " +
-                       std::to_string(cells[i].fill) + " " +
-                       modeName(cells[i].mode);
-            },
+            cells.size(), [&](std::size_t i) { return names[i]; },
             [&](std::size_t i) {
                 // mmap's per-access device volume is far smaller (4 KiB
                 // writeback pages vs 128 KiB MoS evictions): give it
@@ -308,66 +302,28 @@ main()
                 "p99(us)", "p99.9(us)", "max(us)", "erases", "reloc",
                 "overlap", "susp", "minFree", "band", "WA", "pace");
 
-    std::string out = jsonOutPath("BENCH_gc.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-
+    BenchReport report;
+    bool pacer_engaged = false;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const GcCell& c = cells[i];
         const GcResult& r = results[i];
-        const char* mode = modeName(c.mode);
         std::printf("%-8s %5.2f %6s %10.0f %9.1f %9.1f %10.1f %10.1f "
                     "%7llu %8llu %8llu %7llu %8u %6.2f %6.2f %5u\n",
-                    c.platform.c_str(), c.fill, mode, r.opsPerSec,
-                    r.p50us, r.p99us, r.p999us, r.maxus,
+                    c.platform.c_str(), c.fill, modeName(c.mode),
+                    r.opsPerSec, r.p50Us, r.p99Us, r.p999Us, r.maxUs,
                     static_cast<unsigned long long>(r.ftl.erases),
                     static_cast<unsigned long long>(r.ftl.gcRelocations),
                     static_cast<unsigned long long>(
                         r.ftl.gcForegroundOverlap),
-                    static_cast<unsigned long long>(r.flash.suspensions),
-                    r.minFree, r.bandOccupancy, r.writeAmp,
+                    static_cast<unsigned long long>(r.suspensions),
+                    r.minFreeBlocks, r.bandOccupancy, r.writeAmp,
                     r.ftl.paceLevelMax);
-        std::fprintf(
-            f,
-            "    {\"name\": \"gc/%s/fill%02d/%s\", "
-            "\"ops_per_sec\": %.1f, \"p50_us\": %.3f, \"p99_us\": %.3f, "
-            "\"p999_us\": %.3f, \"max_us\": %.3f, "
-            "\"gc_runs\": %llu, \"erases\": %llu, "
-            "\"gc_relocations\": %llu, "
-            "\"gc_batches\": %llu, \"gc_write_stalls\": %llu, "
-            "\"gc_stall_ticks\": %llu, \"gc_foreground_overlap\": %llu, "
-            "\"gc_reads\": %llu, \"gc_programs\": %llu, "
-            "\"gc_erases\": %llu, \"suspensions\": %llu, "
-            "\"min_free_blocks\": %u, \"avg_free_blocks\": %.2f, "
-            "\"avg_free_sustained\": %.3f, "
-            "\"band_occupancy\": %.3f, \"write_amp\": %.3f, "
-            "\"gc_stream_blocks\": %llu, \"gc_quality_deferrals\": %llu, "
-            "\"pace_level_max\": %u}%s\n",
-            c.platform.c_str(), static_cast<int>(c.fill * 100), mode,
-            r.opsPerSec, r.p50us, r.p99us, r.p999us, r.maxus,
-            static_cast<unsigned long long>(r.ftl.gcRuns),
-            static_cast<unsigned long long>(r.ftl.erases),
-            static_cast<unsigned long long>(r.ftl.gcRelocations),
-            static_cast<unsigned long long>(r.ftl.gcBatches),
-            static_cast<unsigned long long>(r.ftl.gcWriteStalls),
-            static_cast<unsigned long long>(r.ftl.gcStallTicks),
-            static_cast<unsigned long long>(r.ftl.gcForegroundOverlap),
-            static_cast<unsigned long long>(r.flash.gcReads),
-            static_cast<unsigned long long>(r.flash.gcPrograms),
-            static_cast<unsigned long long>(r.flash.gcErases),
-            static_cast<unsigned long long>(r.flash.suspensions),
-            r.minFree, r.avgFree, r.avgFreeSustained, r.bandOccupancy,
-            r.writeAmp,
-            static_cast<unsigned long long>(r.ftl.gcStreamBlocks),
-            static_cast<unsigned long long>(r.ftl.gcQualityDeferrals),
-            r.ftl.paceLevelMax, i + 1 < cells.size() ? "," : "");
+        report.row(names[i], r);
+        if (c.mode == GcMode::Paced && r.ftl.paceLevelMax > 0)
+            pacer_engaged = true;
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    report.check(pacer_engaged, "gc/*/paced",
+                 "pacer engaged (pace_level_max > 0) in a paced cell");
 
     // Side-by-side tails: the background engine removes the sync GC
     // cliff; the pacer + GC streams hold the free level up the band
@@ -386,11 +342,11 @@ main()
         double ratio = b.opsPerSec > 0 ? p.opsPerSec / b.opsPerSec : 0;
         std::printf("%-8s %5.2f %10.1fus %10.1fus %10.1fus %7.2fx "
                     "%4.1f/%.1f/%.1f %4.2f/%.2f/%.2f\n",
-                    cells[i].platform.c_str(), cells[i].fill, s.p99us,
-                    b.p99us, p.p99us, ratio, s.avgFreeSustained,
+                    cells[i].platform.c_str(), cells[i].fill, s.p99Us,
+                    b.p99Us, p.p99Us, ratio, s.avgFreeSustained,
                     b.avgFreeSustained, p.avgFreeSustained, b.writeAmp,
                     p.writeAmp, q.writeAmp);
     }
-    std::printf("\nResults written to %s\n", out.c_str());
-    return 0;
+    std::printf("\n");
+    return report.finish(jsonOutPath("BENCH_gc.json"));
 }

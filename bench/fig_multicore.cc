@@ -23,11 +23,31 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness.hh"
+
+namespace {
+
+using namespace hams;
+
+/** One BENCH_multicore.json row. */
+#define HAMS_MULTICORE_ROW_FIELDS(X)                                       \
+    X(keep, std::uint32_t, cores)                                          \
+    /* aggregate throughput over a perfectly scaled 1-core run */          \
+    X(keep, double, scalingEfficiency)                                     \
+    X(keep, RunResult, combined)                                           \
+    /* contention counters; zero on the non-HAMS platforms */              \
+    X(keep, HamsStats, hams)
+
+struct MulticoreRow
+{
+    HAMS_FIELDS(MulticoreRow, HAMS_MULTICORE_ROW_FIELDS)
+};
+
+} // namespace
 
 int
 main()
 {
-    using namespace hams;
     using namespace hams::bench;
 
     banner("multicore",
@@ -50,72 +70,39 @@ main()
                 "platform", "workload", "cores", "ops/s(agg)", "scale",
                 "waitQd", "waitPeak", "gateWaits", "gatePeak");
 
-    std::string out = jsonOutPath("BENCH_multicore.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-
+    BenchReport report;
     std::size_t cursor = 0;
     for (const auto& p : platforms) {
         for (const auto& w : workloads) {
             double base_ops = 0;
-            for (std::size_t k = 0; k < core_counts.size(); ++k) {
-                const SmpCellResult& cell = results[cursor];
+            for (std::uint32_t n : core_counts) {
+                const SmpCellResult& cell = results[cursor++];
                 const RunResult& comb = cell.smp.combined;
-                std::uint32_t n = core_counts[k];
                 if (n == 1)
                     base_ops = comb.opsPerSec;
-                // Scaling efficiency: aggregate throughput relative to
-                // a perfectly scaled 1-core run.
-                double scale_eff =
-                    base_ops > 0 ? comb.opsPerSec / (base_ops * n) : 0;
-
-                std::uint64_t wait_q = 0, wait_peak = 0;
-                std::uint64_t gate_w = 0, gate_peak = 0;
-                if (cell.hasHamsStats) {
-                    wait_q = cell.hams.waitQueued;
-                    wait_peak = cell.hams.waiterPeakDepth;
-                    gate_w = cell.hams.persistGateWaits;
-                    gate_peak = cell.hams.gateQueuePeakDepth;
-                }
+                MulticoreRow row{
+                    n, base_ops > 0 ? comb.opsPerSec / (base_ops * n) : 0,
+                    comb, cell.hams};
 
                 std::printf("%-10s %-8s %5u %14.0f %7.2f %10llu %9llu "
                             "%10llu %9llu\n",
                             p.c_str(), w.c_str(), n, comb.opsPerSec,
-                            scale_eff,
-                            static_cast<unsigned long long>(wait_q),
-                            static_cast<unsigned long long>(wait_peak),
-                            static_cast<unsigned long long>(gate_w),
-                            static_cast<unsigned long long>(gate_peak));
-
-                std::fprintf(
-                    f,
-                    "    {\"name\": \"multicore/%s/%s/n%u\", "
-                    "\"cores\": %u, \"ops_per_sec\": %.1f, "
-                    "\"bytes_per_sec\": %.1f, \"agg_ipc\": %.4f, "
-                    "\"sim_time_ticks\": %llu, "
-                    "\"scaling_efficiency\": %.4f, "
-                    "\"wait_queued\": %llu, \"waiter_peak_depth\": %llu, "
-                    "\"persist_gate_waits\": %llu, "
-                    "\"gate_queue_peak_depth\": %llu}%s\n",
-                    p.c_str(), w.c_str(), n, n, comb.opsPerSec,
-                    comb.bytesPerSec, comb.ipc,
-                    static_cast<unsigned long long>(comb.simTime),
-                    scale_eff, static_cast<unsigned long long>(wait_q),
-                    static_cast<unsigned long long>(wait_peak),
-                    static_cast<unsigned long long>(gate_w),
-                    static_cast<unsigned long long>(gate_peak),
-                    cursor + 1 < results.size() ? "," : "");
-                ++cursor;
+                            row.scalingEfficiency,
+                            static_cast<unsigned long long>(
+                                row.hams.waitQueued),
+                            static_cast<unsigned long long>(
+                                row.hams.waiterPeakDepth),
+                            static_cast<unsigned long long>(
+                                row.hams.persistGateWaits),
+                            static_cast<unsigned long long>(
+                                row.hams.gateQueuePeakDepth));
+                report.row("multicore/" + p + "/" + w + "/n" +
+                               std::to_string(n),
+                           row);
             }
         }
     }
 
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nResults written to %s\n", out.c_str());
-    return 0;
+    std::printf("\n");
+    return report.finish(jsonOutPath("BENCH_multicore.json"));
 }

@@ -23,10 +23,15 @@
  *    machines) and the number of acknowledged writes verified intact
  *    after recovery — a failed readback aborts the sweep.
  *
- * The whole sweep runs twice; BENCH_recovery.json records
- * "sim_outputs_identical": true only if every number of the second
- * pass is bit-identical to the first — the determinism contract the
- * crash fuzzer's replay depends on.
+ * Gates, checked in the binary (harness.hh; a failure exits 1):
+ *  - the whole sweep runs twice and every number of the second pass
+ *    is bit-identical to the first — the determinism contract the
+ *    crash fuzzer's replay depends on; the verdict lands in the JSON
+ *    as "sim_outputs_identical";
+ *  - every cell verifies at least one acknowledged write, and its
+ *    time-to-first-service beats its full-restore RTO;
+ *  - each churn cell pays for its dirty state: RTO above the matching
+ *    idle cell's, and more replayed journal entries.
  *
  * Deterministic: fixed seeds, one fresh platform per cell; results in
  * BENCH_recovery.json (HAMS_BENCH_JSON overrides, HAMS_BENCH_SCALE
@@ -42,6 +47,7 @@
 #include "bench_util.hh"
 #include "core/hams_system.hh"
 #include "ftl/page_ftl.hh"
+#include "harness.hh"
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -59,34 +65,50 @@ struct RecoveryCell
     bool churn = false;   //!< drive GC debt before the cut
 };
 
+/** One cell's result and BENCH_recovery.json row. The _ms/_us
+ *  columns are the tick columns in readable units. */
+#define HAMS_RECOVERY_RESULT_FIELDS(X)                                     \
+    /* verified intact after recovery */                                   \
+    X(keep, std::uint64_t, ackedWritesVerified)                            \
+    /* accesses pending at the cut */                                      \
+    X(keep, std::uint64_t, inFlightAtCut)                                  \
+    /* supercap-destaged dirty frames */                                   \
+    X(keep, std::uint64_t, drainFrames)                                    \
+    /* integer-path drain cost */                                          \
+    X(keep, Tick, drainTicks)                                              \
+    X(keep, double, drainUs)                                               \
+    /* when the power failed */                                            \
+    X(keep, Tick, cutTick)                                                 \
+    /* cut -> recovery complete */                                         \
+    X(keep, Tick, rtoTicks)                                                \
+    X(keep, double, rtoMs)                                                 \
+    /* cut -> first degraded service */                                    \
+    X(keep, Tick, ttfsTicks)                                               \
+    X(keep, double, timeToFirstServiceMs)                                  \
+    /* journal entries re-issued */                                        \
+    X(keep, std::uint64_t, replayEntries)                                  \
+    /* restore floor inside the RTO, and the replay remainder */           \
+    X(keep, Tick, nvdimmRestoreTicks)                                      \
+    X(keep, double, nvdimmRestoreMs)                                       \
+    X(keep, double, replayMs)                                              \
+    X(keep, bool, gcActiveAtCut)                                           \
+    /* free-block level the cut saw */                                     \
+    X(keep, double, avgFreeAtCut)                                          \
+    /* GC debt paid before the cut */                                      \
+    X(keep, std::uint64_t, gcRelocations)
+
 struct RecoveryResult
 {
-    std::uint64_t ackedWrites = 0;   //!< verified intact after recovery
-    std::uint64_t inFlight = 0;      //!< accesses pending at the cut
-    std::uint64_t drainFrames = 0;   //!< supercap-destaged dirty frames
-    Tick drainTicks = 0;             //!< integer-path drain cost
-    Tick cutTick = 0;                //!< when the power failed
-    Tick rtoTicks = 0;               //!< cut -> recovery complete
-    Tick ttfsTicks = 0;              //!< cut -> first degraded service
-    Tick nvdimmRestoreTicks = 0;     //!< restore floor inside the RTO
-    std::uint64_t replayEntries = 0; //!< journal entries re-issued
-    double avgFreeAtCut = 0;         //!< free-block level the cut saw
-    std::uint64_t gcRelocations = 0; //!< GC debt paid before the cut
-    bool gcActiveAtCut = false;
+    HAMS_FIELDS(RecoveryResult, HAMS_RECOVERY_RESULT_FIELDS)
+};
 
-    bool
-    operator==(const RecoveryResult& o) const
-    {
-        return ackedWrites == o.ackedWrites && inFlight == o.inFlight &&
-               drainFrames == o.drainFrames &&
-               drainTicks == o.drainTicks && cutTick == o.cutTick &&
-               rtoTicks == o.rtoTicks && ttfsTicks == o.ttfsTicks &&
-               nvdimmRestoreTicks == o.nvdimmRestoreTicks &&
-               replayEntries == o.replayEntries &&
-               avgFreeAtCut == o.avgFreeAtCut &&
-               gcRelocations == o.gcRelocations &&
-               gcActiveAtCut == o.gcActiveAtCut;
-    }
+#define HAMS_RECOVERY_SUMMARY_FIELDS(X)                                    \
+    /* every number of the rerun pass equals the first pass */             \
+    X(keep, bool, simOutputsIdentical)
+
+struct RecoverySummary
+{
+    HAMS_FIELDS(RecoverySummary, HAMS_RECOVERY_SUMMARY_FIELDS)
 };
 
 HamsSystemConfig
@@ -119,16 +141,9 @@ runCell(const RecoveryCell& cell, std::uint64_t traffic)
     Ssd& ssd = sys.ullFlash();
     PageFtl& ftl = ssd.pageFtl();
 
-    // Lay data out on the fill fraction of the flash, then clear the
-    // busy-state: the device starts loaded but idle (fig_gc's scheme).
-    auto pages = static_cast<std::uint64_t>(
-        static_cast<double>(ftl.logicalPages()) * cell.fill);
-    Tick t = 0;
-    std::uint32_t page_size = ssd.config().geom.pageSize;
-    for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-        t = ftl.writePage(lpn, page_size, t);
-    ssd.flashLayer().reset();
-    ftl.onFlashReset();
+    // The device starts loaded to the fill fraction but idle.
+    prefill(ssd, static_cast<std::uint64_t>(
+                     static_cast<double>(ftl.logicalPages()) * cell.fill));
 
     // Acknowledged dirty-miss traffic over a window 3x the MoS cache:
     // evictions reach the flash, and under the churn debt level the
@@ -164,7 +179,7 @@ runCell(const RecoveryCell& cell, std::uint64_t traffic)
     plan.param = 16;
     inj.arm(plan);
     inj.pumpToCut();
-    res.inFlight = eq.pending();
+    res.inFlightAtCut = eq.pending();
     res.gcActiveAtCut = ftl.gcActive();
     double free_sum = 0;
     for (std::uint64_t pu = 0; pu < ftl.parallelUnits(); ++pu)
@@ -221,12 +236,13 @@ runCell(const RecoveryCell& cell, std::uint64_t traffic)
         throw std::runtime_error("online recovery never completed in " +
                                  cell.platform);
     res.rtoTicks = rec_tick - res.cutTick;
-    if (res.ttfsTicks >= res.rtoTicks)
-        throw std::runtime_error(
-            "time-to-first-service did not beat full-restore RTO in " +
-            cell.platform);
     res.replayEntries = sys.stats().replayedCommands;
     res.nvdimmRestoreTicks = sys.nvdimmModule().fullRestoreTicks();
+    res.drainUs = static_cast<double>(res.drainTicks) * 1e-6;
+    res.rtoMs = static_cast<double>(res.rtoTicks) * 1e-9;
+    res.timeToFirstServiceMs = static_cast<double>(res.ttfsTicks) * 1e-9;
+    res.nvdimmRestoreMs = static_cast<double>(res.nvdimmRestoreTicks) * 1e-9;
+    res.replayMs = res.rtoMs - res.nvdimmRestoreMs;
 
     // Every acknowledged write must read back intact.
     for (const auto& [addr, val] : acked) {
@@ -235,7 +251,7 @@ runCell(const RecoveryCell& cell, std::uint64_t traffic)
         if (got != val)
             throw std::runtime_error(
                 "acked write lost across recovery in " + cell.platform);
-        ++res.ackedWrites;
+        ++res.ackedWritesVerified;
     }
     return res;
 }
@@ -254,22 +270,22 @@ main()
     const std::vector<double> fills = {0.25, 0.50, 0.70};
 
     std::vector<RecoveryCell> cells;
+    std::vector<std::string> names;
     for (const auto& p : platforms)
         for (double f : fills)
-            for (bool churn : {false, true})
+            for (bool churn : {false, true}) {
                 cells.push_back({p, f, churn});
+                names.push_back("recovery/" + p + "/fill" +
+                                std::to_string(static_cast<int>(f * 100)) +
+                                (churn ? "/churn" : "/idle"));
+            }
 
     // The sweep runs twice; pass 2 must be bit-identical to pass 1.
     std::vector<RecoveryResult> results(cells.size());
     std::vector<RecoveryResult> rerun(cells.size());
     try {
         runCells(
-            cells.size(),
-            [&](std::size_t i) {
-                return cells[i].platform + " fill " +
-                       std::to_string(cells[i].fill) +
-                       (cells[i].churn ? " churn" : " idle");
-            },
+            cells.size(), [&](std::size_t i) { return names[i]; },
             [&](std::size_t i) {
                 results[i] = runCell(cells[i], traffic);
                 rerun[i] = runCell(cells[i], traffic);
@@ -278,76 +294,46 @@ main()
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
-    bool identical = true;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        identical = identical && results[i] == rerun[i];
 
     std::printf("\n%-8s %5s %6s %9s %9s %8s %9s %9s %8s %7s %8s %6s\n",
                 "platform", "fill", "debt", "acked", "inflight",
                 "drainFr", "ttfs(ms)", "rto(ms)", "restore", "replay",
                 "reloc", "free");
-
-    std::string out = jsonOutPath("BENCH_recovery.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"sim_outputs_identical\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(f, "  \"benchmarks\": [\n");
-
+    BenchReport report;
+    bool identical = true;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const RecoveryCell& c = cells[i];
         const RecoveryResult& r = results[i];
-        double rto_ms = static_cast<double>(r.rtoTicks) * 1e-9;
-        double ttfs_ms = static_cast<double>(r.ttfsTicks) * 1e-9;
-        double restore_ms =
-            static_cast<double>(r.nvdimmRestoreTicks) * 1e-9;
-        double drain_us = static_cast<double>(r.drainTicks) * 1e-6;
         std::printf("%-8s %5.2f %6s %9llu %9llu %8llu %9.2f %9.1f "
                     "%7.1f %7llu %8llu %6.1f\n",
                     c.platform.c_str(), c.fill,
                     c.churn ? "churn" : "idle",
-                    static_cast<unsigned long long>(r.ackedWrites),
-                    static_cast<unsigned long long>(r.inFlight),
+                    static_cast<unsigned long long>(r.ackedWritesVerified),
+                    static_cast<unsigned long long>(r.inFlightAtCut),
                     static_cast<unsigned long long>(r.drainFrames),
-                    ttfs_ms, rto_ms, restore_ms,
+                    r.timeToFirstServiceMs, r.rtoMs, r.nvdimmRestoreMs,
                     static_cast<unsigned long long>(r.replayEntries),
                     static_cast<unsigned long long>(r.gcRelocations),
                     r.avgFreeAtCut);
-        std::fprintf(
-            f,
-            "    {\"name\": \"recovery/%s/fill%02d/%s\", "
-            "\"acked_writes_verified\": %llu, \"in_flight_at_cut\": "
-            "%llu, \"drain_frames\": %llu, \"drain_ticks\": %llu, "
-            "\"drain_us\": %.3f, \"cut_tick\": %llu, "
-            "\"rto_ticks\": %llu, \"rto_ms\": %.3f, "
-            "\"ttfs_ticks\": %llu, \"time_to_first_service_ms\": %.3f, "
-            "\"replay_entries\": %llu, "
-            "\"nvdimm_restore_ms\": %.3f, \"replay_ms\": %.3f, "
-            "\"gc_active_at_cut\": %s, \"avg_free_at_cut\": %.2f, "
-            "\"gc_relocations\": %llu}%s\n",
-            c.platform.c_str(), static_cast<int>(c.fill * 100),
-            c.churn ? "churn" : "idle",
-            static_cast<unsigned long long>(r.ackedWrites),
-            static_cast<unsigned long long>(r.inFlight),
-            static_cast<unsigned long long>(r.drainFrames),
-            static_cast<unsigned long long>(r.drainTicks), drain_us,
-            static_cast<unsigned long long>(r.cutTick),
-            static_cast<unsigned long long>(r.rtoTicks), rto_ms,
-            static_cast<unsigned long long>(r.ttfsTicks), ttfs_ms,
-            static_cast<unsigned long long>(r.replayEntries),
-            restore_ms, rto_ms - restore_ms,
-            r.gcActiveAtCut ? "true" : "false", r.avgFreeAtCut,
-            static_cast<unsigned long long>(r.gcRelocations),
-            i + 1 < cells.size() ? "," : "");
+        report.row(names[i], r);
+
+        identical &= report.same(r, rerun[i], names[i], "rerun identical");
+        report.check(r.ackedWritesVerified > 0, names[i],
+                     "acknowledged writes verified");
+        report.check(r.ttfsTicks < r.rtoTicks, names[i],
+                     "time-to-first-service beats the full-restore RTO");
+        // Cells alternate idle, churn within a (platform, fill) pair.
+        if (c.churn) {
+            const RecoveryResult& idle = results[i - 1];
+            report.check(r.rtoTicks > idle.rtoTicks, names[i],
+                         "churn RTO above the idle restore floor");
+            report.check(r.replayEntries > idle.replayEntries, names[i],
+                         "replay entries scale with churn");
+        }
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    report.summary(RecoverySummary{identical});
 
     std::printf("\nsim outputs identical across reruns: %s\n",
                 identical ? "yes" : "NO");
-    std::printf("Results written to %s\n", out.c_str());
-    return identical ? 0 : 1;
+    return report.finish(jsonOutPath("BENCH_recovery.json"));
 }

@@ -15,11 +15,16 @@
  * skew the slowest shard adds, and the fence release charge (update
  * carries SQLite-style durability barriers; rndRd never flushes).
  *
- * Two built-in gates land in the JSON alongside the table:
+ * Gates, checked in the binary (harness.hh; a failure exits 1):
  *  - m1_identical: every M = 1 grid configuration rerun through a
  *    1-shard ShardedPlatform is bit-identical to the bare platform;
- *  - rerun_identical: an M = 4 cell rerun from scratch reproduces the
- *    sweep's result bit for bit.
+ *  - rerun_identical: the M = 4 hams-TE cells rerun from scratch
+ *    reproduce the sweep's results bit for bit;
+ *  - shard-friendly rndRd traffic holds >= 0.7 weak-scaling
+ *    efficiency at 4 devices;
+ *  - every multi-device update cell pays for cross-shard flush
+ *    barriers (barriers and fence cost both nonzero).
+ * Both identity verdicts also land at the top of the JSON.
  *
  * Deterministic: fixed-seed shard/core workload streams on fresh
  * platforms per cell — reruns at any HAMS_BENCH_THREADS are
@@ -32,11 +37,43 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness.hh"
+
+namespace {
+
+using namespace hams;
+
+/** One BENCH_scaleout.json row. */
+#define HAMS_SCALEOUT_ROW_FIELDS(X)                                        \
+    X(keep, std::uint32_t, devices)                                        \
+    X(keep, std::uint32_t, cores)                                          \
+    /* M devices (and M x the cores) vs M perfectly scaled 1-device        \
+     * cells */                                                            \
+    X(keep, double, scalingEfficiency)                                     \
+    X(keep, RunResult, combined)                                           \
+    X(keep, ShardedStats, sharded)                                         \
+    X(keep, double, flushSkewNsPerBarrier)                                 \
+    X(keep, double, fenceNsPerBarrier)
+
+struct ScaleoutRow
+{
+    HAMS_FIELDS(ScaleoutRow, HAMS_SCALEOUT_ROW_FIELDS)
+};
+
+#define HAMS_SCALEOUT_SUMMARY_FIELDS(X)                                    \
+    X(keep, bool, m1Identical)                                             \
+    X(keep, bool, rerunIdentical)
+
+struct ScaleoutSummary
+{
+    HAMS_FIELDS(ScaleoutSummary, HAMS_SCALEOUT_SUMMARY_FIELDS)
+};
+
+} // namespace
 
 int
 main()
 {
-    using namespace hams;
     using namespace hams::bench;
 
     banner("scaleout",
@@ -49,137 +86,87 @@ main()
     const std::vector<std::uint32_t> devices = {1, 2, 4, 8};
 
     std::vector<SmpSweepCell> cells;
+    std::vector<std::string> names;
     for (const auto& p : platforms)
         for (const auto& w : workloads)
             for (std::uint32_t cpd : cpds)
-                for (std::uint32_t m : devices)
+                for (std::uint32_t m : devices) {
                     cells.push_back({p, w, cpd * m, geom, m});
+                    names.push_back("scaleout/" + p + "/" + w + "/d" +
+                                    std::to_string(m) + "/c" +
+                                    std::to_string(cpd));
+                }
     std::vector<SmpCellResult> results = runSmpSweep(cells);
-
-    // Gate 1: the 1-shard ShardedPlatform is a pure pass-through —
-    // every M = 1 configuration must be bit-identical to the bare
-    // platform the sweep ran.
-    bool m1_identical = true;
-    {
-        std::size_t cursor = 0;
-        for (const auto& p : platforms)
-            for (const auto& w : workloads)
-                for (std::uint32_t cpd : cpds)
-                    for (std::uint32_t m : devices) {
-                        if (m == 1) {
-                            auto sp = makeShardedPlatform(p, geom, 1);
-                            SmpResult twin =
-                                runShardedSmpOn(*sp, w, cpd, geom);
-                            m1_identical = m1_identical &&
-                                twin == results[cursor].smp;
-                        }
-                        ++cursor;
-                    }
-    }
-
-    // Gate 2: rerunning an M = 4 cell from scratch reproduces the
-    // sweep's result bit for bit.
-    bool rerun_identical = true;
-    {
-        std::size_t cursor = 0;
-        for (const auto& p : platforms)
-            for (const auto& w : workloads)
-                for (std::uint32_t cpd : cpds)
-                    for (std::uint32_t m : devices) {
-                        if (m == 4 && p == "hams-TE" && cpd == 4) {
-                            auto sp = makeShardedPlatform(p, geom, 4);
-                            SmpResult twin =
-                                runShardedSmpOn(*sp, w, cpd * m, geom);
-                            rerun_identical = rerun_identical &&
-                                twin == results[cursor].smp;
-                        }
-                        ++cursor;
-                    }
-    }
 
     std::printf("\n%-8s %-8s %4s %4s %6s %14s %8s %9s %11s %11s\n",
                 "platform", "workload", "dev", "c/d", "cores",
                 "ops/s(agg)", "scale", "barriers", "skew-ns/f",
                 "fence-ns/f");
 
-    std::string out = jsonOutPath("BENCH_scaleout.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"m1_identical\": %s,\n  \"rerun_identical\": "
-                 "%s,\n  \"benchmarks\": [\n",
-                 m1_identical ? "true" : "false",
-                 rerun_identical ? "true" : "false");
-
-    std::size_t cursor = 0;
-    for (const auto& p : platforms) {
-        for (const auto& w : workloads) {
-            for (std::uint32_t cpd : cpds) {
-                double base_ops = 0;
-                for (std::uint32_t m : devices) {
-                    const SmpCellResult& cell = results[cursor];
-                    const RunResult& comb = cell.smp.combined;
-                    std::uint32_t cores = cpd * m;
-                    if (m == 1)
-                        base_ops = comb.opsPerSec;
-                    // Weak-scaling efficiency: M devices (and M x the
-                    // cores) vs M perfectly-scaled 1-device cells.
-                    double eff = base_ops > 0
-                                     ? comb.opsPerSec / (base_ops * m)
-                                     : 0;
-
-                    std::uint64_t barriers = cell.sharded.flushBarriers;
-                    double skew_ns =
-                        barriers ? static_cast<double>(
-                                       cell.sharded.flushSkewTicks) /
-                                       (1000.0 * barriers)
-                                 : 0;
-                    double fence_ns =
-                        barriers ? static_cast<double>(
-                                       cell.sharded.fenceTicks) /
-                                       (1000.0 * barriers)
-                                 : 0;
-
-                    std::printf("%-8s %-8s %4u %4u %6u %14.0f %7.2f "
-                                "%9llu %11.1f %11.1f\n",
-                                p.c_str(), w.c_str(), m, cpd, cores,
-                                comb.opsPerSec, eff,
-                                static_cast<unsigned long long>(barriers),
-                                skew_ns, fence_ns);
-
-                    std::fprintf(
-                        f,
-                        "    {\"name\": \"scaleout/%s/%s/d%u/c%u\", "
-                        "\"devices\": %u, \"cores\": %u, "
-                        "\"ops_per_sec\": %.1f, \"bytes_per_sec\": %.1f, "
-                        "\"sim_time_ticks\": %llu, "
-                        "\"scaling_efficiency\": %.4f, "
-                        "\"routed_accesses\": %llu, "
-                        "\"flush_barriers\": %llu, "
-                        "\"flush_skew_ns_per_barrier\": %.1f, "
-                        "\"fence_ns_per_barrier\": %.1f}%s\n",
-                        p.c_str(), w.c_str(), m, cpd, m, cores,
-                        comb.opsPerSec, comb.bytesPerSec,
-                        static_cast<unsigned long long>(comb.simTime),
-                        eff,
-                        static_cast<unsigned long long>(
-                            cell.sharded.routedAccesses),
-                        static_cast<unsigned long long>(barriers),
-                        skew_ns, fence_ns,
-                        cursor + 1 < results.size() ? "," : "");
-                    ++cursor;
-                }
-            }
+    BenchReport report;
+    ScaleoutSummary summary{true, true};
+    double base_ops = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const SmpSweepCell& c = cells[i];
+        const SmpCellResult& cell = results[i];
+        const RunResult& comb = cell.smp.combined;
+        std::uint32_t m = c.devices;
+        if (m == 1)
+            base_ops = comb.opsPerSec;
+        ScaleoutRow row{m, c.cores,
+                        base_ops > 0 ? comb.opsPerSec / (base_ops * m) : 0,
+                        comb, cell.sharded};
+        if (std::uint64_t barriers = cell.sharded.flushBarriers) {
+            row.flushSkewNsPerBarrier =
+                static_cast<double>(cell.sharded.flushSkewTicks) /
+                (1000.0 * barriers);
+            row.fenceNsPerBarrier =
+                static_cast<double>(cell.sharded.fenceTicks) /
+                (1000.0 * barriers);
         }
-    }
 
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+        std::printf("%-8s %-8s %4u %4u %6u %14.0f %7.2f %9llu %11.1f "
+                    "%11.1f\n",
+                    c.platform.c_str(), c.workload.c_str(), m, c.cores / m,
+                    c.cores, comb.opsPerSec, row.scalingEfficiency,
+                    static_cast<unsigned long long>(
+                        cell.sharded.flushBarriers),
+                    row.flushSkewNsPerBarrier, row.fenceNsPerBarrier);
+        report.row(names[i], row);
+
+        if (c.workload == "rndRd" && m == 4)
+            report.check(row.scalingEfficiency >= 0.7, names[i],
+                         "weak-scaling efficiency >= 0.7 at 4 devices");
+        if (c.workload == "update" && m > 1)
+            report.check(cell.sharded.flushBarriers > 0 &&
+                             row.fenceNsPerBarrier > 0,
+                         names[i], "cross-shard flush barriers charged");
+
+        // Twin runs on fresh platforms must reproduce the sweep bit for
+        // bit: every M = 1 configuration through a 1-shard
+        // ShardedPlatform (a pure pass-through) against the bare
+        // platform the sweep ran, and the M = 4 hams-TE cells at 4
+        // cores per device from scratch.
+        bool m1 = m == 1;
+        if (!m1 && !(m == 4 && c.platform == "hams-TE" && c.cores == 16))
+            continue;
+        auto sp = makeShardedPlatform(c.platform, geom, m);
+        SmpResult twin = runShardedSmpOn(*sp, c.workload, c.cores, geom);
+        std::string d = firstDifference(twin.combined, comb);
+        if (!d.empty())
+            d = "combined." + d;
+        else if (!(twin == cell.smp))
+            d = "perCore";
+        bool& verdict = m1 ? summary.m1Identical : summary.rerunIdentical;
+        verdict &= report.check(d.empty(), names[i],
+                                std::string(m1 ? "1-shard twin" : "rerun") +
+                                    " identical (first difference: " + d +
+                                    ")");
+    }
+    report.summary(summary);
+
     std::printf("\nm1_identical=%s rerun_identical=%s\n",
-                m1_identical ? "yes" : "NO",
-                rerun_identical ? "yes" : "NO");
-    std::printf("Results written to %s\n", out.c_str());
-    return !m1_identical || !rerun_identical;
+                summary.m1Identical ? "yes" : "NO",
+                summary.rerunIdentical ? "yes" : "NO");
+    return report.finish(jsonOutPath("BENCH_scaleout.json"));
 }

@@ -11,21 +11,26 @@
  * TieringConfig:
  *
  *  - off:   tiering.enabled = false — the pre-PR skew-oblivious LRU.
- *  - inert: tracker allocated and fed, every consumer knob off. Must
- *           be bit-identical to off (the tracker observes, never
- *           acts); the harness checks the fingerprints and the CI gate
- *           fails on any divergence.
+ *  - inert: tracker allocated and fed, every consumer knob off. Its
+ *           simulated outputs must be bit-identical to off (the
+ *           tracker observes, never acts).
  *  - tier:  hot-frame pinning (cold-first eviction), background
  *           promotion/demotion and cold-write FTL placement all on.
  *
- * Every cell runs twice on a fresh platform; the integer-state
- * fingerprints must match (rerun_identical), at any
- * HAMS_BENCH_THREADS. The headline comparison: at high skew
- * (θ >= 0.99) the tiering cache must beat the skew-oblivious one on
- * the platform whose cache the knobs steer (mmap's page cache) — LRU
- * wastes residency on zipf-tail one-hit-wonders that the cold-first
- * selector evicts first. Results land in BENCH_tiering.json
- * (HAMS_BENCH_JSON overrides, HAMS_BENCH_SCALE enlarges the runs).
+ * Gates, checked in the binary (harness.hh; a failure exits 1):
+ *  - every cell runs twice on a fresh platform and the two results are
+ *    bit-identical (rerun_identical), at any HAMS_BENCH_THREADS;
+ *  - inert cells' simulated outputs equal off's (inert_identical);
+ *  - the headline: at high skew (θ >= 0.99) the tiering cache holds
+ *    at least the skew-oblivious one's ops/s on the platform whose
+ *    cache the knobs steer (mmap's page cache) — LRU wastes residency
+ *    on zipf-tail one-hit-wonders that the cold-first selector evicts
+ *    first;
+ *  - the migration engine moves a frame in some mmap tier cell, and
+ *    cold-write placement steers a write in some cell.
+ *
+ * Results land in BENCH_tiering.json (HAMS_BENCH_JSON overrides,
+ * HAMS_BENCH_SCALE enlarges the runs).
  */
 
 #include <algorithm>
@@ -37,6 +42,7 @@
 #include "baselines/mmap_platform.hh"
 #include "bench_util.hh"
 #include "core/hams_system.hh"
+#include "harness.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd.hh"
@@ -67,19 +73,50 @@ struct TierCell
     TierMode mode = TierMode::Off;
 };
 
+/**
+ * A run's observable outputs — timing, cache and device traffic: what
+ * the inert gate compares and the fingerprint covers. The consumers'
+ * own action counters (promotions, rerouted writes) stay out, so a
+ * knob that acts without moving any of these reads as inert.
+ */
+#define HAMS_TIER_OUTPUT_FIELDS(X)                                         \
+    /* sum of measured access latencies */                                 \
+    X(keep, Tick, latencySum)                                              \
+    X(keep, Tick, measureStart)                                            \
+    X(keep, Tick, lastDone)                                                \
+    /* page-cache hits / page faults (mmap), MoS hits / misses (hams) */   \
+    X(keep, std::uint64_t, hits)                                           \
+    X(keep, std::uint64_t, misses)                                         \
+    X(keep, std::uint64_t, hostReads)                                      \
+    X(keep, std::uint64_t, hostWrites)                                     \
+    X(keep, std::uint64_t, gcRelocations)                                  \
+    X(keep, std::uint64_t, erases)                                         \
+    X(keep, std::uint64_t, bufferHits)                                     \
+    X(keep, std::uint64_t, bufferMisses)
+
+struct TierOutputs
+{
+    HAMS_FIELDS(TierOutputs, HAMS_TIER_OUTPUT_FIELDS)
+};
+
+/** One run's result and BENCH_tiering.json row. */
+#define HAMS_TIER_RESULT_FIELDS(X)                                         \
+    X(keep, double, opsPerSec)                                             \
+    X(keep, double, hitRate)                                               \
+    /* tracker-hot frames at end of run */                                 \
+    X(keep, std::uint64_t, hotFrames)                                      \
+    X(keep, TieringStats, tier)                                            \
+    /* host writes cold-write placement rerouted */                        \
+    X(keep, std::uint64_t, tierColdWrites)                                 \
+    X(keep, TierOutputs, sim)                                              \
+    /* fingerprint(sim) */                                                 \
+    X(keep, std::uint64_t, fingerprint)                                    \
+    X(keep, bool, rerunIdentical)                                          \
+    X(keep, bool, inertIdentical)
+
 struct TierResult
 {
-    double opsPerSec = 0;
-    double hitRate = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0; //!< page faults (mmap) / MoS misses (hams)
-    TieringStats tier;
-    std::uint64_t tierColdWrites = 0;
-    std::uint64_t hotFrames = 0; //!< tracker-hot frames at end of run
-    /** Mix of every integer observable; rerun/inert comparisons are
-     *  exact equality on this, never on derived doubles. */
-    std::uint64_t fingerprint = 0;
-    bool rerunIdentical = false;
+    HAMS_FIELDS(TierResult, HAMS_TIER_RESULT_FIELDS)
 };
 
 TieringConfig
@@ -145,25 +182,7 @@ buildPlatform(const TierCell& cell, const BenchGeometry& geom)
     return std::make_unique<HamsSystem>(c);
 }
 
-Ssd&
-backingSsdOf(MemoryPlatform& p)
-{
-    if (auto* h = dynamic_cast<HamsSystem*>(&p))
-        return h->ullFlash();
-    if (auto* m = dynamic_cast<MmapPlatform*>(&p))
-        return m->backingSsd();
-    panic("fig_tiering: platform without a backing SSD");
-}
-
 constexpr std::uint32_t queueDepth = 4;
-
-std::uint64_t
-mix64(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h *= 0xBF58476D1CE4E5B9ull;
-    return h ^ (h >> 31);
-}
 
 TierResult
 runOnce(const TierCell& cell, const BenchGeometry& geom,
@@ -178,25 +197,13 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
                                 platform->capacity());
     std::uint64_t frames = window / 4096;
 
-    // Lay the window out on flash first (mapped LPNs, busy-state then
-    // cleared): faults read real pages and the migration engine has
-    // mapped frames to promote.
-    {
-        PageFtl& ftl = ssd.pageFtl();
-        std::uint32_t page_size = ssd.config().geom.pageSize;
-        std::uint64_t lpns = window / page_size;
-        Tick t = 0;
-        for (std::uint64_t lpn = 0; lpn < lpns; ++lpn)
-            t = ftl.writePage(lpn, page_size, t);
-        ssd.flashLayer().reset();
-        ftl.onFlashReset();
-    }
+    // Lay the window out on flash first: faults read real pages and
+    // the migration engine has mapped frames to promote.
+    prefill(ssd, window / ssd.config().geom.pageSize);
     ZipfGenerator zipf(frames, cell.theta);
     Rng rng(1234);
 
-    Tick measure_start = 0;
-    Tick last_done = 0;
-    std::uint64_t lat_sum = 0;
+    TierOutputs& sim = res.sim;
     std::uint64_t lat_n = 0;
 
     runClosedLoop(
@@ -210,63 +217,45 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
         },
         [&](std::uint64_t n, Tick issued, Tick done) {
             if (n == warmup)
-                measure_start = issued;
+                sim.measureStart = issued;
             if (n >= warmup && lat_n < measured) {
-                lat_sum += done - issued;
-                last_done = std::max(last_done, done);
+                sim.latencySum += done - issued;
+                sim.lastDone = std::max(sim.lastDone, done);
                 ++lat_n;
             }
         });
 
     HotnessTracker* tracker = nullptr;
     if (auto* m = dynamic_cast<MmapPlatform*>(platform.get())) {
-        res.hits = m->pageCacheHits();
-        res.misses = m->pageFaults();
+        sim.hits = m->pageCacheHits();
+        sim.misses = m->pageFaults();
         tracker = m->hotnessTracker();
     } else if (auto* h = dynamic_cast<HamsSystem*>(platform.get())) {
-        res.hits = h->stats().hits;
-        res.misses = h->stats().misses;
+        sim.hits = h->stats().hits;
+        sim.misses = h->stats().misses;
         tracker = h->hotnessTracker();
     }
     if (tracker)
         for (std::uint64_t f = 0; f < tracker->frames(); ++f)
             res.hotFrames += tracker->isHotFrame(f) ? 1 : 0;
 
+    sim.bufferHits = ssd.stats().bufferHits;
+    sim.bufferMisses = ssd.stats().bufferMisses;
+    const FtlStats& ftl = ssd.ftlStats();
+    sim.hostReads = ftl.hostReads;
+    sim.hostWrites = ftl.hostWrites;
+    sim.gcRelocations = ftl.gcRelocations;
+    sim.erases = ftl.erases;
     res.tier = ssd.tieringStats();
-    res.tierColdWrites = ssd.ftlStats().tierColdWrites;
-    res.hitRate = res.hits + res.misses > 0
-                      ? static_cast<double>(res.hits) /
-                            static_cast<double>(res.hits + res.misses)
+    res.tierColdWrites = ftl.tierColdWrites;
+    res.hitRate = sim.hits + sim.misses > 0
+                      ? static_cast<double>(sim.hits) /
+                            static_cast<double>(sim.hits + sim.misses)
                       : 0;
     res.opsPerSec = static_cast<double>(lat_n) /
-                    ticksToSeconds(last_done - measure_start);
-
-    std::uint64_t fp = 0;
-    fp = mix64(fp, lat_sum);
-    fp = mix64(fp, last_done);
-    fp = mix64(fp, measure_start);
-    fp = mix64(fp, res.hits);
-    fp = mix64(fp, res.misses);
-    fp = mix64(fp, ssd.ftlStats().hostWrites);
-    fp = mix64(fp, ssd.ftlStats().hostReads);
-    fp = mix64(fp, ssd.ftlStats().gcRelocations);
-    fp = mix64(fp, ssd.ftlStats().erases);
-    fp = mix64(fp, ssd.stats().bufferHits);
-    fp = mix64(fp, ssd.stats().bufferMisses);
-    res.fingerprint = fp;
+                    ticksToSeconds(sim.lastDone - sim.measureStart);
+    res.fingerprint = fingerprint(sim);
     return res;
-}
-
-TierResult
-runCell(const TierCell& cell, const BenchGeometry& geom,
-        std::uint64_t warmup, std::uint64_t measured)
-{
-    // Two complete runs on fresh platforms: the tiering machinery must
-    // be deterministic, so the integer fingerprints match exactly.
-    TierResult a = runOnce(cell, geom, warmup, measured);
-    TierResult b = runOnce(cell, geom, warmup, measured);
-    a.rerunIdentical = a.fingerprint == b.fingerprint;
-    return a;
 }
 
 } // namespace
@@ -284,23 +273,28 @@ main()
     const std::vector<double> thetas = {0.6, 0.8, 0.99, 1.2};
 
     std::vector<TierCell> cells;
+    std::vector<std::string> names;
     for (const auto& p : platforms)
         for (double t : thetas)
             for (TierMode m :
-                 {TierMode::Off, TierMode::Inert, TierMode::Tier})
+                 {TierMode::Off, TierMode::Inert, TierMode::Tier}) {
                 cells.push_back({p, t, m});
+                char theta[16];
+                std::snprintf(theta, sizeof(theta), "%.2f", t);
+                names.push_back("tiering/" + p + "/theta" + theta + "/" +
+                                modeName(m));
+            }
 
+    // Two complete runs per cell on fresh platforms: the tiering
+    // machinery must be deterministic, so the results match exactly.
     std::vector<TierResult> results(cells.size());
+    std::vector<TierResult> rerun(cells.size());
     try {
         runCells(
-            cells.size(),
+            cells.size(), [&](std::size_t i) { return names[i]; },
             [&](std::size_t i) {
-                return cells[i].platform + " theta " +
-                       std::to_string(cells[i].theta) + " " +
-                       modeName(cells[i].mode);
-            },
-            [&](std::size_t i) {
-                results[i] = runCell(cells[i], geom, warmup, measured);
+                results[i] = runOnce(cells[i], geom, warmup, measured);
+                rerun[i] = runOnce(cells[i], geom, warmup, measured);
             });
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
@@ -311,25 +305,24 @@ main()
                 "platform", "theta", "mode", "ops/s", "hit%", "hot",
                 "promo", "demo", "coldWr", "rerun", "inert");
 
-    bool all_ok = true;
-    std::string out = jsonOutPath("BENCH_tiering.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-
+    BenchReport report;
+    bool migrated = false;
+    bool cold_placed = false;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const TierCell& c = cells[i];
-        const TierResult& r = results[i];
+        TierResult& r = results[i];
         // Mode order within a (platform, theta) group is off, inert,
         // tier — the off row anchors the two comparisons.
         const TierResult& off = results[i - i % 3];
-        bool inert_identical =
-            c.mode != TierMode::Inert || r.fingerprint == off.fingerprint;
-        if (!r.rerunIdentical || !inert_identical)
-            all_ok = false;
+        r.rerunIdentical =
+            report.same(r, rerun[i], names[i], "rerun identical");
+        r.inertIdentical =
+            c.mode != TierMode::Inert ||
+            report.same(r.sim, off.sim, names[i],
+                        "inert outputs identical to off");
+        if (c.platform == "mmap" && c.mode == TierMode::Tier)
+            migrated |= r.tier.promotions + r.tier.demotions > 0;
+        cold_placed |= r.tierColdWrites > 0;
         std::printf("%-8s %5.2f %6s %10.0f %6.2f%% %9llu %7llu %7llu "
                     "%9llu %8s %6s\n",
                     c.platform.c_str(), c.theta, modeName(c.mode),
@@ -340,34 +333,14 @@ main()
                     static_cast<unsigned long long>(r.tierColdWrites),
                     r.rerunIdentical ? "ok" : "DIFF",
                     c.mode == TierMode::Inert
-                        ? (inert_identical ? "ok" : "DIFF")
+                        ? (r.inertIdentical ? "ok" : "DIFF")
                         : "-");
-        std::fprintf(
-            f,
-            "    {\"name\": \"tiering/%s/theta%.2f/%s\", "
-            "\"ops_per_sec\": %.1f, \"hit_rate\": %.5f, "
-            "\"hits\": %llu, \"misses\": %llu, \"hot_frames\": %llu, "
-            "\"promotions\": %llu, \"demotions\": %llu, "
-            "\"mig_steps\": %llu, \"pace_deferrals\": %llu, "
-            "\"tier_cold_writes\": %llu, "
-            "\"fingerprint\": %llu, "
-            "\"rerun_identical\": %s, \"inert_identical\": %s}%s\n",
-            c.platform.c_str(), c.theta, modeName(c.mode), r.opsPerSec,
-            r.hitRate, static_cast<unsigned long long>(r.hits),
-            static_cast<unsigned long long>(r.misses),
-            static_cast<unsigned long long>(r.hotFrames),
-            static_cast<unsigned long long>(r.tier.promotions),
-            static_cast<unsigned long long>(r.tier.demotions),
-            static_cast<unsigned long long>(r.tier.migSteps),
-            static_cast<unsigned long long>(r.tier.paceDeferrals),
-            static_cast<unsigned long long>(r.tierColdWrites),
-            static_cast<unsigned long long>(r.fingerprint),
-            r.rerunIdentical ? "true" : "false",
-            inert_identical ? "true" : "false",
-            i + 1 < cells.size() ? "," : "");
+        report.row(names[i], r);
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    report.check(migrated, "tiering/mmap/*/tier",
+                 "migration engine moved a frame");
+    report.check(cold_placed, "tiering/*",
+                 "cold-write placement steered a write");
 
     // Headline: at high skew the tiering cache must beat (or at worst
     // match) the skew-oblivious one at equal DRAM on the platform
@@ -384,19 +357,12 @@ main()
         std::printf("%-8s %5.2f %12.0f %12.0f %7.2fx\n",
                     cells[i].platform.c_str(), cells[i].theta,
                     off.opsPerSec, tier.opsPerSec, ratio);
-        if (cells[i].platform == "mmap" && cells[i].theta >= 0.99 &&
-            tier.opsPerSec < off.opsPerSec) {
-            std::printf("  ^ FAIL: tiering below skew-oblivious at "
-                        "high skew\n");
-            all_ok = false;
-        }
+        if (cells[i].platform == "mmap" && cells[i].theta >= 0.99)
+            report.check(tier.opsPerSec >= off.opsPerSec, names[i + 2],
+                         "tiering holds the skew-oblivious ops/s at "
+                         "high skew");
     }
 
-    std::printf("\nResults written to %s\n", out.c_str());
-    if (!all_ok) {
-        std::fprintf(stderr, "fig_tiering: determinism or high-skew "
-                             "gate violated\n");
-        return 1;
-    }
-    return 0;
+    std::printf("\n");
+    return report.finish(jsonOutPath("BENCH_tiering.json"));
 }

@@ -7,12 +7,20 @@
  *
  * Each cell runs twice on fresh, identical platforms: once with the
  * immediate-completion fast path disabled (every access pays the
- * EventQueue schedule+fire round trip) and once with it enabled. The
- * harness verifies the simulated-time outputs are bit-identical (it
- * exits non-zero otherwise, so CI smoke runs double as a correctness
- * check) and reports host-ns per platform access, allocs per access,
- * the speedup, and the events fired per access on the inline half — a
- * deterministic count showing how often the fast path engaged.
+ * EventQueue schedule+fire round trip) and once with it enabled. It
+ * reports host-ns per platform access, allocs per access, the
+ * speedup, and the events fired per access on the inline half — a
+ * deterministic count showing how often the fast path engaged. The
+ * event path is this build with the fast path off, so it already has
+ * every shared model optimisation: "speedup" is the fast path's own
+ * gain, not the gain over an older driver.
+ *
+ * Gates, checked in the binary (harness.hh; a failure exits 1):
+ *  - the simulated outputs of the two halves are bit-identical in
+ *    every repetition (sim_outputs_identical);
+ *  - hits on idle NVDIMM frames complete inline in both HAMS modes, so
+ *    the hit-dominated hams rndRd cells fire < 0.05 events per access.
+ *    A count, not a timing: host noise cannot flake it.
  *
  * Results land in BENCH_macro.json (HAMS_BENCH_JSON overrides;
  * HAMS_BENCH_SCALE enlarges the runs).
@@ -24,23 +32,30 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness.hh"
 
 namespace {
 
 using namespace hams;
 using namespace hams::bench;
 
+/** One cell's BENCH_macro.json row. */
+#define HAMS_CELL_REPORT_FIELDS(X)                                         \
+    /* fast path off */                                                    \
+    X(keep, double, eventNsPerAccess)                                      \
+    /* fast path on */                                                     \
+    X(keep, double, inlineNsPerAccess)                                     \
+    X(keep, double, speedup)                                               \
+    /* fast path on */                                                     \
+    X(keep, double, allocsPerAccess)                                       \
+    /* fast path on; deterministic */                                      \
+    X(keep, double, inlineEventsPerAccess)                                 \
+    X(keep, std::uint64_t, platformAccesses)                               \
+    X(keep, bool, simOutputsIdentical)
+
 struct CellReport
 {
-    std::string platform;
-    std::string workload;
-    double eventNsPerAccess = 0;  //!< fast path off
-    double inlineNsPerAccess = 0; //!< fast path on
-    double speedup = 0;
-    double allocsPerAccess = 0;   //!< fast path on
-    double inlineEventsPerAccess = 0; //!< fast path on; deterministic
-    std::uint64_t accesses = 0;
-    bool identical = false;
+    HAMS_FIELDS(CellReport, HAMS_CELL_REPORT_FIELDS)
 };
 
 /** Best-of-N timing repetitions per path, to shake off host noise. */
@@ -93,37 +108,51 @@ struct Half
     }
 };
 
+/**
+ * Instructions per measured run of @p workload. SQLite update spends
+ * 3000 instructions of compute per dataset access, so at the micro
+ * cells' budget it reaches only ~370 platform accesses; 300x gives it
+ * ~125k, enough for a stable host-time figure.
+ */
+std::uint64_t
+budgetFor(const std::string& workload, const BenchGeometry& geom)
+{
+    return geom.instructionBudget * (workload == "update" ? 300 : 1);
+}
+
 CellReport
 runCell(const std::string& platform_name, const std::string& workload,
-        const BenchGeometry& geom)
+        const BenchGeometry& geom, BenchReport& report,
+        const std::string& name)
 {
     CellReport rep;
-    rep.platform = platform_name;
-    rep.workload = workload;
+    std::uint64_t budget = budgetFor(workload, geom);
 
     Half off(platform_name, workload, geom, false);
     Half on(platform_name, workload, geom, true);
-    off.core->run(*off.gen, geom.instructionBudget / 2); // warm devices
-    on.core->run(*on.gen, geom.instructionBudget / 2);
+    off.core->run(*off.gen, budget / 2); // warm devices
+    on.core->run(*on.gen, budget / 2);
 
     // Interleave the repetitions so host-load drift hits both paths
     // alike, and keep the best rep of each (min-of-N noise rejection).
-    rep.identical = true;
+    rep.simOutputsIdentical = true;
     for (int i = 0; i < repetitions; ++i) {
         double off_ns = 0, on_ns = 0, off_allocs = 0, on_allocs = 0;
         double off_events = 0;
-        RunResult r_off = off.measure(geom.instructionBudget, off_ns,
-                                      off_allocs, off_events);
-        RunResult r_on = on.measure(geom.instructionBudget, on_ns,
-                                    on_allocs, rep.inlineEventsPerAccess);
+        RunResult r_off =
+            off.measure(budget, off_ns, off_allocs, off_events);
+        RunResult r_on =
+            on.measure(budget, on_ns, on_allocs, rep.inlineEventsPerAccess);
         if (i == 0 || off_ns < rep.eventNsPerAccess)
             rep.eventNsPerAccess = off_ns;
         if (i == 0 || on_ns < rep.inlineNsPerAccess)
             rep.inlineNsPerAccess = on_ns;
         if (i == 0 || on_allocs < rep.allocsPerAccess)
             rep.allocsPerAccess = on_allocs;
-        rep.accesses = r_on.platformAccesses;
-        rep.identical = rep.identical && r_on == r_off;
+        rep.platformAccesses = r_on.platformAccesses;
+        rep.simOutputsIdentical &= report.same(
+            r_on, r_off, name,
+            "fast path on vs off, repetition " + std::to_string(i));
     }
 
     rep.speedup = rep.inlineNsPerAccess > 0
@@ -157,59 +186,22 @@ main()
                 "workload", "event ns/ac", "inline ns/ac", "speedup",
                 "allocs/ac", "events/ac", "same?");
 
-    std::vector<CellReport> reports;
-    bool all_identical = true;
+    BenchReport report;
     for (const auto& [p, w] : cells) {
-        CellReport rep = runCell(p, w, geom);
-        all_identical = all_identical && rep.identical;
+        std::string name = "macro/" + p + "/" + w;
+        CellReport rep = runCell(p, w, geom, report, name);
         std::printf("%-10s %-8s %12.1f %12.1f %8.2fx %11.6f %9.4f %6s\n",
-                    rep.platform.c_str(), rep.workload.c_str(),
-                    rep.eventNsPerAccess, rep.inlineNsPerAccess,
-                    rep.speedup, rep.allocsPerAccess,
-                    rep.inlineEventsPerAccess,
-                    rep.identical ? "yes" : "NO");
-        reports.push_back(rep);
+                    p.c_str(), w.c_str(), rep.eventNsPerAccess,
+                    rep.inlineNsPerAccess, rep.speedup,
+                    rep.allocsPerAccess, rep.inlineEventsPerAccess,
+                    rep.simOutputsIdentical ? "yes" : "NO");
+        report.row(name, rep);
+        if (w == "rndRd" && (p == "hams-TE" || p == "hams-TP"))
+            report.check(rep.inlineEventsPerAccess < 0.05, name,
+                         "inline hit path engaged (< 0.05 events per "
+                         "access)");
     }
 
-    std::string out = jsonOutPath("BENCH_macro.json");
-    if (std::FILE* f = std::fopen(out.c_str(), "w")) {
-        std::fprintf(
-            f,
-            "{\n  \"note\": \"event path = this build with the inline "
-            "fast path disabled; it already includes the shared model "
-            "optimisations, so 'speedup' understates the gain over the "
-            "pre-PR driver (see ROADMAP.md end-to-end table)\",\n");
-        std::fprintf(f, "  \"benchmarks\": [\n");
-        for (std::size_t i = 0; i < reports.size(); ++i) {
-            const CellReport& r = reports[i];
-            std::fprintf(
-                f,
-                "    {\"name\": \"macro/%s/%s\", "
-                "\"event_ns_per_access\": %.1f, "
-                "\"inline_ns_per_access\": %.1f, \"speedup\": %.2f, "
-                "\"allocs_per_access\": %.6f, "
-                "\"inline_events_per_access\": %.6f, "
-                "\"platform_accesses\": %llu, "
-                "\"sim_outputs_identical\": %s}%s\n",
-                r.platform.c_str(), r.workload.c_str(),
-                r.eventNsPerAccess, r.inlineNsPerAccess, r.speedup,
-                r.allocsPerAccess, r.inlineEventsPerAccess,
-                static_cast<unsigned long long>(r.accesses),
-                r.identical ? "true" : "false",
-                i + 1 < reports.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("\nResults written to %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-
-    if (!all_identical) {
-        std::fprintf(stderr, "FAIL: simulated-time outputs diverged "
-                             "between fast path on and off\n");
-        return 1;
-    }
-    return 0;
+    std::printf("\n");
+    return report.finish(jsonOutPath("BENCH_macro.json"));
 }

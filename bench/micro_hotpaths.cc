@@ -422,7 +422,7 @@ BENCHMARK(BM_SsdRead_WholeUnits);
 /**
  * Custom main: mirror the console output into a JSON file
  * (BENCH_hotpaths.json by default, HAMS_BENCH_JSON to override) so CI
- * and scripts/bench_hotpaths.sh can track the perf trajectory.
+ * and `scripts/bench.sh micro_hotpaths` can track the perf trajectory.
  */
 int
 main(int argc, char** argv)

@@ -5,17 +5,27 @@
  * partial table, and sweep tables are bit-identical across
  * HAMS_BENCH_THREADS settings — the property that lets the figure
  * harnesses print deterministic tables from parallel runs — and the
- * closed-loop queue-depth driver reports every completion once.
+ * closed-loop queue-depth driver reports every completion once. The
+ * bench harness (harness.hh) writes snake_case keys, nests listed
+ * structs, round-trips doubles exactly, escapes strings, rejects
+ * duplicate keys, and fails a run whose identity gate finds a
+ * difference, naming the field.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness.hh"
 
 #include "expect_fields.hh"
 
@@ -215,6 +225,139 @@ TEST(ClosedLoop, LockStepAtQueueDepthOne) { closedLoopContract(1); }
 TEST(ClosedLoop, EveryCompletionReportedOnceAtDepthEight)
 {
     closedLoopContract(8);
+}
+
+// ---------------------------------------------------------------------
+// The bench harness: generated JSON, fingerprints and gates.
+// ---------------------------------------------------------------------
+
+#define HAMS_TEST_INNER_FIELDS(X)                                          \
+    X(keep, std::uint64_t, gcStallTicks)                                   \
+    X(keep, double, p99Us)
+
+struct TestInner
+{
+    HAMS_FIELDS(TestInner, HAMS_TEST_INNER_FIELDS)
+};
+
+#define HAMS_TEST_ROW_FIELDS(X)                                            \
+    X(keep, double, opsPerSec)                                             \
+    X(keep, bool, rerunIdentical)                                          \
+    X(keep, std::string, label)                                            \
+    X(keep, TestInner, innerStats)
+
+struct TestRow
+{
+    HAMS_FIELDS(TestRow, HAMS_TEST_ROW_FIELDS)
+};
+
+/** Two fields that map to the same snake_case key. */
+#define HAMS_TEST_CLASH_FIELDS(X)                                          \
+    X(keep, std::uint64_t, hitRate)                                        \
+    X(keep, std::uint64_t, hit_rate)
+
+struct TestClash
+{
+    HAMS_FIELDS(TestClash, HAMS_TEST_CLASH_FIELDS)
+};
+
+TEST(BenchHarness, KeysAreSnakeCaseAndListedStructsNest)
+{
+    EXPECT_EQ(bench::snakeCase("gcStallTicks"), "gc_stall_ticks");
+    EXPECT_EQ(bench::snakeCase("p999Us"), "p999_us");
+    EXPECT_EQ(bench::snakeCase("cores"), "cores");
+
+    TestRow row{1.5, true, "cell", {7, 0.25}};
+    EXPECT_EQ(bench::toJson(row),
+              "{\"ops_per_sec\": 1.5, \"rerun_identical\": true, "
+              "\"label\": \"cell\", \"inner_stats\": "
+              "{\"gc_stall_ticks\": 7, \"p99_us\": 0.25}}");
+}
+
+TEST(BenchHarness, DoublesParseBackBitEqual)
+{
+    const double values[] = {0.1,
+                             1.0 / 3.0,
+                             -2.5e-7,
+                             123456.789,
+                             6.02214076e23,
+                             1e-300,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max()};
+    for (double v : values) {
+        std::string json = bench::toJson(TestInner{0, v});
+        std::string key = "\"p99_us\": ";
+        std::size_t at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << json;
+        double back = std::strtod(json.c_str() + at + key.size(), nullptr);
+        EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << json;
+    }
+    // Shortest form: no print-precision padding.
+    EXPECT_EQ(bench::toJson(TestInner{0, 0.1}),
+              "{\"gc_stall_ticks\": 0, \"p99_us\": 0.1}");
+}
+
+TEST(BenchHarness, StringsAreEscapedAndBoolsSpelledOut)
+{
+    TestRow row{0, false, "a\"b\\c\nd", {}};
+    std::string json = bench::toJson(row);
+    EXPECT_NE(json.find("\"label\": \"a\\\"b\\\\c\\u000ad\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"rerun_identical\": false"), std::string::npos)
+        << json;
+}
+
+TEST(BenchHarness, DuplicateKeysAreRejected)
+{
+    EXPECT_THROW(bench::toJson(TestClash{}), std::logic_error);
+    // A row's own name key is taken too.
+    bench::BenchReport report;
+    EXPECT_THROW(report.row("cell", TestClash{}), std::logic_error);
+}
+
+TEST(BenchHarness, FingerprintCoversNestedFields)
+{
+    TestRow a{1.5, true, "cell", {7, 0.25}};
+    TestRow b = a;
+    EXPECT_EQ(bench::fingerprint(a), bench::fingerprint(b));
+    b.innerStats.gcStallTicks = 8;
+    EXPECT_NE(bench::fingerprint(a), bench::fingerprint(b));
+}
+
+TEST(BenchHarness, FailingIdentityGateNamesTheFieldAndFailsTheRun)
+{
+    std::string path = ::testing::TempDir() + "bench_harness_gate.json";
+    TestRow a{1.5, true, "cell", {7, 0.25}};
+    TestRow b = a;
+
+    bench::BenchReport pass;
+    EXPECT_TRUE(pass.same(a, b, "sweep/cell", "rerun identical"));
+    pass.row("sweep/cell", a);
+    EXPECT_EQ(pass.finish(path), 0);
+
+    b.innerStats.p99Us = 0.5;
+    bench::BenchReport fail;
+    EXPECT_FALSE(fail.same(a, b, "sweep/cell", "rerun identical"));
+    fail.row("sweep/cell", a);
+    ASSERT_EQ(fail.failures().size(), 1u);
+    const std::string& msg = fail.failures()[0];
+    EXPECT_NE(msg.find("sweep/cell"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("innerStats.p99Us"), std::string::npos) << msg;
+    EXPECT_EQ(fail.finish(path), 1);
+
+    // The document is still written for the failing run.
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("{\"name\": \"sweep/cell\", "
+                              "\"ops_per_sec\": 1.5"),
+              std::string::npos)
+        << text.str();
+    EXPECT_NE(text.str().find("\"context\": {\"compiler\""),
+              std::string::npos)
+        << text.str();
+    std::remove(path.c_str());
 }
 
 } // namespace
