@@ -230,6 +230,25 @@ BM_CacheModelAccess(benchmark::State& state)
 BENCHMARK(BM_CacheModelAccess);
 
 /**
+ * The core's L2 on perfbench tp_read_hits' traffic shape: 8-way, 2 MiB,
+ * random lines over 128 MiB, so ~98% of probes miss and take the
+ * victim path.
+ */
+void
+BM_CacheModelMissPath(benchmark::State& state)
+{
+    CacheModel l2(CacheConfig{2 << 20, 64, 8, nanoseconds(5)});
+    Rng rng(4);
+    std::uint64_t hits = 0;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state)
+        hits += l2.access(rng.below(128 << 20), false).hit;
+    benchmark::DoNotOptimize(hits);
+    reportAllocRate(state, allocs);
+}
+BENCHMARK(BM_CacheModelMissPath);
+
+/**
  * One mmap background writeback round on perfbench mmap_update's page
  * cache: 12,288 resident pages of a 1 GiB file, 30% of them dirty,
  * batch 64. Each op cleans the 64 lowest-keyed dirty pages, then

@@ -97,7 +97,8 @@ constexpr bool listed<T, std::void_t<decltype(mergeFields(
     {                                                                      \
         LIST(HAMS_FIELD_VISIT)                                             \
     }                                                                      \
-    friend void mergeFields(Type& into, const Type& from)                  \
+    friend void mergeFields([[maybe_unused]] Type& into,                   \
+                            [[maybe_unused]] const Type& from)             \
     {                                                                      \
         LIST(HAMS_FIELD_MERGE)                                             \
     }                                                                      \

@@ -13,7 +13,11 @@
 #include "core/hams_system.hh"
 #include "cpu/cache_model.hh"
 #include "cpu/core_model.hh"
+#include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workload/workload.hh"
+
+#include "cache_reference.hh"
 
 namespace hams {
 namespace {
@@ -56,6 +60,56 @@ TEST(CacheModelTest, FlushInvalidates)
     c.access(0, true);
     c.flush();
     EXPECT_FALSE(c.access(0, false).hit);
+}
+
+TEST(CacheModelTest, MatchesStampLruReference)
+{
+    // 16 sets per geometry; per set, 2x ways distinct tags give both
+    // reuse and conflict misses, and 1 access in 8 is a cold line far
+    // away. flush() lands mid-stream.
+    for (std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+        CacheConfig cfg{16ull * ways * 64, 64, ways, nanoseconds(1)};
+        CacheModel model(cfg);
+        ReferenceCache ref(cfg);
+        Rng rng(ways);
+        for (int i = 0; i < 200000; ++i) {
+            if (i == 120000) {
+                model.flush();
+                ref.flush();
+            }
+            std::uint64_t line =
+                rng.chance(0.125) ? rng.below(1ull << 40)
+                                  : rng.below(16) + 16 * rng.below(2 * ways);
+            Addr addr = line * 64 + rng.below(64);
+            bool is_write = rng.chance(0.3);
+            CacheResult got = model.access(addr, is_write);
+            CacheResult want = ref.access(addr, is_write);
+            ASSERT_EQ(got.hit, want.hit) << ways << "-way, access " << i;
+            ASSERT_EQ(got.evictedDirty, want.evictedDirty)
+                << ways << "-way, access " << i;
+            ASSERT_EQ(got.evictedLine, want.evictedLine)
+                << ways << "-way, access " << i;
+        }
+        EXPECT_EQ(model.hits(), ref.hits) << ways << "-way";
+        EXPECT_EQ(model.misses(), ref.misses) << ways << "-way";
+        EXPECT_GT(ref.hits, 0u) << ways << "-way";
+    }
+}
+
+TEST(CacheModelTest, RejectsUnsupportedGeometry)
+{
+    // Line size not a power of two.
+    EXPECT_THROW(CacheModel(CacheConfig{96 * 64, 96, 1, nanoseconds(1)}),
+                 FatalError);
+    // 192 KiB / 64 B lines / 1 way = 3072 sets.
+    EXPECT_THROW(CacheModel(CacheConfig{192 * 1024, 64, 1, nanoseconds(1)}),
+                 FatalError);
+    EXPECT_THROW(CacheModel(CacheConfig{64 * 1024, 64, 0, nanoseconds(1)}),
+                 FatalError);
+    EXPECT_THROW(CacheModel(CacheConfig{17 * 64 * 64, 64, 17, nanoseconds(1)}),
+                 FatalError);
+    EXPECT_NO_THROW(CacheModel(CacheConfig{16 * 64 * 64, 64, 16,
+                                           nanoseconds(1)}));
 }
 
 TEST(CoreModel, RunsBudgetedInstructions)
