@@ -115,6 +115,7 @@ FlatFlashPlatform::tryAccess(const MemAccess& acc, Tick at,
 {
     out.bd = LatencyBreakdown{};
     out.done = serve(acc, at, out.bd);
+    out.domain = &eq;
     return true;
 }
 

@@ -214,19 +214,15 @@ MmapPlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
 bool
 MmapPlatform::tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out)
 {
-    // With background GC on the SSD, a fault or writeback may schedule
-    // device events *behind* the returned completion tick, which the
-    // inline contract forbids (the caller advances the queue to
-    // out.done). Per the contract, stop opting in rather than
-    // approximate: every access takes the event path. Background
-    // migration schedules device events the same way, so it declines
-    // too.
-    if (ssd->pageFtl().backgroundGcEnabled() || ssd->migrationEnabled())
-        return false;
     // Hit or fault alike, the whole software stack is latency
     // arithmetic computed at issue time: always inline-completable.
+    // Device events a fault or writeback kicks (background GC,
+    // migration) are scheduled inside serve(), before the caller
+    // decides whether to deliver inline or schedule the completion on
+    // out.domain — the same order access() schedules them in.
     out.bd = LatencyBreakdown{};
     out.done = serve(acc, at, out.bd);
+    out.domain = &eq;
     return true;
 }
 

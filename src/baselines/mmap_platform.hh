@@ -62,9 +62,9 @@ struct MmapConfig
 
     /**
      * Backing-SSD FTL knobs. With backgroundGc the device collects
-     * garbage on its own timeline (events on the platform queue) and
-     * the platform stops opting into inline completion — see
-     * tryAccess().
+     * garbage on its own timeline (events on the platform queue); the
+     * caller's inline delivery rule orders completions against those
+     * events (see tryAccess()).
      */
     FtlConfig ftl;
 
@@ -73,8 +73,8 @@ struct MmapConfig
      * owns a tracker over the file span, feeds it from serve() and
      * wires the knobs into the page-cache LRU (pinHotFrames) and the
      * backing SSD (migration, coldWritePlacement). Default-inert.
-     * With migration on the platform stops opting into inline
-     * completion, exactly like backgroundGc — see tryAccess().
+     * Migration events are ordered like backgroundGc's — see
+     * tryAccess().
      */
     TieringConfig tiering;
 };

@@ -99,6 +99,7 @@ NvdimmCPlatform::tryAccess(const MemAccess& acc, Tick at,
 {
     out.bd = LatencyBreakdown{};
     out.done = serve(acc, at, out.bd);
+    out.domain = &eq;
     return true;
 }
 

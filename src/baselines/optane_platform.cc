@@ -122,6 +122,7 @@ OptanePlatform::tryAccess(const MemAccess& acc, Tick at,
 {
     out.bd = LatencyBreakdown{};
     out.done = serve(acc, at, out.bd);
+    out.domain = &eq;
     return true;
 }
 

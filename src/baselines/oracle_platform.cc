@@ -36,6 +36,7 @@ OraclePlatform::tryAccess(const MemAccess& acc, Tick at,
 {
     out.bd = LatencyBreakdown{};
     out.done = serve(acc, at, out.bd);
+    out.domain = &eq;
     return true;
 }
 

@@ -12,7 +12,9 @@
  * paying a full EventQueue schedule+fire round trip per access makes
  * the event heap — not the model — the throughput bound. tryAccess()
  * lets a platform complete such an access inline: it returns the
- * completion tick and breakdown directly, scheduling nothing.
+ * completion tick and breakdown directly, scheduling no completion
+ * event, and the caller either delivers it on the spot or, where that
+ * could change the issue order, schedules the completion itself.
  *
  * A platform may complete an access inline only when doing so is
  * indistinguishable from access(): the same completion tick, the same
@@ -26,15 +28,27 @@
  *  - tryAccess() must not touch the event queue: no schedule, no
  *    step, no run — a false return must leave the queue untouched so
  *    the caller can fall back to access() with identical behaviour.
+ *    Events the access itself kicks (a fault that wakes background
+ *    GC) are the exception on a true return: access() would schedule
+ *    them too, before its completion, so they land in the same order.
  *  - A false return must also leave *platform* state untouched
  *    (no stats, no tag/cache updates); only a true return commits.
- *  - The caller owns the event loop. Completing inline reorders the
- *    completion ahead of every pending event, so callers must only use
- *    the fast path when no live event is pending at or before the
- *    returned tick — the simplest sufficient gate is
- *    eventQueue().empty() at issue (what SmpModel uses) —
- *    and should then advanceTo() the returned tick to keep now() where
- *    the fired completion event would have left it.
+ *  - A true return fills out.domain with the event queue access()
+ *    would have scheduled the completion on (a sharded platform passes
+ *    its shard's queue through).
+ *  - The caller owns the event loop and decides how the completion is
+ *    delivered. Since tryAccess() already applied the access exactly
+ *    as access() would have at call time, the only thing left is *when
+ *    the caller learns of it*. It may deliver inline when firing the
+ *    completion event could not change what it does next; otherwise
+ *    it schedules its own completion at out.done on out.domain, right
+ *    after the call — the same tick at the same point in schedule
+ *    order as access()'s completion event, so the event sequence is
+ *    the one access() would have produced. A solo caller delivers
+ *    inline only while no live event is pending at or before
+ *    out.done, and then advanceTo()s out.done, keeping now() where the
+ *    fired completion event would have left it. SmpModel's rule for
+ *    several cores is in "Multiple outstanding accesses" below.
  *
  * Hot-path contract (machine-checked)
  * -----------------------------------
@@ -62,14 +76,25 @@
  *    effects at call time, so call order *is* simulated-time order).
  *    SmpModel's conductor drains every pending event strictly earlier
  *    than the next issue tick before issuing, which guarantees this.
- *  - The eventQueue().empty() fast-path gate automatically accounts
- *    for other cores' pending completions: any outstanding access has
- *    a live completion event, so the queue is non-empty and the caller
- *    must take the event path. A platform whose tryAccess() could
- *    observe partially-applied state from a pending event must decline
- *    (return false) rather than approximate — the arithmetic baselines
- *    never depend on pending events, so they always qualify.
- *  - A multi-issue caller may skip advanceTo() after an inline
+ *  - Other cores' pending completions do not stop the fast path:
+ *    SmpModel offers every access to tryAccess(), and a platform only
+ *    accepts one that no pending event can change. A platform whose
+ *    tryAccess() could observe partially-applied state from a pending
+ *    event must decline (return false) rather than approximate — the
+ *    arithmetic baselines never depend on pending events, so they
+ *    always qualify, and HAMS accepts only idle-frame hits.
+ *  - Delivery with several cores: after an accepted access the core
+ *    first retires up to its next platform interaction. If it has none
+ *    left, or its next issue tick lies strictly past out.done, the
+ *    completion is delivered inline: on the event path the conductor
+ *    would fire the completion before that core's next issue anyway,
+ *    and the firing touches nothing but that core. At exactly
+ *    out.done the core would contend by index with other ready cores
+ *    at that tick, which on the event path issue before the event
+ *    unblocks it (same-tick ties issue first), so the caller
+ *    schedules the completion event instead. Either way every
+ *    access()/tryAccess()/flush() call happens in the event-path order.
+ *  - A multi-issue caller skips advanceTo() after an inline
  *    completion: with other cores' issue ticks possibly below the
  *    returned tick, advancing the queue would forbid their (legal)
  *    in-order schedules. Leaving now() behind is safe because
@@ -78,25 +103,27 @@
  * Background device activity (FTL garbage collection)
  * ---------------------------------------------------
  * A platform whose device runs background work as events (an SSD with
- * FtlConfig::backgroundGc, ftl/page_ftl.hh) interacts with the fast
- * path in two ways:
+ * FtlConfig::backgroundGc, ftl/page_ftl.hh) needs no special casing for
+ * the fast path:
  *
- *  - A pending GC event makes eventQueue().empty() false, so the
- *    inline gate declines and accesses take the event path, which
- *    pumps the queue and fires GC steps in deterministic tick order.
- *  - A platform whose *inline* completion could itself schedule
- *    background events behind the returned tick (e.g. mmap's
- *    fault/writeback path kicking GC) must stop opting into
- *    tryAccess() while background GC is enabled — scheduling an event
- *    at or before the returned tick would break the caller's
- *    advanceTo(). HamsSystem's inline path (idle-frame hits) never
- *    touches the SSD, so it keeps qualifying.
+ *  - Pending GC events do not block tryAccess(): a hit that never
+ *    touches the SSD cannot depend on them. The caller's delivery rule
+ *    orders the completion against them exactly as the event path
+ *    would — a solo caller defers whenever a GC step is due at or
+ *    before out.done, and the conductor pumps GC steps in
+ *    deterministic tick order either way.
+ *  - An inline-completable access that itself kicks background work
+ *    (mmap's fault/writeback path waking GC or migration) schedules
+ *    those events inside tryAccess(), before the caller schedules or
+ *    delivers the completion — the order access() produces — and a
+ *    solo caller then sees them pending at or before out.done and
+ *    defers, so advanceTo() stays legal.
  *
  * Event-path completions ride pooled contexts (scheduleCompletion):
  * {AccessCb, tick, breakdown} exceeds the 48-byte inline capture
  * budget, so capturing it by value in the completion lambda would box
- * on the heap for every event-path access — load-bearing again under
- * SMP, where pending completions make the queue-empty gate rare.
+ * on the heap for every event-path access — load-bearing for misses,
+ * flushes and every platform that never completes inline.
  *
  * Sharded platforms and event-queue domains
  * -----------------------------------------
@@ -114,11 +141,14 @@
  *    coordination events such as flush fences) and pumping it alone
  *    would starve the shards. SmpModel (which CoreModel runs with one
  *    core) and accessSync() are both conductor clients.
- *  - The inline fast-path gate becomes conductor().empty(): an access
- *    may complete inline only when NO domain has a pending event, so a
- *    routed inline completion can never race another shard's in-flight
- *    work. tryAccess() routing must itself stay pure: a false return
- *    from the owning shard leaves every domain untouched.
+ *  - The inline delivery rule is the same on every platform: the solo
+ *    check looks at conductor().nextTick(), i.e. at every domain, and
+ *    a deferred completion is scheduled on out.domain — the owning
+ *    shard's queue, exactly where that shard's access() would have put
+ *    it, so the conductor's cross-domain tie-break sees the same
+ *    (tick, seq, domain) order. tryAccess() routing must itself stay
+ *    pure: a false return from the owning shard leaves every domain
+ *    untouched.
  *  - Cross-shard flush ordering: flush() on a sharded platform is a
  *    two-phase barrier — the fence fans out to every shard at the
  *    issue tick, and the completion fires on the hub domain at

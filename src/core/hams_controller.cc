@@ -107,9 +107,11 @@ HamsController::tryAccess(const MemAccess& acc, Tick at,
                           InlineCompletion& out)
 {
     // Hits never touch the persist gate, the NVMe engine or the SSD, so
-    // both modes qualify: a gated miss in flight keeps an event pending
-    // and the caller's queue-empty gate declines anyway. Mid-recovery
-    // accesses need the degraded-mode admission checks in access().
+    // both modes qualify, whatever is pending: an idle frame has no
+    // waiters and no fill in flight, so no pending event (a gated miss,
+    // a GC step, another core's completion) can change this hit's tick
+    // or side effects. Mid-recovery accesses need the degraded-mode
+    // admission checks in access().
     if (_recovering)
         return false;
     std::uint64_t idx = frameOf(acc);
@@ -124,6 +126,7 @@ HamsController::tryAccess(const MemAccess& acc, Tick at,
         hotness->touch(acc.addr);
     out.bd = LatencyBreakdown{};
     out.done = serveHit(acc, idx, at, out.bd);
+    out.domain = &eq;
     return true;
 }
 

@@ -164,11 +164,11 @@ class HamsController
      * untouched. Hits never touch the persist gate.
      *
      * Background GC in the ULL-Flash needs no special casing here: a
-     * hit never touches the SSD, and while a GC step event is pending
-     * the caller's eventQueue().empty() gate declines the inline path
-     * anyway, so misses — whose latency now sees GC interference
-     * through the FIL's channel/die accounting — always take the
-     * event path.
+     * hit never touches the SSD, so a pending GC step cannot change
+     * it, and misses — whose latency sees GC interference through the
+     * FIL's channel/die accounting — always take the event path. On
+     * true, out.domain is the controller's queue, where access() puts
+     * its completion.
      */
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out);
 

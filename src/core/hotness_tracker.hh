@@ -86,8 +86,8 @@ struct TieringConfig
     /** Consumer 2: background promotion (flash -> buffer) and early
      *  demotion (dirty buffer frame -> flash) of frames as
      *  background-priority tracked flash ops, paced off the GC
-     *  watermark band. Schedules events: platforms whose inline path
-     *  reaches the SSD must decline tryAccess() while this is on. */
+     *  watermark band. Schedules events; the caller's inline delivery
+     *  rule orders completions against them (baselines/platform.hh). */
     bool migration = false;
 
     /** Frames promoted/demoted per migration step. */

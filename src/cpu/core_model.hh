@@ -35,8 +35,9 @@ struct CoreConfig
     /** Propagate dirty L2 victims to the platform (write-back). */
     bool writebackEvictions = true;
     /**
-     * Use MemoryPlatform::tryAccess to complete accesses inline when
-     * the event queue is empty. Simulated-time outputs are bit-identical
+     * Use MemoryPlatform::tryAccess to complete accesses inline where
+     * that keeps the event-path issue order (the inline rule in
+     * cpu/smp_model.hh). Simulated-time outputs are bit-identical
      * either way (tests/test_fastpath.cc asserts it); off exists for
      * that differential test and for before/after benchmarking.
      */

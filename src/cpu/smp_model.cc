@@ -152,10 +152,11 @@ SmpModel::issue(CoreCtx& c, DomainConductor& eq)
     switch (c.pending) {
       case CoreCtx::Pending::Wb: {
         // Background drain of a dirty L2 victim: occupies platform
-        // resources but never stalls the core.
+        // resources but never stalls the core. It has no callback, so
+        // an inline completion has nothing left to deliver.
         c.pending = CoreCtx::Pending::None;
         InlineCompletion ic;
-        if (!(cfg.core.inlineFastPath && eq.empty() &&
+        if (!(cfg.core.inlineFastPath &&
               platform.tryAccess(c.wb, c.now, ic)))
             platform.access(c.wb, c.now, nullptr);
         ++c.res.platformAccesses;
@@ -167,19 +168,44 @@ SmpModel::issue(CoreCtx& c, DomainConductor& eq)
         ++c.res.platformAccesses;
         c.issueAt = c.now;
         InlineCompletion ic;
-        if (cfg.core.inlineFastPath && eq.empty() &&
+        if (cfg.core.inlineFastPath &&
             platform.tryAccess(c.op.access, c.issueAt, ic)) {
-            // With several cores, no advanceTo(): others may still
-            // issue at ticks below ic.done (multi-outstanding
-            // contract, platform.hh). A solo core is the sole issuer
-            // and keeps now() where the fired completion event would
-            // have left it (solo rules, smp_model.hh).
-            if (solo)
-                eq.advanceTo(ic.done);
+            // Applied already; deliver the completion inline unless
+            // firing it as an event could change the issue order (the
+            // inline rule, smp_model.hh).
             c.res.stallTime += ic.done - c.issueAt;
             c.res.stallBreakdown += ic.bd;
             c.now = ic.done;
-            advance(c);
+            bool delivered;
+            if (solo) {
+                // The fired completion would be the last event at or
+                // before ic.done and leave now() there: legal exactly
+                // when nothing else is pending that early. empty()
+                // first skips the heap probe on an idle queue.
+                delivered = eq.empty() || eq.nextTick() > ic.done;
+                if (delivered) {
+                    eq.advanceTo(ic.done);
+                    advance(c);
+                }
+            } else {
+                // Past ic.done (or finished) the core is picked again
+                // only after the conductor would have fired the
+                // completion anyway. At exactly ic.done it would
+                // contend by index with other ready cores there, which
+                // on the event path issue before the completion event
+                // unblocks it.
+                advance(c);
+                delivered = c.finished || c.now > ic.done;
+            }
+            if (!delivered) {
+                // Park on a completion event at the same tick, on the
+                // domain access() would have used, scheduled at the
+                // same point: the conductor sees the event path's
+                // (tick, seq, domain) order.
+                c.blocked = true;
+                ic.domain->scheduleAt(ic.done,
+                                      [&c]() { c.blocked = false; });
+            }
             break;
         }
         c.blocked = true;

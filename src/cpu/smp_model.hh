@@ -33,10 +33,34 @@
  * one-queue behaviour; on a ShardedPlatform the retire loop is
  * unchanged while M device stacks run underneath.
  *
- * The immediate-completion fast path stays gated on an empty event
- * queue (contract in baselines/platform.hh): any other core's
- * outstanding access holds a live completion event, so the gate
- * naturally declines and the access takes the event path. With several
+ * The inline rule
+ * ---------------
+ * With inlineFastPath on, every access and dirty-victim writeback is
+ * offered to tryAccess(), whatever is pending; a true return means the
+ * access is already applied exactly as access() would have applied it
+ * at that call. What remains is delivering the completion, and that is
+ * done inline only where the completion event could not change what
+ * happens next:
+ *
+ *  - A writeback has no callback: nothing to deliver.
+ *  - A solo core delivers inline when the conductor's next event lies
+ *    strictly past the completion tick, so advanceTo() is legal and
+ *    leaves now() where the fired event would have.
+ *  - With several cores the core first retires up to its next platform
+ *    interaction; it delivers inline if it finished or its next issue
+ *    tick lies strictly past the completion. At exactly the completion
+ *    tick another ready core there would issue first on the event path
+ *    (same-tick ties issue before events fire), while an inline core
+ *    would contend by index.
+ *  - Otherwise the core blocks on an unblock event at the completion
+ *    tick, scheduled on InlineCompletion::domain right after the call
+ *    — the same tick at the same point in schedule order as access()'s
+ *    completion event, so the conductor sees the same (tick, seq,
+ *    domain) sequence.
+ *
+ * Platform calls therefore happen in the same order with the fast path
+ * on or off, on every platform (single device or sharded, background
+ * GC or not); only the number of fired events differs. With several
  * cores the conductor does not advanceTo() after an inline completion
  * — other cores may still legally issue below the completed tick.
  *
@@ -50,7 +74,8 @@
  *  - After an inline completion the solo core advanceTo()s the
  *    completion tick, keeping now() where the fired completion event
  *    would have left it (immediate-completion contract,
- *    baselines/platform.hh). Without it the next run() would start
+ *    baselines/platform.hh), and delivers inline only when that is
+ *    legal (the inline rule above). Without it the next run() would start
  *    from a lagging eq.now() and shift every issue tick relative to
  *    the devices' absolute-tick state. This is what keeps single-core
  *    results byte-identical to the earlier dedicated single-core
@@ -148,7 +173,8 @@ class SmpModel
     HAMS_HOT_PATH void advance(CoreCtx& c);
 
     /** Issue @p c's pending interaction at tick c.now on the
-     *  platform's conductor @p eq. */
+     *  platform's conductor @p eq, delivering an inline completion
+     *  by the inline rule above. */
     HAMS_HOT_PATH void issue(CoreCtx& c, DomainConductor& eq);
 
     /**

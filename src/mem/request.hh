@@ -72,15 +72,20 @@ struct LatencyBreakdown
  */
 using AccessCb = InlineFunction<void(Tick, const LatencyBreakdown&)>;
 
+class EventQueue;
+
 /**
- * What an access that completed inline reports: {done, breakdown} —
- * the immediate-completion fast path's stand-in for an AccessCb
- * invocation (contract in baselines/platform.hh).
+ * What an access that completed inline reports: {done, breakdown,
+ * domain} — the immediate-completion fast path's stand-in for an
+ * AccessCb invocation (contract in baselines/platform.hh). @c domain is
+ * the event queue access() would have scheduled the completion on, so
+ * a caller that cannot deliver inline schedules it there instead.
  */
 struct InlineCompletion
 {
     Tick done = 0;
     LatencyBreakdown bd;
+    EventQueue* domain = nullptr;
 };
 
 /** Human-readable op name. */

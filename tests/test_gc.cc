@@ -460,9 +460,9 @@ TEST(GcOpHandles, DrainedEngineLeaksNoTrackedOps)
 }
 
 // ---------------------------------------------------------------------
-// Inline-gate soundness: an active GC machine always has work pending
-// on the queue, so the CoreModel/SmpModel eq.empty() fast-path gate
-// declines while collection is in flight.
+// Inline-rule soundness: an active GC machine always has work pending
+// on the queue, so SmpModel's solo inline delivery (next event strictly
+// past the completion tick) can never advance time over a due step.
 // ---------------------------------------------------------------------
 
 TEST(GcOpHandles, ActiveMachineAlwaysHasPendingEvents)
@@ -477,8 +477,8 @@ TEST(GcOpHandles, ActiveMachineAlwaysHasPendingEvents)
         if (rig.ftl.gcActive()) {
             ++active_samples;
             EXPECT_GT(rig.eq.pending(), 0u)
-                << "active GC machine with an empty queue: the inline "
-                   "fast-path gate would wrongly accept";
+                << "active GC machine with an empty queue: an inline "
+                   "completion could skip its next step";
         }
     }
     EXPECT_GT(active_samples, 0u) << "churn never overlapped active GC";

@@ -676,8 +676,8 @@ TEST(HamsHotPath, DirtyMissPathIsAllocationFreeInSteadyState)
 // Event-path completions: the baseline platforms' access() used to
 // capture {cb, tick, breakdown} (> 48 B) in the completion lambda and
 // silently box it on the heap per access. With pooled contexts the
-// event path — load-bearing again once SMP traffic makes the
-// queue-empty fast-path gate rare — is allocation-free too.
+// event path — misses, flushes, platforms that never complete inline —
+// is allocation-free too.
 // ---------------------------------------------------------------------
 
 template <typename MakePlatform>

@@ -4,11 +4,12 @@
  * interleave; ShardedPlatform routing (range contiguity, hash balance
  * and injectivity); M = 1 bit-identity against the bare platform under
  * CoreModel and SmpModel; M > 1 rerun determinism with the inline fast
- * path on and off; the two-phase cross-shard flush barrier against
- * per-shard twin platforms; per-shard failure isolation; zero
- * allocations on the sharded hit path; the stats merge's sum-vs-max
- * semantics; and that every field of each stats struct's field list
- * takes part in equality, firstDifference and merge.
+ * path on and off, background GC keeping shard domains busy; the
+ * two-phase cross-shard flush barrier against per-shard twin
+ * platforms; per-shard failure isolation; zero allocations on the
+ * sharded hit path; the stats merge's sum-vs-max semantics; and that
+ * every field of each stats struct's field list takes part in
+ * equality, firstDifference and merge.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +31,9 @@
 #include "ssd/ssd.hh"
 #include "workload/workload.hh"
 
+#include "bg_gc_hams.hh"
 #include "expect_fields.hh"
+#include "forwarding_platform.hh"
 
 namespace hams {
 namespace {
@@ -61,21 +64,23 @@ shardedHams(std::uint32_t m, HamsMode mode, ShardedConfig cfg = {})
  *  range base — the same placement the scale-out bench uses. */
 SmpResult
 runShardedSmp(ShardedPlatform& sp, const std::string& workload,
-              std::uint32_t cores, bool inline_on, std::uint64_t budget)
+              std::uint32_t cores, bool inline_on, std::uint64_t budget,
+              std::uint64_t dataset = 32ull << 20,
+              MemoryPlatform* driven = nullptr)
 {
     std::uint32_t m = sp.shardCount();
     std::vector<std::unique_ptr<WorkloadGenerator>> gens;
     std::vector<WorkloadGenerator*> raw;
     for (std::uint32_t c = 0; c < cores; ++c) {
         std::uint32_t shard = c % m;
-        gens.push_back(makeShardCoreWorkload(workload, 32ull << 20, c / m,
+        gens.push_back(makeShardCoreWorkload(workload, dataset, c / m,
                                              cores / m, shard,
                                              sp.rangeBase(shard)));
         raw.push_back(gens.back().get());
     }
     SmpConfig cfg;
     cfg.core.inlineFastPath = inline_on;
-    SmpModel smp(sp, cfg);
+    SmpModel smp(driven ? *driven : sp, cfg);
     smp.run(raw, budget / 2);
     return smp.run(raw, budget);
 }
@@ -371,12 +376,49 @@ TEST(ShardedDeterminism, FourShardRerunIdentical)
     EXPECT_GT(p1->shardedStats().flushBarriers, 0u);
 }
 
+/** Counts accesses tryAccess() applied while some domain had a
+ *  pending event. */
+class PendingInlineSpy : public ForwardingPlatform
+{
+  public:
+    using ForwardingPlatform::ForwardingPlatform;
+
+    bool
+    tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out) override
+    {
+        bool pending = !inner.conductor().empty();
+        if (!inner.tryAccess(acc, at, out))
+            return false;
+        if (pending)
+            ++appliedWhilePending;
+        return true;
+    }
+
+    std::uint64_t appliedWhilePending = 0;
+};
+
+std::unique_ptr<ShardedPlatform>
+shardedBgGcHams(std::uint32_t m)
+{
+    std::vector<std::unique_ptr<MemoryPlatform>> shards;
+    for (std::uint32_t s = 0; s < m; ++s)
+        shards.push_back(smallHamsBgGc());
+    return std::make_unique<ShardedPlatform>(std::move(shards));
+}
+
 TEST(ShardedDeterminism, InlineFastPathOnOffIdentical)
 {
-    auto on = shardedHams(2, HamsMode::Extend);
-    auto off = shardedHams(2, HamsMode::Extend);
-    SmpResult r_on = runShardedSmp(*on, "rndWr", 4, true, 200000);
-    SmpResult r_off = runShardedSmp(*off, "rndWr", 4, false, 200000);
+    // Background GC in every shard plus four cores' misses keep events
+    // pending in the shard domains, so hits complete inline while other
+    // domains are busy; deferred completions land on the owning shard's
+    // queue. The run must still match the all-events run exactly.
+    auto on = shardedBgGcHams(2);
+    auto off = shardedBgGcHams(2);
+    PendingInlineSpy spy(*on);
+    SmpResult r_on =
+        runShardedSmp(*on, "rndWr", 4, true, 200000, 96ull << 20, &spy);
+    SmpResult r_off = runShardedSmp(*off, "rndWr", 4, false, 200000,
+                                    96ull << 20);
 
     for (std::uint32_t c = 0; c < 4; ++c)
         expectSameFields(r_on.perCore[c], r_off.perCore[c],
@@ -387,7 +429,21 @@ TEST(ShardedDeterminism, InlineFastPathOnOffIdentical)
     on->aggregatedHamsStats(s_on);
     off->aggregatedHamsStats(s_off);
     expectSameFields(s_on, s_off, "inline on vs off HamsStats");
+    std::uint64_t gc_batches = 0;
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        const FtlStats& fs_on =
+            static_cast<HamsSystem&>(on->shard(s)).ullFlash().ftlStats();
+        const FtlStats& fs_off =
+            static_cast<HamsSystem&>(off->shard(s)).ullFlash().ftlStats();
+        expectSameFields(fs_on, fs_off, "inline on vs off FtlStats");
+        gc_batches += fs_on.gcBatches;
+    }
+    EXPECT_GT(gc_batches, 0u) << "background GC never stepped";
     EXPECT_EQ(on->conductor().now(), off->conductor().now());
+    EXPECT_LT(on->conductor().fired(), off->conductor().fired())
+        << "nothing completed inline";
+    EXPECT_GT(spy.appliedWhilePending, 0u)
+        << "no inline completion while a domain had a pending event";
 }
 
 // ---------------------------------------------------------------------

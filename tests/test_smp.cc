@@ -7,13 +7,15 @@
  * N-core runs are bit-identical across reruns and with the inline fast
  * path on vs off; contention counters
  * (wait lists, persist gate) grow with core count on a shared HAMS
- * platform; the inline fast path is tried only with no event pending;
- * and the per-core hit path through the SMP conductor stays
- * allocation-free.
+ * platform; the inline fast path is offered with events pending and
+ * every inline delivery keeps the event-path issue order, same-tick
+ * ties included; and the per-core hit path through the SMP conductor
+ * stays allocation-free.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,7 +30,9 @@
 #include "ssd/ssd.hh"
 #include "workload/workload.hh"
 
+#include "bg_gc_hams.hh"
 #include "expect_fields.hh"
+#include "forwarding_platform.hh"
 
 namespace hams {
 namespace {
@@ -232,9 +236,9 @@ TEST(SmpDeterminism, EightCoreEventPathRerunIdentical)
 TEST(SmpDeterminism, FourCorePersistInlineOnMatchesOff)
 {
     // Persist-mode hits complete inline while four cores' misses queue
-    // on the persist gate. A hit never touches the gate, and inline
-    // completions only happen with no event pending, so every result
-    // must match the all-events run.
+    // on the persist gate. A hit never touches the gate, and the inline
+    // rule keeps the event-path issue order, so every result must match
+    // the all-events run.
     for (const char* workload : {"rndRd", "update"}) {
         SCOPED_TRACE(workload);
         HamsStats s;
@@ -244,31 +248,54 @@ TEST(SmpDeterminism, FourCorePersistInlineOnMatchesOff)
 }
 
 // ---------------------------------------------------------------------
-// The inline gate itself: SmpModel offers an access (or a dirty-victim
-// writeback) to tryAccess() only while the conductor has no pending
-// event. The on-vs-off differentials cannot pin this — HAMS hits on
-// idle frames do not depend on pending events — so a spy checks the
-// gate directly.
+// The inline rule (cpu/smp_model.hh): SmpModel offers every access and
+// dirty-victim writeback to tryAccess(), pending events or not, and
+// delivers an applied access's completion inline only where the fired
+// completion event could not have changed the issue order — otherwise
+// it parks the core on a completion event at the same tick, on the
+// domain access() would have used. The on-vs-off differentials pin the
+// outcome on real platforms; the spy below checks every inline
+// delivery from outside, and the scripted tie run forces the one case
+// the rule exists for.
 // ---------------------------------------------------------------------
 
 /**
- * Forwards everything to a real platform and counts tryAccess() offers,
- * separately those made while the conductor had a pending event.
+ * Forwards to a real platform and checks every completion tryAccess()
+ * applies against the inline rule. Core k must drive addresses in
+ * [k * span, (k + 1) * span) through the generator tap(k) returns: the
+ * address attributes each call to its core, and the op the tap saw
+ * last tells the core's access from its dirty-victim writebacks.
+ *
+ * The check: once tryAccess() has applied core k's access with
+ * completion tick d, core k's next call comes after d, or at exactly d
+ * only once the completion's domain has reached d. With several cores
+ * no event at or past d fires while a core is ready at or below d, so
+ * only the deferred completion event can take the domain there; an
+ * inline delivery at such a tie leaves it short of d. (A solo core's
+ * inline delivery advanceTo()s d itself, which panics if an event is
+ * due first.)
  */
-class GateSpyPlatform : public MemoryPlatform
+class InlineRuleSpy : public ForwardingPlatform
 {
   public:
-    explicit GateSpyPlatform(MemoryPlatform& inner) : inner(inner) {}
+    InlineRuleSpy(MemoryPlatform& inner, std::uint64_t span,
+                  std::uint32_t cores)
+        : ForwardingPlatform(inner), span(span), cores(cores)
+    {
+    }
 
-    const std::string& name() const override { return inner.name(); }
-    std::uint64_t capacity() const override { return inner.capacity(); }
-    EventQueue& eventQueue() override { return inner.eventQueue(); }
-    DomainConductor& conductor() override { return inner.conductor(); }
-    bool persistent() const override { return inner.persistent(); }
+    /** Core @p k's generator, as SmpModel must see it. */
+    WorkloadGenerator*
+    tap(std::uint32_t k, WorkloadGenerator& gen)
+    {
+        cores.at(k).tap.gen = &gen;
+        return &cores[k].tap;
+    }
 
     void
     access(const MemAccess& acc, Tick at, AccessCb cb) override
     {
+        settle(acc, at);
         ++eventPath;
         inner.access(acc, at, std::move(cb));
     }
@@ -276,48 +303,282 @@ class GateSpyPlatform : public MemoryPlatform
     bool
     tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out) override
     {
+        Core& c = settle(acc, at);
         ++offers;
         if (!inner.conductor().empty())
             ++offersWhilePending;
-        return inner.tryAccess(acc, at, out);
-    }
-
-    void
-    flush(Tick at, AccessCb cb) override
-    {
-        inner.flush(at, std::move(cb));
-    }
-
-    EnergyBreakdownJ
-    memoryEnergy(Tick elapsed) const override
-    {
-        return inner.memoryEnergy(elapsed);
+        if (!inner.tryAccess(acc, at, out))
+            return false;
+        const MemAccess& issued = c.tap.last.access;
+        if (acc.addr == issued.addr && acc.op == issued.op) {
+            ++applied;
+            c.open = true;
+            c.done = out.done;
+            c.domain = out.domain;
+        }
+        return true;
     }
 
     std::uint64_t offers = 0;
     std::uint64_t offersWhilePending = 0;
     std::uint64_t eventPath = 0;
+    std::uint64_t applied = 0;    //!< accesses (not writebacks) applied
+    std::uint64_t ties = 0;       //!< next call exactly at the completion
+    std::uint64_t violations = 0; //!< inline deliveries breaking the rule
 
   private:
-    MemoryPlatform& inner;
+    /** Remembers the op its generator emitted last. */
+    struct Tap : WorkloadGenerator
+    {
+        const WorkloadSpec& spec() const override { return gen->spec(); }
+
+        bool
+        next(WorkloadOp& op) override
+        {
+            bool more = gen->next(op);
+            if (more && op.hasAccess)
+                last = op;
+            return more;
+        }
+
+        void reset() override { gen->reset(); }
+
+        WorkloadGenerator* gen = nullptr;
+        WorkloadOp last;
+    };
+
+    struct Core
+    {
+        Tap tap;
+        bool open = false; //!< an applied access awaits the next call
+        Tick done = 0;
+        EventQueue* domain = nullptr;
+    };
+
+    /** Check the calling core's previous applied access against its
+     *  next call at @p at. */
+    Core&
+    settle(const MemAccess& acc, Tick at)
+    {
+        Core& c = cores.at(acc.addr / span);
+        if (c.open) {
+            c.open = false;
+            if (at == c.done) {
+                ++ties;
+                if (c.domain->now() < c.done)
+                    ++violations;
+            } else if (at < c.done) {
+                ++violations;
+            }
+        }
+        return c;
+    }
+
+    std::uint64_t span;
+    std::vector<Core> cores;
 };
 
-TEST(SmpInlineGate, NeverOffersTryAccessWithAnEventPending)
+// The gate under background GC: collection events are nearly always
+// pending, so the old empty-queue gate never offered; hits must now be
+// offered (and mostly delivered inline) while every delivery keeps the
+// rule.
+TEST(SmpInlineRule, OffersUnderBackgroundGcAndEveryDeliveryKeepsTheRule)
 {
-    // Random writes over a working set larger than the NVDIMM cache:
-    // misses keep completion events pending while other cores issue,
-    // and dirty L2 victims go out as writebacks, so both issue cases
-    // (Access and Wb) reach the gate with the queue busy.
-    for (std::uint32_t cores : {2u, 4u}) {
+    constexpr std::uint64_t span = 96ull << 20;
+    for (std::uint32_t cores : {1u, 2u, 4u}) {
         SCOPED_TRACE(cores);
-        auto sys = smallHams(HamsMode::Extend);
-        GateSpyPlatform spy(*sys);
-        runSmp(spy, "rndWr", cores, 150000, 256ull << 20);
-        EXPECT_GT(spy.offers, 0u) << "the fast path was never tried";
-        EXPECT_GT(spy.eventPath, 0u) << "nothing ever left an event pending";
-        EXPECT_EQ(spy.offersWhilePending, 0u)
-            << "tryAccess offered while an event was pending";
+        auto sys = smallHamsBgGc();
+        ASSERT_GE(sys->capacity(), cores * span);
+        InlineRuleSpy spy(*sys, span, cores);
+        std::vector<std::unique_ptr<WorkloadGenerator>> gens;
+        std::vector<WorkloadGenerator*> raw;
+        for (std::uint32_t k = 0; k < cores; ++k) {
+            gens.push_back(
+                makeShardCoreWorkload("rndWr", span, 0, 1, k, k * span));
+            raw.push_back(spy.tap(k, *gens.back()));
+        }
+        SmpModel smp(spy);
+        smp.run(raw, 100000);
+        smp.run(raw, 200000);
+        EXPECT_GT(spy.applied, 0u) << "nothing ever completed inline";
+        EXPECT_GT(spy.offersWhilePending, 0u)
+            << "tryAccess was never offered with an event pending";
+        EXPECT_GT(spy.eventPath, 0u) << "no access ever took the event path";
+        EXPECT_EQ(spy.violations, 0u)
+            << "an inline delivery could have reordered the issue order";
     }
+}
+
+/**
+ * Fixed-latency platform that applies nothing but its call log: every
+ * access completes @c latency after issue, inline or by event, so the
+ * log of (tick, address) calls is exactly the issue order.
+ */
+class TiePlatform : public MemoryPlatform
+{
+  public:
+    static constexpr Tick latency = nanoseconds(20);
+
+    struct Call
+    {
+        Tick at;
+        Addr addr;
+
+        bool
+        operator==(const Call& o) const
+        {
+            return at == o.at && addr == o.addr;
+        }
+    };
+
+    const std::string& name() const override { return _name; }
+    std::uint64_t capacity() const override { return 1ull << 30; }
+    EventQueue& eventQueue() override { return eq; }
+    bool persistent() const override { return true; }
+    EnergyBreakdownJ memoryEnergy(Tick) const override { return {}; }
+
+    void
+    access(const MemAccess& acc, Tick at, AccessCb cb) override
+    {
+        calls.push_back({at, acc.addr});
+        LatencyBreakdown bd;
+        bd.nvdimm = latency;
+        scheduleCompletion(eq, at + latency, bd, std::move(cb));
+    }
+
+    bool
+    tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out) override
+    {
+        calls.push_back({at, acc.addr});
+        out.bd = LatencyBreakdown{};
+        out.bd.nvdimm = latency;
+        out.done = at + latency;
+        out.domain = &eq;
+        return true;
+    }
+
+    std::vector<Call> calls;
+
+  private:
+    std::string _name = "tie";
+    EventQueue eq;
+};
+
+/** Replays a fixed op list. */
+class ScriptedWorkload : public WorkloadGenerator
+{
+  public:
+    explicit ScriptedWorkload(std::vector<WorkloadOp> ops)
+        : ops(std::move(ops))
+    {
+        _spec.name = "scripted";
+    }
+
+    const WorkloadSpec& spec() const override { return _spec; }
+
+    bool
+    next(WorkloadOp& op) override
+    {
+        if (pos == ops.size())
+            return false;
+        op = ops[pos++];
+        return true;
+    }
+
+    void reset() override { pos = 0; }
+
+  private:
+    WorkloadSpec _spec;
+    std::vector<WorkloadOp> ops;
+    std::size_t pos = 0;
+};
+
+/**
+ * @p n reads of distinct lines from @p base — every one misses L1 and
+ * L2, so it reaches the platform with no cache latency added — each
+ * preceded by compute_of(i) instructions.
+ */
+template <typename ComputeOf>
+std::vector<WorkloadOp>
+missScript(Addr base, std::uint32_t n, ComputeOf compute_of)
+{
+    std::vector<WorkloadOp> ops(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        ops[i].computeInstructions = compute_of(i);
+        ops[i].hasAccess = true;
+        ops[i].access = MemAccess{base + Addr(i) * 4096, 64, MemOp::Read};
+        ops[i].opBoundary = true;
+    }
+    return ops;
+}
+
+TEST(SmpInlineRule, SameTickTiesKeepTheEventPathOrder)
+{
+    // Core 0 issues back to back with no compute: its next access is
+    // ready at exactly its previous completion tick. Core 1 computes
+    // for one platform latency (or none, two, or half of one) between
+    // accesses, so it keeps arriving ready at core 0's completion
+    // ticks. On the
+    // event path core 1 issues first there (ties issue before events
+    // fire); an inline delivery to core 0 would let its lower index win
+    // the tie. Inline on and off must issue the same sequence.
+    constexpr std::uint64_t span = 1ull << 20;
+    const CoreConfig core;
+    const std::uint32_t lat_instr = static_cast<std::uint32_t>(
+        TiePlatform::latency * core.freqGhz / 1000.0 / core.baseCpi);
+    ASSERT_EQ(Tick(lat_instr * 1000.0 / core.freqGhz), TiePlatform::latency);
+
+    struct Outcome
+    {
+        std::vector<TiePlatform::Call> calls;
+        SmpResult result;
+        std::uint64_t fired;
+        std::uint64_t ties;
+        std::uint64_t violations;
+    };
+    auto run_once = [&](bool inline_on) {
+        ScriptedWorkload g0(
+            missScript(0, 200, [](std::uint32_t) { return 0u; }));
+        ScriptedWorkload g1(missScript(span, 200, [&](std::uint32_t i) {
+            return std::array<std::uint32_t, 4>{lat_instr, 0, 2 * lat_instr,
+                                                lat_instr / 2}[i % 4];
+        }));
+        TiePlatform tie;
+        InlineRuleSpy spy(tie, span, 2);
+        SmpConfig cfg;
+        cfg.core.inlineFastPath = inline_on;
+        SmpModel smp(spy, cfg);
+        Outcome o;
+        o.result = smp.run({spy.tap(0, g0), spy.tap(1, g1)}, 1u << 20);
+        o.calls = tie.calls;
+        o.fired = tie.eventQueue().fired();
+        o.ties = spy.ties;
+        o.violations = spy.violations;
+        return o;
+    };
+
+    Outcome on = run_once(true);
+    Outcome off = run_once(false);
+    ASSERT_EQ(on.calls.size(), 400u);
+    ASSERT_EQ(off.calls.size(), 400u);
+    for (std::size_t i = 0; i < on.calls.size(); ++i) {
+        ASSERT_TRUE(on.calls[i] == off.calls[i])
+            << "call " << i << " issued out of the event-path order: inline "
+            << "(" << on.calls[i].at << ", " << on.calls[i].addr
+            << ") vs events (" << off.calls[i].at << ", "
+            << off.calls[i].addr << ")";
+    }
+    for (std::uint32_t c = 0; c < 2; ++c)
+        expectSameFields(on.result.perCore[c], off.result.perCore[c],
+                         "tie inline on vs off");
+    expectSameFields(on.result.combined, off.result.combined,
+                     "tie inline on vs off combined");
+
+    // The script really produced ties, every one was deferred, and the
+    // rest still completed inline.
+    EXPECT_GT(on.ties, 0u) << "no core was ever ready at its completion";
+    EXPECT_EQ(on.violations, 0u);
+    EXPECT_LT(on.fired, off.fired) << "nothing completed inline";
 }
 
 // ---------------------------------------------------------------------
@@ -366,38 +627,10 @@ TEST(SmpContention, PersistGateSerialisesAcrossCores)
 // ---------------------------------------------------------------------
 // Background GC under SMP: device-internal collection events share the
 // queue with four cores' accesses. Runs must stay rerun-deterministic,
-// the inline fast-path gate must keep declining while GC events are
-// pending (pinned end-to-end by inline-on == inline-off bit-identity),
-// and the hit path stays allocation-free with the engine enabled.
+// hits completing inline while GC events are pending must not change a
+// single result (inline-on == inline-off bit-identity), and the hit
+// path stays allocation-free with the engine enabled.
 // ---------------------------------------------------------------------
-
-/**
- * A small HAMS machine whose ULL-Flash runs background GC, prefilled
- * to 65% so the dirty evictions of a cache-overflowing write workload
- * overwrite live LBAs and drive real collection during the run.
- */
-std::unique_ptr<HamsSystem>
-smallHamsBgGc()
-{
-    HamsSystemConfig c = HamsSystemConfig::tightExtend();
-    c.nvdimm.capacity = 96ull << 20;
-    c.ssdRawBytes = 512ull << 20; // 8 blocks/plane: GC within reach
-    c.pinnedBytes = 32ull << 20;
-    c.functionalData = false;
-    c.ftl.backgroundGc = true;
-    auto sys = std::make_unique<HamsSystem>(c);
-
-    Ssd& ssd = sys->ullFlash();
-    PageFtl& ftl = ssd.pageFtl();
-    std::uint64_t pages = ftl.logicalPages() * 65 / 100;
-    Tick t = 0;
-    for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-        t = ftl.writePage(lpn, ssd.config().geom.pageSize, t);
-    sys->eventQueue().run(); // settle pre-run idle collection
-    ssd.flashLayer().reset(); // prefilled but idle device
-    ftl.onFlashReset();       // handles died with the FIL's registry
-    return sys;
-}
 
 SmpResult
 runBgGcSmp(HamsSystem& sys, bool inline_on)
@@ -425,7 +658,7 @@ TEST(SmpBackgroundGc, FourCoreRerunIdenticalAndGateSound)
     // Collection genuinely ran as background events and overlapped
     // with host traffic (it may still be mid-victim when the budget
     // runs out — an active machine then holds a pending step event,
-    // which is exactly what keeps the inline gate declining).
+    // which the inline rule orders completions against).
     const FtlStats& fs = p1->ullFlash().ftlStats();
     EXPECT_GT(fs.gcBatches, 0u) << "background GC never stepped";
     EXPECT_GT(fs.gcForegroundOverlap, 0u)
@@ -443,11 +676,11 @@ TEST(SmpBackgroundGc, FourCoreRerunIdenticalAndGateSound)
     EXPECT_EQ(p1->eventQueue().fired(), p2->eventQueue().fired());
     expectSameFields(fs, p2->ullFlash().ftlStats(), "bg-GC FtlStats");
 
-    // Gate soundness, end to end: pending GC events force the event
-    // path, so enabling the inline fast path must not change a single
-    // simulated result. A gate that wrongly accepted while collection
-    // events were pending would complete inline at a tick that ignores
-    // them and diverge here.
+    // Rule soundness, end to end: hits complete inline while GC events
+    // are pending, and enabling the fast path must not change a single
+    // simulated result. A delivery that fired ahead of a due GC step,
+    // or a tryAccess() that accepted an access a pending event could
+    // change, would diverge here.
     auto p3 = smallHamsBgGc();
     SmpResult r3 = runBgGcSmp(*p3, /*inline_on=*/false);
     for (std::uint32_t c = 0; c < 4; ++c)
