@@ -1,33 +1,30 @@
 /**
  * @file
- * Hotness-aware tiering sweep: zipfian skew vs a skew-oblivious cache
- * at equal DRAM (ISSUE 10).
+ * Hotness-aware tiering sweep on the mmap platform: zipfian skew vs a
+ * skew-oblivious page cache at equal DRAM.
  *
- * {mmap, hams-TE} × zipf θ ∈ {0.6, 0.8, 0.99, 1.2} × tiering mode
- * {off, inert, tier}: a closed loop of 64 B accesses whose 4 KiB pages
- * are drawn from a Gray et al. zipfian generator over a window larger
- * than the cache. Every mode of a (platform, θ) group runs with the
- * *same* DRAM budget and FTL knobs — the only difference is the
- * TieringConfig:
+ * Zipf θ ∈ {0.6, 0.8, 0.99, 1.2} × tiering mode {off, inert, tier}: a
+ * closed loop of 64 B accesses whose 4 KiB pages are drawn from a Gray
+ * et al. zipfian generator over a window larger than the cache. Every
+ * mode of a θ group runs with the *same* DRAM budget and FTL knobs —
+ * the only difference is the TieringConfig:
  *
  *  - off:   tiering.enabled = false — the pre-PR skew-oblivious LRU.
  *  - inert: tracker allocated and fed, every consumer knob off. Its
  *           simulated outputs must be bit-identical to off (the
  *           tracker observes, never acts).
- *  - tier:  hot-frame pinning (cold-first eviction), background
- *           promotion/demotion and cold-write FTL placement all on.
+ *  - tier:  hot-frame pinning (cold-first eviction) and background
+ *           promotion/demotion both on.
  *
  * Gates, checked in the binary (harness.hh; a failure exits 1):
  *  - every cell runs twice on a fresh platform and the two results are
  *    bit-identical (rerun_identical), at any HAMS_BENCH_THREADS;
  *  - inert cells' simulated outputs equal off's (inert_identical);
- *  - the headline: at high skew (θ >= 0.99) the tiering cache holds
- *    at least the skew-oblivious one's ops/s on the platform whose
- *    cache the knobs steer (mmap's page cache) — LRU wastes residency
- *    on zipf-tail one-hit-wonders that the cold-first selector evicts
- *    first;
- *  - the migration engine moves a frame in some mmap tier cell, and
- *    cold-write placement steers a write in some cell.
+ *  - the headline: at high skew (θ >= 0.99) the tiering page cache
+ *    holds at least the skew-oblivious one's ops/s — LRU wastes
+ *    residency on zipf-tail one-hit-wonders that the cold-first
+ *    selector evicts first;
+ *  - the migration engine moves a frame in some tier cell.
  *
  * Results land in BENCH_tiering.json (HAMS_BENCH_JSON overrides,
  * HAMS_BENCH_SCALE enlarges the runs).
@@ -41,7 +38,6 @@
 
 #include "baselines/mmap_platform.hh"
 #include "bench_util.hh"
-#include "core/hams_system.hh"
 #include "harness.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -68,7 +64,6 @@ modeName(TierMode m)
 
 struct TierCell
 {
-    std::string platform; //!< mmap | hams-TE
     double theta = 0;
     TierMode mode = TierMode::Off;
 };
@@ -84,7 +79,7 @@ struct TierCell
     X(keep, Tick, latencySum)                                              \
     X(keep, Tick, measureStart)                                            \
     X(keep, Tick, lastDone)                                                \
-    /* page-cache hits / page faults (mmap), MoS hits / misses (hams) */   \
+    /* page-cache hits / page faults */                                    \
     X(keep, std::uint64_t, hits)                                           \
     X(keep, std::uint64_t, misses)                                         \
     X(keep, std::uint64_t, hostReads)                                      \
@@ -106,8 +101,6 @@ struct TierOutputs
     /* tracker-hot frames at end of run */                                 \
     X(keep, std::uint64_t, hotFrames)                                      \
     X(keep, TieringStats, tier)                                            \
-    /* host writes cold-write placement rerouted */                        \
-    X(keep, std::uint64_t, tierColdWrites)                                 \
     X(keep, TierOutputs, sim)                                              \
     /* fingerprint(sim) */                                                 \
     X(keep, std::uint64_t, fingerprint)                                    \
@@ -141,45 +134,28 @@ tieringFor(TierMode mode)
     // simulated time, so the stock 50 us quiet window would never
     // open; shrink it so background steps interleave with the load.
     t.migIdleDelay = microseconds(2);
-    t.coldWritePlacement = true;
     return t;
 }
 
-std::unique_ptr<MemoryPlatform>
+std::unique_ptr<MmapPlatform>
 buildPlatform(const TierCell& cell, const BenchGeometry& geom)
 {
     setQuiet(true);
-    // Identical FTL knobs in every mode: streams exist so cold-write
-    // placement has somewhere to route, background GC runs the same
-    // engine with or without tiering.
-    FtlConfig ftl;
-    ftl.backgroundGc = true;
-    ftl.gcStreamBlocks = 1;
-
-    if (cell.platform == "mmap") {
-        MmapConfig c;
-        c.backend = MmapBackend::UllFlash;
-        c.dramBytes = geom.hostMemBytes;
-        // Page cache well under the zipf window so residency is the
-        // contested resource the two policies fight over: LRU wastes
-        // frames on zipf-tail one-hit-wonders streaming through.
-        c.pageCacheBytes = geom.hostMemBytes / 16;
-        c.ssdRawBytes = geom.ssdRawBytes;
-        c.ssdBufferBytes = 4ull << 20;
-        c.ftl = ftl;
-        c.tiering = tieringFor(cell.mode);
-        return std::make_unique<MmapPlatform>(c);
-    }
-
-    HamsSystemConfig c = HamsSystemConfig::tightExtend();
-    c.pinnedBytes = 32ull << 20;
-    c.nvdimm.capacity = geom.hostMemBytes + c.pinnedBytes;
+    // Identical FTL knobs in every mode: background GC with relocation
+    // streams runs the same engine with or without tiering.
+    MmapConfig c;
+    c.backend = MmapBackend::UllFlash;
+    c.dramBytes = geom.hostMemBytes;
+    // Page cache well under the zipf window so residency is the
+    // contested resource the two policies fight over: LRU wastes
+    // frames on zipf-tail one-hit-wonders streaming through.
+    c.pageCacheBytes = geom.hostMemBytes / 16;
     c.ssdRawBytes = geom.ssdRawBytes;
-    c.mosPageBytes = geom.mosPageBytes;
-    c.functionalData = false;
-    c.ftl = ftl;
+    c.ssdBufferBytes = 4ull << 20;
+    c.ftl.backgroundGc = true;
+    c.ftl.gcStreamBlocks = 1;
     c.tiering = tieringFor(cell.mode);
-    return std::make_unique<HamsSystem>(c);
+    return std::make_unique<MmapPlatform>(c);
 }
 
 constexpr std::uint32_t queueDepth = 4;
@@ -190,7 +166,7 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
 {
     TierResult res;
     auto platform = buildPlatform(cell, geom);
-    Ssd& ssd = backingSsdOf(*platform);
+    Ssd& ssd = platform->backingSsd();
 
     std::uint64_t window =
         std::min<std::uint64_t>(2 * geom.datasetBytes,
@@ -225,17 +201,9 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
             }
         });
 
-    HotnessTracker* tracker = nullptr;
-    if (auto* m = dynamic_cast<MmapPlatform*>(platform.get())) {
-        sim.hits = m->pageCacheHits();
-        sim.misses = m->pageFaults();
-        tracker = m->hotnessTracker();
-    } else if (auto* h = dynamic_cast<HamsSystem*>(platform.get())) {
-        sim.hits = h->stats().hits;
-        sim.misses = h->stats().misses;
-        tracker = h->hotnessTracker();
-    }
-    if (tracker)
+    sim.hits = platform->pageCacheHits();
+    sim.misses = platform->pageFaults();
+    if (const HotnessTracker* tracker = platform->hotnessTracker())
         for (std::uint64_t f = 0; f < tracker->frames(); ++f)
             res.hotFrames += tracker->isHotFrame(f) ? 1 : 0;
 
@@ -247,7 +215,6 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
     sim.gcRelocations = ftl.gcRelocations;
     sim.erases = ftl.erases;
     res.tier = ssd.tieringStats();
-    res.tierColdWrites = ftl.tierColdWrites;
     res.hitRate = sim.hits + sim.misses > 0
                       ? static_cast<double>(sim.hits) /
                             static_cast<double>(sim.hits + sim.misses)
@@ -269,21 +236,18 @@ main()
     std::uint64_t warmup = 4000 * scale();
     std::uint64_t measured = 20000 * scale();
 
-    const std::vector<std::string> platforms = {"mmap", "hams-TE"};
     const std::vector<double> thetas = {0.6, 0.8, 0.99, 1.2};
 
     std::vector<TierCell> cells;
     std::vector<std::string> names;
-    for (const auto& p : platforms)
-        for (double t : thetas)
-            for (TierMode m :
-                 {TierMode::Off, TierMode::Inert, TierMode::Tier}) {
-                cells.push_back({p, t, m});
-                char theta[16];
-                std::snprintf(theta, sizeof(theta), "%.2f", t);
-                names.push_back("tiering/" + p + "/theta" + theta + "/" +
-                                modeName(m));
-            }
+    for (double t : thetas)
+        for (TierMode m : {TierMode::Off, TierMode::Inert, TierMode::Tier}) {
+            cells.push_back({t, m});
+            char theta[16];
+            std::snprintf(theta, sizeof(theta), "%.2f", t);
+            names.push_back(std::string("tiering/mmap/theta") + theta +
+                            "/" + modeName(m));
+        }
 
     // Two complete runs per cell on fresh platforms: the tiering
     // machinery must be deterministic, so the results match exactly.
@@ -301,18 +265,17 @@ main()
         return 1;
     }
 
-    std::printf("\n%-8s %5s %6s %10s %7s %9s %7s %7s %9s %8s %6s\n",
-                "platform", "theta", "mode", "ops/s", "hit%", "hot",
-                "promo", "demo", "coldWr", "rerun", "inert");
+    std::printf("\n%5s %6s %10s %7s %9s %7s %7s %8s %6s\n", "theta",
+                "mode", "ops/s", "hit%", "hot", "promo", "demo", "rerun",
+                "inert");
 
     BenchReport report;
     bool migrated = false;
-    bool cold_placed = false;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const TierCell& c = cells[i];
         TierResult& r = results[i];
-        // Mode order within a (platform, theta) group is off, inert,
-        // tier — the off row anchors the two comparisons.
+        // Mode order within a theta group is off, inert, tier — the
+        // off row anchors the two comparisons.
         const TierResult& off = results[i - i % 3];
         r.rerunIdentical =
             report.same(r, rerun[i], names[i], "rerun identical");
@@ -320,17 +283,14 @@ main()
             c.mode != TierMode::Inert ||
             report.same(r.sim, off.sim, names[i],
                         "inert outputs identical to off");
-        if (c.platform == "mmap" && c.mode == TierMode::Tier)
+        if (c.mode == TierMode::Tier)
             migrated |= r.tier.promotions + r.tier.demotions > 0;
-        cold_placed |= r.tierColdWrites > 0;
-        std::printf("%-8s %5.2f %6s %10.0f %6.2f%% %9llu %7llu %7llu "
-                    "%9llu %8s %6s\n",
-                    c.platform.c_str(), c.theta, modeName(c.mode),
-                    r.opsPerSec, r.hitRate * 100,
+        std::printf("%5.2f %6s %10.0f %6.2f%% %9llu %7llu %7llu %8s %6s\n",
+                    c.theta, modeName(c.mode), r.opsPerSec,
+                    r.hitRate * 100,
                     static_cast<unsigned long long>(r.hotFrames),
                     static_cast<unsigned long long>(r.tier.promotions),
                     static_cast<unsigned long long>(r.tier.demotions),
-                    static_cast<unsigned long long>(r.tierColdWrites),
                     r.rerunIdentical ? "ok" : "DIFF",
                     c.mode == TierMode::Inert
                         ? (r.inertIdentical ? "ok" : "DIFF")
@@ -339,25 +299,20 @@ main()
     }
     report.check(migrated, "tiering/mmap/*/tier",
                  "migration engine moved a frame");
-    report.check(cold_placed, "tiering/*",
-                 "cold-write placement steered a write");
 
-    // Headline: at high skew the tiering cache must beat (or at worst
-    // match) the skew-oblivious one at equal DRAM on the platform
-    // whose cache the knobs steer.
+    // Headline: at high skew the tiering page cache must beat (or at
+    // worst match) the skew-oblivious one at equal DRAM.
     std::printf("\ntiering vs skew-oblivious cache (ops/s, equal "
                 "DRAM):\n");
-    std::printf("%-8s %5s %12s %12s %8s\n", "platform", "theta", "off",
-                "tier", "ratio");
+    std::printf("%5s %12s %12s %8s\n", "theta", "off", "tier", "ratio");
     for (std::size_t i = 0; i + 2 < cells.size(); i += 3) {
         const TierResult& off = results[i];
         const TierResult& tier = results[i + 2];
         double ratio =
             off.opsPerSec > 0 ? tier.opsPerSec / off.opsPerSec : 0;
-        std::printf("%-8s %5.2f %12.0f %12.0f %7.2fx\n",
-                    cells[i].platform.c_str(), cells[i].theta,
+        std::printf("%5.2f %12.0f %12.0f %7.2fx\n", cells[i].theta,
                     off.opsPerSec, tier.opsPerSec, ratio);
-        if (cells[i].platform == "mmap" && cells[i].theta >= 0.99)
+        if (cells[i].theta >= 0.99)
             report.check(tier.opsPerSec >= off.opsPerSec, names[i + 2],
                          "tiering holds the skew-oblivious ops/s at "
                          "high skew");

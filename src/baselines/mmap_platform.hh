@@ -72,9 +72,9 @@ struct MmapConfig
      * Hotness-aware tiering (core/hotness_tracker.hh): the platform
      * owns a tracker over the file span, feeds it from serve() and
      * wires the knobs into the page-cache LRU (pinHotFrames) and the
-     * backing SSD (migration, coldWritePlacement). Default-inert.
-     * Migration events are ordered like backgroundGc's — see
-     * tryAccess().
+     * backing SSD (pinHotFrames on its buffer, migration). This is the
+     * only platform that runs a tracker. Default-inert. Migration
+     * events are ordered like backgroundGc's — see tryAccess().
      */
     TieringConfig tiering;
 };

@@ -65,8 +65,6 @@ HamsController::access(const MemAccess& acc, const std::uint8_t* wdata,
 {
     std::uint64_t idx = frameOf(acc);
     ++_stats.accesses;
-    if (hotness)
-        hotness->touch(acc.addr);
     MosTagEntry& e = tags.entry(idx);
 
     if (e.busy) {
@@ -122,8 +120,6 @@ HamsController::tryAccess(const MemAccess& acc, Tick at,
     // A hit on an idle frame: the event path's serveHit(), minus the
     // Op context and the completion event.
     ++_stats.accesses;
-    if (hotness)
-        hotness->touch(acc.addr);
     out.bd = LatencyBreakdown{};
     out.done = serveHit(acc, idx, at, out.bd);
     out.domain = &eq;

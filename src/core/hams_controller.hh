@@ -31,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/hotness_tracker.hh"
 #include "core/mos_tag_array.hh"
 #include "sim/annotations.hh"
 #include "core/nvme_engine.hh"
@@ -171,15 +170,6 @@ class HamsController
      * its completion.
      */
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out);
-
-    /**
-     * Feed every dispatched access into a hotness tracker (null
-     * detaches). The touch happens once per dispatch — re-injected
-     * waiters count again, exactly like `HamsStats::accesses` — and
-     * identically on the access() and tryAccess() paths, so enabling
-     * the inline fast path cannot change tracker state.
-     */
-    void attachHotness(HotnessTracker* h) { hotness = h; }
 
     /** Drop volatile state (wait queue, persist gate) on power failure. */
     HAMS_COLD_PATH void onPowerFail();
@@ -365,8 +355,6 @@ class HamsController
     std::uint64_t _mosCapacity;
     MosTagArray tags;
     HamsStats _stats;
-    /** Optional per-access hotness monitor (attachHotness()). */
-    HotnessTracker* hotness = nullptr;
 
     ObjectPool<Op> opPool;
     FrameBufferPool staging; //!< PRP-clone staging copies (pageBytes each)

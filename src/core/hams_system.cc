@@ -158,13 +158,6 @@ HamsSystem::HamsSystem(const HamsSystemConfig& cfg)
     ctrl = std::make_unique<HamsController>(eq, *nvdimm, *engine, *pinned,
                                             mos_capacity, ccfg);
 
-    if (cfg.tiering.enabled) {
-        hotness = std::make_unique<HotnessTracker>(mos_capacity,
-                                                   cfg.tiering);
-        ctrl->attachHotness(hotness.get());
-        ssd->attachTiering(hotness.get(), cfg.tiering);
-    }
-
     inform(_name, ": MoS pool ", mos_capacity >> 20, " MiB, NVDIMM cache ",
            pinned->cacheBytes() >> 20, " MiB, page ",
            cfg.mosPageBytes >> 10, " KiB");
@@ -256,9 +249,6 @@ HamsSystem::powerFail(std::uint64_t max_drain_frames)
         nvdimm->state() == Nvdimm::State::Restoring)
         nvdimm->powerFail();
     link->reset();
-    // Hotness is volatile advice: it does not survive the cut.
-    if (hotness)
-        hotness->clear();
     _recovering = false;
     return drain;
 }

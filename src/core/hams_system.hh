@@ -90,15 +90,6 @@ struct HamsSystemConfig
      * on the system queue and contends with miss/eviction traffic.
      */
     FtlConfig ftl;
-    /**
-     * Hotness-aware tiering (core/hotness_tracker.hh). When enabled the
-     * system owns a HotnessTracker over the MoS space, feeds it from
-     * the controller's access path and wires the consumer knobs into
-     * the ULL-Flash (buffer pinning, background migration, cold-write
-     * placement). Default-inert: simulated outputs are bit-identical
-     * with tiering.enabled = false, and the differential tests pin it.
-     */
-    TieringConfig tiering;
     std::uint16_t queueEntries = 1024;
     std::uint64_t pinnedBytes = 512ull << 20;
     bool functionalData = true;
@@ -196,8 +187,6 @@ class HamsSystem : public MemoryPlatform
     HamsNvmeEngine& nvmeEngine() { return *engine; }
     NvmeController& nvmeController() { return *nvmeCtrl; }
     Ssd& ullFlash() { return *ssd; }
-    /** Hotness tracker, or null when cfg.tiering.enabled is false. */
-    HotnessTracker* hotnessTracker() { return hotness.get(); }
     Nvdimm& nvdimmModule() { return *nvdimm; }
     PinnedRegion& pinnedRegion() { return *pinned; }
     RegisterInterface* registerInterface() { return regIf.get(); }
@@ -219,7 +208,6 @@ class HamsSystem : public MemoryPlatform
     std::unique_ptr<PinnedRegion> pinned;
     std::unique_ptr<HamsNvmeEngine> engine;
     std::unique_ptr<HamsController> ctrl;
-    std::unique_ptr<HotnessTracker> hotness;
     bool _recovering = false;
 };
 

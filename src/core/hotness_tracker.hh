@@ -1,8 +1,9 @@
 /**
  * @file
  * Decaying access-frequency/recency monitor and the tiering knobs it
- * feeds — the CHMU-style hotness signal behind hot-frame pinning,
- * background promotion/demotion and hot/cold-aware FTL placement.
+ * feeds — the CHMU-style hotness signal behind the mmap platform's
+ * hot-frame pinning (page cache and SSD buffer) and background
+ * promotion/demotion between its SSD buffer and flash.
  *
  * ## Decay/epoch contract
  *
@@ -29,8 +30,8 @@
  *
  * Hot-path discipline: touch()/isHotAddr() are O(1), allocation-free,
  * probe no hash and take no locks; the table is plain contiguous
- * memory. Power failure clears the tracker (clear()) — hotness is
- * volatile advice, never durable state, so losing it affects
+ * memory. A power cut loses the tracker (clear() models it) — hotness
+ * is volatile advice, never durable state, so losing it affects
  * performance only, never correctness.
  */
 
@@ -100,12 +101,6 @@ struct TieringConfig
     /** Quiet window after the last host op before a migration step
      *  fires (idle-time tiering, like the FTL's gcIdleThreshold). */
     Tick migIdleDelay = microseconds(50);
-
-    /** Consumer 3: hot/cold-aware FTL placement at write time — hot
-     *  writes share the active block, cold writes pack into the
-     *  gcStreamBlocks relocation stream so GC victims are born
-     *  segregated. Requires FtlConfig::gcStreamBlocks > 0 to act. */
-    bool coldWritePlacement = false;
 };
 
 /**

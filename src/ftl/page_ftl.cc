@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 
-#include "core/hotness_tracker.hh"
 #include "sim/logging.hh"
 
 namespace hams {
@@ -30,6 +29,9 @@ PageFtl::PageFtl(const FlashGeometry& geom, Fil& fil, const FtlConfig& cfg)
     if (cfg.gcAdaptivePacing && !cfg.backgroundGc)
         fatal("FTL gcAdaptivePacing requires backgroundGc: the pacer "
               "rate-limits the background machines");
+    if (cfg.gcVictimQuality && !cfg.gcAdaptivePacing)
+        fatal("FTL gcVictimQuality requires gcAdaptivePacing: the "
+              "quality allowance ramps with the pacer level");
 
     _logicalPages = static_cast<std::uint64_t>(
         static_cast<double>(geom.totalPages()) * (1.0 - cfg.overProvision));
@@ -182,7 +184,7 @@ PageFtl::pushFreeBlock(std::uint64_t pu, std::uint32_t block)
 }
 
 std::uint64_t
-PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc, bool cold)
+PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc)
 {
     Unit& u = units[pu];
     // Dedicated relocation stream: GC victims pack into a per-unit
@@ -196,16 +198,7 @@ PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc, bool cold)
     // consumed *fresh* by a relocation crisis — exactly the PR 4
     // completion guarantee — while leftover stream slack on an empty
     // pool is headroom PR 4 never had (canStartVictim()).
-    //
-    // Cold host writes (hotness-aware placement) share the stream so
-    // GC victims are born segregated, but only with watermark
-    // headroom: at or below the low watermark the cold write falls
-    // through to the shared path, where the GC triggers and the
-    // reserve backpressure run exactly as without placement.
-    bool stream = (for_gc || cold) && cfg.gcStreamBlocks > 0;
-    if (!for_gc && stream && u.freeBlocks.size() <= cfg.gcLowWater)
-        stream = false;
-    if (stream) {
+    if (for_gc && cfg.gcStreamBlocks > 0) {
         if (u.gcStreamBlock < 0 &&
             u.freeBlocks.size() > cfg.gcReserveBlocks) {
             u.gcStreamBlock = takeFreeBlock(u, pu);
@@ -228,22 +221,6 @@ PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc, bool cold)
                 u.gcStreamBlock = -1;
             }
             b.pageLpns[page] = std::numeric_limits<std::uint64_t>::max();
-            if (!for_gc) {
-                ++_stats.tierColdWrites;
-                // A stream draw depletes the pool without rolling the
-                // active block, so the background engine's kick/idle
-                // checks must run here too or a cold-dominated write
-                // mix would only ever meet GC at the crisis path.
-                if (backgroundGcEnabled()) {
-                    std::uint32_t kick_at = cfg.gcAdaptivePacing
-                                                ? cfg.gcHighWater
-                                                : cfg.gcLowWater + 1;
-                    if (u.freeBlocks.size() <= kick_at)
-                        kickGc(pu, at, /*idle=*/false);
-                    if (u.freeBlocks.size() <= cfg.gcHighWater)
-                        idleArmWanted = true;
-                }
-            }
             return makePpn(pu, block, page);
         }
     }
@@ -336,7 +313,7 @@ PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
     if (++nextPu == units.size())
         nextPu = 0;
 
-    std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false, isColdLpn(lpn));
+    std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false);
     std::uint64_t pu2;
     std::uint32_t block, page;
     splitPpn(ppn, pu2, block, page);
@@ -350,13 +327,6 @@ PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
     if (backgroundGcEnabled())
         noteHostActivity(done);
     return done;
-}
-
-bool
-PageFtl::isColdLpn(std::uint64_t lpn) const
-{
-    return hotness != nullptr &&
-           !hotness->isHotAddr(lpn * geom.pageSize);
 }
 
 Tick
@@ -389,12 +359,8 @@ PageFtl::backgroundWritePage(std::uint64_t lpn, std::uint32_t bytes,
     if (++nextPu == units.size())
         nextPu = 0;
 
-    // Foreground allocation semantics (never dips into the GC
-    // reserve); the demoted frame is cold by construction, so the
-    // placement signal routes it into the relocation stream when
-    // configured.
-    std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false,
-                                 isColdLpn(lpn));
+    // Foreground allocation semantics: never dips into the GC reserve.
+    std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false);
     std::uint64_t pu2;
     std::uint32_t block, page;
     splitPpn(ppn, pu2, block, page);
@@ -729,7 +695,7 @@ PageFtl::notePaceLevel(std::uint32_t free_blocks)
 std::uint32_t
 PageFtl::victimAllowance(std::uint32_t free_blocks) const
 {
-    if (!cfg.gcVictimQuality || !cfg.gcAdaptivePacing)
+    if (!cfg.gcVictimQuality)
         return geom.pagesPerBlock; // gate open: only the livelock
                                    // reject in selectVictim applies
     // Linear in the pacer level: no tolerance for valid pages at the

@@ -91,8 +91,6 @@
 
 namespace hams {
 
-class HotnessTracker;
-
 /** FTL tuning knobs. */
 struct FtlConfig
 {
@@ -143,11 +141,12 @@ struct FtlConfig
     Tick gcPaceQuantum = microseconds(25);
     /**
      * Victim-quality term of the adaptive pacer (requires
-     * gcAdaptivePacing): while the free pool has runway, the
-     * background collector only accepts victims whose valid-page
-     * count fits the pacer level's allowance (victimAllowance()) —
-     * near-full victims, whose relocation is nearly all write
-     * amplification, are deferred until depletion justifies them.
+     * gcAdaptivePacing; the constructor rejects it without): while
+     * the free pool has runway, the background collector only accepts
+     * victims whose valid-page count fits the pacer level's allowance
+     * (victimAllowance()) — near-full victims, whose relocation is
+     * nearly all write amplification, are deferred until depletion
+     * justifies them.
      * The crisis path (foreground stall at the reserve) always runs
      * at full allowance, so the gate can never starve a writer. Off
      * (default) preserves the pure fewest-valid greedy policy
@@ -182,10 +181,8 @@ struct FtlConfig
     X(max, std::uint32_t, paceLevel)                                       \
     /* Deepest pacer level reached (pool closest to the reserve). */       \
     X(max, std::uint32_t, paceLevelMax)                                    \
-    /* Tiering (core/hotness_tracker.hh consumers): host writes routed     \
-     * into the relocation stream as cold; background promotion reads      \
-     * and demotion writes issued for tiering. */                          \
-    X(sum, std::uint64_t, tierColdWrites)                                  \
+    /* Tiering (core/hotness_tracker.hh consumers): background promotion   \
+     * reads and demotion writes issued for tiering. */                    \
     X(sum, std::uint64_t, tierBgReads)                                     \
     X(sum, std::uint64_t, tierBgWrites)
 
@@ -211,19 +208,6 @@ class PageFtl
      * synchronous. The queue must outlive the FTL.
      */
     void attachEventQueue(EventQueue* q) { eq = q; }
-
-    /**
-     * Give the FTL a hotness signal for write-time placement
-     * (TieringConfig::coldWritePlacement): host writes whose LPN the
-     * tracker does NOT consider hot are packed into the per-unit
-     * gcStreamBlocks relocation stream (when configured and the unit
-     * has watermark headroom), so GC victims are born hot/cold
-     * segregated instead of only separating retroactively at GC time.
-     * Null (the default) keeps placement bit-identical to before. The
-     * tracker must outlive the FTL; LPNs map to tracker addresses as
-     * lpn * geom.pageSize.
-     */
-    void attachHotness(const HotnessTracker* h) { hotness = h; }
 
     /** True when GC runs as background events. */
     bool
@@ -341,8 +325,8 @@ class PageFtl
      * pages a background victim may carry before the quality gate
      * defers it. Ramps linearly with the pacer level — zero tolerance
      * at the high watermark, a full block at the reserve — and is the
-     * whole block (gate open) whenever gcVictimQuality or
-     * gcAdaptivePacing is off. Monotone non-increasing in free_blocks.
+     * whole block (gate open) whenever gcVictimQuality is off.
+     * Monotone non-increasing in free_blocks.
      */
     HAMS_HOT_PATH std::uint32_t victimAllowance(std::uint32_t free_blocks) const;
 
@@ -492,18 +476,11 @@ class PageFtl
      * Allocate the next physical page on @p pu. Foreground callers
      * (for_gc == false) trigger GC when needed — inline in synchronous
      * mode, kick-and-continue (or stall at the reserve) in background
-     * mode. GC relocation (for_gc == true) may dip into the reserve.
-     * Cold foreground writes (cold == true, from the hotness signal)
-     * are packed into the unit's relocation stream best-effort: only
-     * while the unit has watermark headroom, never changing when GC
-     * triggers or backpressure stalls, falling through to the shared
-     * active path otherwise.
+     * mode. GC relocation (for_gc == true) may dip into the reserve
+     * and packs into the unit's relocation stream when gcStreamBlocks
+     * is set; foreground writes always take the shared active block.
      */
-    HAMS_HOT_PATH std::uint64_t allocate(std::uint64_t pu, Tick& at, bool for_gc = false,
-                                         bool cold = false);
-
-    /** True when the placement signal marks @p lpn cold (off = never). */
-    HAMS_HOT_PATH bool isColdLpn(std::uint64_t lpn) const;
+    HAMS_HOT_PATH std::uint64_t allocate(std::uint64_t pu, Tick& at, bool for_gc = false);
 
     /** Pop a free block for @p pu (wear-aware, O(log n)). */
     HAMS_HOT_PATH std::uint32_t takeFreeBlock(Unit& u, std::uint64_t pu);
@@ -665,9 +642,6 @@ class PageFtl
     std::uint64_t _logicalPages;
     std::uint64_t nextPu = 0; //!< round-robin write striping
     bool inGc = false;        //!< guards against GC re-entrancy
-
-    /** Write-time placement signal (null = placement off). */
-    const HotnessTracker* hotness = nullptr;
 
     /** @name Background-GC engine state. */
     ///@{

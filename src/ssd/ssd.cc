@@ -66,15 +66,12 @@ Ssd::attachTiering(const HotnessTracker* tracker, const TieringConfig& tiering)
     if (!tracker || !tiering.enabled) {
         if (buf)
             buf->setVictimSelector({});
-        ftl->attachHotness(nullptr);
         migOn = false;
         return;
     }
     if (tiering.pinHotFrames && buf)
         buf->setVictimSelector(makeColdFirstSelector(
             *tracker, nvmeBlockSize, tiering.pinScanLimit));
-    if (tiering.coldWritePlacement)
-        ftl->attachHotness(tracker);
     // Migration needs an event queue for background steps and a buffer
     // to promote into / demote out of.
     migOn = tiering.migration && eq != nullptr && buf != nullptr;

@@ -325,8 +325,6 @@ class Ssd
      * Per TieringConfig knob:
      *  - `pinHotFrames`: installs a cold-first victim selector on the
      *    internal DRAM buffer (hot frames skipped near the LRU tail).
-     *  - `coldWritePlacement`: the FTL consults the tracker at write
-     *    time and routes cold writes into the GC relocation stream.
      *  - `migration`: arms the background promote/demote engine. It
      *    follows the FTL's idle-GC discipline: host completions arm a
      *    single pending event, each step runs only after

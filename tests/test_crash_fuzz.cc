@@ -466,7 +466,6 @@ TEST(CrashFuzz, SsdMidMigrationCuts)
     tcfg.migration = true;
     tcfg.migIdleDelay = microseconds(1);
     tcfg.migScanFrames = 64;
-    tcfg.coldWritePlacement = true;
     HotnessTracker tracker(ssd.capacityBytes(), tcfg);
     ssd.attachTiering(&tracker, tcfg);
     ASSERT_TRUE(ssd.migrationEnabled());

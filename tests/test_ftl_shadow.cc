@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/hotness_tracker.hh"
 #include "flash/fil.hh"
 #include "ftl/page_ftl.hh"
 #include "sim/event_queue.hh"
@@ -38,7 +37,7 @@ using testing_support::tinyGeom;
  */
 void
 fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
-     std::uint64_t seed, bool tiered = false)
+     std::uint64_t seed)
 {
     FlashGeometry geom = tinyGeom();
     Fil fil(geom, NandTiming::zNand());
@@ -50,19 +49,6 @@ fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
 
     std::uint64_t hot = ftl.logicalPages() / 2;
 
-    // Tiered runs tag writes hot/cold through an attached tracker: the
-    // head eighth of the range is touched on every op so it stays hot,
-    // everything else reads cold and the FTL packs it into the
-    // relocation stream — the shadow's partition and L2P sweeps hold
-    // with placement active on every operation.
-    TieringConfig tcfg;
-    tcfg.enabled = true;
-    tcfg.epochAccesses = 2048;
-    tcfg.hotThreshold = 2;
-    HotnessTracker tracker(ftl.logicalPages() * geom.pageSize, tcfg);
-    if (tiered)
-        ftl.attachHotness(&tracker);
-
     Rng rng(seed);
     Tick t = 0;
 
@@ -71,10 +57,6 @@ fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
             eq.runUntil(t);
         std::uint64_t dice = rng.below(100);
         std::uint64_t lpn = rng.below(hot);
-        if (tiered) {
-            tracker.touch(rng.below(hot / 8) * geom.pageSize);
-            tracker.touch(lpn * geom.pageSize);
-        }
         const char* what;
         if (dice < 60) {
             what = "write";
@@ -106,12 +88,6 @@ fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
     EXPECT_GT(ftl.stats().erases, 0u)
         << "fuzz run never forced garbage collection";
     EXPECT_GT(shadow.mapped(), 0u);
-    if (tiered && cfg.gcStreamBlocks > 0)
-        EXPECT_GT(ftl.stats().tierColdWrites, 0u)
-            << "hot/cold tagging never steered a write into the stream";
-    else if (tiered)
-        EXPECT_EQ(ftl.stats().tierColdWrites, 0u)
-            << "cold placement acted without a relocation stream";
 }
 
 FtlConfig
@@ -162,32 +138,6 @@ TEST(FtlShadow, BackgroundGcPacedWithVictimQuality)
     cfg.gcStreamBlocks = 1;
     cfg.gcVictimQuality = true;
     fuzz(cfg, /*background=*/true, 10000, 5);
-}
-
-TEST(FtlShadow, SynchronousGcWithColdPlacement)
-{
-    // Hot/cold-tagged writes with the placement stream active: cold
-    // host writes share the GC relocation stream, so block lists carry
-    // a stream block under mixed host + GC pressure from op 0.
-    FtlConfig cfg;
-    cfg.gcStreamBlocks = 1;
-    fuzz(cfg, /*background=*/false, 10000, 6, /*tiered=*/true);
-}
-
-TEST(FtlShadow, BackgroundGcPacedWithColdPlacement)
-{
-    FtlConfig cfg = bgConfig();
-    cfg.gcAdaptivePacing = true;
-    cfg.gcStreamBlocks = 1;
-    fuzz(cfg, /*background=*/true, 10000, 7, /*tiered=*/true);
-}
-
-TEST(FtlShadow, ColdPlacementWithoutStreamsIsInert)
-{
-    // coldWritePlacement is documented to require gcStreamBlocks > 0;
-    // with streams off the attached tracker must change nothing the
-    // shadow can see (and no cold write may be counted).
-    fuzz(bgConfig(), /*background=*/true, 8000, 8, /*tiered=*/true);
 }
 
 TEST(FtlShadow, BackgroundGcSecondSeedDiverges)

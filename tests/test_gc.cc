@@ -374,6 +374,9 @@ TEST(BackgroundGc, ConfigValidatesReserveBelowLowWater)
     cfg = FtlConfig{};
     cfg.gcAdaptivePacing = true; // pacer needs the background engine
     EXPECT_THROW(PageFtl(tinyGeom(), fil, cfg), FatalError);
+    cfg = bgConfig();
+    cfg.gcVictimQuality = true; // the allowance ramps with the pacer
+    EXPECT_THROW(PageFtl(tinyGeom(), fil, cfg), FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -731,44 +734,6 @@ TEST(GcQuality, AllowanceMonotoneInDepletion)
     EXPECT_EQ(ftl.victimAllowance(cfg.gcReserveBlocks),
               tinyGeom().pagesPerBlock);
     EXPECT_EQ(ftl.victimAllowance(cfg.gcHighWater), 0u);
-}
-
-TEST(GcQuality, KnobIsInertWithoutPacing)
-{
-    // gcVictimQuality rides on the pacer's depletion level; with
-    // pacing off the gate must be wide open at every level and a run
-    // with the knob set must be bit-identical to one without it.
-    {
-        Fil fil(tinyGeom(), NandTiming::zNand());
-        FtlConfig cfg = bgConfig();
-        cfg.gcVictimQuality = true;
-        PageFtl ftl(tinyGeom(), fil, cfg);
-        for (std::uint32_t f = 0; f <= tinyGeom().blocksPerPlane; ++f)
-            EXPECT_EQ(ftl.victimAllowance(f), tinyGeom().pagesPerBlock);
-    }
-
-    auto run = [](bool quality, std::vector<std::uint64_t>& ppns,
-                  FtlStats& stats, Tick& end) {
-        FtlConfig cfg = bgConfig();
-        cfg.gcVictimQuality = quality;
-        GcRig rig(cfg);
-        std::uint64_t pages = rig.ftl.logicalPages() / 3;
-        end = rig.churnRandom(pages, pages * 8);
-        rig.eq.run();
-        stats = rig.ftl.stats();
-        for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-            ppns.push_back(rig.ftl.physicalOf(lpn));
-    };
-    std::vector<std::uint64_t> ppns_a, ppns_b;
-    FtlStats sa, sb;
-    Tick ta, tb;
-    run(false, ppns_a, sa, ta);
-    run(true, ppns_b, sb, tb);
-    EXPECT_EQ(ta, tb);
-    EXPECT_EQ(ppns_a, ppns_b);
-    expectSameFields(sa, sb, "FtlStats quality knob without pacing");
-    EXPECT_EQ(sb.gcQualityDeferrals, 0u)
-        << "gate engaged despite pacing off";
 }
 
 TEST(GcQuality, SkippingNearFullVictimsCutsWriteAmplification)
