@@ -9,6 +9,12 @@
  * runtime burns idle power; hams-T spends ~8% more NVDIMM energy than
  * hams-L (direct DMA routes everything through the NVDIMM) but deletes
  * the internal-DRAM component entirely.
+ *
+ * The table prints each cell's total; the four-way split of every
+ * (workload, platform) cell lands in BENCH_energy.json (HAMS_BENCH_JSON
+ * overrides; HAMS_BENCH_SCALE enlarges the runs). Gate: internal_dram
+ * is exactly 0 on every hams-TP/TE cell and > 0 on every mmap and
+ * hams-LP/LE cell.
  */
 
 #include <cstdio>
@@ -16,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "harness.hh"
 
 int
 main()
@@ -33,10 +40,11 @@ main()
     std::printf("\n%-10s", "workload");
     for (const auto& p : platforms)
         std::printf("  %-7s", p == "mmap" ? "MM" : p.c_str());
-    std::printf("   (each: cpu/nvdimm/idram/znand, normalized)\n");
+    std::printf("   (each: system energy normalized to mmap)\n");
 
     std::map<std::string, double> total_sum;
     std::map<std::string, double> nvdimm_sum;
+    BenchReport report;
 
     for (const auto& wl : allWorkloadNames()) {
         std::printf("%-10s", wl.c_str());
@@ -61,6 +69,14 @@ main()
                                           end > r.simTime ? end : r.simTime);
             EnergyBreakdownJ e = p->memoryEnergy(elapsed);
             e.cpu = r.cpuEnergyJ;
+            std::string cell = "energy/" + wl + "/" + platform;
+            report.row(cell, e);
+            if (platform == "hams-TP" || platform == "hams-TE")
+                report.check(e.internalDram == 0.0, cell,
+                             "hams-T must have no internal DRAM");
+            else
+                report.check(e.internalDram > 0.0, cell,
+                             "internal DRAM must draw energy");
 
             if (platform == "mmap")
                 mmap_total = e.total();
@@ -88,5 +104,5 @@ main()
                              (nvdimm_sum["hams-LP"] +
                               nvdimm_sum["hams-LE"]) -
                          1.0));
-    return 0;
+    return report.finish(jsonOutPath("BENCH_energy.json"));
 }

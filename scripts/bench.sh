@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build bench targets in Release and run each from the repo root, where
 # it writes its trajectory file: micro_hotpaths -> BENCH_hotpaths.json,
-# macro_endtoend -> BENCH_macro.json, fig_<sweep> -> BENCH_<sweep>.json.
+# macro_endtoend -> BENCH_macro.json, fig_<sweep> -> BENCH_<sweep>.json,
+# fig19_energy -> BENCH_energy.json.
 # The sweeps check their acceptance gates in the binary; a failing gate
 # still writes the file, then fails the run (and this script).
 #

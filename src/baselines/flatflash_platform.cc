@@ -119,27 +119,15 @@ FlatFlashPlatform::tryAccess(const MemAccess& acc, Tick at,
     return true;
 }
 
-EnergyBreakdownJ
-FlatFlashPlatform::memoryEnergy(Tick elapsed) const
+DeviceActivity
+FlatFlashPlatform::deviceActivity() const
 {
-    EnergyBreakdownJ e;
-    DramPowerModel dram_model;
-    if (hostDram)
-        e.nvdimm =
-            dram_model.energyJ(hostDram->device().activity(), elapsed, 2);
-
-    // Internal DRAM energy: background plus the MMIO line traffic.
-    DramActivity buf_act;
-    buf_act.reads = _hostHits + internalTags->residentFrames();
-    e.internalDram = dram_model.energyJ(buf_act, elapsed, 1);
-
-    FlashPowerModel flash_model{FlashPowerParams::zNand()};
-    const FlashGeometry& g = ssd->config().geom;
-    e.znand = flash_model.energyJ(
-        ssd->flashActivity(), elapsed,
-        std::uint64_t(g.channels) * g.packagesPerChannel *
-            g.diesPerPackage);
-    return e;
+    // Internal DRAM: background plus the MMIO line traffic.
+    DramActivity internal;
+    internal.reads = _hostHits + internalTags->residentFrames();
+    return {hostDram ? hostDram->device().activity() : DramActivity{},
+            hostDram ? 2u : 0u, internal, 1, ssd->flashActivity(),
+            ssd->config().geom.dies(), FlashMedia::ZNand};
 }
 
 } // namespace hams

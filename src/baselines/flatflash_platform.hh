@@ -60,7 +60,7 @@ class FlatFlashPlatform : public MemoryPlatform
                                  InlineCompletion& out) override;
     /** Host-cached pages make -M non-persistent (paper SSVII). */
     bool persistent() const override { return !cfg.hostCaching; }
-    EnergyBreakdownJ memoryEnergy(Tick elapsed) const override;
+    DeviceActivity deviceActivity() const override;
 
     std::uint64_t promotions() const { return _promotions; }
     std::uint64_t hostHits() const { return _hostHits; }

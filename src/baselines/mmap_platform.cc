@@ -242,31 +242,14 @@ MmapPlatform::flush(Tick at, AccessCb cb)
     scheduleCompletion(eq, last, bd, std::move(cb));
 }
 
-EnergyBreakdownJ
-MmapPlatform::memoryEnergy(Tick elapsed) const
+DeviceActivity
+MmapPlatform::deviceActivity() const
 {
-    EnergyBreakdownJ e;
-    DramPowerModel dram_model;
-    e.nvdimm = dram_model.energyJ(dram->device().activity(), elapsed, 2);
-
-    if (ssd->config().hasBuffer) {
-        DramActivity buf_act;
-        std::uint64_t bursts = ssd->bufferBytesAccessed() / 64;
-        buf_act.reads = bursts / 2;
-        buf_act.writes = bursts - buf_act.reads;
-        buf_act.activates = bursts / 64;
-        e.internalDram = dram_model.energyJ(buf_act, elapsed, 1);
-    }
-
-    FlashPowerModel flash_model{cfg.backend == MmapBackend::UllFlash
-                                    ? FlashPowerParams::zNand()
-                                    : FlashPowerParams::vNand()};
-    const FlashGeometry& g = ssd->config().geom;
-    e.znand = flash_model.energyJ(
-        ssd->flashActivity(), elapsed,
-        std::uint64_t(g.channels) * g.packagesPerChannel *
-            g.diesPerPackage);
-    return e;
+    return {dram->device().activity(), 2,
+            ssd->bufferActivity(), ssd->config().hasBuffer ? 1u : 0u,
+            ssd->flashActivity(), ssd->config().geom.dies(),
+            cfg.backend == MmapBackend::UllFlash ? FlashMedia::ZNand
+                                                 : FlashMedia::VNand};
 }
 
 } // namespace hams

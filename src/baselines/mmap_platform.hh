@@ -96,7 +96,7 @@ class MmapPlatform : public MemoryPlatform
                    InlineCompletion& out) override;
     bool persistent() const override { return true; } //!< via msync
     void flush(Tick at, AccessCb cb) override;
-    EnergyBreakdownJ memoryEnergy(Tick elapsed) const override;
+    DeviceActivity deviceActivity() const override;
 
     /** @name Introspection. */
     ///@{

@@ -103,20 +103,11 @@ NvdimmCPlatform::tryAccess(const MemAccess& acc, Tick at,
     return true;
 }
 
-EnergyBreakdownJ
-NvdimmCPlatform::memoryEnergy(Tick elapsed) const
+DeviceActivity
+NvdimmCPlatform::deviceActivity() const
 {
-    EnergyBreakdownJ e;
-    DramPowerModel dram_model;
-    e.nvdimm = dram_model.energyJ(dram->device().activity(), elapsed, 2);
-
-    FlashPowerModel flash_model{FlashPowerParams::zNand()};
-    const FlashGeometry& g = flash->config().geom;
-    e.znand = flash_model.energyJ(
-        flash->flashActivity(), elapsed,
-        std::uint64_t(g.channels) * g.packagesPerChannel *
-            g.diesPerPackage);
-    return e;
+    return {dram->device().activity(), 2, {}, 0, flash->flashActivity(),
+            flash->config().geom.dies(), FlashMedia::ZNand};
 }
 
 } // namespace hams

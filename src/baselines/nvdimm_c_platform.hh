@@ -54,7 +54,7 @@ class NvdimmCPlatform : public MemoryPlatform
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                    InlineCompletion& out) override;
     bool persistent() const override { return true; }
-    EnergyBreakdownJ memoryEnergy(Tick elapsed) const override;
+    DeviceActivity deviceActivity() const override;
 
     std::uint64_t migrations() const { return _migrations; }
 

@@ -126,18 +126,14 @@ OptanePlatform::tryAccess(const MemAccess& acc, Tick at,
     return true;
 }
 
-EnergyBreakdownJ
-OptanePlatform::memoryEnergy(Tick elapsed) const
+DeviceActivity
+OptanePlatform::deviceActivity() const
 {
     // The paper's energy figure (Fig. 19) only covers mmap and the HAMS
-    // variants; report DRAM-cache energy for completeness.
-    EnergyBreakdownJ e;
-    if (dramCache) {
-        DramPowerModel dram_model;
-        e.nvdimm =
-            dram_model.energyJ(dramCache->device().activity(), elapsed, 2);
-    }
-    return e;
+    // variants; report DRAM-cache activity for completeness.
+    if (!dramCache)
+        return {};
+    return {dramCache->device().activity(), 2};
 }
 
 } // namespace hams

@@ -40,13 +40,10 @@ OraclePlatform::tryAccess(const MemAccess& acc, Tick at,
     return true;
 }
 
-EnergyBreakdownJ
-OraclePlatform::memoryEnergy(Tick elapsed) const
+DeviceActivity
+OraclePlatform::deviceActivity() const
 {
-    EnergyBreakdownJ e;
-    DramPowerModel dram_model;
-    e.nvdimm = dram_model.energyJ(dram->device().activity(), elapsed, 8);
-    return e;
+    return {dram->device().activity(), 8};
 }
 
 } // namespace hams

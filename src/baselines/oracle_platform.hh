@@ -37,7 +37,7 @@ class OraclePlatform : public MemoryPlatform
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                    InlineCompletion& out) override;
     bool persistent() const override { return true; }
-    EnergyBreakdownJ memoryEnergy(Tick elapsed) const override;
+    DeviceActivity deviceActivity() const override;
 
   private:
     /** The latency arithmetic shared by access() and tryAccess(). */

@@ -285,10 +285,20 @@ class MemoryPlatform
     }
 
     /**
+     * What the memory-side devices did so far, for energyOf()
+     * (energy/energy_meter.hh). The default, {}, models no device.
+     */
+    virtual DeviceActivity deviceActivity() const { return {}; }
+
+    /**
      * Memory-side energy spent so far (CPU energy is accounted by the
      * core model, which knows busy/stall time).
      */
-    virtual EnergyBreakdownJ memoryEnergy(Tick elapsed) const = 0;
+    virtual EnergyBreakdownJ
+    memoryEnergy(Tick elapsed) const
+    {
+        return energyOf(deviceActivity(), elapsed);
+    }
 
     /**
      * Synchronous convenience: run the event queue until the access

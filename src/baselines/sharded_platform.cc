@@ -207,12 +207,13 @@ ShardedPlatform::flush(Tick at, AccessCb cb)
         });
 }
 
-EnergyBreakdownJ
-ShardedPlatform::memoryEnergy(Tick elapsed) const
+DeviceActivity
+ShardedPlatform::deviceActivity() const
 {
-    EnergyBreakdownJ total{};
-    for (const auto& s : shards)
-        total += s->memoryEnergy(elapsed);
+    // Seeded by shard 0, so the `keep` media is the shards', not {}'s.
+    DeviceActivity total = shards.front()->deviceActivity();
+    for (std::size_t i = 1; i < shards.size(); ++i)
+        mergeFields(total, shards[i]->deviceActivity());
     return total;
 }
 

@@ -137,7 +137,7 @@ class ShardedPlatform : public MemoryPlatform
                    InlineCompletion& out) override;
     bool persistent() const override;
     HAMS_HOT_PATH void flush(Tick at, AccessCb cb) override;
-    EnergyBreakdownJ memoryEnergy(Tick elapsed) const override;
+    DeviceActivity deviceActivity() const override;
     ///@}
 
     /** @name Shard introspection. */

@@ -326,35 +326,13 @@ HamsSystem::recover()
     return when;
 }
 
-EnergyBreakdownJ
-HamsSystem::memoryEnergy(Tick elapsed) const
+DeviceActivity
+HamsSystem::deviceActivity() const
 {
-    EnergyBreakdownJ e;
-
-    DramPowerModel dram_model;
-    const DramActivity& act =
-        nvdimm->controller().device().activity();
-    e.nvdimm = dram_model.energyJ(act, elapsed, 2);
-
-    if (ssd->buffer()) {
-        // SSD-internal DRAM: background-dominated (the paper notes it
-        // draws 17% more power than a 32-chip flash complex) plus
-        // per-burst transfer energy.
-        DramActivity buf_act;
-        std::uint64_t bursts = ssd->bufferBytesAccessed() / 64;
-        buf_act.reads = bursts / 2;
-        buf_act.writes = bursts - buf_act.reads;
-        buf_act.activates = bursts / 64;
-        e.internalDram = dram_model.energyJ(buf_act, elapsed, 1);
-    }
-
-    FlashPowerModel flash_model{FlashPowerParams::zNand()};
-    const FlashGeometry& g = ssd->config().geom;
-    e.znand = flash_model.energyJ(
-        ssd->flashActivity(), elapsed,
-        std::uint64_t(g.channels) * g.packagesPerChannel *
-            g.diesPerPackage);
-    return e;
+    return {nvdimm->controller().device().activity(), 2,
+            ssd->bufferActivity(), ssd->config().hasBuffer ? 1u : 0u,
+            ssd->flashActivity(), ssd->config().geom.dies(),
+            FlashMedia::ZNand};
 }
 
 } // namespace hams

@@ -124,7 +124,7 @@ class HamsSystem : public MemoryPlatform
         return ctrl->tryAccess(acc, at, out);
     }
     bool persistent() const override { return true; }
-    EnergyBreakdownJ memoryEnergy(Tick elapsed) const override;
+    DeviceActivity deviceActivity() const override;
     ///@}
 
     /** @name Synchronous data-plane helpers (own the event loop). */

@@ -17,17 +17,21 @@
 
 #include "dram/ddr4_timing.hh"
 #include "mem/request.hh"
+#include "sim/fields.hh"
 #include "sim/types.hh"
 
 namespace hams {
 
 /** Operation counters consumed by the DRAM power model. */
+#define HAMS_DRAM_ACTIVITY_FIELDS(X)                                       \
+    X(sum, std::uint64_t, activates)                                       \
+    X(sum, std::uint64_t, reads)  /* 64 B bursts read */                   \
+    X(sum, std::uint64_t, writes) /* 64 B bursts written */                \
+    X(sum, Tick, busyTime)        /* data bus occupancy */
+
 struct DramActivity
 {
-    std::uint64_t activates = 0;
-    std::uint64_t reads = 0;       //!< 64 B bursts read
-    std::uint64_t writes = 0;      //!< 64 B bursts written
-    Tick busyTime = 0;             //!< data bus occupancy
+    HAMS_FIELDS(DramActivity, HAMS_DRAM_ACTIVITY_FIELDS)
 };
 
 /** Result of one device access. */

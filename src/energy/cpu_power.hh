@@ -42,8 +42,6 @@ class CpuPowerModel
                         params.staticW * (t_active + t_stall));
     }
 
-    const CpuPowerParams& parameters() const { return params; }
-
   private:
     CpuPowerParams params;
 };

@@ -43,8 +43,6 @@ class DramPowerModel
     double energyJ(const DramActivity& activity, Tick elapsed,
                    std::uint32_t ranks) const;
 
-    const DramPowerParams& parameters() const { return params; }
-
   private:
     DramPowerParams params;
 };

@@ -1,16 +1,22 @@
 #include "energy/energy_meter.hh"
 
-#include <iomanip>
-
 namespace hams {
 
-std::ostream&
-operator<<(std::ostream& os, const EnergyBreakdownJ& e)
+EnergyBreakdownJ
+energyOf(const DeviceActivity& a, Tick elapsed)
 {
-    os << std::fixed << std::setprecision(4) << "cpu=" << e.cpu
-       << "J nvdimm=" << e.nvdimm << "J idram=" << e.internalDram
-       << "J znand=" << e.znand << "J total=" << e.total() << "J";
-    return os;
+    DramPowerModel dram;
+    FlashPowerModel flash{a.media == FlashMedia::ZNand
+                              ? FlashPowerParams::zNand()
+                              : FlashPowerParams::vNand()};
+    EnergyBreakdownJ e;
+    if (a.memoryRanks)
+        e.nvdimm = dram.energyJ(a.memory, elapsed, a.memoryRanks);
+    if (a.bufferRanks)
+        e.internalDram = dram.energyJ(a.buffer, elapsed, a.bufferRanks);
+    if (a.dies)
+        e.znand = flash.energyJ(a.flash, elapsed, a.dies);
+    return e;
 }
 
 } // namespace hams

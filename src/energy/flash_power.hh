@@ -14,6 +14,9 @@
 
 namespace hams {
 
+/** Flash media with an energy preset (zNand() / vNand() below). */
+enum class FlashMedia : std::uint8_t { ZNand, VNand };
+
 /** Tunable flash energy constants. */
 struct FlashPowerParams
 {
@@ -37,8 +40,6 @@ class FlashPowerModel
 
     double energyJ(const FlashActivity& activity, Tick elapsed,
                    std::uint64_t dies) const;
-
-    const FlashPowerParams& parameters() const { return params; }
 
   private:
     FlashPowerParams params;

@@ -8,8 +8,7 @@ namespace hams {
 
 NandPackagePool::NandPackagePool(const FlashGeometry& geom) : geom(geom)
 {
-    std::size_t dies = std::size_t(geom.channels) * geom.packagesPerChannel *
-                       geom.diesPerPackage;
+    std::size_t dies = geom.dies();
     dieFree.assign(dies, 0);
     planeFree.assign(dies * geom.planesPerDie, 0);
     dieBgFree.assign(dies, 0);

@@ -41,26 +41,27 @@
 #include <vector>
 
 #include "flash/nand_timing.hh"
+#include "sim/fields.hh"
 #include "sim/types.hh"
 
 namespace hams {
 
 /** Operation counters consumed by the flash energy model. */
+#define HAMS_FLASH_ACTIVITY_FIELDS(X)                                      \
+    X(sum, std::uint64_t, reads)                                           \
+    X(sum, std::uint64_t, programs)                                        \
+    X(sum, std::uint64_t, erases)                                          \
+    X(sum, std::uint64_t, bytesTransferred)                                \
+    /* background (GC) share of the totals above */                        \
+    X(sum, std::uint64_t, gcReads)                                         \
+    X(sum, std::uint64_t, gcPrograms)                                      \
+    X(sum, std::uint64_t, gcErases)                                        \
+    /* background ops suspended so a foreground op could run */            \
+    X(sum, std::uint64_t, suspensions)
+
 struct FlashActivity
 {
-    std::uint64_t reads = 0;
-    std::uint64_t programs = 0;
-    std::uint64_t erases = 0;
-    std::uint64_t bytesTransferred = 0;
-
-    /** @name Background (GC) share of the totals above. */
-    ///@{
-    std::uint64_t gcReads = 0;
-    std::uint64_t gcPrograms = 0;
-    std::uint64_t gcErases = 0;
-    ///@}
-    /** Background ops suspended so a foreground op could run. */
-    std::uint64_t suspensions = 0;
+    HAMS_FIELDS(FlashActivity, HAMS_FLASH_ACTIVITY_FIELDS)
 };
 
 /**

@@ -59,13 +59,15 @@ struct FlashGeometry
     std::uint32_t pagesPerBlock = 256;
     std::uint32_t pageSize = 4096;
 
-    /** Independent parallel units (channel x package x die x plane). */
+    /** Dies in the complex (channel x package x die). */
     std::uint64_t
-    parallelUnits() const
+    dies() const
     {
-        return std::uint64_t(channels) * packagesPerChannel *
-               diesPerPackage * planesPerDie;
+        return std::uint64_t(channels) * packagesPerChannel * diesPerPackage;
     }
+
+    /** Independent parallel units (channel x package x die x plane). */
+    std::uint64_t parallelUnits() const { return dies() * planesPerDie; }
 
     std::uint64_t pagesPerPlane() const
     {

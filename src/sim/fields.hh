@@ -39,6 +39,8 @@
  *  - keep: labels and derived rates. The merge target keeps its own
  *          value; finalizeRunResult (cpu/core_model.hh) rebuilds the
  *          rates from the merged counters.
+ *  - nested: a field that is itself a listed struct with no `+=` (a
+ *          DeviceActivity section), merged by its own list.
  */
 
 #ifndef HAMS_SIM_FIELDS_HH_
@@ -57,6 +59,7 @@ namespace fields {
 struct sum {};
 struct max {};
 struct keep {};
+struct nested {};
 ///@}
 
 /** True when @p T declares its fields with HAMS_FIELDS (which makes
@@ -81,6 +84,7 @@ constexpr bool listed<T, std::void_t<decltype(mergeFields(
 #define HAMS_FIELD_MERGE_sum(name) into.name += from.name;
 #define HAMS_FIELD_MERGE_max(name) into.name = std::max(into.name, from.name);
 #define HAMS_FIELD_MERGE_keep(name)
+#define HAMS_FIELD_MERGE_nested(name) mergeFields(into.name, from.name);
 #define HAMS_FIELD_EQUAL(rule, type, name) a.name == b.name &&
 
 /**

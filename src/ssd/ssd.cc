@@ -386,6 +386,19 @@ Ssd::powerRestore()
         inflight.pop();
 }
 
+DramActivity
+Ssd::bufferActivity() const
+{
+    // Bytes only are counted: split the 64 B bursts evenly between
+    // reads and writes, one row activation per 64 bursts.
+    DramActivity act;
+    std::uint64_t bursts = (buf ? buf->bytesAccessed() : 0) / 64;
+    act.reads = bursts / 2;
+    act.writes = bursts - act.reads;
+    act.activates = bursts / 64;
+    return act;
+}
+
 void
 Ssd::peek(std::uint64_t slba, std::uint32_t blocks, std::uint8_t* dst) const
 {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/hotness_tracker.hh"
+#include "dram/dram_device.hh"
 #include "flash/fil.hh"
 #include "ftl/page_ftl.hh"
 #include "mem/sparse_memory.hh"
@@ -356,10 +357,9 @@ class Ssd
     DramBuffer* buffer() { return buf.get(); }
     PageFtl& pageFtl() { return *ftl; }
     Fil& flashLayer() { return *fil; }
-    std::uint64_t bufferBytesAccessed() const
-    {
-        return buf ? buf->bytesAccessed() : 0;
-    }
+    /** The internal buffer's DRAM activity for the energy model,
+     *  derived from the bytes it moved (zero without a buffer). */
+    DramActivity bufferActivity() const;
     /** Buffered-but-unflushed frames in the volatile store. */
     std::size_t volatileFrames() const { return volatileData.size(); }
 

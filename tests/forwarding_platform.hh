@@ -44,10 +44,10 @@ class ForwardingPlatform : public MemoryPlatform
         inner.flush(at, std::move(cb));
     }
 
-    EnergyBreakdownJ
-    memoryEnergy(Tick elapsed) const override
+    DeviceActivity
+    deviceActivity() const override
     {
-        return inner.memoryEnergy(elapsed);
+        return inner.deviceActivity();
     }
 
   protected:

@@ -9,11 +9,14 @@
  * bench harness (harness.hh) writes snake_case keys, nests listed
  * structs, round-trips doubles exactly, escapes strings, rejects
  * duplicate keys, and fails a run whose identity gate finds a
- * difference, naming the field.
+ * difference, naming the field. Each platform prices exactly the
+ * energy sections of the devices it models, and a sharded platform's
+ * energy is the sum of its shards'.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -212,8 +215,9 @@ closedLoopContract(std::uint32_t qd)
         [&](std::uint64_t n, Tick issued, Tick done) {
             EXPECT_EQ(n, seen++);
             EXPECT_LT(issued, done);
-            if (qd == 1)
+            if (qd == 1) {
                 EXPECT_EQ(issued, prev_done);
+            }
             prev_done = done;
         });
     EXPECT_GE(seen, 300u);
@@ -225,6 +229,93 @@ TEST(ClosedLoop, LockStepAtQueueDepthOne) { closedLoopContract(1); }
 TEST(ClosedLoop, EveryCompletionReportedOnceAtDepthEight)
 {
     closedLoopContract(8);
+}
+
+// ---------------------------------------------------------------------
+// Energy: which devices each platform reports, and sharded merge.
+// ---------------------------------------------------------------------
+
+/** Which Fig. 19 memory-side sections a platform prices. */
+struct EnergySections
+{
+    const char* platform;
+    bool nvdimm;
+    bool internalDram;
+    bool flash;
+    FlashMedia media; //!< checked when flash
+};
+
+TEST(EnergySections, EachPlatformPricesItsOwnDevices)
+{
+    const EnergySections table[] = {
+        {"mmap", true, true, true, FlashMedia::ZNand},
+        {"mmap-nvme", true, true, true, FlashMedia::VNand},
+        {"mmap-sata", true, true, true, FlashMedia::VNand},
+        {"flatflash-P", false, true, true, FlashMedia::ZNand},
+        {"flatflash-M", true, true, true, FlashMedia::ZNand},
+        // Its SSD has a buffer, but nvdimm-C prices none.
+        {"nvdimm-C", true, false, true, FlashMedia::ZNand},
+        // Optane media draws no energy in this model.
+        {"optane-P", false, false, false, FlashMedia::ZNand},
+        {"optane-M", true, false, false, FlashMedia::ZNand},
+        {"hams-LP", true, true, true, FlashMedia::ZNand},
+        {"hams-LE", true, true, true, FlashMedia::ZNand},
+        // hams-T moves data by direct DMA: no SSD buffer.
+        {"hams-TP", true, false, true, FlashMedia::ZNand},
+        {"hams-TE", true, false, true, FlashMedia::ZNand},
+        {"oracle", true, false, false, FlashMedia::ZNand},
+    };
+    std::vector<std::string> covered;
+    for (const EnergySections& row : table) {
+        SCOPED_TRACE(row.platform);
+        covered.push_back(row.platform);
+        auto p = bench::makePlatform(row.platform, tinyGeom());
+        ASSERT_NE(p, nullptr);
+        RunResult r = bench::runOn(*p, "rndRd", tinyGeom());
+        EnergyBreakdownJ e = p->memoryEnergy(r.simTime);
+        EXPECT_EQ(e.cpu, 0.0);
+        EXPECT_EQ(e.nvdimm > 0, row.nvdimm);
+        EXPECT_EQ(e.internalDram > 0, row.internalDram);
+        EXPECT_EQ(e.znand > 0, row.flash);
+        DeviceActivity a = p->deviceActivity();
+        EXPECT_EQ(a.memoryRanks > 0, row.nvdimm);
+        EXPECT_EQ(a.bufferRanks > 0, row.internalDram);
+        EXPECT_EQ(a.dies > 0, row.flash);
+        if (row.flash) {
+            EXPECT_EQ(a.media, row.media);
+        }
+    }
+    for (const std::string& name : bench::allPlatformNames())
+        EXPECT_NE(std::find(covered.begin(), covered.end(), name),
+                  covered.end())
+            << name;
+}
+
+TEST(EnergySections, ShardedEnergyIsTheSumOfItsShards)
+{
+    // Pricing the merged activity rounds differently from summing
+    // per-shard prices, so this is the one comparison with a tolerance.
+    BenchGeometry geom = tinyGeom();
+    // Stripe by 4 KiB: mmap-nvme's capacity is no multiple of 128 KiB.
+    geom.mosPageBytes = 4096;
+    for (const char* name : {"hams-LE", "mmap-nvme"}) {
+        SCOPED_TRACE(name);
+        auto sp = bench::makeShardedPlatform(name, geom, 2);
+        ASSERT_NE(sp, nullptr);
+        SmpResult r = bench::runShardedSmpOn(*sp, "rndRd", 2, geom);
+        Tick t = r.combined.simTime;
+        EnergyBreakdownJ sum{};
+        for (std::uint32_t i = 0; i < sp->shardCount(); ++i)
+            mergeFields(sum, sp->shard(i).memoryEnergy(t));
+        EnergyBreakdownJ merged = sp->memoryEnergy(t);
+        EXPECT_GT(merged.znand, 0.0);
+        EnergyBreakdownJ::forEachField(
+            merged, sum, [](auto, const char* field, double m, double s) {
+                EXPECT_NEAR(m, s, 1e-12 * s) << field;
+            });
+        EXPECT_EQ(sp->deviceActivity().media,
+                  sp->shard(0).deviceActivity().media);
+    }
 }
 
 // ---------------------------------------------------------------------

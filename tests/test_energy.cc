@@ -2,15 +2,20 @@
  * @file
  * Energy-model tests: DRAM/flash/CPU models and the qualitative
  * properties Fig. 19 relies on (internal-DRAM overhead, idle cost of a
- * slow platform).
+ * slow platform), and the energyOf() pricing contract: an absent
+ * device prices to +0.0 and each section uses its own model.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "energy/cpu_power.hh"
 #include "energy/dram_power.hh"
 #include "energy/energy_meter.hh"
 #include "energy/flash_power.hh"
+
+#include "expect_fields.hh"
 
 namespace hams {
 namespace {
@@ -93,9 +98,64 @@ TEST(EnergyMeter, BreakdownSumsAndAccumulates)
     EnergyBreakdownJ a{1.0, 2.0, 3.0, 4.0};
     EXPECT_DOUBLE_EQ(a.total(), 10.0);
     EnergyBreakdownJ b{0.5, 0.5, 0.5, 0.5};
-    a += b;
+    mergeFields(a, b);
     EXPECT_DOUBLE_EQ(a.total(), 12.0);
-    EXPECT_DOUBLE_EQ(a.cpu, 1.5);
+    expectSameFields(a, EnergyBreakdownJ{1.5, 2.5, 3.5, 4.5}, "merged");
+}
+
+TEST(EnergyOf, NoDeviceIsAllZero)
+{
+    EnergyBreakdownJ e = energyOf(DeviceActivity{}, seconds(1));
+    expectSameFields(e, EnergyBreakdownJ{}, "no device");
+    EnergyBreakdownJ::forEachField(e, e, [](auto, const char* name,
+                                            double x, double) {
+        EXPECT_FALSE(std::signbit(x)) << name;
+    });
+}
+
+/** Nonzero counters in every section (ranks and dies left to the
+ *  caller). */
+DeviceActivity
+busyActivity()
+{
+    DeviceActivity a;
+    a.memory.activates = 100;
+    a.memory.reads = 4000;
+    a.memory.writes = 3000;
+    a.buffer.reads = 500;
+    a.buffer.writes = 700;
+    a.flash.reads = 20;
+    a.flash.programs = 10;
+    a.flash.erases = 1;
+    return a;
+}
+
+TEST(EnergyOf, ZeroRanksOrDiesIsAnAbsentDevice)
+{
+    // Counters without ranks or dies price to nothing: the count, not
+    // a flag, says whether the device exists.
+    expectSameFields(energyOf(busyActivity(), seconds(1)),
+                     EnergyBreakdownJ{}, "no ranks, no dies");
+}
+
+TEST(EnergyOf, PricesEachSectionWithItsModel)
+{
+    DeviceActivity a = busyActivity();
+    a.memoryRanks = 2;
+    a.bufferRanks = 1;
+    a.dies = 32;
+    Tick t = seconds(0.25);
+    DramPowerModel dram;
+    EnergyBreakdownJ want{0.0, dram.energyJ(a.memory, t, 2),
+                          dram.energyJ(a.buffer, t, 1),
+                          FlashPowerModel{FlashPowerParams::zNand()}
+                              .energyJ(a.flash, t, 32)};
+    expectSameFields(energyOf(a, t), want, "Z-NAND");
+
+    a.media = FlashMedia::VNand;
+    want.znand =
+        FlashPowerModel{FlashPowerParams::vNand()}.energyJ(a.flash, t, 32);
+    expectSameFields(energyOf(a, t), want, "V-NAND");
 }
 
 TEST(EnergyMeter, InternalDramIsMeaningfulShare)

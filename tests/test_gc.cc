@@ -443,9 +443,10 @@ TEST(GcOpHandles, CreditWaitsForSuspensionExtendedErase)
     // pool must not grow while simulated time is before it.
     while (rig.ftl.freeBlocksOf(upu) == free0) {
         ASSERT_TRUE(rig.eq.step()) << "queue drained without crediting";
-        if (rig.ftl.freeBlocksOf(upu) == free0)
+        if (rig.ftl.freeBlocksOf(upu) == free0) {
             ASSERT_LT(rig.eq.now(), extended)
                 << "credit tick passed without crediting the block";
+        }
     }
     EXPECT_GE(rig.eq.now(), extended)
         << "block credited before the true erase completion";

@@ -435,7 +435,6 @@ class TiePlatform : public MemoryPlatform
     std::uint64_t capacity() const override { return 1ull << 30; }
     EventQueue& eventQueue() override { return eq; }
     bool persistent() const override { return true; }
-    EnergyBreakdownJ memoryEnergy(Tick) const override { return {}; }
 
     void
     access(const MemAccess& acc, Tick at, AccessCb cb) override
