@@ -115,9 +115,11 @@ BM_FtlWritePage(benchmark::State& state)
     Rng rng(3);
     Tick t = 0;
     std::uint64_t hot = ftl.logicalPages() / 2;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
     for (auto _ : state)
         t = ftl.writePage(rng.below(hot), 2048, t);
     benchmark::DoNotOptimize(t);
+    reportAllocRate(state, allocs);
 }
 BENCHMARK(BM_FtlWritePage);
 

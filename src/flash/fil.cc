@@ -43,11 +43,11 @@ Fil::submitTracked(const FlashOp& op, Tick at)
     if (!op.background)
         panic("submitTracked is for background ops: a foreground op is "
               "never suspended, so its latched submit() tick is final");
-    FlashAddress a = FlashAddress::decompose(op.ppn, pool.geometry());
+    FlashUnit u = pool.unitOf(op.ppn);
     // Only a read's completion is a channel transfer (register drain);
     // program/erase completions are cell work, whose extensions come
     // from the die-suspension push alone.
-    return pool.trackOp(a, submit(op, at),
+    return pool.trackOp(u, dispatch(op, u, at),
                         /*transfer_tailed=*/op.type ==
                             FlashOp::Type::Read);
 }
@@ -55,34 +55,39 @@ Fil::submitTracked(const FlashOp& op, Tick at)
 Tick
 Fil::submit(const FlashOp& op, Tick at)
 {
-    FlashAddress a = FlashAddress::decompose(op.ppn, pool.geometry());
+    return dispatch(op, pool.unitOf(op.ppn), at);
+}
+
+Tick
+Fil::dispatch(const FlashOp& op, FlashUnit u, Tick at)
+{
     if (op.bytes > pool.geometry().pageSize)
         panic("flash op bytes ", op.bytes, " exceed page size ",
               pool.geometry().pageSize);
 
     switch (op.type) {
       case FlashOp::Type::Read:
-        return read(a, op.bytes, at, op.background);
+        return read(u, op.bytes, at, op.background);
       case FlashOp::Type::Program:
-        return program(a, op.bytes, at, op.background);
+        return program(u, op.bytes, at, op.background);
       case FlashOp::Type::Erase:
-        return erase(a, at, op.background);
+        return erase(u, at, op.background);
     }
     panic("unreachable flash op type");
 }
 
 Tick
-Fil::admitForeground(const FlashAddress& a, Tick at, bool background,
+Fil::admitForeground(FlashUnit u, Tick at, bool background,
                      bool& suspended, Tick& suspend_from)
 {
     suspended = false;
     suspend_from = 0;
     if (background)
         return at;
-    Tick all_gate = std::max(pool.dieFreeAt(a), pool.planeFreeAt(a));
+    Tick all_gate = std::max(pool.dieFreeAt(u), pool.planeFreeAt(u));
     if (all_gate <= at)
         return at; // resource idle: nothing to preempt
-    Tick fg_gate = std::max(pool.dieFgFreeAt(a), pool.planeFgFreeAt(a));
+    Tick fg_gate = std::max(pool.dieFgFreeAt(u), pool.planeFgFreeAt(u));
     if (all_gate <= fg_gate)
         return at; // foreground work is the blocker: queue normally
     // Only background cell work extends past the foreground timeline:
@@ -94,36 +99,35 @@ Fil::admitForeground(const FlashAddress& a, Tick at, bool background,
 }
 
 Tick
-Fil::read(const FlashAddress& a, std::uint32_t bytes, Tick at,
-          bool background)
+Fil::read(FlashUnit u, std::uint32_t bytes, Tick at, bool background)
 {
     bool suspended;
     Tick suspend_from;
-    at = admitForeground(a, at, background, suspended, suspend_from);
+    at = admitForeground(u, at, background, suspended, suspend_from);
 
     // Command/address cycles ride the CA bus (no data-bus occupancy);
     // the cell read runs on the plane; the data transfer then drains
     // the die register over the channel data bus. Under a suspension
     // the die/plane belong to this op from `at`.
-    Tick cmd_start = std::max(at, suspended ? at : pool.dieFreeAt(a));
+    Tick cmd_start = std::max(at, suspended ? at : pool.dieFreeAt(u));
     Tick cmd_done = cmd_start + _timing.cmdOverhead;
 
     Tick cell_start =
-        std::max(cmd_done, suspended ? cmd_done : pool.planeFreeAt(a));
+        std::max(cmd_done, suspended ? cmd_done : pool.planeFreeAt(u));
     Tick cell_done = cell_start + _timing.tR;
 
-    Tick xfer_start = claimChannel(a.channel, cell_done,
-                                   _timing.transferTime(bytes), background);
-    Tick xfer_done = xfer_start + _timing.transferTime(bytes);
+    Tick xfer = _timing.transferTime(bytes);
+    Tick xfer_start = claimChannel(u.channel, cell_done, xfer, background);
+    Tick xfer_done = xfer_start + xfer;
 
     if (background) {
-        pool.occupyPlaneBg(a, cell_done);
-        pool.occupyDieBg(a, xfer_done);
+        pool.occupyPlaneBg(u, cell_done);
+        pool.occupyDieBg(u, xfer_done);
         ++_activity.gcReads;
     } else {
-        pool.occupyPlane(a, cell_done);
-        pool.occupyDie(a, xfer_done);
-        finishSuspend(a, suspended, suspend_from, xfer_done);
+        pool.occupyPlane(u, cell_done);
+        pool.occupyDie(u, xfer_done);
+        finishSuspend(u, suspended, suspend_from, xfer_done);
     }
 
     ++_activity.reads;
@@ -132,33 +136,32 @@ Fil::read(const FlashAddress& a, std::uint32_t bytes, Tick at,
 }
 
 Tick
-Fil::program(const FlashAddress& a, std::uint32_t bytes, Tick at,
-             bool background)
+Fil::program(FlashUnit u, std::uint32_t bytes, Tick at, bool background)
 {
     bool suspended;
     Tick suspend_from;
-    at = admitForeground(a, at, background, suspended, suspend_from);
+    at = admitForeground(u, at, background, suspended, suspend_from);
 
     // Data loads into the die register over the channel first, then the
     // cell program proceeds without holding the bus.
-    Tick earliest = std::max(at, suspended ? at : pool.dieFreeAt(a));
+    Tick earliest = std::max(at, suspended ? at : pool.dieFreeAt(u));
     Tick duration = _timing.cmdOverhead + _timing.transferTime(bytes);
-    Tick xfer_start = claimChannel(a.channel, earliest, duration,
+    Tick xfer_start = claimChannel(u.channel, earliest, duration,
                                    background);
     Tick xfer_done = xfer_start + duration;
 
     Tick cell_start =
-        std::max(xfer_done, suspended ? xfer_done : pool.planeFreeAt(a));
+        std::max(xfer_done, suspended ? xfer_done : pool.planeFreeAt(u));
     Tick cell_done = cell_start + _timing.tPROG;
 
     if (background) {
-        pool.occupyPlaneBg(a, cell_done);
-        pool.occupyDieBg(a, cell_done);
+        pool.occupyPlaneBg(u, cell_done);
+        pool.occupyDieBg(u, cell_done);
         ++_activity.gcPrograms;
     } else {
-        pool.occupyPlane(a, cell_done);
-        pool.occupyDie(a, cell_done);
-        finishSuspend(a, suspended, suspend_from, cell_done);
+        pool.occupyPlane(u, cell_done);
+        pool.occupyDie(u, cell_done);
+        finishSuspend(u, suspended, suspend_from, cell_done);
     }
 
     ++_activity.programs;
@@ -167,27 +170,27 @@ Fil::program(const FlashAddress& a, std::uint32_t bytes, Tick at,
 }
 
 Tick
-Fil::erase(const FlashAddress& a, Tick at, bool background)
+Fil::erase(FlashUnit u, Tick at, bool background)
 {
     bool suspended;
     Tick suspend_from;
-    at = admitForeground(a, at, background, suspended, suspend_from);
+    at = admitForeground(u, at, background, suspended, suspend_from);
 
-    Tick cmd_start = std::max(at, suspended ? at : pool.dieFreeAt(a));
+    Tick cmd_start = std::max(at, suspended ? at : pool.dieFreeAt(u));
     Tick cmd_done = cmd_start + _timing.cmdOverhead;
 
     Tick cell_start =
-        std::max(cmd_done, suspended ? cmd_done : pool.planeFreeAt(a));
+        std::max(cmd_done, suspended ? cmd_done : pool.planeFreeAt(u));
     Tick cell_done = cell_start + _timing.tERASE;
 
     if (background) {
-        pool.occupyPlaneBg(a, cell_done);
-        pool.occupyDieBg(a, cell_done);
+        pool.occupyPlaneBg(u, cell_done);
+        pool.occupyDieBg(u, cell_done);
         ++_activity.gcErases;
     } else {
-        pool.occupyPlane(a, cell_done);
-        pool.occupyDie(a, cell_done);
-        finishSuspend(a, suspended, suspend_from, cell_done);
+        pool.occupyPlane(u, cell_done);
+        pool.occupyDie(u, cell_done);
+        finishSuspend(u, suspended, suspend_from, cell_done);
     }
 
     ++_activity.erases;

@@ -121,31 +121,35 @@ class Fil
      */
     HAMS_COLD_PATH void reset();
 
-  HAMS_HOT_PATH private:
-    Tick read(const FlashAddress& a, std::uint32_t bytes, Tick at,
-              bool background);
-    HAMS_HOT_PATH Tick program(const FlashAddress& a, std::uint32_t bytes, Tick at,
-                 bool background);
-    HAMS_HOT_PATH Tick erase(const FlashAddress& a, Tick at, bool background);
+  private:
+    /** submit() after the PPN is decoded to @p u. */
+    HAMS_HOT_PATH Tick dispatch(const FlashOp& op, FlashUnit u, Tick at);
+
+    HAMS_HOT_PATH Tick read(FlashUnit u, std::uint32_t bytes, Tick at,
+                            bool background);
+    HAMS_HOT_PATH Tick program(FlashUnit u, std::uint32_t bytes, Tick at,
+                               bool background);
+    HAMS_HOT_PATH Tick erase(FlashUnit u, Tick at, bool background);
 
     /**
-     * Foreground-priority admission to @p a's die/plane pair: when the
+     * Foreground-priority admission to @p u's die/plane pair: when the
      * only occupancy beyond the foreground timeline is background cell
      * work, the op starts after the suspend handshake instead of
      * waiting, and the suspended work is pushed out once the
      * foreground op's resource end is known (finishSuspend()).
      * @return the effective start tick; sets @p suspended.
      */
-    HAMS_HOT_PATH Tick admitForeground(const FlashAddress& a, Tick at, bool background,
-                         bool& suspended, Tick& suspend_from);
+    HAMS_HOT_PATH Tick admitForeground(FlashUnit u, Tick at,
+                                       bool background, bool& suspended,
+                                       Tick& suspend_from);
 
     /** Push the suspended background work out by the stolen window. */
     HAMS_HOT_PATH void
-    finishSuspend(const FlashAddress& a, bool suspended, Tick suspend_from,
+    finishSuspend(FlashUnit u, bool suspended, Tick suspend_from,
                   Tick fg_end)
     {
         if (suspended)
-            pool.pushBackgroundOut(a, suspend_from, fg_end - suspend_from);
+            pool.pushBackgroundOut(u, suspend_from, fg_end - suspend_from);
     }
 
     /**

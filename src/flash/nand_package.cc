@@ -1,97 +1,32 @@
 #include "flash/nand_package.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
-
 namespace hams {
 
-NandPackagePool::NandPackagePool(const FlashGeometry& geom) : geom(geom)
+NandPackagePool::NandPackagePool(const FlashGeometry& geom)
+    : geom(geom), totalPages(geom.totalPages()),
+      pagesPerUnit(geom.pagesPerPlane()), dieCount(geom.dies())
 {
-    std::size_t dies = geom.dies();
-    dieFree.assign(dies, 0);
-    planeFree.assign(dies * geom.planesPerDie, 0);
-    dieBgFree.assign(dies, 0);
-    planeBgFree.assign(dies * geom.planesPerDie, 0);
-    dieHead.assign(dies, none);
+    if (isPow2(pagesPerUnit) && isPow2(dieCount) && isPow2(geom.channels)) {
+        pow2 = true;
+        unitShift = log2u64(pagesPerUnit);
+        channelMask = geom.channels - 1;
+        dieMask = dieCount - 1;
+    }
+    dieFree.assign(dieCount, 0);
+    planeFree.assign(geom.parallelUnits(), 0);
+    dieBgFree.assign(dieCount, 0);
+    planeBgFree.assign(geom.parallelUnits(), 0);
+    dieHead.assign(dieCount, none);
     chanHead.assign(geom.channels, none);
 }
 
-std::size_t
-NandPackagePool::dieIndex(const FlashAddress& a) const
-{
-    return (std::size_t(a.channel) * geom.packagesPerChannel + a.package) *
-               geom.diesPerPackage + a.die;
-}
-
-std::size_t
-NandPackagePool::planeIndex(const FlashAddress& a) const
-{
-    return dieIndex(a) * geom.planesPerDie + a.plane;
-}
-
-Tick
-NandPackagePool::dieFreeAt(const FlashAddress& a) const
-{
-    std::size_t i = dieIndex(a);
-    return std::max(dieFree[i], dieBgFree[i]);
-}
-
-Tick
-NandPackagePool::planeFreeAt(const FlashAddress& a) const
-{
-    std::size_t i = planeIndex(a);
-    return std::max(planeFree[i], planeBgFree[i]);
-}
-
-Tick
-NandPackagePool::dieFgFreeAt(const FlashAddress& a) const
-{
-    return dieFree[dieIndex(a)];
-}
-
-Tick
-NandPackagePool::planeFgFreeAt(const FlashAddress& a) const
-{
-    return planeFree[planeIndex(a)];
-}
-
 void
-NandPackagePool::occupyDie(const FlashAddress& a, Tick until)
+NandPackagePool::pushBackgroundOut(FlashUnit u, Tick from, Tick delta)
 {
-    Tick& t = dieFree[dieIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::occupyPlane(const FlashAddress& a, Tick until)
-{
-    Tick& t = planeFree[planeIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::occupyDieBg(const FlashAddress& a, Tick until)
-{
-    Tick& t = dieBgFree[dieIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::occupyPlaneBg(const FlashAddress& a, Tick until)
-{
-    Tick& t = planeBgFree[planeIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::pushBackgroundOut(const FlashAddress& a, Tick from,
-                                   Tick delta)
-{
-    Tick& d = dieBgFree[dieIndex(a)];
+    Tick& d = dieBgFree[u.die];
     if (d > from)
         d += delta;
-    Tick& p = planeBgFree[planeIndex(a)];
+    Tick& p = planeBgFree[u.plane];
     if (p > from)
         p += delta;
     // Every cell-tailed tracked op on this die still in flight at the
@@ -103,13 +38,13 @@ NandPackagePool::pushBackgroundOut(const FlashAddress& a, Tick from,
     // extension preserves the relative order of ops on the same die,
     // so the latest-latched op stays the latest — the FTL relies on
     // this to track one handle per GC slice.
-    for (std::uint32_t s = dieHead[dieIndex(a)]; s != none; s = ops[s].next)
+    for (std::uint32_t s = dieHead[u.die]; s != none; s = ops[s].next)
         if (ops[s].completion > from)
             ops[s].completion += delta;
 }
 
 FlashOpHandle
-NandPackagePool::trackOp(const FlashAddress& a, Tick completion,
+NandPackagePool::trackOp(FlashUnit u, Tick completion,
                          bool transfer_tailed)
 {
     std::uint32_t slot = freeHead;
@@ -125,8 +60,7 @@ NandPackagePool::trackOp(const FlashAddress& a, Tick completion,
     OpRecord& r = ops[slot];
     r.live = true;
     r.transferTailed = transfer_tailed;
-    r.list = transfer_tailed ? a.channel
-                             : static_cast<std::uint32_t>(dieIndex(a));
+    r.list = transfer_tailed ? u.channel : u.die;
     r.completion = completion;
     std::uint32_t& head = headOf(r);
     r.prev = none;

@@ -37,11 +37,13 @@
 #ifndef HAMS_FLASH_NAND_PACKAGE_HH_
 #define HAMS_FLASH_NAND_PACKAGE_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "flash/nand_timing.hh"
 #include "sim/fields.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace hams {
@@ -79,52 +81,112 @@ struct FlashOpHandle
 };
 
 /**
+ * Flat resource indices of one flash op, decoded once from its PPN by
+ * NandPackagePool::unitOf(). Timing depends on an address only through
+ * the channel, die and plane it occupies, so these three indices are
+ * all the FIL needs.
+ */
+struct FlashUnit
+{
+    std::uint32_t channel = 0; //!< channel bus, < channels
+    std::uint32_t die = 0;     //!< one per (channel, package, die), < dies()
+    std::uint32_t plane = 0;   //!< parallel unit, < parallelUnits()
+};
+
+/**
  * Busy-until bookkeeping for every die and plane in the complex.
- * Indexed by FlashAddress fields.
+ * Indexed by FlashUnit fields.
  */
 class NandPackagePool
 {
   public:
     explicit NandPackagePool(const FlashGeometry& geom);
 
-    /** Earliest tick the die containing @p a can accept a command. */
-    Tick dieFreeAt(const FlashAddress& a) const;
+    /**
+     * Decode @p ppn into its resource indices. PPNs order pages as
+     * [parallel unit | block | page], and within the unit channel is
+     * innermost, then package, die and plane
+     * (FlashAddress::parallelUnit). So the unit number is already a
+     * unique plane index, its residue modulo dies() names the
+     * (channel, package, die) triple and its residue modulo the
+     * channel count is the channel: one shift and two masks on a
+     * power-of-two geometry, three divisions otherwise.
+     */
+    FlashUnit
+    unitOf(std::uint64_t ppn) const
+    {
+        if (ppn >= totalPages)
+            panic("PPN ", ppn, " out of range (", totalPages, " pages)");
+        if (pow2) {
+            std::uint64_t pu = ppn >> unitShift;
+            return {static_cast<std::uint32_t>(pu & channelMask),
+                    static_cast<std::uint32_t>(pu & dieMask),
+                    static_cast<std::uint32_t>(pu)};
+        }
+        std::uint64_t pu = ppn / pagesPerUnit;
+        return {static_cast<std::uint32_t>(pu % geom.channels),
+                static_cast<std::uint32_t>(pu % dieCount),
+                static_cast<std::uint32_t>(pu)};
+    }
 
-    /** Earliest tick plane @p a can start a cell operation. */
-    Tick planeFreeAt(const FlashAddress& a) const;
+    /** Earliest tick die @p u.die can accept a command. */
+    Tick
+    dieFreeAt(FlashUnit u) const
+    {
+        return std::max(dieFree[u.die], dieBgFree[u.die]);
+    }
+
+    /** Earliest tick plane @p u.plane can start a cell operation. */
+    Tick
+    planeFreeAt(FlashUnit u) const
+    {
+        return std::max(planeFree[u.plane], planeBgFree[u.plane]);
+    }
 
     /** @name Foreground-only timelines (suspend-priority admission). */
     ///@{
-    Tick dieFgFreeAt(const FlashAddress& a) const;
-    Tick planeFgFreeAt(const FlashAddress& a) const;
+    Tick dieFgFreeAt(FlashUnit u) const { return dieFree[u.die]; }
+    Tick planeFgFreeAt(FlashUnit u) const { return planeFree[u.plane]; }
     ///@}
 
     /** Reserve the die until @p until (foreground timeline). */
-    void occupyDie(const FlashAddress& a, Tick until);
+    void occupyDie(FlashUnit u, Tick until) { raise(dieFree[u.die], until); }
 
     /** Reserve the plane until @p until (foreground timeline). */
-    void occupyPlane(const FlashAddress& a, Tick until);
+    void
+    occupyPlane(FlashUnit u, Tick until)
+    {
+        raise(planeFree[u.plane], until);
+    }
 
     /** Reserve the die until @p until on the background timeline. */
-    void occupyDieBg(const FlashAddress& a, Tick until);
+    void
+    occupyDieBg(FlashUnit u, Tick until)
+    {
+        raise(dieBgFree[u.die], until);
+    }
 
     /** Reserve the plane until @p until on the background timeline. */
-    void occupyPlaneBg(const FlashAddress& a, Tick until);
+    void
+    occupyPlaneBg(FlashUnit u, Tick until)
+    {
+        raise(planeBgFree[u.plane], until);
+    }
 
     /**
-     * A foreground op suspended the background work pending on @p a:
+     * A foreground op suspended the background work pending on @p u:
      * push every background occupancy still live past @p from out by
      * @p delta (the stolen window, suspend handshake included), and
      * extend the completion of every cell-tailed tracked op on the
      * same die that was still in flight at @p from by the same window.
      * Walks only that die's list: O(cell-tailed ops on the die).
      */
-    void pushBackgroundOut(const FlashAddress& a, Tick from, Tick delta);
+    void pushBackgroundOut(FlashUnit u, Tick from, Tick delta);
 
     /** @name Tracked background ops (FlashOpHandle registry). */
     ///@{
     /**
-     * Register a background op on @p a completing at @p completion
+     * Register a background op on @p u completing at @p completion
      * (the submit-time latch). The record lives — and keeps absorbing
      * suspension/bus-bump extensions — until releaseOp(). Slot reuse
      * is generation-tagged, so stale handles are detected, and the
@@ -135,7 +197,7 @@ class NandPackagePool
      * other op's completion is cell work: it is linked on its die's
      * list and extended only by the die push. O(1).
      */
-    FlashOpHandle trackOp(const FlashAddress& a, Tick completion,
+    FlashOpHandle trackOp(FlashUnit u, Tick completion,
                           bool transfer_tailed);
 
     /** Current (suspension-extended) completion tick of a live op. */
@@ -165,8 +227,7 @@ class NandPackagePool
     const FlashGeometry& geometry() const { return geom; }
 
   private:
-    std::size_t dieIndex(const FlashAddress& a) const;
-    std::size_t planeIndex(const FlashAddress& a) const;
+    static void raise(Tick& t, Tick until) { t = std::max(t, until); }
 
     static constexpr std::uint32_t none = ~0u; //!< null list link
 
@@ -192,6 +253,16 @@ class NandPackagePool
     void checkLive(FlashOpHandle h, const char* what) const;
 
     FlashGeometry geom;
+    std::uint64_t totalPages;   //!< PPN bound
+    std::uint64_t pagesPerUnit; //!< pages per parallel unit (plane)
+    std::uint64_t dieCount;     //!< dies()
+    /** Shift/mask decode: pages per unit, dies and channels are all
+     *  powers of two (decided once, from the geometry). */
+    bool pow2 = false;
+    std::uint32_t unitShift = 0;  //!< log2(pagesPerUnit)
+    std::uint64_t channelMask = 0;
+    std::uint64_t dieMask = 0;
+
     std::vector<Tick> dieFree;    //!< foreground timeline
     std::vector<Tick> planeFree;  //!< foreground timeline
     std::vector<Tick> dieBgFree;  //!< background timeline

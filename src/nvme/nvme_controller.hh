@@ -127,8 +127,9 @@ class NvmeController
     }
     ///@}
 
-  HAMS_HOT_PATH private:
-    void execute(std::uint16_t qid, const NvmeCommand& cmd, Tick fetched);
+  private:
+    HAMS_HOT_PATH void execute(std::uint16_t qid, const NvmeCommand& cmd,
+                               Tick fetched);
 
     /**
      * Pooled context of one completion (CQE + MSI) event, so the event

@@ -38,6 +38,10 @@
  *                        (`std::map<T*, ...>`), and range-for
  *                        iteration over unordered containers
  *
+ *   An annotation must sit in the function's own declaration: one
+ *   written before an access specifier (`HAMS_HOT_PATH private:`) or a
+ *   data member marks nothing and is itself reported as [annotation].
+ *
  * - `HAMS_COLD_PATH` — marks a function as deliberately off the
  *   per-access path (recovery, power-fail, setup, error reporting).
  *   The checker's transitive walk stops at a cold function: a hot

@@ -67,8 +67,9 @@ class Hil
     /** Write one specific frame back to flash (eviction path). */
     HAMS_HOT_PATH Tick writebackFrame(std::uint64_t block, Tick at);
 
-  HAMS_HOT_PATH private:
-    std::uint64_t lpnOf(std::uint64_t block, std::uint32_t unit) const
+  private:
+    HAMS_HOT_PATH std::uint64_t
+    lpnOf(std::uint64_t block, std::uint32_t unit) const
     {
         return block * _unitsPerBlock + unit;
     }

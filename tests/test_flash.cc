@@ -73,6 +73,69 @@ TEST(FlashAddress, ConsecutiveUnitsRotateChannels)
     EXPECT_NE(u0.channel, u1.channel);
 }
 
+/**
+ * unitOf() against the FlashAddress codec over every PPN of @p g: same
+ * channel, and its die and plane indices are dense bijections onto the
+ * decoded (channel, package, die) and (channel, package, die, plane).
+ */
+void
+expectUnitMatchesDecompose(const FlashGeometry& g)
+{
+    NandPackagePool pool(g);
+    constexpr std::uint64_t unset = ~0ull;
+    // index -> decoded resource it was first seen with, and back.
+    std::vector<std::uint64_t> dieOwner(g.dies(), unset);
+    std::vector<std::uint64_t> dieOf(g.dies(), unset);
+    std::vector<std::uint64_t> planeOwner(g.parallelUnits(), unset);
+    std::vector<std::uint64_t> planeOf(g.parallelUnits(), unset);
+    auto same = [](std::vector<std::uint64_t>& v, std::uint64_t i,
+                   std::uint64_t want) {
+        if (v[i] == unset)
+            v[i] = want;
+        return v[i] == want;
+    };
+    for (std::uint64_t ppn = 0; ppn < g.totalPages(); ++ppn) {
+        FlashAddress a = FlashAddress::decompose(ppn, g);
+        FlashUnit u = pool.unitOf(ppn);
+        std::uint64_t die =
+            (std::uint64_t(a.channel) * g.packagesPerChannel + a.package) *
+                g.diesPerPackage + a.die;
+        std::uint64_t plane = die * g.planesPerDie + a.plane;
+        ASSERT_EQ(u.channel, a.channel) << "ppn " << ppn;
+        ASSERT_LT(u.die, g.dies()) << "ppn " << ppn;
+        ASSERT_LT(u.plane, g.parallelUnits()) << "ppn " << ppn;
+        ASSERT_TRUE(same(dieOwner, u.die, die)) << "ppn " << ppn;
+        ASSERT_TRUE(same(dieOf, die, u.die)) << "ppn " << ppn;
+        ASSERT_TRUE(same(planeOwner, u.plane, plane)) << "ppn " << ppn;
+        ASSERT_TRUE(same(planeOf, plane, u.plane)) << "ppn " << ppn;
+    }
+    EXPECT_DEATH(pool.unitOf(g.totalPages()), "out of range");
+}
+
+TEST(FlashUnit, PowerOfTwoDecodeIsTheAddressDecode)
+{
+    expectUnitMatchesDecompose(smallGeom());
+    FlashGeometry g = smallGeom();
+    g.packagesPerChannel = 2;
+    expectUnitMatchesDecompose(g);
+}
+
+TEST(FlashUnit, DivisionDecodeIsTheAddressDecode)
+{
+    FlashGeometry g;
+    g.channels = 3;
+    g.packagesPerChannel = 2;
+    g.diesPerPackage = 3;
+    g.planesPerDie = 2;
+    g.blocksPerPlane = 5;
+    g.pagesPerBlock = 6;
+    expectUnitMatchesDecompose(g);
+    // One non-power-of-two dimension is enough to leave the shift path.
+    g = smallGeom();
+    g.blocksPerPlane = 48;
+    expectUnitMatchesDecompose(g);
+}
+
 TEST(FlashGeometry, CapacityArithmetic)
 {
     FlashGeometry g = smallGeom();
@@ -241,6 +304,13 @@ randomAddress(const FlashGeometry& g, Rng& rng)
                         0, 0};
 }
 
+/** The pool's resource indices for address @p a. */
+FlashUnit
+unitAt(const NandPackagePool& pool, const FlashAddress& a)
+{
+    return pool.unitOf(a.flatten(pool.geometry()));
+}
+
 void
 expectMatchesModel(const NandPackagePool& pool,
                    const std::vector<ModelOp>& model, int step)
@@ -269,7 +339,7 @@ TEST(TrackedOps, MatchesLinearScanModel)
             FlashAddress a = randomAddress(g, rng);
             Tick completion = rng.below(100000);
             bool xfer = rng.chance(0.5);
-            FlashOpHandle h = pool.trackOp(a, completion, xfer);
+            FlashOpHandle h = pool.trackOp(unitAt(pool, a), completion, xfer);
             model.push_back({h, flatDie(g, a), a.channel, xfer, completion});
         } else if (pick < 600) {
             if (model.empty())
@@ -284,7 +354,7 @@ TEST(TrackedOps, MatchesLinearScanModel)
             Tick delta = 1 + rng.below(1000);
             bool push = pick < 800;
             if (push) {
-                pool.pushBackgroundOut(a, from, delta);
+                pool.pushBackgroundOut(unitAt(pool, a), from, delta);
                 ++pushes;
             } else {
                 pool.bumpChannelOps(a.channel, from, delta);
@@ -316,10 +386,10 @@ TEST(TrackedOps, DiePushExtendsOnlyCellTailedOpsOnThatDieInFlight)
 {
     FlashGeometry g = smallGeom();
     NandPackagePool pool(g);
-    FlashAddress die0{0, 0, 0, 0, 0, 0};
-    FlashAddress die0_plane1{0, 0, 0, 1, 0, 0};
-    FlashAddress die1{0, 0, 1, 0, 0, 0};
-    FlashAddress other_ch{1, 0, 0, 0, 0, 0};
+    FlashUnit die0 = unitAt(pool, {0, 0, 0, 0, 0, 0});
+    FlashUnit die0_plane1 = unitAt(pool, {0, 0, 0, 1, 0, 0});
+    FlashUnit die1 = unitAt(pool, {0, 0, 1, 0, 0, 0});
+    FlashUnit other_ch = unitAt(pool, {1, 0, 0, 0, 0, 0});
     FlashOpHandle hit = pool.trackOp(die0, 500, false);
     FlashOpHandle hit_plane1 = pool.trackOp(die0_plane1, 600, false);
     FlashOpHandle done = pool.trackOp(die0, 100, false); // == from
@@ -340,9 +410,9 @@ TEST(TrackedOps, ChannelBumpExtendsOnlyTransferTailedOpsOnThatChannel)
 {
     FlashGeometry g = smallGeom();
     NandPackagePool pool(g);
-    FlashAddress ch0_die0{0, 0, 0, 0, 0, 0};
-    FlashAddress ch0_die1{0, 0, 1, 0, 0, 0};
-    FlashAddress ch2{2, 0, 1, 0, 0, 0};
+    FlashUnit ch0_die0 = unitAt(pool, {0, 0, 0, 0, 0, 0});
+    FlashUnit ch0_die1 = unitAt(pool, {0, 0, 1, 0, 0, 0});
+    FlashUnit ch2 = unitAt(pool, {2, 0, 1, 0, 0, 0});
     FlashOpHandle x0 = pool.trackOp(ch0_die0, 500, true);
     FlashOpHandle x1 = pool.trackOp(ch0_die1, 700, true);
     FlashOpHandle done = pool.trackOp(ch0_die1, 90, true); // < from
@@ -366,11 +436,11 @@ TEST(TrackedOps, ChannelBumpExtendsOnlyTransferTailedOpsOnThatChannel)
 TEST(TrackedOps, ReleasedHandlePanics)
 {
     NandPackagePool pool(smallGeom());
-    FlashOpHandle h = pool.trackOp(FlashAddress{}, 10, false);
+    FlashOpHandle h = pool.trackOp(unitAt(pool, {}), 10, false);
     pool.releaseOp(h);
     // The slot is recycled under a new generation: the old handle
     // stays stale.
-    FlashOpHandle again = pool.trackOp(FlashAddress{}, 20, true);
+    FlashOpHandle again = pool.trackOp(unitAt(pool, {}), 20, true);
     EXPECT_EQ(again.slot, h.slot);
     EXPECT_DEATH(pool.completionOf(h), "stale");
     EXPECT_DEATH(pool.releaseOp(h), "stale");
@@ -380,15 +450,15 @@ TEST(TrackedOps, ReleasedHandlePanics)
 TEST(TrackedOps, PreResetHandlePanics)
 {
     NandPackagePool pool(smallGeom());
-    FlashOpHandle h = pool.trackOp(FlashAddress{1, 0, 1, 0, 0, 0}, 10, false);
+    FlashUnit u = unitAt(pool, {1, 0, 1, 0, 0, 0});
+    FlashOpHandle h = pool.trackOp(u, 10, false);
     pool.reset();
     EXPECT_EQ(pool.liveTrackedOps(), 0u);
     EXPECT_DEATH(pool.completionOf(h), "stale");
     EXPECT_DEATH(pool.releaseOp(h), "stale");
     // The reset cleared the lists: an extension finds nothing stale.
-    FlashOpHandle fresh = pool.trackOp(FlashAddress{1, 0, 1, 0, 0, 0}, 50,
-                                       false);
-    pool.pushBackgroundOut(FlashAddress{1, 0, 1, 0, 0, 0}, 0, 7);
+    FlashOpHandle fresh = pool.trackOp(u, 50, false);
+    pool.pushBackgroundOut(u, 0, 7);
     EXPECT_EQ(pool.completionOf(fresh), 57u);
 }
 

@@ -270,8 +270,9 @@ TEST(ShardSeeds, BaseAddrOffsetsTheWholeStream)
         ASSERT_TRUE(a->next(oa));
         ASSERT_TRUE(b->next(ob));
         ASSERT_EQ(oa.hasAccess, ob.hasAccess);
-        if (oa.hasAccess)
+        if (oa.hasAccess) {
             EXPECT_EQ(oa.access.addr + base, ob.access.addr);
+        }
     }
 }
 

@@ -662,9 +662,10 @@ TEST(SmpBackgroundGc, FourCoreRerunIdenticalAndGateSound)
     EXPECT_GT(fs.gcBatches, 0u) << "background GC never stepped";
     EXPECT_GT(fs.gcForegroundOverlap, 0u)
         << "no host op overlapped active collection";
-    if (p1->ullFlash().pageFtl().gcActive())
+    if (p1->ullFlash().pageFtl().gcActive()) {
         EXPECT_GT(p1->eventQueue().pending(), 0u)
             << "active machine with an empty queue";
+    }
 
     // Rerun-deterministic, including the device-internal engine.
     for (std::uint32_t c = 0; c < 4; ++c)

@@ -11,6 +11,8 @@
  * stops at HAMS_COLD_PATH functions — calling one from hot code is
  * the audited boundary — and statement/function suppressions demote
  * findings to `suppressed` (kept in the report for the audit trail).
+ * An annotation the parser could attach to no declaration is reported
+ * as [annotation]: the function it was meant for is silently unchecked.
  */
 
 #include "hamslint.hh"
@@ -1031,6 +1033,18 @@ analyze(Model& m)
                 q.push_back(t);
             }
         }
+    }
+
+    // An annotation no declaration took marks nothing: the function it
+    // was written for is silently not a root (or not cold).
+    for (const StrayAnnotation& a : m.strayAnnotations) {
+        Finding f;
+        f.file = a.file;
+        f.line = a.line;
+        f.rule = "annotation";
+        f.message = a.macro + " annotates no function declaration; "
+                    "place it before the function's return type";
+        res.findings.push_back(std::move(f));
     }
 
     // Deduplicate by (file, line, rule): the base-identifier check and

@@ -114,10 +114,21 @@ struct SourceFile
     std::vector<Token> tokens;
 };
 
+/** A HAMS_HOT_PATH / HAMS_COLD_PATH token that no declaration took. */
+struct StrayAnnotation
+{
+    std::string file;
+    int line;
+    std::string macro;
+};
+
 struct Model
 {
     std::vector<SourceFile> files;
     std::vector<Function> functions;
+    /** Annotations the parser dropped, e.g. one written before an
+     *  access specifier, which ends the declaration run. */
+    std::vector<StrayAnnotation> strayAnnotations;
     std::map<std::string, ClassInfo> classes;
     /** class -> directly derived classes (for CHA virtual dispatch). */
     std::map<std::string, std::vector<std::string>> derived;
@@ -141,7 +152,7 @@ struct Finding
     std::string file;
     int line = 0;
     std::string rule;    //!< alloc | hash-probe | callback-capture |
-                         //!< determinism | suppression
+                         //!< determinism | suppression | annotation
     std::string message;
     std::string trace;   //!< "Root -> ... -> func" hot-path witness
     bool suppressed = false;

@@ -124,6 +124,10 @@ parseFile(Model& m, std::size_t fileIdx)
     };
 
     std::size_t declStart = 0;
+    // Annotation tokens seen at declaration scope; registerFunction
+    // marks those in its declaration run as taken.
+    std::vector<std::size_t> annotations;
+    std::set<std::size_t> taken;
 
     auto registerFunction = [&](const std::string& cls,
                                 const std::string& name, int line,
@@ -150,6 +154,8 @@ parseFile(Model& m, std::size_t fileIdx)
             --typeEnd;
         for (std::size_t j = declStart; j < nameTok; ++j) {
             const std::string& t = toks[j].text;
+            if (t == "HAMS_HOT_PATH" || t == "HAMS_COLD_PATH")
+                taken.insert(j);
             if (t == "HAMS_HOT_PATH")
                 fn.hot = true;
             else if (t == "HAMS_COLD_PATH")
@@ -176,6 +182,8 @@ parseFile(Model& m, std::size_t fileIdx)
         const Token& t = toks[i];
 
         if (t.kind == Tok::Ident) {
+            if (t.text == "HAMS_HOT_PATH" || t.text == "HAMS_COLD_PATH")
+                annotations.push_back(i);
             if (t.text == "namespace") {
                 std::size_t j = i + 1;
                 std::string name;
@@ -513,6 +521,10 @@ parseFile(Model& m, std::size_t fileIdx)
         }
         ++i;
     }
+
+    for (std::size_t a : annotations)
+        if (!taken.count(a))
+            m.strayAnnotations.push_back({path, toks[a].line, toks[a].text});
 }
 
 } // namespace hamslint
