@@ -12,11 +12,8 @@
  * collection. The paced mode enables the adaptive pacer on top of the
  * background engine (FtlConfig::gcAdaptivePacing); quality adds the
  * victim-quality gate (FtlConfig::gcVictimQuality), which defers
- * near-full victims while the pool has runway. Dedicated GC
- * relocation streams (gcStreamBlocks) stay off here by design: this
- * sweep's uniform random traffic has no cold data to quarantine, so a
- * stream block only ties up per-unit capacity — tests/test_gc.cc
- * demonstrates the occupancy headroom streams buy on skewed churn.
+ * near-full victims while the pool has runway. GC relocations share
+ * the unit's active block with foreground writes.
  *
  * Per cell: steady-state throughput, foreground p50/p99 latency, GC
  * overlap counters (host ops issued while a GC machine was active,

@@ -141,8 +141,9 @@ std::unique_ptr<MmapPlatform>
 buildPlatform(const TierCell& cell, const BenchGeometry& geom)
 {
     setQuiet(true);
-    // Identical FTL knobs in every mode: background GC with relocation
-    // streams runs the same engine with or without tiering.
+    // Stock FTL knobs in every mode: these runs never collect garbage
+    // (gc_relocations and erases read 0 on every cell), so no GC knob
+    // moves an output here.
     MmapConfig c;
     c.backend = MmapBackend::UllFlash;
     c.dramBytes = geom.hostMemBytes;
@@ -152,8 +153,6 @@ buildPlatform(const TierCell& cell, const BenchGeometry& geom)
     c.pageCacheBytes = geom.hostMemBytes / 16;
     c.ssdRawBytes = geom.ssdRawBytes;
     c.ssdBufferBytes = 4ull << 20;
-    c.ftl.backgroundGc = true;
-    c.ftl.gcStreamBlocks = 1;
     c.tiering = tieringFor(cell.mode);
     return std::make_unique<MmapPlatform>(c);
 }

@@ -115,6 +115,11 @@ BM_FtlWritePage(benchmark::State& state)
     Rng rng(3);
     Tick t = 0;
     std::uint64_t hot = ftl.logicalPages() / 2;
+    // Warm every block's lazy reverse-map arrays and the hot range's
+    // L2P leaves (first-touch is amortized, as in BM_FtlAllocate) so
+    // the timed loop measures the steady-state write path.
+    for (std::uint64_t i = 0; i < hot * 4; ++i)
+        t = ftl.writePage(rng.below(hot), 2048, t);
     std::uint64_t allocs = bench::threadAllocCallsNow();
     for (auto _ : state)
         t = ftl.writePage(rng.below(hot), 2048, t);

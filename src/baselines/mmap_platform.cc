@@ -9,6 +9,19 @@ namespace hams {
 
 namespace {
 
+/** Host DRAM data rate (MT/s): DDR4-2133. */
+constexpr std::uint32_t dramSpeedGrade = 2133;
+/** Fault entry, context switch out/in, PTE fixup. */
+constexpr Tick pageFaultLatency = microseconds(4);
+/** Filesystem + blk-mq + driver submission path. */
+constexpr Tick ioStackLatency = microseconds(9);
+/** Interrupt + wakeup + return to user. */
+constexpr Tick completionLatency = microseconds(3);
+/** Pages written back per writeback round. */
+constexpr std::uint32_t writebackBatch = 64;
+/** Readahead window for sequential faults (Linux default 128 KiB). */
+constexpr std::uint32_t readaheadPages = 32;
+
 SsdConfig
 backendConfig(const MmapConfig& cfg)
 {
@@ -33,6 +46,31 @@ backendConfig(const MmapConfig& cfg)
             c.buffer.capacity = cfg.ssdBufferBytes;
     }
     return c;
+}
+
+/**
+ * Reject tiering switches that would do nothing: a consumer knob
+ * without the tracker it reads, or migration with no SSD buffer to
+ * promote into and demote out of. One fatal names every conflict.
+ * (pinHotFrames without an SSD buffer still pins the page cache.)
+ */
+void
+checkTiering(const TieringConfig& t, const SsdConfig& ssd)
+{
+    std::string conflicts;
+    auto conflict = [&conflicts](const char* what) {
+        conflicts += conflicts.empty() ? "" : "; ";
+        conflicts += what;
+    };
+    if (t.pinHotFrames && !t.enabled)
+        conflict("tiering.pinHotFrames without tiering.enabled");
+    if (t.migration && !t.enabled)
+        conflict("tiering.migration without tiering.enabled");
+    if (t.migration && !ssd.hasBuffer)
+        conflict("tiering.migration with no backing-SSD buffer "
+                 "(ssdBufferBytes = 0)");
+    if (!conflicts.empty())
+        fatal("mmap tiering switches that would be ignored: ", conflicts);
 }
 
 LinkConfig
@@ -68,9 +106,11 @@ backendName(MmapBackend b)
 MmapPlatform::MmapPlatform(const MmapConfig& cfg)
     : cfg(cfg), _name(backendName(cfg.backend))
 {
+    SsdConfig ssd_cfg = backendConfig(cfg);
+    checkTiering(cfg.tiering, ssd_cfg);
     dram = std::make_unique<MemoryController>(
-        Ddr4Timing::speedGrade(cfg.dramSpeedGrade), cfg.dramBytes);
-    ssd = std::make_unique<Ssd>(backendConfig(cfg), &eq);
+        Ddr4Timing::speedGrade(dramSpeedGrade), cfg.dramBytes);
+    ssd = std::make_unique<Ssd>(ssd_cfg, &eq);
     link = std::make_unique<PcieLink>(backendLink(cfg));
 
     _capacity = ssd->capacityBytes();
@@ -98,7 +138,7 @@ Tick
 MmapPlatform::writebackPage(std::uint64_t page, Tick at)
 {
     // fs/blk-mq submission, upstream DMA, device program.
-    Tick submitted = at + cfg.ioStackLatency / 2;
+    Tick submitted = at + ioStackLatency / 2;
     Tick dma = link->transfer(nvmeBlockSize, LinkDir::ToDevice, submitted);
     Tick done = ssd->hostWrite(page, 1, /*fua=*/false, dma);
     cacheTags->markClean(page);
@@ -121,7 +161,7 @@ MmapPlatform::maybeStartWriteback(Tick at)
     // writebackPage() cleans just the page it is handed, as the
     // visitor contract requires.
     cacheTags->forEachDirtyAscending(
-        cfg.writebackBatch,
+        writebackBatch,
         [this, at](std::uint64_t page) { writebackPage(page, at); });
 }
 
@@ -149,8 +189,8 @@ MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         // Page fault: the whole storage stack stands between the load
         // and its data.
         ++_pageFaults;
-        Tick fault_entry = at + cfg.pageFaultLatency;
-        Tick submitted = fault_entry + cfg.ioStackLatency;
+        Tick fault_entry = at + pageFaultLatency;
+        Tick submitted = fault_entry + ioStackLatency;
         bd.os += submitted - at;
 
         // Linux readahead: sequential fault streams pull a whole
@@ -159,9 +199,9 @@ MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         seqStreak = (page == lastFaultPage + 1) ? seqStreak + 1 : 0;
         lastFaultPage = page;
         std::uint32_t cluster = 1;
-        if (seqStreak >= 2 && cfg.readaheadPages > 1)
+        if (seqStreak >= 2)
             cluster = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(cfg.readaheadPages,
+                std::min<std::uint64_t>(readaheadPages,
                                         _capacity / nvmeBlockSize - page));
 
         Tick media = ssd->hostRead(page, cluster, submitted);
@@ -177,8 +217,8 @@ MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
                                    cluster * nvmeBlockSize,
                                    MemOp::Write, dma);
         bd.nvdimm += copied - dma;
-        Tick resumed = copied + cfg.completionLatency;
-        bd.os += cfg.completionLatency;
+        Tick resumed = copied + completionLatency;
+        bd.os += completionLatency;
 
         BufferEviction ev =
             cacheTags->insert(page, acc.op == MemOp::Write);
@@ -231,8 +271,8 @@ MmapPlatform::flush(Tick at, AccessCb cb)
 {
     // msync: synchronously write every dirty page back.
     LatencyBreakdown bd;
-    Tick done = at + cfg.ioStackLatency;
-    bd.os += cfg.ioStackLatency;
+    Tick done = at + ioStackLatency;
+    bd.os += ioStackLatency;
     Tick last = done;
     cacheTags->forEachDirtyAscending(
         cacheTags->dirtyCount(), [this, done, &last](std::uint64_t page) {

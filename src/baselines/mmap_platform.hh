@@ -36,7 +36,6 @@ struct MmapConfig
 {
     MmapBackend backend = MmapBackend::UllFlash;
     std::uint64_t dramBytes = 8ull << 30;
-    std::uint32_t dramSpeedGrade = 2133;
     /** Page-cache budget (the rest is kernel/app memory). */
     std::uint64_t pageCacheBytes = 7ull << 30;
     std::uint64_t ssdRawBytes = 16ull << 30;
@@ -46,19 +45,8 @@ struct MmapConfig
      *  reaches the flash. */
     std::uint64_t ssdBufferBytes = ~std::uint64_t(0);
 
-    /** Fault entry, context switch out/in, PTE fixup. */
-    Tick pageFaultLatency = microseconds(4);
-    /** Filesystem + blk-mq + driver submission path. */
-    Tick ioStackLatency = microseconds(9);
-    /** Interrupt + wakeup + return to user. */
-    Tick completionLatency = microseconds(3);
-
     /** Background writeback starts at this dirty fraction. */
     double dirtyWatermark = 0.3;
-    /** Pages written back per writeback round. */
-    std::uint32_t writebackBatch = 64;
-    /** Readahead window for sequential faults (Linux default 128 KiB). */
-    std::uint32_t readaheadPages = 32;
 
     /**
      * Backing-SSD FTL knobs. With backgroundGc the device collects
@@ -75,6 +63,8 @@ struct MmapConfig
      * backing SSD (pinHotFrames on its buffer, migration). This is the
      * only platform that runs a tracker. Default-inert. Migration
      * events are ordered like backgroundGc's — see tryAccess().
+     * The constructor rejects a consumer knob without `enabled`, and
+     * `migration` on a backing SSD with no buffer: neither would act.
      */
     TieringConfig tiering;
 };

@@ -8,6 +8,13 @@
 
 namespace hams {
 
+namespace {
+
+/** Seed of the Hash policy's stripe permutation. */
+constexpr std::uint64_t hashSeed = 0x5eedc0de;
+
+} // namespace
+
 /**
  * Pooled state of one in-flight cross-shard flush barrier: the fan-out
  * callbacks and the hub fence event capture only {this, ctx}, inside
@@ -98,7 +105,7 @@ ShardedPlatform::buildRouting()
     std::vector<std::uint64_t> perm(total);
     for (std::uint64_t i = 0; i < total; ++i)
         perm[i] = i;
-    Rng rng(cfg.hashSeed);
+    Rng rng(hashSeed);
     for (std::uint64_t i = total - 1; i > 0; --i)
         std::swap(perm[i], perm[rng.below(i + 1)]);
     for (std::uint64_t i = 0; i < total; ++i) {
@@ -172,10 +179,10 @@ ShardedPlatform::shardFlushDone(ShardedFlushCtx* ctx, Tick done)
     // All shards durable: release the fence on the hub domain. The
     // hub's now() can never be ahead of the last ack's tick (every
     // fired event so far is at or before it), so the schedule is legal.
-    ctx->fenceDone = ctx->maxDone + cfg.fenceLatency;
+    ctx->fenceDone = ctx->maxDone + fenceLatency;
     ++_stats.flushBarriers;
     _stats.flushSkewTicks += ctx->maxDone - ctx->minDone;
-    _stats.fenceTicks += cfg.fenceLatency;
+    _stats.fenceTicks += fenceLatency;
     hub.scheduleAt(ctx->fenceDone, [this, ctx]() {
         AccessCb cb = std::move(ctx->cb);
         Tick when = ctx->fenceDone;

@@ -37,7 +37,7 @@
  * -------------------------------------
  * flush() fans the barrier out to every shard at the issue tick and
  * completes on the hub domain at
- *     max(per-shard flush completion) + cfg.fenceLatency,
+ *     max(per-shard flush completion) + fenceLatency,
  * so the ack covers every shard's prior acked writes. The measured
  * cost of cross-shard ordering is recorded in ShardedStats: the skew
  * the slowest shard added (flushSkewTicks) and the fence release cost
@@ -80,17 +80,6 @@ struct ShardedConfig
      * device page never crosses shards.
      */
     std::uint64_t stripeBytes = 128 * 1024;
-
-    /**
-     * Release cost of the two-phase cross-shard flush barrier (the
-     * fence fan-in/fan-out round over the host interconnect), charged
-     * once per flush on top of the slowest shard's completion. Only
-     * paid with more than one shard.
-     */
-    Tick fenceLatency = nanoseconds(120);
-
-    /** Seed of the Hash policy's stripe permutation. */
-    std::uint64_t hashSeed = 0x5eedc0de;
 };
 
 /** What the sharding layer itself did (per-shard work is in each
@@ -115,6 +104,14 @@ struct FtlStats;     // ftl/page_ftl.hh
 class ShardedPlatform : public MemoryPlatform
 {
   public:
+    /**
+     * Release cost of the two-phase cross-shard flush barrier (the
+     * fence fan-in/fan-out round over the host interconnect), charged
+     * once per flush on top of the slowest shard's completion. Only
+     * paid with more than one shard.
+     */
+    static constexpr Tick fenceLatency = nanoseconds(120);
+
     /**
      * Take ownership of @p shards (>= 1, equal capacities). Shard
      * order defines shard ids and, through the conductor, the

@@ -611,7 +611,7 @@ HamsController::onFramesRestored(std::uint64_t first_frame,
     // Map the restored NVDIMM span onto cache frames and wake stalled
     // accesses. Busy frames stay parked (their fill completion drains
     // them); partially-covered frames just re-park via access().
-    std::uint64_t rfb = nvdimm.restoreFrameBytes();
+    std::uint64_t rfb = Nvdimm::restoreFrameBytes;
     std::uint64_t i0 = first_frame * rfb / cfg.pageBytes;
     std::uint64_t i1 = std::min<std::uint64_t>(
         tags.sets(),

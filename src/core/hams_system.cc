@@ -53,15 +53,18 @@ HamsSystemConfig::tightExtend()
 class HamsSystem::NvdimmTarget : public DmaTarget
 {
   public:
-    NvdimmTarget(Nvdimm& nvdimm, RegisterInterface* reg_if, Tick fwd)
-        : nvdimm(nvdimm), regIf(reg_if), forwardLatency(fwd)
+    /** MCH forwarding latency for PRP-directed NVMe requests. */
+    static constexpr Tick mchForwardLatency = nanoseconds(20);
+
+    NvdimmTarget(Nvdimm& nvdimm, RegisterInterface* reg_if)
+        : nvdimm(nvdimm), regIf(reg_if)
     {
     }
 
     Tick
     dmaAccess(Addr addr, std::uint32_t size, MemOp op, Tick at) override
     {
-        Tick t = at + forwardLatency;
+        Tick t = at + mchForwardLatency;
         // Queue-entry traffic (SQE/CQE) is latency-only: it rides the
         // command path and must not queue behind bulk page DMA.
         if (size <= 64)
@@ -80,7 +83,6 @@ class HamsSystem::NvdimmTarget : public DmaTarget
   private:
     Nvdimm& nvdimm;
     RegisterInterface* regIf;
-    Tick forwardLatency;
 };
 
 namespace {
@@ -134,8 +136,7 @@ HamsSystem::HamsSystem(const HamsSystemConfig& cfg)
     if (cfg.topology == HamsTopology::Tight)
         regIf = std::make_unique<RegisterInterface>(*nvdimm);
 
-    dmaTarget = std::make_unique<NvdimmTarget>(*nvdimm, regIf.get(),
-                                               cfg.mchForwardLatency);
+    dmaTarget = std::make_unique<NvdimmTarget>(*nvdimm, regIf.get());
     nvmeCtrl = std::make_unique<NvmeController>(eq, *ssd, *link,
                                                 *dmaTarget);
 

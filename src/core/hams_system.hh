@@ -85,7 +85,7 @@ struct HamsSystemConfig
     NvdimmConfig nvdimm;                 //!< 8 GiB DDR4-2133 default
     std::uint64_t ssdRawBytes = 16ull << 30;
     /**
-     * ULL-Flash FTL knobs (watermarks, wear leveling, background GC).
+     * ULL-Flash FTL knobs (watermarks, background GC).
      * With backgroundGc the device's garbage collector runs as events
      * on the system queue and contends with miss/eviction traffic.
      */
@@ -93,8 +93,6 @@ struct HamsSystemConfig
     std::uint16_t queueEntries = 1024;
     std::uint64_t pinnedBytes = 512ull << 20;
     bool functionalData = true;
-    /** MCH forwarding latency for PRP-directed NVMe requests. */
-    Tick mchForwardLatency = nanoseconds(20);
 
     /** The canonical four variants. */
     static HamsSystemConfig loosePersist();

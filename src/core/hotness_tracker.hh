@@ -91,9 +91,6 @@ struct TieringConfig
      *  rule orders completions against them (baselines/platform.hh). */
     bool migration = false;
 
-    /** Frames promoted/demoted per migration step. */
-    std::uint32_t migBatchFrames = 4;
-
     /** Tracker frames scanned per migration step while hunting for
      *  candidates (bounds per-step work on large devices). */
     std::uint32_t migScanFrames = 256;

@@ -32,8 +32,6 @@ struct CoreConfig
     double baseCpi = 1.0;
     CacheConfig l1{64 * 1024, 64, 4, nanoseconds(1)};
     CacheConfig l2{2 * 1024 * 1024, 64, 8, nanoseconds(5)};
-    /** Propagate dirty L2 victims to the platform (write-back). */
-    bool writebackEvictions = true;
     /**
      * Use MemoryPlatform::tryAccess to complete accesses inline where
      * that keeps the event-path issue order (the inline rule in

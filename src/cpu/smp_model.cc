@@ -103,7 +103,7 @@ SmpModel::advance(CoreCtx& c)
             c.l2.access(r1.evictedLine, /*is_write=*/true);
 
         CacheResult r2 = c.l2.access(c.op.access.addr, is_write);
-        if (r2.evictedDirty && cfg.core.writebackEvictions) {
+        if (r2.evictedDirty) {
             // Yield the background writeback to the conductor so it
             // lands on the platform in global tick order, then resume
             // this instruction where it left off.

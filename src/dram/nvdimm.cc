@@ -6,18 +6,24 @@
 
 namespace hams {
 
+namespace {
+
+/** The module's DDR4 data rate (MT/s): DDR4-2133. */
+constexpr std::uint32_t speedGradeMts = 2133;
+
+/** Frames the background restore cursor claims per batch event. */
+constexpr std::uint64_t restoreBatchFrames = 4;
+
+} // namespace
+
 Nvdimm::Nvdimm(const NvdimmConfig& cfg)
-    : cfg(cfg),
-      ctrl(Ddr4Timing::speedGrade(cfg.speedGradeMts), cfg.capacity)
+    : cfg(cfg), ctrl(Ddr4Timing::speedGrade(speedGradeMts), cfg.capacity)
 {
     if (cfg.functionalData)
         store = std::make_unique<SparseMemory>(cfg.capacity);
-    if (cfg.restoreFrameBytes == 0)
-        fatal("NVDIMM restore frame size must be non-zero");
 
-    framesTotal = (cfg.capacity + cfg.restoreFrameBytes - 1) /
-                  cfg.restoreFrameBytes;
-    tpf = seconds(static_cast<double>(cfg.restoreFrameBytes) /
+    framesTotal = (cfg.capacity + restoreFrameBytes - 1) / restoreFrameBytes;
+    tpf = seconds(static_cast<double>(restoreFrameBytes) /
                   cfg.backupBandwidth);
     restoredBits.assign((framesTotal + 63) / 64, 0);
     frameAvail.assign(framesTotal, maxTick);
@@ -150,7 +156,7 @@ Nvdimm::scheduleCursorBatch(Tick at)
 
     std::uint64_t first = claimCursor;
     std::uint64_t n = 0;
-    while (n < cfg.restoreBatchFrames && claimCursor < framesTotal &&
+    while (n < restoreBatchFrames && claimCursor < framesTotal &&
            frameAvail[claimCursor] == maxTick) {
         ++n;
         ++claimCursor;
@@ -202,8 +208,8 @@ Nvdimm::requestRestoreSpan(Addr addr, std::uint64_t size, Tick at)
         fatal("priority restore span [", addr, ", ", addr + size,
               ") beyond NVDIMM capacity ", cfg.capacity);
 
-    std::uint64_t f0 = addr / cfg.restoreFrameBytes;
-    std::uint64_t f1 = (addr + (size ? size : 1) - 1) / cfg.restoreFrameBytes;
+    std::uint64_t f0 = addr / restoreFrameBytes;
+    std::uint64_t f1 = (addr + (size ? size : 1) - 1) / restoreFrameBytes;
     Tick ready = at;
     for (std::uint64_t f = f0; f <= f1; ++f) {
         if (frameAvail[f] == maxTick) {
@@ -228,8 +234,8 @@ Nvdimm::spanRestored(Addr addr, std::uint64_t size) const
 {
     if (_state != State::Restoring)
         return _state == State::Operational;
-    std::uint64_t f0 = addr / cfg.restoreFrameBytes;
-    std::uint64_t f1 = (addr + (size ? size : 1) - 1) / cfg.restoreFrameBytes;
+    std::uint64_t f0 = addr / restoreFrameBytes;
+    std::uint64_t f1 = (addr + (size ? size : 1) - 1) / restoreFrameBytes;
     for (std::uint64_t f = f0; f <= f1; ++f)
         if (!isRestored(f))
             return false;

@@ -46,15 +46,10 @@ namespace hams {
 struct NvdimmConfig
 {
     std::uint64_t capacity = 8ull << 30;
-    std::uint32_t speedGradeMts = 2133;
     /** On-DIMM backup flash streaming bandwidth (bytes/s). */
     double backupBandwidth = 400e6;
     /** Whether to allocate a functional backing store. */
     bool functionalData = true;
-    /** Incremental-restore granule (restored-bitmap frame size). */
-    std::uint32_t restoreFrameBytes = 1u << 20;
-    /** Frames the background restore cursor claims per batch event. */
-    std::uint32_t restoreBatchFrames = 4;
 };
 
 /**
@@ -72,6 +67,9 @@ class Nvdimm
         InlineFunction<void(std::uint64_t, std::uint64_t, Tick)>;
     /** Restore-complete announcement. */
     using RestoreDone = InlineFunction<void(Tick)>;
+
+    /** Incremental-restore granule (restored-bitmap frame size). */
+    static constexpr std::uint32_t restoreFrameBytes = 1u << 20;
 
     explicit Nvdimm(const NvdimmConfig& cfg);
 
@@ -112,7 +110,7 @@ class Nvdimm
     ///@{
     /**
      * Begin an event-driven restore on @p eq. The background cursor
-     * claims restoreBatchFrames at a time; each batch commits at the
+     * claims a few frames at a time; each batch commits at the
      * tick the on-DIMM stream finishes it, fires @p notify, and chains
      * the next claim. When every frame is restored the module flips to
      * Operational and @p done fires. Fatal unless Protected.
@@ -135,10 +133,6 @@ class Nvdimm
     std::uint64_t restoreFrames() const { return framesTotal; }
     std::uint64_t framesRestored() const { return framesDone; }
     std::uint64_t restoreCursorFrame() const { return claimCursor; }
-    std::uint32_t restoreFrameBytes() const
-    {
-        return cfg.restoreFrameBytes;
-    }
     /** Priority-restore requests that jumped the cursor. */
     std::uint64_t priorityRestores() const { return _priorityRestores; }
     /** Cost of restoring every frame (the RTO restore floor). */

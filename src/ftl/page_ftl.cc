@@ -49,15 +49,12 @@ PageFtl::PageFtl(const FlashGeometry& geom, Fil& fil, const FtlConfig& cfg)
         // a GC victim never grows a vector.
         u.freeBlocks.reserve(geom.blocksPerPlane);
         u.closedBlocks.reserve(geom.blocksPerPlane);
-        // LIFO pop order: push high indices first so block 0 pops first.
-        for (std::uint32_t b = geom.blocksPerPlane; b-- > 0;)
+        // A min-heap on the packed (wear, block) key: the least-worn
+        // block pops first, ties to the lowest index.
+        for (std::uint32_t b = 0; b < geom.blocksPerPlane; ++b)
             u.freeBlocks.push_back(freeKey(0, b));
-        // With wear leveling the vector is a min-heap on the packed
-        // (wear, block) key; fresh blocks pop in index order, exactly
-        // the old linear scan's order.
-        if (cfg.wearLeveling)
-            std::make_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
-                           std::greater<>());
+        std::make_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
+                       std::greater<>());
     }
 }
 
@@ -153,19 +150,11 @@ PageFtl::takeFreeBlock(Unit& u, std::uint64_t pu)
                   ? blockOf(pu, static_cast<std::uint32_t>(u.activeBlock))
                         .writePtr
                   : 0,
-              ", gcStream=", u.gcStreamBlock, " streamWritePtr=",
-              u.gcStreamBlock >= 0
-                  ? blockOf(pu,
-                            static_cast<std::uint32_t>(u.gcStreamBlock))
-                        .writePtr
-                  : 0,
-              " streamsOpened=", _stats.gcStreamBlocks, ", paceLevel=",
-              _stats.paceLevel,
+              ", paceLevel=", _stats.paceLevel,
               ", gc machine ", u.gc.active ? "active" : "idle", ", mode ",
               backgroundGcEnabled() ? "background" : "synchronous", ")");
-    if (cfg.wearLeveling)
-        std::pop_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
-                      std::greater<>());
+    std::pop_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
+                  std::greater<>());
     std::uint64_t key = u.freeBlocks.back();
     u.freeBlocks.pop_back();
     return keyBlock(key);
@@ -178,52 +167,14 @@ PageFtl::pushFreeBlock(std::uint64_t pu, std::uint32_t block)
     HAMS_LINT_SUPPRESS("free-pool return; capacity is bounded by the "
                        "unit's physical block count")
     u.freeBlocks.push_back(freeKey(blockOf(pu, block).eraseCount, block));
-    if (cfg.wearLeveling)
-        std::push_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
-                       std::greater<>());
+    std::push_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
+                   std::greater<>());
 }
 
 std::uint64_t
 PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc)
 {
     Unit& u = units[pu];
-    // Dedicated relocation stream: GC victims pack into a per-unit
-    // stream block, so relocation write amplification never churns
-    // the foreground active block and cold valid pages consolidate
-    // together. A full stream block joins closedBlocks like any
-    // other. Packing is strictly best-effort: the stream never draws
-    // on the reserve (a fresh stream block opens only above it), and
-    // with no stream slack available the relocation falls through to
-    // the shared active path below. The reserve block is therefore always
-    // consumed *fresh* by a relocation crisis — exactly the PR 4
-    // completion guarantee — while leftover stream slack on an empty
-    // pool is headroom PR 4 never had (canStartVictim()).
-    if (for_gc && cfg.gcStreamBlocks > 0) {
-        if (u.gcStreamBlock < 0 &&
-            u.freeBlocks.size() > cfg.gcReserveBlocks) {
-            u.gcStreamBlock = takeFreeBlock(u, pu);
-            ++_stats.gcStreamBlocks;
-        }
-        if (u.gcStreamBlock >= 0) {
-            auto block = static_cast<std::uint32_t>(u.gcStreamBlock);
-            Block& b = blockOf(pu, block);
-            ensureBlockArrays(b);
-            std::uint32_t page = b.writePtr++;
-            // Rotate a just-filled stream block onto closedBlocks
-            // eagerly, not on the next relocation: a dormant machine's
-            // full stream block must be victimizable once churn kills
-            // its pages, or a reclaimable block sits invisible while
-            // the pool exhausts.
-            if (b.full(geom.pagesPerBlock)) {
-                HAMS_LINT_SUPPRESS("closed-block list is bounded by the "
-                                   "unit's physical block count")
-                u.closedBlocks.push_back(block);
-                u.gcStreamBlock = -1;
-            }
-            b.pageLpns[page] = std::numeric_limits<std::uint64_t>::max();
-            return makePpn(pu, block, page);
-        }
-    }
     // A half-relocated victim can always finish inside the active
     // block's slack plus one reserve block (victims are never fully
     // valid) — but only if foreground writes don't consume that slack
@@ -272,8 +223,8 @@ PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc)
         } else if (!inGc && u.freeBlocks.size() <= cfg.gcLowWater) {
             collect(pu, at);
         }
-        // GC relocation may have opened a stream block of its own (and
-        // possibly filled it): reuse it rather than leaking a
+        // GC relocation may have opened an active block of its own
+        // (and possibly filled it): reuse it rather than leaking a
         // partially-written block off every list.
         if (u.activeBlock >= 0 &&
             blockOf(pu, static_cast<std::uint32_t>(u.activeBlock))
@@ -418,7 +369,7 @@ PageFtl::collect(std::uint64_t pu, Tick& at)
         Block& vb = blockOf(pu, victim);
         ensureBlockArrays(vb);
 
-        // Relocate surviving pages into the active stream of this unit.
+        // Relocate surviving pages into the active block of this unit.
         for (std::uint32_t page = 0; page < geom.pagesPerBlock; ++page) {
             if (!(vb.validBits[page / 64] & (1ull << (page % 64))))
                 continue;
@@ -427,10 +378,8 @@ PageFtl::collect(std::uint64_t pu, Tick& at)
             at = fil.submit({FlashOp::Type::Read, old_ppn, geom.pageSize},
                             at);
 
-            // for_gc routes the relocation into the dedicated GC
-            // stream when one is configured; with gcStreamBlocks == 0
-            // it is bit-identical to the plain foreground allocate
-            // (the GC-trigger branch is already guarded by inGc).
+            // for_gc is the plain foreground allocate here: the
+            // GC-trigger branch is already guarded by inGc.
             std::uint64_t new_ppn = allocate(pu, at, /*for_gc=*/true);
             std::uint64_t pu2;
             std::uint32_t nblock, npage;
@@ -494,26 +443,6 @@ PageFtl::selectVictim(std::uint64_t pu, std::uint32_t max_valid)
     auto victim = static_cast<std::int32_t>(*victim_it);
     u.closedBlocks.erase(victim_it);
     return victim;
-}
-
-bool
-PageFtl::canStartVictim(std::uint64_t pu) const
-{
-    // O(1) until the pool is exhausted; the closed-list scan below
-    // (which selectVictim will repeat) runs only on that crisis path.
-    const Unit& u = units[pu];
-    if (!u.freeBlocks.empty())
-        return true;
-    if (cfg.gcStreamBlocks == 0 || u.gcStreamBlock < 0 ||
-        u.closedBlocks.empty())
-        return false;
-    const Block& sb = blocks[blockGlobalIndex(
-        pu, static_cast<std::uint32_t>(u.gcStreamBlock))];
-    std::uint32_t slack = geom.pagesPerBlock - sb.writePtr;
-    std::uint32_t best = geom.pagesPerBlock;
-    for (std::uint32_t b : u.closedBlocks)
-        best = std::min(best, blocks[blockGlobalIndex(pu, b)].validCount);
-    return best < geom.pagesPerBlock && best <= slack;
 }
 
 bool
@@ -777,12 +706,11 @@ PageFtl::gcStep(std::uint64_t pu)
         g.sliceOp = {};
     }
     applyPendingFree(pu);
-    // Starting a victim needs relocation headroom (a free block, or a
-    // stream block with enough slack); without it the machine goes
-    // dormant and the foreground reclaim path drives any further
-    // collection.
+    // Starting a victim needs relocation headroom (a free block);
+    // without it the machine goes dormant and the foreground reclaim
+    // path drives any further collection.
     if (g.victim < 0 &&
-        (u.freeBlocks.size() >= cfg.gcHighWater || !canStartVictim(pu) ||
+        (u.freeBlocks.size() >= cfg.gcHighWater || u.freeBlocks.empty() ||
          !pickVictim(pu))) {
         deactivateGc(pu);
         return;
@@ -821,8 +749,7 @@ PageFtl::reclaimForeground(std::uint64_t pu, Tick at)
             g.idleKicked = false;
             ++gcActiveMachines;
         }
-        if (g.victim < 0 &&
-            (!canStartVictim(pu) || !pickVictim(pu)))
+        if (g.victim < 0 && (u.freeBlocks.empty() || !pickVictim(pu)))
             break; // no headroom or nothing collectable: the caller's
                    // takeFreeBlock reports the exhaustion state
         // The crisis path runs at the deepest pacer levels; record
@@ -967,7 +894,6 @@ PageFtl::unitView(std::uint64_t pu) const
         v.freeBlocks.push_back(keyBlock(key));
     v.closedBlocks = u.closedBlocks;
     v.activeBlock = u.activeBlock;
-    v.gcStreamBlock = u.gcStreamBlock;
     v.victim = u.gc.victim;
     v.pendingFree = u.gc.pendingFree;
     return v;

@@ -5,7 +5,7 @@
  * Maintains the logical-to-physical page map, allocates writes round-robin
  * across every parallel unit (channel/die/plane) to maximise striping,
  * runs greedy garbage collection against an over-provisioned pool, and
- * tracks per-block wear. Timing flows through the FIL so GC relocation
+ * levels wear (free blocks pop least-worn first). Timing flows through the FIL so GC relocation
  * traffic naturally delays foreground operations on the same resources.
  *
  * Garbage collection has two personalities:
@@ -37,7 +37,7 @@
  * a background erase therefore delays the block credit by exactly the
  * stolen window instead of leaving it optimistic.
  *
- * Three optional policies sharpen the background engine:
+ * Two optional policies sharpen the background engine:
  *
  *  - **Adaptive pacing** (`gcAdaptivePacing = true`): collection
  *    intensity scales with pool depletion. The pacer maps the free
@@ -51,15 +51,6 @@
  *    also activates machines as soon as a unit drops below the high
  *    watermark rather than waiting for the low watermark. Off by
  *    default: the PR 4 trigger/batch/cadence behaviour is preserved.
- *
- *  - **Dedicated relocation streams** (`gcStreamBlocks > 0`): GC
- *    relocations pack into a per-unit GC stream block instead of the
- *    unit's shared active block. Foreground writes never land in a
- *    stream block, so relocation write amplification no longer churns
- *    the foreground stream, cold valid pages consolidate together,
- *    and tiny geometries sustain random churn at higher occupancy
- *    before exhausting consolidation headroom. Applies to both GC
- *    personalities; 0 (default) keeps the PR 4 shared-stream layout.
  *
  *  - **Victim quality** (`gcVictimQuality = true`, with pacing on):
  *    the paced collector refuses victims more valid than the level's
@@ -100,8 +91,6 @@ struct FtlConfig
     std::uint32_t gcLowWater = 2;
     /** GC stops once free blocks recover to this. */
     std::uint32_t gcHighWater = 4;
-    /** Prefer least-worn blocks when allocating (wear leveling). */
-    bool wearLeveling = true;
 
     /** @name Background GC (requires attachEventQueue()). */
     ///@{
@@ -130,13 +119,6 @@ struct FtlConfig
      * preserves the fixed-batch, low-watermark-triggered behaviour.
      */
     bool gcAdaptivePacing = false;
-    /**
-     * Dedicated GC relocation streams per unit: victims relocate into
-     * a private stream block instead of the shared active block.
-     * 0 disables (relocations share the foreground stream); any
-     * positive value keeps one stream block open per unit.
-     */
-    std::uint32_t gcStreamBlocks = 0;
     /** Cadence slack per unused pacer level (gcAdaptivePacing). */
     Tick gcPaceQuantum = microseconds(25);
     /**
@@ -173,8 +155,6 @@ struct FtlConfig
     X(sum, Tick, gcStallTicks)                                             \
     /* Host ops issued while at least one GC machine was active. */        \
     X(sum, std::uint64_t, gcForegroundOverlap)                             \
-    /* Dedicated relocation stream blocks opened (gcStreamBlocks). */      \
-    X(sum, std::uint64_t, gcStreamBlocks)                                  \
     /* Victims deferred by the quality gate (gcVictimQuality). */          \
     X(sum, std::uint64_t, gcQualityDeferrals)                              \
     /* Pacer level at the most recent background step (0 = gentlest). */   \
@@ -303,13 +283,6 @@ class PageFtl
 
     std::uint64_t parallelUnits() const { return units.size(); }
 
-    /** Unit @p pu's open GC relocation stream block (-1 = none). */
-    std::int64_t
-    gcStreamBlockOf(std::uint64_t pu) const
-    {
-        return units[pu].gcStreamBlock;
-    }
-
     /**
      * Pacer transfer functions, exposed so tests can pin monotonicity
      * without driving a whole workload: relocation batch for a unit
@@ -333,8 +306,8 @@ class PageFtl
     /**
      * Shadow-model introspection: a copy of unit @p pu's block lists.
      * Every block of a unit must appear on exactly one of these lists
-     * (free, closed, active, GC stream, in-relocation victim, pending
-     * erase credit) — the partition invariant whose violation is how
+     * (free, closed, active, in-relocation victim, pending erase
+     * credit) — the partition invariant whose violation is how
      * mapping corruption (double-listed or leaked blocks) starts.
      */
     struct UnitView
@@ -342,7 +315,6 @@ class PageFtl
         std::vector<std::uint32_t> freeBlocks;  //!< decoded indices
         std::vector<std::uint32_t> closedBlocks;
         std::int64_t activeBlock = -1;
-        std::int64_t gcStreamBlock = -1;
         std::int32_t victim = -1;
         std::int32_t pendingFree = -1;
     };
@@ -433,16 +405,12 @@ class PageFtl
     struct Unit
     {
         /**
-         * Free blocks as packed (eraseCount << 32 | block) keys.
-         * With wear leveling the vector is a min-heap on the key, so
-         * the least-worn block pops in O(log n) (ties to the lowest
-         * block index); without leveling it is the original LIFO.
+         * Free blocks as packed (eraseCount << 32 | block) keys in a
+         * min-heap, so the least-worn block pops in O(log n) (ties to
+         * the lowest block index): wear leveling.
          */
         std::vector<std::uint64_t> freeBlocks;
         std::int64_t activeBlock = -1;
-        /** Dedicated GC relocation stream block (-1 when none open or
-         *  cfg.gcStreamBlocks == 0). Never hosts foreground writes. */
-        std::int64_t gcStreamBlock = -1;
         std::vector<std::uint32_t> closedBlocks;
         GcMachine gc;
     };
@@ -476,9 +444,8 @@ class PageFtl
      * Allocate the next physical page on @p pu. Foreground callers
      * (for_gc == false) trigger GC when needed — inline in synchronous
      * mode, kick-and-continue (or stall at the reserve) in background
-     * mode. GC relocation (for_gc == true) may dip into the reserve
-     * and packs into the unit's relocation stream when gcStreamBlocks
-     * is set; foreground writes always take the shared active block.
+     * mode. GC relocation (for_gc == true) may dip into the reserve.
+     * Both share the unit's active block.
      */
     HAMS_HOT_PATH std::uint64_t allocate(std::uint64_t pu, Tick& at, bool for_gc = false);
 
@@ -546,15 +513,6 @@ class PageFtl
 
     /** Start the machine's next victim. @return false if none. */
     HAMS_HOT_PATH bool pickVictim(std::uint64_t pu);
-
-    /**
-     * True when unit @p pu has the headroom to start a new victim: a
-     * free block to draw on, or — in stream mode — enough slack in
-     * the open GC stream block to absorb the least-valid victim
-     * whole (foreground writes never touch the stream, so the slack
-     * cannot be stolen mid-relocation).
-     */
-    HAMS_HOT_PATH bool canStartVictim(std::uint64_t pu) const;
 
     /** Credit a completed pending erase to the free pool. */
     HAMS_HOT_PATH void applyPendingFree(std::uint64_t pu);

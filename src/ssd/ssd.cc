@@ -7,6 +7,13 @@
 
 namespace hams {
 
+namespace {
+
+/** Frames promoted/demoted per migration step. */
+constexpr std::uint32_t migBatchFrames = 4;
+
+} // namespace
+
 Ssd::Ssd(const SsdConfig& cfg, EventQueue* eq) : cfg(cfg), eq(eq)
 {
     fil = std::make_unique<Fil>(cfg.geom, cfg.nand);
@@ -73,8 +80,12 @@ Ssd::attachTiering(const HotnessTracker* tracker, const TieringConfig& tiering)
         buf->setVictimSelector(makeColdFirstSelector(
             *tracker, nvmeBlockSize, tiering.pinScanLimit));
     // Migration needs an event queue for background steps and a buffer
-    // to promote into / demote out of.
-    migOn = tiering.migration && eq != nullptr && buf != nullptr;
+    // to promote into / demote out of; MmapPlatform rejects the config
+    // before it gets here.
+    if (tiering.migration && (eq == nullptr || buf == nullptr))
+        panic("tiering migration on an SSD without ",
+              eq == nullptr ? "an event queue" : "a buffer");
+    migOn = tiering.migration;
 }
 
 void
@@ -184,7 +195,7 @@ Ssd::migStep()
         std::min<std::uint64_t>(tcfg.migScanFrames, frames);
     std::uint32_t moved = 0;
     Tick done = now;
-    for (std::uint64_t i = 0; i < scan && moved < tcfg.migBatchFrames &&
+    for (std::uint64_t i = 0; i < scan && moved < migBatchFrames &&
                               migScanned < frames;
          ++i, ++migScanned) {
         std::uint64_t block = migCursor;

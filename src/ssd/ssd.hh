@@ -333,8 +333,8 @@ class Ssd
      *    background flash ops, and deactivates when a full scan wrap
      *    finds no candidates or the GC free pool is inside its
      *    watermark band — so the event queue always drains. Requires
-     *    the constructor's event queue and an internal buffer;
-     *    silently stays off without them.
+     *    the constructor's event queue and an internal buffer (panics
+     *    without them; MmapPlatform rejects such a config first).
      */
     HAMS_COLD_PATH void attachTiering(const HotnessTracker* tracker,
                                       const TieringConfig& tiering);

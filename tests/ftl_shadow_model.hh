@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared FTL shadow model for the differential and crash-fuzz suites.
+ * Shared FTL shadow model for the differential and crash-fuzz suites,
+ * plus the tiny geometry and background-GC config the FTL suites run.
  *
  * A plain std::map-based reference model shadows the real PageFtl and
  * checks the full observable FTL state against it:
@@ -18,8 +19,8 @@
  *  - **Wear**: per-block erase counts never decrease and their sum
  *    equals FtlStats::erases (erase conservation).
  *  - **Block-list partition**: every block of a unit sits on exactly
- *    one list — free, closed, active, GC stream, in-relocation
- *    victim, or pending erase credit.
+ *    one list — free, closed, active, in-relocation victim, or
+ *    pending erase credit.
  */
 
 #ifndef HAMS_TESTS_FTL_SHADOW_MODEL_HH_
@@ -50,6 +51,22 @@ tinyGeom()
     g.pagesPerBlock = 8;
     g.pageSize = 2048;
     return g;
+}
+
+/** Background GC with a one-block reserve under the 2/4 watermarks. */
+inline FtlConfig
+bgConfig()
+{
+    FtlConfig cfg;
+    cfg.backgroundGc = true;
+    cfg.gcReserveBlocks = 1;
+    cfg.gcLowWater = 2;
+    cfg.gcHighWater = 4;
+    cfg.gcBatchPages = 4;
+    // Comfortably above the ~100 us inter-write spacing of chained
+    // zNand programs, so back-to-back churn never looks idle.
+    cfg.gcIdleThreshold = microseconds(500);
+    return cfg;
 }
 
 /** The reference model plus the differential checker. */
@@ -87,11 +104,13 @@ class ShadowFtl
                 << what << ": PPN " << now << " mapped twice (lpn " << lpn
                 << ")";
         }
-        for (std::uint64_t lpn = 0; lpn < lpn_space; ++lpn)
-            if (!l2p.count(lpn))
+        for (std::uint64_t lpn = 0; lpn < lpn_space; ++lpn) {
+            if (!l2p.count(lpn)) {
                 ASSERT_FALSE(ftl.isMapped(lpn))
                     << what << ": lpn " << lpn
                     << " mapped but the model dropped it";
+            }
+        }
 
         // --- Valid-page counts per block, rebuilt from the model.
         std::vector<std::uint32_t> model_valid(
@@ -130,9 +149,6 @@ class ShadowFtl
                        v.closedBlocks.end());
             if (v.activeBlock >= 0)
                 all.push_back(static_cast<std::uint32_t>(v.activeBlock));
-            if (v.gcStreamBlock >= 0)
-                all.push_back(
-                    static_cast<std::uint32_t>(v.gcStreamBlock));
             if (v.victim >= 0)
                 all.push_back(static_cast<std::uint32_t>(v.victim));
             if (v.pendingFree >= 0)

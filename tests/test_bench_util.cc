@@ -25,12 +25,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
 #include "harness.hh"
 
 #include "expect_fields.hh"
+#include "tie_platform.hh"
 
 namespace hams {
 namespace {
@@ -229,6 +231,54 @@ TEST(ClosedLoop, LockStepAtQueueDepthOne) { closedLoopContract(1); }
 TEST(ClosedLoop, EveryCompletionReportedOnceAtDepthEight)
 {
     closedLoopContract(8);
+}
+
+TEST(ClosedLoop, SlotPickFollowsTheRecordedScript)
+{
+    // Three slots on a fixed-latency platform; access k is lines[k]
+    // 64 B lines long, so it completes lines[k] * L after issue. The
+    // recorded script pins the slot-pick contract as far as a client
+    // can see it: the three slots idle at tick 0 issue back to back;
+    // after that the access that completed earliest frees the next
+    // issue, at its completion tick; and a slot freed at tick t issues
+    // before a completion event already queued at the same t fires.
+    // Which slot index carries an access is not observable: after the
+    // first three issues exactly one slot is idle at every pick.
+    constexpr Tick L = TiePlatform::latency;
+    const std::vector<std::uint32_t> lines{3, 1, 2, 1, 1, 2, 1, 2, 1, 1};
+    TiePlatform tie;
+    std::uint32_t issued_n = 0;
+    std::string trace; // "I<k>" per issue, "D<n>" per completion
+    std::vector<std::pair<Tick, Tick>> reported;
+    bench::runClosedLoop(
+        tie, /*queue_depth=*/3, /*completions=*/8,
+        [&] {
+            std::uint32_t k = issued_n++;
+            trace += " I" + std::to_string(k);
+            return MemAccess{Addr(k) * 4096, lines.at(k) * 64, MemOp::Read};
+        },
+        [&](std::uint64_t n, Tick issued, Tick done) {
+            EXPECT_EQ(n, reported.size()) << "completion reported out of order";
+            trace += " D" + std::to_string(n);
+            reported.emplace_back(issued, done);
+        });
+
+    EXPECT_EQ(trace, " I0 I1 I2 D0 I3 D1 I4 D2 I5 D3 I6 D4 I7 D5 I8 D6 I9 D7");
+    // Issue ticks, in issue order (the platform sees access k at k's
+    // address).
+    const std::vector<Tick> issue_at{0,     0,     0,     L,     2 * L,
+                                     2 * L, 3 * L, 3 * L, 4 * L, 4 * L};
+    ASSERT_EQ(tie.calls.size(), issue_at.size());
+    for (std::size_t k = 0; k < issue_at.size(); ++k) {
+        EXPECT_EQ(tie.calls[k].at, issue_at[k]) << "issue " << k;
+        EXPECT_EQ(tie.calls[k].addr, Addr(k) * 4096) << "issue " << k;
+    }
+    // Every completion reported once, in completion order: accesses
+    // 1, 2, 3, 0, 4, 5, 6, 7; accesses 8 and 9 stay in flight.
+    const std::vector<std::pair<Tick, Tick>> completions{
+        {0, L},         {0, 2 * L},     {L, 2 * L},     {0, 3 * L},
+        {2 * L, 3 * L}, {2 * L, 4 * L}, {3 * L, 4 * L}, {3 * L, 5 * L}};
+    EXPECT_EQ(reported, completions);
 }
 
 // ---------------------------------------------------------------------

@@ -5,10 +5,10 @@
  * Extends the FTL shadow-model suite (ftl_shadow_model.hh) from a
  * rerun property to a recovery property. Three rigs:
  *
- *  - **FTL rig**: a live background-GC FTL (pacing + relocation
- *    streams + victim quality) is driven through mixed write/trim/
- *    read traffic while a FaultInjector pumps the event queue and
- *    cuts power at seeded boundaries — random-event, mid-GC-slice
+ *  - **FTL rig**: a live background-GC FTL (pacing + victim
+ *    quality) is driven through mixed write/trim/read traffic
+ *    while a FaultInjector pumps the event queue and cuts power at
+ *    seeded boundaries — random-event, mid-GC-slice
  *    (victim checked out, relocation cursor live) and mid-erase
  *    (erase issued, credit pending) cells. Every cut runs the
  *    device's power-failure chain (queue reset → PageFtl::onPowerFail
@@ -61,15 +61,8 @@ using testing_support::tinyGeom;
 FtlConfig
 crashBgConfig()
 {
-    FtlConfig cfg;
-    cfg.backgroundGc = true;
-    cfg.gcReserveBlocks = 1;
-    cfg.gcLowWater = 2;
-    cfg.gcHighWater = 4;
-    cfg.gcBatchPages = 4;
-    cfg.gcIdleThreshold = microseconds(500);
+    FtlConfig cfg = testing_support::bgConfig();
     cfg.gcAdaptivePacing = true;
-    cfg.gcStreamBlocks = 1;
     cfg.gcVictimQuality = true;
     return cfg;
 }
@@ -270,13 +263,11 @@ TEST(CrashFuzz, FtlMidEraseCell)
         << "mid-erase cell cut outside the erase-pending state";
 }
 
-TEST(CrashFuzz, FtlCutsWithoutStreamsOrPacing)
+TEST(CrashFuzz, FtlCutsWithoutPacing)
 {
-    // The plain background personality (no pacer, no streams, no
-    // quality gate) recovers under the same cuts.
+    // The plain background personality (no pacer, no quality gate) recovers under the same cuts.
     FtlConfig cfg = crashBgConfig();
     cfg.gcAdaptivePacing = false;
-    cfg.gcStreamBlocks = 0;
     cfg.gcVictimQuality = false;
     CrashFuzzReport rep =
         crashFuzz(cfg, 10000, 77,

@@ -119,9 +119,10 @@ TEST_P(HamsFastPathDifferential, InlineOnMatchesOff)
     // The fast path actually engaged: hits dominate the micro workloads
     // and each inline completion skips the event round trip, so the
     // fired-event count must drop well below the all-events run.
-    if (workload != "update")
+    if (workload != "update") {
         EXPECT_LT(p_on->eventQueue().fired(),
                   p_off->eventQueue().fired() / 2);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

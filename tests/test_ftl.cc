@@ -12,22 +12,12 @@
 #include "ftl/page_ftl.hh"
 #include "sim/logging.hh"
 
+#include "ftl_shadow_model.hh"
+
 namespace hams {
 namespace {
 
-FlashGeometry
-tinyGeom()
-{
-    FlashGeometry g;
-    g.channels = 2;
-    g.packagesPerChannel = 1;
-    g.diesPerPackage = 1;
-    g.planesPerDie = 2;
-    g.blocksPerPlane = 16;
-    g.pagesPerBlock = 8;
-    g.pageSize = 2048;
-    return g;
-}
+using testing_support::tinyGeom;
 
 struct FtlFixture : public ::testing::Test
 {

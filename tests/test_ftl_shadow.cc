@@ -8,8 +8,9 @@
  * (tiny geometry, so garbage collection runs constantly) and checks
  * the full observable FTL state after *every* operation, in
  * synchronous and background GC modes, with and without the adaptive
- * pacer + dedicated relocation streams — every GC personality added
- * on top of the FTL is held to the same model.
+ * pacer and its victim-quality gate, over hot ranges of half and of
+ * 90% of the exported space — every GC personality added on top of
+ * the FTL is held to the same model.
  */
 
 #include <gtest/gtest.h>
@@ -24,20 +25,24 @@
 namespace hams {
 namespace {
 
+using testing_support::bgConfig;
 using testing_support::ShadowFtl;
 using testing_support::tinyGeom;
 
 /**
- * Seeded fuzz run: ~@p ops mixed operations over a hot range of half
- * the exported space (sustainable on the tiny geometry, hot enough to
- * force constant collection). Background mode pumps the queue to the
- * issue tick before every op — GC events interleave with host ops at
- * their simulated times — and fully drains it on the occasional
- * "drain" op and at the end.
+ * Seeded fuzz run: ~@p ops mixed operations over a hot range of
+ * @p hot_percent of the exported space (half is sustainable on the
+ * tiny geometry and hot enough to force constant collection; 90%
+ * runs GC under pressure: fuller victims, the pool down at the
+ * reserve). Background mode pumps the queue to the issue tick before
+ * every op — GC events interleave with host ops at their simulated
+ * times — and fully drains it on the occasional "drain" op and at
+ * the end. The final FTL stats land in @p stats.
  */
 void
 fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
-     std::uint64_t seed)
+     std::uint64_t seed, std::uint64_t hot_percent = 50,
+     FtlStats* stats = nullptr)
 {
     FlashGeometry geom = tinyGeom();
     Fil fil(geom, NandTiming::zNand());
@@ -47,7 +52,7 @@ fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
         ftl.attachEventQueue(&eq);
     ShadowFtl shadow(ftl, geom);
 
-    std::uint64_t hot = ftl.logicalPages() / 2;
+    std::uint64_t hot = ftl.logicalPages() * hot_percent / 100;
 
     Rng rng(seed);
     Tick t = 0;
@@ -88,19 +93,8 @@ fuzz(const FtlConfig& cfg, bool background, std::uint64_t ops,
     EXPECT_GT(ftl.stats().erases, 0u)
         << "fuzz run never forced garbage collection";
     EXPECT_GT(shadow.mapped(), 0u);
-}
-
-FtlConfig
-bgConfig()
-{
-    FtlConfig cfg;
-    cfg.backgroundGc = true;
-    cfg.gcReserveBlocks = 1;
-    cfg.gcLowWater = 2;
-    cfg.gcHighWater = 4;
-    cfg.gcBatchPages = 4;
-    cfg.gcIdleThreshold = microseconds(500);
-    return cfg;
+    if (stats)
+        *stats = ftl.stats();
 }
 
 TEST(FtlShadow, SynchronousGc)
@@ -108,11 +102,13 @@ TEST(FtlShadow, SynchronousGc)
     fuzz(FtlConfig{}, /*background=*/false, 10000, 1);
 }
 
-TEST(FtlShadow, SynchronousGcWithRelocationStreams)
+TEST(FtlShadow, SynchronousGcUnderPressure)
 {
-    FtlConfig cfg;
-    cfg.gcStreamBlocks = 1;
-    fuzz(cfg, /*background=*/false, 10000, 2);
+    FtlStats s;
+    fuzz(FtlConfig{}, /*background=*/false, 10000, 2, /*hot_percent=*/90,
+         &s);
+    // Victims average more valid pages than dead ones.
+    EXPECT_GT(s.gcRelocations, s.hostWrites);
 }
 
 TEST(FtlShadow, BackgroundGc)
@@ -120,12 +116,14 @@ TEST(FtlShadow, BackgroundGc)
     fuzz(bgConfig(), /*background=*/true, 10000, 3);
 }
 
-TEST(FtlShadow, BackgroundGcPacedWithStreams)
+TEST(FtlShadow, BackgroundGcPacedUnderPressure)
 {
     FtlConfig cfg = bgConfig();
     cfg.gcAdaptivePacing = true;
-    cfg.gcStreamBlocks = 1;
-    fuzz(cfg, /*background=*/true, 10000, 4);
+    FtlStats s;
+    fuzz(cfg, /*background=*/true, 10000, 4, /*hot_percent=*/90, &s);
+    // The pacer reached its deepest level: the pool fell to the reserve.
+    EXPECT_EQ(s.paceLevelMax, cfg.gcHighWater - cfg.gcReserveBlocks);
 }
 
 TEST(FtlShadow, BackgroundGcPacedWithVictimQuality)
@@ -135,9 +133,11 @@ TEST(FtlShadow, BackgroundGcPacedWithVictimQuality)
     // other GC personality.
     FtlConfig cfg = bgConfig();
     cfg.gcAdaptivePacing = true;
-    cfg.gcStreamBlocks = 1;
     cfg.gcVictimQuality = true;
-    fuzz(cfg, /*background=*/true, 10000, 5);
+    FtlStats s;
+    fuzz(cfg, /*background=*/true, 10000, 5, /*hot_percent=*/90, &s);
+    EXPECT_GT(s.gcQualityDeferrals, 0u);
+    EXPECT_GT(s.gcWriteStalls, 0u) << "no foreground write hit the reserve";
 }
 
 TEST(FtlShadow, BackgroundGcSecondSeedDiverges)

@@ -2,10 +2,10 @@
  * @file
  * Background garbage collection invariants (ftl/page_ftl.hh):
  * no L2P mapping lost or duplicated across GC bursts, trim during
- * relocation, wear-spread bounds with leveling on, backpressure
- * (stall, never panic) at the reserve, sustained-write determinism,
- * idle-triggered collection, exact synchronous-mode equivalence, and
- * zero-allocation steady-state operation.
+ * relocation, wear-spread bounds, backpressure (stall, never panic)
+ * at the reserve, sustained-write determinism, idle-triggered
+ * collection, exact synchronous-mode equivalence, and zero-allocation
+ * steady-state operation.
  */
 
 #include <gtest/gtest.h>
@@ -21,38 +21,13 @@
 #include "sim/rng.hh"
 
 #include "expect_fields.hh"
+#include "ftl_shadow_model.hh"
 
 namespace hams {
 namespace {
 
-FlashGeometry
-tinyGeom()
-{
-    FlashGeometry g;
-    g.channels = 2;
-    g.packagesPerChannel = 1;
-    g.diesPerPackage = 1;
-    g.planesPerDie = 2;
-    g.blocksPerPlane = 16;
-    g.pagesPerBlock = 8;
-    g.pageSize = 2048;
-    return g;
-}
-
-FtlConfig
-bgConfig()
-{
-    FtlConfig cfg;
-    cfg.backgroundGc = true;
-    cfg.gcReserveBlocks = 1;
-    cfg.gcLowWater = 2;
-    cfg.gcHighWater = 4;
-    cfg.gcBatchPages = 4;
-    // Comfortably above the ~100 us inter-write spacing of chained
-    // zNand programs, so back-to-back churn never looks idle.
-    cfg.gcIdleThreshold = microseconds(500);
-    return cfg;
-}
+using testing_support::bgConfig;
+using testing_support::tinyGeom;
 
 /** An FTL wired to its own queue, driven like an SSD would drive it. */
 struct GcRig
@@ -599,121 +574,6 @@ TEST(GcPacer, HoldsHigherFreeLevelsUnderSteadyChurn)
 }
 
 // ---------------------------------------------------------------------
-// Dedicated GC relocation streams.
-// ---------------------------------------------------------------------
-
-/**
- * Hot/cold churn interleaved at page granularity: prefill [0, pages),
- * then rewrite only the odd page-rows (a row = one page across every
- * unit), so every block holds alternating hot and cold pages. Without
- * victim packing GC re-mixes the cold survivors into the foreground
- * stream forever; with a dedicated stream they consolidate. @return
- * FTL write amplification over the churn phase, or -1 on exhaustion.
- */
-double
-hotColdWa(const FtlConfig& cfg, double fill, int rounds,
-          FtlStats* stats_out = nullptr)
-{
-    GcRig rig(cfg);
-    auto pages = static_cast<std::uint64_t>(
-        static_cast<double>(rig.ftl.logicalPages()) * fill);
-    std::uint64_t units = rig.ftl.parallelUnits();
-    std::uint64_t hot_rows = (pages / units) / 2;
-    try {
-        Tick t = 0;
-        for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-            t = rig.write(lpn, t);
-        std::uint64_t w0 = rig.ftl.stats().hostWrites;
-        std::uint64_t r0 = rig.ftl.stats().gcRelocations;
-        Rng rng(11);
-        for (std::uint64_t i = 0;
-             i < pages * static_cast<std::uint64_t>(rounds); ++i) {
-            std::uint64_t lpn =
-                (rng.below(hot_rows) * 2 + 1) * units + rng.below(units);
-            if (lpn >= pages)
-                continue;
-            t = rig.write(lpn, t);
-        }
-        rig.eq.run();
-        if (stats_out)
-            *stats_out = rig.ftl.stats();
-        return 1.0 +
-               static_cast<double>(rig.ftl.stats().gcRelocations - r0) /
-                   static_cast<double>(rig.ftl.stats().hostWrites - w0);
-    } catch (const FatalError&) {
-        return -1.0;
-    }
-}
-
-double
-hotColdChurnWa(double fill, std::uint32_t stream_blocks, int rounds)
-{
-    FtlConfig cfg = bgConfig();
-    cfg.gcStreamBlocks = stream_blocks;
-    return hotColdWa(cfg, fill, rounds);
-}
-
-TEST(GcStreams, ForegroundNeverWritesToStreamBlocks)
-{
-    FtlConfig cfg = bgConfig();
-    cfg.gcStreamBlocks = 1;
-    GcRig rig(cfg);
-    std::uint64_t pages = rig.ftl.logicalPages() * 2 / 3;
-    Tick t = rig.churn(pages, 1);
-    Rng rng(13);
-    FlashGeometry g = tinyGeom();
-    for (std::uint64_t i = 0; i < pages * 4; ++i) {
-        std::uint64_t lpn = rng.below(pages);
-        t = rig.write(lpn, t);
-        // The page the foreground write just landed on must not be in
-        // any unit's currently open GC stream block.
-        std::uint64_t blk = rig.ftl.physicalOf(lpn) / g.pagesPerBlock;
-        std::uint64_t pu = blk / g.blocksPerPlane;
-        auto block = static_cast<std::int64_t>(blk % g.blocksPerPlane);
-        EXPECT_NE(block, rig.ftl.gcStreamBlockOf(pu))
-            << "foreground write landed in the GC relocation stream";
-    }
-    rig.eq.run();
-    EXPECT_GT(rig.ftl.stats().gcStreamBlocks, 0u)
-        << "churn never opened a relocation stream";
-    expectMappingsExact(rig.ftl, pages);
-}
-
-TEST(GcStreams, PackingCutsWriteAmplificationAtHighOccupancy)
-{
-    double wa_shared = hotColdChurnWa(0.80, 0, 20);
-    double wa_stream = hotColdChurnWa(0.80, 1, 20);
-    ASSERT_GT(wa_shared, 0) << "shared-stream run exhausted the device";
-    ASSERT_GT(wa_stream, 0) << "stream run exhausted the device";
-    EXPECT_LT(wa_stream, wa_shared)
-        << "victim packing did not reduce write amplification";
-}
-
-TEST(GcStreams, RaiseSustainableOccupancyBound)
-{
-    // "Sustainable" = the device absorbs sustained hot/cold churn
-    // with write amplification inside a fixed budget. The dedicated
-    // relocation stream stops GC from re-mixing cold survivors into
-    // the foreground stream, so the same WA budget holds at a higher
-    // occupancy. (The budget sits between deterministic measured
-    // values: shared ~3.34 vs stream ~3.16 at the upper fill, shared
-    // ~2.92 at the lower.)
-    constexpr double budget = 3.25;
-    double shared_hi = hotColdChurnWa(0.825, 0, 60);
-    double stream_hi = hotColdChurnWa(0.825, 1, 60);
-    double shared_lo = hotColdChurnWa(0.800, 0, 60);
-    ASSERT_GT(shared_hi, 0);
-    ASSERT_GT(stream_hi, 0);
-    ASSERT_GT(shared_lo, 0);
-    EXPECT_LE(shared_lo, budget)
-        << "80% occupancy should be sustainable without streams";
-    EXPECT_GT(shared_hi, budget)
-        << "82.5% occupancy unexpectedly sustainable without streams";
-    EXPECT_LE(stream_hi, budget)
-        << "GC streams should hold the WA budget at 82.5% occupancy";
-}
-
-// ---------------------------------------------------------------------
 // Victim-quality gating (ROADMAP open item 5).
 // ---------------------------------------------------------------------
 
@@ -748,7 +608,6 @@ TEST(GcQuality, SkippingNearFullVictimsCutsWriteAmplification)
     auto waOf = [](bool quality, FtlStats* out) {
         FtlConfig cfg = bgConfig();
         cfg.gcAdaptivePacing = true;
-        cfg.gcStreamBlocks = 1;
         cfg.gcVictimQuality = quality;
         GcRig rig(cfg);
         std::uint64_t pages = rig.ftl.logicalPages() * 70 / 100;

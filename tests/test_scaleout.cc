@@ -494,7 +494,7 @@ TEST(ShardedFlush, BarrierCompletesAtMaxShardDonePlusFence)
 
     ASSERT_GT(d0, 0u);
     ASSERT_GT(d1, 0u);
-    Tick fence = sp->config().fenceLatency;
+    Tick fence = ShardedPlatform::fenceLatency;
     EXPECT_EQ(sharded_done, std::max(d0, d1) + fence)
         << "barrier must complete at max(shard done) + fence";
     EXPECT_TRUE(durable_at_cb)

@@ -33,6 +33,7 @@
 #include "bg_gc_hams.hh"
 #include "expect_fields.hh"
 #include "forwarding_platform.hh"
+#include "tie_platform.hh"
 
 namespace hams {
 namespace {
@@ -408,60 +409,6 @@ TEST(SmpInlineRule, OffersUnderBackgroundGcAndEveryDeliveryKeepsTheRule)
             << "an inline delivery could have reordered the issue order";
     }
 }
-
-/**
- * Fixed-latency platform that applies nothing but its call log: every
- * access completes @c latency after issue, inline or by event, so the
- * log of (tick, address) calls is exactly the issue order.
- */
-class TiePlatform : public MemoryPlatform
-{
-  public:
-    static constexpr Tick latency = nanoseconds(20);
-
-    struct Call
-    {
-        Tick at;
-        Addr addr;
-
-        bool
-        operator==(const Call& o) const
-        {
-            return at == o.at && addr == o.addr;
-        }
-    };
-
-    const std::string& name() const override { return _name; }
-    std::uint64_t capacity() const override { return 1ull << 30; }
-    EventQueue& eventQueue() override { return eq; }
-    bool persistent() const override { return true; }
-
-    void
-    access(const MemAccess& acc, Tick at, AccessCb cb) override
-    {
-        calls.push_back({at, acc.addr});
-        LatencyBreakdown bd;
-        bd.nvdimm = latency;
-        scheduleCompletion(eq, at + latency, bd, std::move(cb));
-    }
-
-    bool
-    tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out) override
-    {
-        calls.push_back({at, acc.addr});
-        out.bd = LatencyBreakdown{};
-        out.bd.nvdimm = latency;
-        out.done = at + latency;
-        out.domain = &eq;
-        return true;
-    }
-
-    std::vector<Call> calls;
-
-  private:
-    std::string _name = "tie";
-    EventQueue eq;
-};
 
 /** Replays a fixed op list. */
 class ScriptedWorkload : public WorkloadGenerator

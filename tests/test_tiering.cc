@@ -8,13 +8,15 @@
  * off/inert is bit-identical to no tiering at all (RunResult + FTL
  * counters), tiering on is rerun-deterministic and
  * inline-fast-path-invariant, hot-set residency grows with workload
- * skew, and the touch on the hit path allocates nothing.
+ * skew, the touch on the hit path allocates nothing, and a tiering
+ * switch that would be ignored is rejected at construction.
  */
 
 #include <gtest/gtest.h>
 
 #include <list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "core/hotness_tracker.hh"
 #include "cpu/core_model.hh"
 #include "sim/alloc_hook.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "ssd/dram_buffer.hh"
 #include "workload/workload.hh"
@@ -311,15 +314,15 @@ zipfWorkload(double theta, std::uint64_t dataset = 32ull << 20)
 }
 
 std::unique_ptr<MmapPlatform>
-smallMmap(const TieringConfig& tiering)
+smallMmap(const TieringConfig& tiering,
+          std::uint64_t ssd_buffer_bytes = 4ull << 20)
 {
     MmapConfig c;
     c.dramBytes = 64ull << 20;
     c.pageCacheBytes = 8ull << 20;
     c.ssdRawBytes = 1ull << 30;
-    c.ssdBufferBytes = 4ull << 20;
+    c.ssdBufferBytes = ssd_buffer_bytes;
     c.ftl.backgroundGc = true;
-    c.ftl.gcStreamBlocks = 1;
     c.tiering = tiering;
     return std::make_unique<MmapPlatform>(c);
 }
@@ -531,6 +534,64 @@ TEST(TieringZeroAlloc, TouchOnHitPathAllocatesNothing)
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
     sys->hotnessTracker()->hotRanges(ranges);
     EXPECT_FALSE(ranges.empty());
+}
+
+// ------------------------------------------------------- config check
+
+TEST(TieringConfigCheck, PinHotFramesWithoutEnabledIsRejected)
+{
+    TieringConfig t;
+    t.pinHotFrames = true;
+    EXPECT_THROW(smallMmap(t), FatalError);
+}
+
+TEST(TieringConfigCheck, MigrationWithoutEnabledIsRejected)
+{
+    TieringConfig t;
+    t.migration = true;
+    EXPECT_THROW(smallMmap(t), FatalError);
+}
+
+TEST(TieringConfigCheck, MigrationWithoutSsdBufferIsRejected)
+{
+    TieringConfig t;
+    t.enabled = true;
+    t.migration = true;
+    EXPECT_THROW(smallMmap(t, /*ssd_buffer_bytes=*/0), FatalError);
+}
+
+TEST(TieringConfigCheck, OneErrorNamesEveryConflict)
+{
+    TieringConfig t;
+    t.pinHotFrames = true;
+    t.migration = true;
+    try {
+        smallMmap(t, /*ssd_buffer_bytes=*/0);
+        FAIL() << "three conflicting tiering switches were accepted";
+    } catch (const FatalError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("pinHotFrames without"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("migration without"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("no backing-SSD buffer"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(TieringConfigCheck, SwitchesThatActStillConstruct)
+{
+    // fig_tiering's off mode: decay knobs set, every switch off.
+    TieringConfig off;
+    off.epochAccesses = 16384;
+    off.hotThreshold = 2;
+    EXPECT_NO_THROW(smallMmap(off));
+    // Without an SSD buffer, pinning still acts on the page cache.
+    TieringConfig pin;
+    pin.enabled = true;
+    pin.pinHotFrames = true;
+    EXPECT_NO_THROW(smallMmap(pin, /*ssd_buffer_bytes=*/0));
+    EXPECT_NO_THROW(smallMmap(fullTiering()));
 }
 
 } // namespace

@@ -98,8 +98,9 @@ TEST(Workloads, ResetReplaysIdentically)
     std::size_t idx = 0;
     for (int i = 0; i < 1000; ++i) {
         gen->next(op);
-        if (op.hasAccess)
+        if (op.hasAccess) {
             ASSERT_EQ(op.access.addr, first[idx++]);
+        }
     }
 }
 
@@ -152,8 +153,9 @@ TEST(Workloads, SequentialStreamsTouchConsecutivePages)
         gen->next(op);
         if (!op.hasAccess)
             continue;
-        if (!first)
+        if (!first) {
             ASSERT_EQ(op.access.addr, prev + 64);
+        }
         prev = op.access.addr;
         first = false;
     }
