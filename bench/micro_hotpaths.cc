@@ -46,12 +46,17 @@ BM_EventQueueScheduleRun(benchmark::State& state)
 {
     EventQueue eq;
     std::uint64_t sink = 0;
-    std::uint64_t allocs = bench::threadAllocCallsNow();
-    for (auto _ : state) {
+    auto round = [&] {
         for (int i = 0; i < 64; ++i)
             eq.schedule(i, [&sink] { ++sink; });
         eq.run();
-    }
+    };
+    // Grow the slot arena and the heap to the round's high-water mark
+    // so the timed loop measures the steady state.
+    round();
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state)
+        round();
     benchmark::DoNotOptimize(sink);
     reportAllocRate(state, allocs);
 }
@@ -64,17 +69,48 @@ BM_EventQueueScheduleCancel(benchmark::State& state)
     // replaces the old hash-set lazy-cancel scheme.
     EventQueue eq;
     EventId ids[64];
-    std::uint64_t allocs = bench::threadAllocCallsNow();
-    for (auto _ : state) {
+    auto round = [&] {
         for (int i = 0; i < 64; ++i)
             ids[i] = eq.schedule(i + 1, [] {});
         for (int i = 0; i < 64; ++i)
             eq.deschedule(ids[i]);
         eq.run();
-    }
+    };
+    round(); // warm the arena and the heap, as above
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state)
+        round();
     reportAllocRate(state, allocs);
 }
 BENCHMARK(BM_EventQueueScheduleCancel);
+
+/** An event that re-arms itself @c period ticks later, forever. */
+struct SelfRearm
+{
+    EventQueue* eq;
+    Tick period;
+
+    void operator()() const { eq->schedule(period, *this); }
+};
+
+void
+BM_EventQueueSelfRearm(benchmark::State& state)
+{
+    // The background-GC poll shape: 128 pending events (one step per GC
+    // machine), each firing only to re-arm itself at a later tick. One
+    // iteration fires one event.
+    EventQueue eq;
+    for (Tick i = 0; i < 128; ++i)
+        eq.schedule(i, SelfRearm{&eq, 1000 + 37 * i});
+    for (int i = 0; i < 4 * 128; ++i)
+        eq.step();
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state)
+        eq.step();
+    benchmark::DoNotOptimize(eq.now());
+    reportAllocRate(state, allocs);
+}
+BENCHMARK(BM_EventQueueSelfRearm);
 
 void
 BM_TagArrayProbe(benchmark::State& state)

@@ -116,9 +116,10 @@ variantName(const HamsSystemConfig& cfg)
 HamsSystem::HamsSystem(const HamsSystemConfig& cfg)
     : cfg(cfg), _name(variantName(cfg))
 {
-    NvdimmConfig ncfg = cfg.nvdimm;
-    ncfg.functionalData = true; // pinned region requires it
-    nvdimm = std::make_unique<Nvdimm>(ncfg);
+    if (!cfg.nvdimm.functionalData)
+        fatal("HamsSystemConfig::nvdimm.functionalData is false, but the "
+              "pinned region keeps its data in the NVDIMM's data plane");
+    nvdimm = std::make_unique<Nvdimm>(cfg.nvdimm);
 
     // Advanced HAMS removes the SSD-internal DRAM and adds supercaps;
     // baseline HAMS keeps the stock device but (per SSIV-B) also gains

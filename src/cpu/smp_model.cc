@@ -130,6 +130,7 @@ void
 SmpModel::onAccessDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd)
 {
     c.blocked = false;
+    woke = true;
     c.res.stallTime += done - c.issueAt;
     c.res.stallBreakdown += bd;
     c.now = done;
@@ -141,6 +142,7 @@ SmpModel::onFlushDone(CoreCtx& c, Tick done, const LatencyBreakdown&)
     // Flush time is charged to flushTime/stallTime but not to the
     // per-category stall breakdown.
     c.blocked = false;
+    woke = true;
     c.res.flushTime += done - c.issueAt;
     c.res.stallTime += done - c.issueAt;
     c.now = done;
@@ -203,8 +205,10 @@ SmpModel::issue(CoreCtx& c, DomainConductor& eq)
                 // same point: the conductor sees the event path's
                 // (tick, seq, domain) order.
                 c.blocked = true;
-                ic.domain->scheduleAt(ic.done,
-                                      [&c]() { c.blocked = false; });
+                ic.domain->scheduleAt(ic.done, [this, &c]() {
+                    c.blocked = false;
+                    woke = true;
+                });
             }
             break;
         }
@@ -259,7 +263,8 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     // The conductor: always serve the ready core with the lowest issue
     // tick (core index breaks ties), but first let every event strictly
     // earlier than that tick fire — a landing completion may unblock a
-    // core that belongs in front.
+    // core that belongs in front. Only the completion callbacks change
+    // a core's state, so the pick stands until one of them sets woke.
     for (;;) {
         CoreCtx* best = nullptr;
         bool alive = false;
@@ -280,18 +285,22 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
         }
         if (!alive)
             break;
+        woke = false;
         if (!best) {
             // Every live core is parked on a completion event.
-            if (!eq.step())
-                panic("smp run: event queue drained with blocked cores");
+            do {
+                if (!eq.step())
+                    panic("smp run: event queue drained with blocked "
+                          "cores");
+            } while (!woke);
             continue;
         }
         // empty() first: the inline check skips the heap probe in the
         // common case of nothing pending.
-        if (!eq.empty() && eq.nextTick() < best->now) {
-            eq.step(); // may unblock a core: re-pick
-            continue;
+        while (!woke && !eq.empty() && eq.stepBefore(best->now)) {
         }
+        if (woke)
+            continue; // a core was unblocked: re-pick
         issue(*best, eq);
         // Solo inline streak: with one core and an empty queue the pick
         // above would choose this core again and fire nothing, so keep

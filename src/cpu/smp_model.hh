@@ -23,7 +23,10 @@
  * strictly earlier than that tick — a completion that lands may
  * unblock a core whose next access belongs before the one about to be
  * issued. Same-tick ties issue first: the access is applied, then
- * pending events at that tick fire.
+ * pending events at that tick fire. The drain runs in one loop and
+ * re-picks only after a completion callback unblocked a core: no other
+ * event changes a core's state, so the pick it skips would choose the
+ * same core again.
  *
  * The SMP conductor is itself a client of the platform's
  * DomainConductor (sim/domain_conductor.hh): "pending events" above
@@ -191,6 +194,9 @@ class SmpModel
     /** Exactly one core in the current run: the solo rules above
      *  apply. */
     bool solo = false;
+    /** Set by every callback that unblocks a core: the conductor's
+     *  pick is stale and must be redone. */
+    bool woke = false;
 };
 
 } // namespace hams

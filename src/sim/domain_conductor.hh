@@ -116,16 +116,22 @@ class DomainConductor
     HAMS_HOT_PATH bool
     step()
     {
-        EventQueue* best = nullptr;
-        Tick bestTick = maxTick;
-        for (EventQueue* q : qs) {
-            Tick qt = q->nextTick();
-            if (qt < bestTick) { // strict <: first domain wins ties
-                bestTick = qt;
-                best = q;
-            }
-        }
-        return best != nullptr && best->step();
+        EventQueue* q = earliestBefore(maxTick);
+        return q != nullptr && q->step();
+    }
+
+    /**
+     * Fire the globally earliest live event if it lies strictly before
+     * @p limit, picking the domain as step() does. @return false
+     * (firing nothing) otherwise.
+     */
+    HAMS_HOT_PATH bool
+    stepBefore(Tick limit)
+    {
+        if (qs.size() == 1)
+            return qs.front()->stepBefore(limit);
+        EventQueue* q = earliestBefore(limit);
+        return q != nullptr && q->step();
     }
 
     /** Fire events until every domain drains. @return final now(). */
@@ -176,6 +182,23 @@ class DomainConductor
     }
 
   private:
+    /** The domain whose next live event is the earliest one strictly
+     *  before @p limit (ties to the lowest id), or null. */
+    HAMS_HOT_PATH EventQueue*
+    earliestBefore(Tick limit)
+    {
+        EventQueue* best = nullptr;
+        Tick bestTick = limit;
+        for (EventQueue* q : qs) {
+            Tick qt = q->nextTick();
+            if (qt < bestTick) { // strict <: first domain wins ties
+                bestTick = qt;
+                best = q;
+            }
+        }
+        return best;
+    }
+
     std::vector<EventQueue*> qs;
 };
 

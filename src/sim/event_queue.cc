@@ -1,7 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace hams {
@@ -31,10 +29,18 @@ EventQueue::scheduleAt(Tick when, Callback cb)
     std::uint32_t gen = slots[slot].gen;
     slots[slot].cb = std::move(cb);
 
-    HAMS_LINT_SUPPRESS("binary-heap growth to the high-water mark of "
-                       "concurrently pending events")
-    heap.push_back(Entry{when, nextSeq++, slot, gen});
-    std::push_heap(heap.begin(), heap.end(), Later{});
+    Entry e{when, nextSeq++, slot, gen};
+    if (topFiring) {
+        // In-place re-arm: the firing event's retired entry gives up
+        // the top to this one.
+        topFiring = false;
+        replaceTop(e);
+    } else {
+        HAMS_LINT_SUPPRESS("heap growth to the high-water mark of "
+                           "concurrently pending events")
+        heap.push_back(e);
+        siftUp(heap.size() - 1, e);
+    }
     ++livePending;
     return makeId(slot, gen);
 }
@@ -55,12 +61,81 @@ EventQueue::deschedule(EventId id)
 }
 
 void
+EventQueue::siftUp(std::size_t i, Entry e)
+{
+    while (i > 0) {
+        std::size_t parent = (i - 1) / arity;
+        if (!earlier(e, heap[parent]))
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = e;
+}
+
+void
+EventQueue::replaceTop(Entry e)
+{
+    // Floyd's bottom-up variant: walk the hole from the root down to a
+    // leaf along the earlier children, one compare per level, then let
+    // e climb back. What lands here (a shrinking heap's last leaf, a
+    // re-armed event's later tick) mostly belongs near the bottom, so
+    // the climb is short.
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t first = i * arity + 1;
+        if (first >= n)
+            break;
+        std::size_t last = first + arity < n ? first + arity : n;
+        std::size_t min = first;
+        for (std::size_t c = first + 1; c < last; ++c)
+            min = earlier(heap[c], heap[min]) ? c : min;
+        heap[i] = heap[min];
+        i = min;
+    }
+    siftUp(i, e);
+}
+
+void
+EventQueue::popTop()
+{
+    topFiring = false;
+    Entry last = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        replaceTop(last);
+}
+
+void
 EventQueue::skipStale()
 {
-    while (!heap.empty() && stale(heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
-    }
+    // A retired firing entry is stale too: popping it here (a callback
+    // peeking at the queue) simply ends the in-place window.
+    while (!heap.empty() && stale(heap.front()))
+        popTop();
+}
+
+void
+EventQueue::fireTop()
+{
+    const Entry& e = heap.front();
+    std::uint32_t slot = e.slot;
+    _now = e.when;
+    // Move the callback out and retire the slot before invoking, so
+    // the callback sees its own id as dead and can schedule into the
+    // recycled slot. The entry itself stays on the top until the
+    // callback schedules over it (scheduleAt) or returns.
+    Callback cb = std::move(slots[slot].cb);
+    retireSlot(slot);
+    --livePending;
+    ++firedCount;
+    topFiring = true;
+    cb();
+    // Still set: the callback scheduled nothing, and no nested step(),
+    // peek or reset() took the top.
+    if (topFiring)
+        popTop();
 }
 
 bool
@@ -69,18 +144,22 @@ EventQueue::step()
     skipStale();
     if (heap.empty())
         return false;
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    Entry e = heap.back();
-    heap.pop_back();
-    // Move the callback out and retire the slot before invoking, so
-    // the callback sees its own id as dead and can schedule into the
-    // recycled slot.
-    Callback cb = std::move(slots[e.slot].cb);
-    retireSlot(e.slot);
-    _now = e.when;
-    --livePending;
-    ++firedCount;
-    cb();
+    fireTop();
+    return true;
+}
+
+bool
+EventQueue::stepBefore(Tick limit)
+{
+    // The top is the earliest entry, live or cancelled: at or past the
+    // limit, no live event lies before it, and the common no-fire
+    // answer needs no stale check.
+    if (heap.empty() || heap.front().when >= limit)
+        return false;
+    skipStale();
+    if (heap.empty() || heap.front().when >= limit)
+        return false;
+    fireTop();
     return true;
 }
 
@@ -129,6 +208,7 @@ void
 EventQueue::reset(bool rewind_time)
 {
     heap.clear();
+    topFiring = false;
     // Invalidate every id handed out so far, drop the parked
     // callbacks, then return all slots to the free list: pre-reset ids
     // can never cancel post-reset events.

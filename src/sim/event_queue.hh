@@ -11,6 +11,14 @@
  * generation-tagged slots in a free-list arena instead of a hash set, so
  * schedule/fire/deschedule never touch the heap once the arena and the
  * binary heap have grown to the workload's high-water mark.
+ *
+ * A firing event keeps its heap entry on the top until its callback
+ * returns. The first event the callback schedules replaces that entry
+ * with one sift; if it schedules none, the entry is popped
+ * afterwards. A self-rescheduling callback (a GC step re-arming while
+ * a foreground op holds its die) therefore costs one sift instead of a
+ * pop plus a push. (when, seq) is a total order, so the heap's shape
+ * never decides which event fires next.
  */
 
 #ifndef HAMS_SIM_EVENT_QUEUE_HH_
@@ -87,6 +95,13 @@ class EventQueue
     /** Fire at most one live event. @return false if none remained. */
     HAMS_HOT_PATH bool step();
 
+    /**
+     * Fire the earliest live event if it lies strictly before
+     * @p limit. @return false (firing nothing) otherwise — an event
+     * exactly at @p limit stays pending.
+     */
+    HAMS_HOT_PATH bool stepBefore(Tick limit);
+
     /** Tick of the earliest live event, or maxTick when none remain. */
     HAMS_HOT_PATH Tick nextTick();
 
@@ -96,13 +111,13 @@ class EventQueue
      * immediately firing it. Only legal when nothing would have fired
      * on the way: @p when must be >= now() and no live event may be
      * pending at or before @p when (callers typically check empty()).
-     * The empty-queue case is inline: it runs once per fast-path
+     * The no-live-event case is inline: it runs once per fast-path
      * access.
      */
     HAMS_HOT_PATH void
     advanceTo(Tick when)
     {
-        if (heap.empty() && when >= _now) {
+        if (livePending == 0 && when >= _now) {
             _now = when;
             return;
         }
@@ -144,7 +159,9 @@ class EventQueue
     /**
      * Heap entries are 24-byte PODs: the callback stays in its arena
      * slot so sift operations move trivially copyable records instead
-     * of relocating type-erased callables.
+     * of relocating type-erased callables. A run schedules far fewer
+     * than 2^56 events, so the top 8 bits of seq stay free for a tag
+     * (which earlier() would then have to mask out).
      */
     struct Entry
     {
@@ -153,6 +170,11 @@ class EventQueue
         std::uint32_t slot;
         std::uint32_t gen;
     };
+    static_assert(sizeof(Entry) == 24);
+
+    /** Children per heap node; 4 was no faster on te_update_gc4
+     *  (ROADMAP item 2). */
+    static constexpr std::size_t arity = 2;
 
     struct Slot
     {
@@ -160,15 +182,15 @@ class EventQueue
         Callback cb;
     };
 
-    // Min-heap ordering on (when, seq).
-    struct Later
+    /** Min-heap ordering on (when, seq). */
+    static bool
+    earlier(const Entry& a, const Entry& b)
     {
-        bool
-        operator()(const Entry& a, const Entry& b) const
-        {
-            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-        }
-    };
+        // One 128-bit compare, free of branches: the sift loops' child
+        // choice is a coin flip no predictor learns.
+        using Key = unsigned __int128;
+        return ((Key(a.when) << 64) | a.seq) < ((Key(b.when) << 64) | b.seq);
+    }
 
     static EventId
     makeId(std::uint32_t slot, std::uint32_t gen)
@@ -196,6 +218,18 @@ class EventQueue
     /** Pop cancelled entries off the heap top. */
     void skipStale();
 
+    /** Fire the live event on the heap top (the in-place re-arm). */
+    void fireTop();
+
+    /** Remove the heap top. */
+    void popTop();
+
+    /** Place @p e at hole @p i, moving it towards the root. */
+    void siftUp(std::size_t i, Entry e);
+
+    /** Put @p e in place of the heap top. */
+    void replaceTop(Entry e);
+
     /** advanceTo with a non-empty heap: validate against live events. */
     void advanceToSlow(Tick when);
 
@@ -204,6 +238,9 @@ class EventQueue
     std::uint64_t nextSeq = 0;
     std::size_t livePending = 0;
     std::uint64_t firedCount = 0;
+    /** heap.front() is the retired entry of the event now firing: the
+     *  next scheduleAt() may overwrite it in place. */
+    bool topFiring = false;
     std::vector<Entry> heap;
     std::vector<Slot> slots; //!< generation + callback arena
     std::vector<std::uint32_t> freeSlots;

@@ -17,6 +17,7 @@
 #define HAMS_SIM_INLINE_FUNCTION_HH_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,7 +34,10 @@ class InlineFunction;
  * Move-only type-erased callable with @p Capacity bytes of inline
  * capture storage. Callables that fit (and are nothrow-movable) are
  * stored in place; larger ones fall back to one heap allocation, so
- * cold paths keep working unchanged.
+ * cold paths keep working unchanged. Inline callables that are also
+ * trivially copyable — nearly every event lambda, capturing pointers
+ * and integers — move by memcpy and need no destructor, so moving or
+ * dropping one makes no indirect call.
  */
 template <typename R, typename... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity>
@@ -110,14 +114,25 @@ class InlineFunction<R(Args...), Capacity>
                std::is_nothrow_move_constructible_v<D>;
     }
 
+    /** True if @p F is stored inline and moves by memcpy. */
+    template <typename F>
+    static constexpr bool
+    movesTrivially()
+    {
+        return storesInline<F>() &&
+               std::is_trivially_copyable_v<std::decay_t<F>>;
+    }
+
     static constexpr std::size_t capacity() { return Capacity; }
 
   private:
     struct Ops
     {
         R (*invoke)(void*, Args&&...);
-        /** Move-construct into @p dst from @p src, then destroy src. */
+        /** Move-construct into @p dst from @p src, then destroy src;
+         *  null when the callable moves by memcpy. */
         void (*relocate)(void* dst, void* src) noexcept;
+        /** Null when the callable needs no destructor. */
         void (*destroy)(void*) noexcept;
     };
 
@@ -125,17 +140,23 @@ class InlineFunction<R(Args...), Capacity>
     static const Ops*
     inlineOps()
     {
-        static const Ops ops = {
-            [](void* p, Args&&... args) -> R {
-                return (*static_cast<D*>(p))(std::forward<Args>(args)...);
-            },
-            [](void* dst, void* src) noexcept {
-                ::new (dst) D(std::move(*static_cast<D*>(src)));
-                static_cast<D*>(src)->~D();
-            },
-            [](void* p) noexcept { static_cast<D*>(p)->~D(); },
+        static constexpr auto invoke = [](void* p, Args&&... args) -> R {
+            return (*static_cast<D*>(p))(std::forward<Args>(args)...);
         };
-        return &ops;
+        if constexpr (std::is_trivially_copyable_v<D>) {
+            static const Ops ops = {invoke, nullptr, nullptr};
+            return &ops;
+        } else {
+            static const Ops ops = {
+                invoke,
+                [](void* dst, void* src) noexcept {
+                    ::new (dst) D(std::move(*static_cast<D*>(src)));
+                    static_cast<D*>(src)->~D();
+                },
+                [](void* p) noexcept { static_cast<D*>(p)->~D(); },
+            };
+            return &ops;
+        }
     }
 
     template <typename D>
@@ -174,7 +195,10 @@ class InlineFunction<R(Args...), Capacity>
     {
         ops = other.ops;
         if (ops) {
-            ops->relocate(storage, other.storage);
+            if (ops->relocate)
+                ops->relocate(storage, other.storage);
+            else
+                std::memcpy(storage, other.storage, Capacity);
             other.ops = nullptr;
         }
     }
@@ -183,7 +207,8 @@ class InlineFunction<R(Args...), Capacity>
     reset() noexcept
     {
         if (ops) {
-            ops->destroy(storage);
+            if (ops->destroy)
+                ops->destroy(storage);
             ops = nullptr;
         }
     }

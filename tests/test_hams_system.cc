@@ -257,6 +257,13 @@ TEST(HamsSystem, AccessBeyondCapacityFails)
     EXPECT_THROW(sys.access(bad, 0, nullptr), FatalError);
 }
 
+TEST(HamsSystem, RejectsAnNvdimmWithoutItsDataPlane)
+{
+    HamsSystemConfig c = smallConfig(HamsMode::Extend, HamsTopology::Loose);
+    c.nvdimm.functionalData = false;
+    EXPECT_THROW(HamsSystem sys(c), FatalError);
+}
+
 TEST(HamsSystem, JournalTagsClearAfterQuiesce)
 {
     HamsSystem sys(smallConfig(HamsMode::Extend, HamsTopology::Loose));

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <list>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -88,6 +89,41 @@ TEST(InlineFunction, InvokesAndSupportsMoveOnlyState)
 
     other = nullptr;
     EXPECT_FALSE(other);
+}
+
+TEST(InlineFunction, TriviallyCopyableCapturesMoveByMemcpy)
+{
+    using Fn = InlineFunction<void()>;
+    int hits = 0;
+    int* p = &hits;
+    // The event-lambda shape: {this, ptr, int}.
+    auto pod = [p, q = p, n = 3] { *p += n + int(q == p); };
+    static_assert(Fn::movesTrivially<decltype(pod)>());
+    auto counted = [s = std::make_shared<int>(1)] { (void)s; };
+    static_assert(Fn::storesInline<decltype(counted)>());
+    static_assert(!Fn::movesTrivially<decltype(counted)>());
+
+    Fn a(pod);
+    Fn b = std::move(a);
+    Fn c;
+    c = std::move(b);
+    c();
+    EXPECT_EQ(hits, 4);
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+
+    // A capture with a destructor still relocates and dies exactly once.
+    std::weak_ptr<int> watch;
+    {
+        auto owner = std::make_shared<int>(7);
+        watch = owner;
+        Fn d([owner] { (void)owner; });
+        owner.reset();
+        Fn e = std::move(d);
+        EXPECT_EQ(watch.use_count(), 1);
+        e();
+    }
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST(InlineFunction, ReturnsValues)

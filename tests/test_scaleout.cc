@@ -126,6 +126,28 @@ TEST(DomainConductor, InterleavesByTickThenDomainId)
     EXPECT_EQ(c.now(), 10u);
 }
 
+TEST(DomainConductor, StepBeforePicksLikeStepAndStopsAtTheLimit)
+{
+    EventQueue a, b;
+    DomainConductor dc;
+    dc.attach(a);
+    dc.attach(b);
+    std::vector<int> order;
+    b.scheduleAt(10, [&] { order.push_back(20); });
+    a.scheduleAt(10, [&] { order.push_back(10); });
+    b.scheduleAt(4, [&] { order.push_back(21); });
+    a.scheduleAt(15, [&] { order.push_back(11); });
+    while (dc.stepBefore(15)) {
+    }
+    // Global order, the same-tick tie to domain 0; the event exactly
+    // at the limit stays pending.
+    EXPECT_EQ(order, (std::vector<int>{21, 10, 20}));
+    EXPECT_EQ(dc.pending(), 1u);
+    EXPECT_TRUE(dc.stepBefore(16));
+    EXPECT_EQ(order.back(), 11);
+    EXPECT_FALSE(dc.stepBefore(maxTick));
+}
+
 TEST(DomainConductor, SingleDomainDelegates)
 {
     EventQueue solo, q;
