@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "baselines/flatflash_platform.hh"
@@ -19,26 +23,51 @@
 
 namespace hams::bench {
 
+namespace {
+
+/**
+ * The environment variable @p name as a positive decimal integer of at
+ * most @p max, or @p unset when the variable is not set. Anything else
+ * (empty, signed, zero, trailing characters, too large) is fatal, so a
+ * typo cannot silently run a different experiment.
+ */
+std::uint64_t
+positiveEnv(const char* name, std::uint64_t unset, std::uint64_t max)
+{
+    const char* env = std::getenv(name);
+    if (!env)
+        return unset;
+    const char* end = env + std::strlen(env);
+    std::uint64_t v = 0;
+    auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc::result_out_of_range ||
+        (ec == std::errc() && ptr == end && v > max))
+        fatal(name, "='", env, "' is larger than ", max);
+    if (ec != std::errc() || ptr != end || v == 0)
+        fatal(name, "='", env, "' is not a positive decimal integer");
+    return v;
+}
+
+} // namespace
+
 std::uint64_t
 scale()
 {
-    const char* env = std::getenv("HAMS_BENCH_SCALE");
-    if (!env)
-        return 1;
-    std::uint64_t s = std::strtoull(env, nullptr, 10);
-    return s == 0 ? 1 : s;
+    // BenchGeometry::scaled() multiplies each field by the scale.
+    const BenchGeometry g;
+    std::uint64_t largest = std::max({g.datasetBytes, g.hostMemBytes,
+                                      g.ssdRawBytes, g.instructionBudget});
+    return positiveEnv("HAMS_BENCH_SCALE", 1,
+                       std::numeric_limits<std::uint64_t>::max() / largest);
 }
 
 std::size_t
 benchThreads()
 {
     std::size_t workers = std::thread::hardware_concurrency();
-    if (const char* env = std::getenv("HAMS_BENCH_THREADS")) {
-        std::uint64_t n = std::strtoull(env, nullptr, 10);
-        if (n > 0)
-            workers = static_cast<std::size_t>(n);
-    }
-    return workers == 0 ? 1 : workers;
+    return static_cast<std::size_t>(positiveEnv(
+        "HAMS_BENCH_THREADS", workers == 0 ? 1 : workers,
+        std::numeric_limits<std::size_t>::max()));
 }
 
 BenchGeometry

@@ -33,11 +33,14 @@ class Ssd;
 
 namespace hams::bench {
 
-/** Multiplier from the HAMS_BENCH_SCALE environment variable. */
+/** Multiplier from the HAMS_BENCH_SCALE environment variable: 1 when
+ *  unset; fatal unless a positive decimal integer small enough that
+ *  BenchGeometry::scaled() cannot wrap. */
 std::uint64_t scale();
 
 /** Worker cap of the cell-parallel runners: HAMS_BENCH_THREADS, or
- *  the hardware concurrency when unset (at least 1). */
+ *  the hardware concurrency when unset (at least 1); fatal unless a
+ *  positive decimal integer. */
 std::size_t benchThreads();
 
 /** Scaled run-geometry shared by the harnesses. */

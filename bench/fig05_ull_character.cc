@@ -149,7 +149,7 @@ main()
 
     // ---- (a) 4 KB access latency: DDR4 vs ULL-Flash ----
     {
-        MemoryController ddr4(Ddr4Timing::speedGrade(2133), 1ull << 30);
+        MemoryController ddr4(Ddr4Timing::speedGrade(paperDdr4Mts), 1ull << 30);
         Tick ddr_rd = ddr4.access(0, 4096, MemOp::Read, 0);
         Tick ddr_wr = ddr4.access(8192, 4096, MemOp::Write, ddr_rd) -
                       ddr_rd;

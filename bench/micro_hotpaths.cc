@@ -129,7 +129,7 @@ BENCHMARK(BM_TagArrayProbe);
 void
 BM_DramAccess64B(benchmark::State& state)
 {
-    DramDevice dram(Ddr4Timing::speedGrade(2133), 1ull << 30);
+    DramDevice dram(Ddr4Timing::speedGrade(paperDdr4Mts), 1ull << 30);
     Rng rng(2);
     Tick t = 0;
     for (auto _ : state)

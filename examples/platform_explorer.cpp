@@ -62,8 +62,7 @@ makePlatform(const std::string& name)
         return std::make_unique<OptanePlatform>(c);
     }
     if (name == "oracle")
-        return std::make_unique<OraclePlatform>(
-            OracleConfig{2ull << 30, 2133});
+        return std::make_unique<OraclePlatform>(OracleConfig{2ull << 30});
 
     HamsSystemConfig c;
     if (name == "hams-LP")

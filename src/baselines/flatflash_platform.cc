@@ -5,6 +5,15 @@
 
 namespace hams {
 
+namespace {
+
+/** SSD-internal DRAM serving cache-line MMIO. */
+constexpr std::uint64_t internalDramBytes = 64ull << 20;
+/** Internal DRAM service time for one cache line. */
+constexpr Tick internalAccess = nanoseconds(250);
+
+} // namespace
+
 FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
     : cfg(cfg), _name(cfg.hostCaching ? "flatflash-M" : "flatflash-P")
 {
@@ -19,14 +28,14 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
                        touchLeafSize);
 
     DramBufferConfig internal_cfg;
-    internal_cfg.capacity = cfg.internalDramBytes;
+    internal_cfg.capacity = internalDramBytes;
     internal_cfg.frameSize = nvmeBlockSize;
     internalTags = std::make_unique<DramBuffer>(
         internal_cfg, _capacity / nvmeBlockSize);
 
     if (cfg.hostCaching) {
         hostDram = std::make_unique<MemoryController>(
-            Ddr4Timing::speedGrade(2133), cfg.hostDramBytes);
+            Ddr4Timing::speedGrade(paperDdr4Mts), cfg.hostDramBytes);
         DramBufferConfig tag_cfg;
         tag_cfg.capacity = cfg.hostDramBytes;
         tag_cfg.frameSize = nvmeBlockSize;
@@ -63,9 +72,9 @@ FlatFlashPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         Tick ready = req + cfg.mmioOverhead;
         Tick served;
         if (internalTags->lookup(page)) {
-            served = ready + cfg.internalAccess;
+            served = ready + internalAccess;
         } else {
-            served = ssd->hostRead(page, 1, ready) + cfg.internalAccess;
+            served = ssd->hostRead(page, 1, ready) + internalAccess;
             internalTags->insert(page, acc.op == MemOp::Write);
         }
         if (acc.op == MemOp::Read)

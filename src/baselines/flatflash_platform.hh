@@ -34,12 +34,8 @@ struct FlatFlashConfig
     bool hostCaching = false;
     std::uint64_t hostDramBytes = 8ull << 30;
     std::uint64_t ssdRawBytes = 16ull << 30;
-    /** SSD-internal DRAM serving cache-line MMIO. */
-    std::uint64_t internalDramBytes = 64ull << 20;
     /** MMIO round-trip processing beyond raw link latency. */
     Tick mmioOverhead = microseconds(1.0);
-    /** Internal DRAM service time for one cache line. */
-    Tick internalAccess = nanoseconds(250);
     /** Promote a page after this many touches (flatflash-M). */
     std::uint32_t promoteThreshold = 2;
 };

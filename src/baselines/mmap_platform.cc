@@ -9,8 +9,6 @@ namespace hams {
 
 namespace {
 
-/** Host DRAM data rate (MT/s): DDR4-2133. */
-constexpr std::uint32_t dramSpeedGrade = 2133;
 /** Fault entry, context switch out/in, PTE fixup. */
 constexpr Tick pageFaultLatency = microseconds(4);
 /** Filesystem + blk-mq + driver submission path. */
@@ -109,7 +107,7 @@ MmapPlatform::MmapPlatform(const MmapConfig& cfg)
     SsdConfig ssd_cfg = backendConfig(cfg);
     checkTiering(cfg.tiering, ssd_cfg);
     dram = std::make_unique<MemoryController>(
-        Ddr4Timing::speedGrade(dramSpeedGrade), cfg.dramBytes);
+        Ddr4Timing::speedGrade(paperDdr4Mts), cfg.dramBytes);
     ssd = std::make_unique<Ssd>(ssd_cfg, &eq);
     link = std::make_unique<PcieLink>(backendLink(cfg));
 
@@ -126,8 +124,8 @@ MmapPlatform::MmapPlatform(const MmapConfig& cfg)
         // FTL LPN groups all resolve to the same 4 KiB frames.
         hotness = std::make_unique<HotnessTracker>(_capacity, cfg.tiering);
         if (cfg.tiering.pinHotFrames)
-            cacheTags->setVictimSelector(makeColdFirstSelector(
-                *hotness, nvmeBlockSize, cfg.tiering.pinScanLimit));
+            cacheTags->setVictimSelector(
+                makeColdFirstSelector(*hotness, cfg.tiering.pinScanLimit));
         ssd->attachTiering(hotness.get(), cfg.tiering);
     }
 }

@@ -7,10 +7,22 @@
 
 namespace hams {
 
+namespace {
+
+/**
+ * Refresh windows one page migration occupies. The HPCA'20 design
+ * shares each window with the refresh itself, so a 4 KiB move spreads
+ * over several tREFI periods — the paper quotes up to 48 us per page
+ * under load.
+ */
+constexpr std::uint32_t windowsPerPage = 3;
+
+} // namespace
+
 NvdimmCPlatform::NvdimmCPlatform(const NvdimmCConfig& cfg) : cfg(cfg)
 {
     dram = std::make_unique<MemoryController>(
-        Ddr4Timing::speedGrade(2133), cfg.dramBytes);
+        Ddr4Timing::speedGrade(paperDdr4Mts), cfg.dramBytes);
     // The flash complex sits on the DRAM PHY: no PCIe link anywhere.
     flash = std::make_unique<Ssd>(
         ullFlashConfig(cfg.flashRawBytes, /*functional_data=*/false));
@@ -31,11 +43,11 @@ NvdimmCPlatform::claimWindow(Tick t)
     // Windows open every refreshInterval; one page occupies
     // windowsPerPage consecutive windows. Claim the first free slot at
     // or after t; the migration completes at its last window.
-    Tick window = (t + cfg.refreshInterval - 1) / cfg.refreshInterval *
-                  cfg.refreshInterval;
+    Tick window =
+        (t + refreshInterval - 1) / refreshInterval * refreshInterval;
     window = std::max(window, nextWindowFree);
-    Tick done = window + Tick(cfg.windowsPerPage - 1) * cfg.refreshInterval;
-    nextWindowFree = done + cfg.refreshInterval;
+    Tick done = window + Tick(windowsPerPage - 1) * refreshInterval;
+    nextWindowFree = done + refreshInterval;
     return done;
 }
 

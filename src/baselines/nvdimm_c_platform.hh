@@ -29,15 +29,6 @@ struct NvdimmCConfig
 {
     std::uint64_t dramBytes = 8ull << 30;
     std::uint64_t flashRawBytes = 16ull << 30;
-    /** Refresh interval granting one migration window. */
-    Tick refreshInterval = microseconds(7.8);
-    /**
-     * Refresh windows one page migration occupies. The HPCA'20 design
-     * shares each window with the refresh itself, so a 4 KiB move
-     * spreads over several tREFI periods — the paper quotes up to
-     * 48 us per page under load.
-     */
-    std::uint32_t windowsPerPage = 3;
 };
 
 /** The NVDIMM-C platform. */
@@ -57,6 +48,9 @@ class NvdimmCPlatform : public MemoryPlatform
     DeviceActivity deviceActivity() const override;
 
     std::uint64_t migrations() const { return _migrations; }
+
+    /** Refresh interval granting one migration window. */
+    static constexpr Tick refreshInterval = microseconds(7.8);
 
   private:
     /** The latency arithmetic shared by access() and tryAccess(). */

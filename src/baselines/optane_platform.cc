@@ -7,6 +7,17 @@
 
 namespace hams {
 
+namespace {
+
+constexpr std::uint32_t internalBlock = 256;   //!< media access granule
+constexpr Tick readLatency = nanoseconds(200); //!< loaded read (169-305 ns)
+constexpr Tick writeLatency = nanoseconds(94); //!< into the XPBuffer
+constexpr double mediaReadBw = 6.6e9;          //!< bytes/s per DIMM
+constexpr double mediaWriteBw = 2.3e9;         //!< bytes/s per DIMM
+constexpr std::uint32_t xpBufferBytes = 16 * 1024;
+
+} // namespace
+
 OptanePlatform::OptanePlatform(const OptaneConfig& cfg)
     : cfg(cfg), _name(cfg.memoryMode ? "optane-M" : "optane-P")
 {
@@ -30,14 +41,12 @@ OptanePlatform::mediaAccess(std::uint32_t size, MemOp op, Tick at,
     // Internal accesses move whole 256 B blocks: small requests are
     // amplified, wasting media bandwidth (paper SSVI-B).
     std::uint64_t moved =
-        (size + cfg.internalBlock - 1) / cfg.internalBlock *
-        cfg.internalBlock;
+        (size + internalBlock - 1) / internalBlock * internalBlock;
 
     if (op == MemOp::Read) {
-        double bw = cfg.mediaReadBw;
         Tick start = std::max(at, mediaBusyUntil);
-        auto occupancy = static_cast<Tick>(moved / bw * 1e12);
-        Tick done = start + cfg.readLatency + occupancy;
+        auto occupancy = static_cast<Tick>(moved / mediaReadBw * 1e12);
+        Tick done = start + readLatency + occupancy;
         mediaBusyUntil = start + occupancy;
         bd.nvdimm += done - at;
         return done;
@@ -48,8 +57,7 @@ OptanePlatform::mediaAccess(std::uint32_t size, MemOp op, Tick at,
     Tick start = std::max(at, mediaBusyUntil);
     // Drain the buffer model for the elapsed time.
     double drained = (start > lastDrain)
-                         ? ticksToSeconds(start - lastDrain) *
-                               cfg.mediaWriteBw
+                         ? ticksToSeconds(start - lastDrain) * mediaWriteBw
                          : 0.0;
     xpBufferFill = drained >= static_cast<double>(xpBufferFill)
                        ? 0
@@ -57,12 +65,12 @@ OptanePlatform::mediaAccess(std::uint32_t size, MemOp op, Tick at,
     lastDrain = start;
 
     Tick done;
-    if (xpBufferFill + moved <= cfg.xpBufferBytes) {
-        done = start + cfg.writeLatency;
+    if (xpBufferFill + moved <= xpBufferBytes) {
+        done = start + writeLatency;
         xpBufferFill += moved;
     } else {
-        auto occupancy = static_cast<Tick>(moved / cfg.mediaWriteBw * 1e12);
-        done = start + cfg.writeLatency + occupancy;
+        auto occupancy = static_cast<Tick>(moved / mediaWriteBw * 1e12);
+        done = start + writeLatency + occupancy;
         mediaBusyUntil = start + occupancy;
     }
     bd.nvdimm += done - at;

@@ -32,12 +32,6 @@ struct OptaneConfig
     bool memoryMode = false;
     std::uint64_t pmmBytes = 512ull << 30;
     std::uint64_t dramCacheBytes = 8ull << 30;
-    std::uint32_t internalBlock = 256;      //!< media access granule
-    Tick readLatency = nanoseconds(200);    //!< loaded read (169-305 ns)
-    Tick writeLatency = nanoseconds(94);    //!< into the XPBuffer
-    double mediaReadBw = 6.6e9;             //!< bytes/s per DIMM
-    double mediaWriteBw = 2.3e9;            //!< bytes/s per DIMM
-    std::uint32_t xpBufferBytes = 16 * 1024;
 };
 
 /** The Optane platform (both -P and -M). */

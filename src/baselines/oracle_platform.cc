@@ -7,7 +7,7 @@ namespace hams {
 OraclePlatform::OraclePlatform(const OracleConfig& cfg) : cfg(cfg)
 {
     dram = std::make_unique<MemoryController>(
-        Ddr4Timing::speedGrade(cfg.speedGrade), cfg.capacityBytes);
+        Ddr4Timing::speedGrade(paperDdr4Mts), cfg.capacityBytes);
 }
 
 OraclePlatform::~OraclePlatform() = default;

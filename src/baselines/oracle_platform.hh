@@ -20,7 +20,6 @@ namespace hams {
 struct OracleConfig
 {
     std::uint64_t capacityBytes = 512ull << 30;
-    std::uint32_t speedGrade = 2133;
 };
 
 /** The all-NVDIMM oracle. */

@@ -6,6 +6,19 @@
 
 namespace hams {
 
+namespace {
+
+/** Cache-logic latency: decompose + comparator + mux. */
+constexpr Tick logicLatency = nanoseconds(15);
+/**
+ * Recovery cost charged per replayed journal entry (journal slot
+ * readout + command re-composition + tag-array fixup), on top of the
+ * replayed I/O itself. Makes RTO scale with dirty-state size.
+ */
+constexpr Tick replayEntryCost = microseconds(2);
+
+} // namespace
+
 HamsController::HamsController(EventQueue& eq, Nvdimm& nvdimm,
                                HamsNvmeEngine& engine, PinnedRegion& pinned,
                                std::uint64_t mos_capacity,
@@ -145,7 +158,7 @@ HamsController::serveHit(const MemAccess& acc, std::uint64_t idx, Tick at,
     ++_stats.hits;
     // The tag is read out with the line itself, so the hit path is the
     // logic latency plus the single NVDIMM access.
-    return serveLine(acc, idx, at + cfg.logicLatency, bd);
+    return serveLine(acc, idx, at + logicLatency, bd);
 }
 
 void
@@ -223,7 +236,7 @@ HamsController::handleMiss(Op* op, Tick at)
     ++_stats.misses;
     tags.entry(op->idx).busy = true;
     op->newTag = tags.tagOf(op->acc.addr);
-    startMissIo(op, at + cfg.logicLatency);
+    startMissIo(op, at + logicLatency);
 }
 
 void
@@ -554,7 +567,7 @@ HamsController::scheduleNextReplayEntry(Tick at)
     // (cache frame for a fill, PRP clone for an eviction) still needs
     // on the restore stream.
     const NvmeCommand& cmd = rec.entries[rec.issued];
-    Tick t = at + cfg.replayEntryCost;
+    Tick t = at + replayEntryCost;
     Tick ready = nvdimm.requestRestoreSpan(cmd.prp1, cfg.pageBytes, t);
     eq.scheduleAt(std::max(t, ready),
                   [this]() { issueReplayEntry(eq.now()); });

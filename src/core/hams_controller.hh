@@ -62,14 +62,6 @@ struct HamsControllerConfig
     std::uint32_t pageBytes = 128 * 1024; //!< MoS page (Table II)
     HamsMode mode = HamsMode::Extend;
     HazardPolicy hazard = HazardPolicy::PrpClone;
-    /** Cache-logic latency: decompose + comparator + mux. */
-    Tick logicLatency = nanoseconds(15);
-    /**
-     * Recovery cost charged per replayed journal entry (journal slot
-     * readout + command re-composition + tag-array fixup), on top of
-     * the replayed I/O itself. Makes RTO scale with dirty-state size.
-     */
-    Tick replayEntryCost = microseconds(2);
     /**
      * True when the platform carries real bytes end to end (functional
      * SSD). Timing-only runs skip the PRP-clone byte copy: the NVDIMM
@@ -330,7 +322,8 @@ class HamsController
     /** Journal scan + SQ compaction once the metadata span is back. */
     HAMS_COLD_PATH void startReplay(Tick at);
 
-    /** Charge replayEntryCost and wait out the entry's target frame. */
+    /** Charge the per-entry replay cost (`replayEntryCost` in
+     *  hams_controller.cc) and wait out the entry's target frame. */
     HAMS_COLD_PATH void scheduleNextReplayEntry(Tick at);
 
     HAMS_COLD_PATH void issueReplayEntry(Tick at);

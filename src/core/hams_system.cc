@@ -176,59 +176,42 @@ HamsSystem::access(const MemAccess& acc, Tick at, AccessCb cb)
 Tick
 HamsSystem::write(Addr addr, const void* src, std::uint64_t size)
 {
-    const auto* in = static_cast<const std::uint8_t*>(src);
-    Tick t = eq.now();
-    while (size > 0) {
-        std::uint64_t in_page =
-            cfg.mosPageBytes - addr % cfg.mosPageBytes;
-        auto chunk = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(size, in_page));
-        bool done = false;
-        Tick when = 0;
-        MemAccess acc{addr, chunk, MemOp::Write};
-        ctrl->access(acc, in, nullptr, t,
-                     [&](Tick w, const LatencyBreakdown&) {
-                         done = true;
-                         when = w;
-                     });
-        while (!done && eq.step()) {
-        }
-        if (!done)
-            panic("HamsSystem::write never completed");
-        t = when;
-        addr += chunk;
-        in += chunk;
-        size -= chunk;
-    }
-    return t;
+    return pump(MemOp::Write, addr, static_cast<const std::uint8_t*>(src),
+                nullptr, size);
 }
 
 Tick
 HamsSystem::read(Addr addr, void* dst, std::uint64_t size)
 {
-    auto* out = static_cast<std::uint8_t*>(dst);
+    return pump(MemOp::Read, addr, nullptr, static_cast<std::uint8_t*>(dst),
+                size);
+}
+
+Tick
+HamsSystem::pump(MemOp op, Addr addr, const std::uint8_t* in,
+                 std::uint8_t* out, std::uint64_t size)
+{
     Tick t = eq.now();
-    while (size > 0) {
+    for (std::uint64_t off = 0; off < size;) {
         std::uint64_t in_page =
-            cfg.mosPageBytes - addr % cfg.mosPageBytes;
+            cfg.mosPageBytes - (addr + off) % cfg.mosPageBytes;
         auto chunk = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(size, in_page));
+            std::min<std::uint64_t>(size - off, in_page));
         bool done = false;
         Tick when = 0;
-        MemAccess acc{addr, chunk, MemOp::Read};
-        ctrl->access(acc, nullptr, out, t,
-                     [&](Tick w, const LatencyBreakdown&) {
+        MemAccess acc{addr + off, chunk, op};
+        ctrl->access(acc, in ? in + off : nullptr, out ? out + off : nullptr,
+                     t, [&](Tick w, const LatencyBreakdown&) {
                          done = true;
                          when = w;
                      });
         while (!done && eq.step()) {
         }
         if (!done)
-            panic("HamsSystem::read never completed");
+            panic(op == MemOp::Write ? "HamsSystem::write never completed"
+                                     : "HamsSystem::read never completed");
         t = when;
-        addr += chunk;
-        out += chunk;
-        size -= chunk;
+        off += chunk;
     }
     return t;
 }

@@ -38,9 +38,9 @@
  * served stale; misses additionally hold on the recovery gate until
  * journal replay has drained (replay rebuilds the SQ in place, slot by
  * slot, and foreground submits must not interleave with its pushes).
- * Replay itself is charged per entry (HamsControllerConfig::
- * replayEntryCost plus the entry's own restore/IO wait), so RTO scales
- * with the journalled dirty-state size, not just capacity.
+ * Replay itself is charged per entry (`replayEntryCost` in
+ * hams_controller.cc plus the entry's own restore/IO wait), so RTO
+ * scales with the journalled dirty-state size, not just capacity.
  *
  * **Second-failure semantics.** powerFail() during recovery is legal
  * at any event boundary. The NVDIMM re-backs-up only the restored
@@ -193,6 +193,11 @@ class HamsSystem : public MemoryPlatform
   private:
     /** DMA adapter: PRP-directed device requests go to the NVDIMM. */
     class NvdimmTarget;
+
+    /** write()/read(): one MoS-page chunk at a time, each run to
+     *  completion; @p in is set for a write, @p out for a read. */
+    Tick pump(MemOp op, Addr addr, const std::uint8_t* in,
+              std::uint8_t* out, std::uint64_t size);
 
     HamsSystemConfig cfg;
     std::string _name;

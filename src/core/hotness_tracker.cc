@@ -8,14 +8,12 @@ HotnessTracker::HotnessTracker(std::uint64_t span_bytes,
                                const TieringConfig& cfg)
     : cfg(cfg)
 {
-    if (cfg.frameBytes == 0)
-        fatal("tiering frameBytes must be non-zero");
     if (cfg.epochAccesses == 0)
         fatal("tiering epochAccesses must be non-zero");
     if (cfg.hotThreshold == 0)
         fatal("tiering hotThreshold must be non-zero (0 would mark "
               "every frame hot and pin the whole cache)");
-    std::uint64_t n = (span_bytes + cfg.frameBytes - 1) / cfg.frameBytes;
+    std::uint64_t n = (span_bytes + frameBytes - 1) / frameBytes;
     if (n == 0)
         fatal("hotness tracker spans zero frames");
     entries.assign(n, Entry{});

@@ -42,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "nvme/nvme_types.hh"
 #include "sim/annotations.hh"
 #include "sim/types.hh"
 
@@ -61,11 +62,6 @@ struct TieringConfig
      *  consumer knob off, the tracker observes but never acts — the
      *  differential tests pin that this is output-inert. */
     bool enabled = false;
-
-    /** Tracking granularity in bytes (one counter per frame). Keep it
-     *  at the 4 KiB NVMe block so cache keys, FTL LPN groups and
-     *  tracker frames coincide. */
-    std::uint32_t frameBytes = 4096;
 
     /** Touches per epoch: the decay clock. Smaller = faster forgetting
      *  (recency-biased), larger = frequency-biased. */
@@ -108,14 +104,19 @@ struct TieringConfig
 class HotnessTracker
 {
   public:
-    /** Track @p span_bytes of address space at cfg.frameBytes grain. */
+    /** Tracking granularity in bytes (one counter per frame): the
+     *  4 KiB NVMe block, so cache keys, FTL LPN groups and tracker
+     *  frames coincide. */
+    static constexpr std::uint32_t frameBytes = nvmeBlockSize;
+
+    /** Track @p span_bytes of address space at frameBytes grain. */
     HotnessTracker(std::uint64_t span_bytes, const TieringConfig& cfg);
 
     /** Record one access to @p addr (decay + saturating increment). */
     HAMS_HOT_PATH void
     touch(Addr addr)
     {
-        std::uint64_t frame = addr / cfg.frameBytes;
+        std::uint64_t frame = addr / frameBytes;
         if (frame >= entries.size())
             return; // folded/out-of-span addresses carry no signal
         Entry& e = entries[frame];
@@ -156,11 +157,10 @@ class HotnessTracker
     HAMS_HOT_PATH bool
     isHotAddr(Addr addr) const
     {
-        return isHotFrame(addr / cfg.frameBytes);
+        return isHotFrame(addr / frameBytes);
     }
 
     std::uint64_t frames() const { return entries.size(); }
-    std::uint64_t frameOf(Addr addr) const { return addr / cfg.frameBytes; }
     std::uint32_t epoch() const { return _epoch; }
     const TieringConfig& config() const { return cfg; }
 

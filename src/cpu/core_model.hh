@@ -28,8 +28,8 @@ namespace hams {
 /** Core configuration. */
 struct CoreConfig
 {
-    double freqGhz = 2.0;
-    double baseCpi = 1.0;
+    static constexpr double freqGhz = 2.0;
+    static constexpr double baseCpi = 1.0;
     CacheConfig l1{64 * 1024, 64, 4, nanoseconds(1)};
     CacheConfig l2{2 * 1024 * 1024, 64, 8, nanoseconds(5)};
     /**

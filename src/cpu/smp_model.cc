@@ -71,7 +71,7 @@ SmpModel::advance(CoreCtx& c)
 
         if (c.op.computeInstructions > 0) {
             c.res.instructions += c.op.computeInstructions;
-            Tick t = cycles(c.op.computeInstructions * cfg.core.baseCpi);
+            Tick t = cycles(c.op.computeInstructions * CoreConfig::baseCpi);
             c.now += t;
             c.res.activeTime += t;
         }
@@ -331,7 +331,7 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     SmpResult result;
     for (CoreCtx& c : ctxs) {
         c.res.simTime = c.now - start;
-        finalizeRunResult(c.res, cfg.core.freqGhz, cpuPower);
+        finalizeRunResult(c.res, CoreConfig::freqGhz, cpuPower);
         HAMS_LINT_SUPPRESS("per-run result assembly after the retire loop; not per-access work")
         result.perCore.push_back(std::move(c.res));
     }
@@ -344,7 +344,7 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     comb.platform = result.perCore[0].platform;
     for (const RunResult& r : result.perCore)
         mergeRunResult(comb, r);
-    finalizeRunResult(comb, cfg.core.freqGhz, cpuPower);
+    finalizeRunResult(comb, CoreConfig::freqGhz, cpuPower);
     return result;
 }
 

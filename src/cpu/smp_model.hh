@@ -165,7 +165,7 @@ class SmpModel
 
     Tick cycles(double n) const
     {
-        return static_cast<Tick>(n * 1000.0 / cfg.core.freqGhz);
+        return static_cast<Tick>(n * 1000.0 / CoreConfig::freqGhz);
     }
 
     /**

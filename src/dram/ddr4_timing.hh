@@ -16,6 +16,9 @@
 
 namespace hams {
 
+/** Table II's DDR4-2133 (MT/s): the NVDIMM, host DRAM and oracle. */
+inline constexpr std::uint32_t paperDdr4Mts = 2133;
+
 /**
  * Timing and geometry of one DDR4 channel.
  *
@@ -24,7 +27,7 @@ namespace hams {
  */
 struct Ddr4Timing
 {
-    std::uint32_t dataRateMts = 2133;   //!< transfers per second (millions)
+    std::uint32_t dataRateMts = paperDdr4Mts; //!< million transfers/s
     std::uint32_t banks = 16;           //!< banks per rank
     std::uint32_t ranks = 2;            //!< ranks per channel
     std::uint64_t rowBufferBytes = 8192; //!< page size per bank

@@ -19,15 +19,6 @@
 
 namespace hams {
 
-/** Configuration of the controller front end. */
-struct MemCtrlConfig
-{
-    /** Fixed pipeline latency through the controller logic. */
-    Tick frontendLatency = nanoseconds(10);
-    /** Extra latency for registered DIMMs (RDIMM buffer). */
-    Tick rdimmLatency = nanoseconds(1);
-};
-
 /**
  * A simple FR-FCFS-lite controller: requests pay a fixed front-end
  * pipeline cost and then contend for banks/bus inside the device model.
@@ -35,8 +26,7 @@ struct MemCtrlConfig
 class MemoryController
 {
   public:
-    MemoryController(const Ddr4Timing& timing, std::uint64_t capacity,
-                     const MemCtrlConfig& cfg = {});
+    MemoryController(const Ddr4Timing& timing, std::uint64_t capacity);
 
     /**
      * Issue an access at tick @p at.
@@ -53,7 +43,6 @@ class MemoryController
     std::uint64_t capacity() const { return dram.capacity(); }
 
   private:
-    MemCtrlConfig cfg;
     DramDevice dram;
 };
 

@@ -8,16 +8,13 @@ namespace hams {
 
 namespace {
 
-/** The module's DDR4 data rate (MT/s): DDR4-2133. */
-constexpr std::uint32_t speedGradeMts = 2133;
-
 /** Frames the background restore cursor claims per batch event. */
 constexpr std::uint64_t restoreBatchFrames = 4;
 
 } // namespace
 
 Nvdimm::Nvdimm(const NvdimmConfig& cfg)
-    : cfg(cfg), ctrl(Ddr4Timing::speedGrade(speedGradeMts), cfg.capacity)
+    : cfg(cfg), ctrl(Ddr4Timing::speedGrade(paperDdr4Mts), cfg.capacity)
 {
     if (cfg.functionalData)
         store = std::make_unique<SparseMemory>(cfg.capacity);

@@ -440,6 +440,12 @@ class PageFtl
     /** Mark a physical page invalid (after overwrite/trim). */
     HAMS_HOT_PATH void invalidate(std::uint64_t ppn);
 
+    /** Map @p lpn (fatal beyond the exported capacity) to a fresh page
+     *  on the next unit round-robin and invalidate its old copy. The
+     *  allocation is foreground: @p at may advance past a GC stall.
+     *  @return the PPN to program. */
+    HAMS_HOT_PATH std::uint64_t remapForWrite(std::uint64_t lpn, Tick& at);
+
     /**
      * Allocate the next physical page on @p pu. Foreground callers
      * (for_gc == false) trigger GC when needed — inline in synchronous

@@ -6,10 +6,18 @@
 
 namespace hams {
 
+namespace {
+
+/** Command decode/dispatch time inside the controller. */
+constexpr Tick cmdProcessing = nanoseconds(500);
+/** Completion-side processing (CQE build, MSI). */
+constexpr Tick cplProcessing = nanoseconds(300);
+
+} // namespace
+
 NvmeController::NvmeController(EventQueue& eq, Ssd& ssd, PcieLink& link,
-                               DmaTarget& host,
-                               const NvmeControllerConfig& cfg)
-    : eq(eq), _ssd(ssd), link(link), host(host), cfg(cfg)
+                               DmaTarget& host)
+    : eq(eq), _ssd(ssd), link(link), host(host)
 {
 }
 
@@ -53,7 +61,7 @@ NvmeController::ringDoorbell(std::uint16_t qid, Tick at)
                                        MemOp::Read, db_at_device);
         Tick fetched = link.transfer(sizeof(NvmeCommand), LinkDir::ToDevice,
                                      mem_done);
-        batch.emplace_back(cmd, fetched + cfg.cmdProcessing);
+        batch.emplace_back(cmd, fetched + cmdProcessing);
     }
     for (auto& [cmd, start] : batch)
         execute(qid, cmd, start);
@@ -70,7 +78,7 @@ NvmeController::execute(std::uint16_t qid, const NvmeCommand& cmd,
     std::uint64_t bytes =
         std::uint64_t(cmd.blockCount()) * nvmeBlockSize;
     NvmeCmdTrace trace;
-    trace.protocol = cfg.cmdProcessing + cfg.cplProcessing;
+    trace.protocol = cmdProcessing + cplProcessing;
 
     // PRP lists beyond two entries need an extra host read to walk.
     if (cmd.blockCount() > 2) {
@@ -167,11 +175,11 @@ NvmeController::execute(std::uint16_t qid, const NvmeCommand& cmd,
 
     // Post the CQE (16 B upstream + host write) and raise MSI.
     Tick cqe_link = link.transfer(sizeof(NvmeCompletion), LinkDir::ToHost,
-                                  done + cfg.cplProcessing);
+                                  done + cplProcessing);
     Tick cqe_mem = host.dmaAccess(qp->cqBase(), sizeof(NvmeCompletion),
                                   MemOp::Write, cqe_link);
     Tick msi = link.signal(cqe_mem);
-    trace.protocol += msi - (done + cfg.cplProcessing);
+    trace.protocol += msi - (done + cplProcessing);
 
     CplCtx* ctx = cplPool.acquire();
     ctx->epoch = my_epoch;

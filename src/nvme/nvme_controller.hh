@@ -46,15 +46,6 @@ class DmaTarget
     virtual SparseMemory* dmaData() = 0;
 };
 
-/** Controller tuning. */
-struct NvmeControllerConfig
-{
-    /** Command decode/dispatch time inside the controller. */
-    Tick cmdProcessing = nanoseconds(500);
-    /** Completion-side processing (CQE build, MSI). */
-    Tick cplProcessing = nanoseconds(300);
-};
-
 /**
  * Where one command's latency went, reported with its completion so the
  * HAMS controller can attribute memory stalls (paper Fig. 18).
@@ -81,7 +72,7 @@ class NvmeController
         const NvmeCmdTrace&, Tick)>;
 
     NvmeController(EventQueue& eq, Ssd& ssd, PcieLink& link,
-                   DmaTarget& host, const NvmeControllerConfig& cfg = {});
+                   DmaTarget& host);
 
     /** Register an I/O queue pair. @return its queue id. */
     std::uint16_t attachQueue(QueuePair* qp);
@@ -163,7 +154,6 @@ class NvmeController
     Ssd& _ssd;
     PcieLink& link;
     DmaTarget& host;
-    NvmeControllerConfig cfg;
     std::vector<QueuePair*> queues;
     CompletionHandler handler;
     std::uint32_t _outstanding = 0;

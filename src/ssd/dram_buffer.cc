@@ -7,6 +7,12 @@
 
 namespace hams {
 
+namespace {
+
+constexpr Tick accessLatency = nanoseconds(250); //!< array + controller latency
+
+} // namespace
+
 DramBuffer::DramBuffer(const DramBufferConfig& cfg,
                        std::uint64_t key_frames)
     : cfg(cfg), keyFrames(key_frames),
@@ -35,7 +41,7 @@ DramBuffer::access(std::uint32_t bytes, Tick at)
     Tick start = std::max(at, busyUntil);
     auto occupancy = static_cast<Tick>(
         static_cast<double>(bytes) * psPerByte);
-    Tick done = start + cfg.accessLatency + occupancy;
+    Tick done = start + accessLatency + occupancy;
     busyUntil = start + occupancy;
     _bytesAccessed += bytes;
     return done;
@@ -248,20 +254,18 @@ DramBuffer::dirtyFrames() const
 }
 
 DramBuffer::VictimSelector
-makeColdFirstSelector(const HotnessTracker& hot, std::uint64_t key_bytes,
-                      std::uint32_t scan_limit)
+makeColdFirstSelector(const HotnessTracker& hot, std::uint32_t scan_limit)
 {
     // The lambda runs per eviction on the hot path via InlineFunction
     // type erasure (audited manually per the annotations policy): it
     // walks bounded LRU links and probes the tracker — no allocation,
     // no hash, pure integer reads.
     const HotnessTracker* h = &hot;
-    return [h, key_bytes, scan_limit](const DramBuffer& buf)
-               -> std::uint32_t {
+    return [h, scan_limit](const DramBuffer& buf) -> std::uint32_t {
         std::uint32_t n = buf.lruTailNode();
         for (std::uint32_t i = 0; i < scan_limit && n != DramBuffer::nilNode;
              ++i, n = buf.lruPrevNode(n)) {
-            if (!h->isHotAddr(buf.nodeKey(n) * key_bytes))
+            if (!h->isHotFrame(buf.nodeKey(n)))
                 return n;
         }
         return DramBuffer::nilNode; // all-hot window: exact LRU tail

@@ -47,7 +47,6 @@ struct DramBufferConfig
     std::uint64_t capacity = 512ull << 20;
     std::uint32_t frameSize = 4096;
     double bandwidth = 6.4e9;           //!< internal DDR bytes/s
-    Tick accessLatency = nanoseconds(250); //!< array + controller latency
 };
 
 /** Result of a buffer insertion. */
@@ -292,14 +291,12 @@ DramBuffer::forEachDirtyAscending(std::size_t limit, Fn&& fn) const
  * LRU tail and evict the first one @p hot does not consider hot; when
  * every scanned candidate is hot, fall back to the exact LRU tail
  * (bounded pinning — the cache can never wedge on an all-hot window).
- * @p key_bytes converts buffer frame keys to tracker addresses
- * (key * key_bytes), i.e. the buffer's frame size. The returned functor
- * captures {pointer, u64, u32}, comfortably inside the 48-byte inline
- * budget (pinned by a static_assert in the tests).
+ * Buffer keys are 4 KiB frames, the tracker's own frames. The returned
+ * functor captures {pointer, u32}, comfortably inside the 48-byte
+ * inline budget (pinned by a static_assert in the tests).
  */
 DramBuffer::VictimSelector
-makeColdFirstSelector(const HotnessTracker& hot, std::uint64_t key_bytes,
-                      std::uint32_t scan_limit);
+makeColdFirstSelector(const HotnessTracker& hot, std::uint32_t scan_limit);
 
 } // namespace hams
 

@@ -6,6 +6,13 @@
 
 namespace hams {
 
+namespace {
+
+/** Firmware path of an NVMe Flush, before any buffer writeback. */
+constexpr Tick flushFirmware = microseconds(2.0);
+
+} // namespace
+
 Hil::Hil(const HilConfig& cfg, PageFtl& ftl, DramBuffer* buffer,
          const FlashGeometry& geom)
     : cfg(cfg), ftl(ftl), buffer(buffer)
@@ -83,7 +90,7 @@ Hil::writeBlock(std::uint64_t block, bool fua, Tick at,
 Tick
 Hil::flushAll(Tick at)
 {
-    Tick done = at + cfg.flushFirmware;
+    Tick done = at + flushFirmware;
     if (!buffer)
         return done;
     // Flush runs on the flush-heavy `update` workload's hot path, so it

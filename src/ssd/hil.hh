@@ -26,7 +26,6 @@ struct HilConfig
 {
     Tick readFirmware = microseconds(1.2);  //!< parse+queue+FTL lookup
     Tick writeFirmware = microseconds(3.0); //!< parse+alloc+ack path
-    Tick flushFirmware = microseconds(2.0);
 };
 
 /**

@@ -77,8 +77,8 @@ Ssd::attachTiering(const HotnessTracker* tracker, const TieringConfig& tiering)
         return;
     }
     if (tiering.pinHotFrames && buf)
-        buf->setVictimSelector(makeColdFirstSelector(
-            *tracker, nvmeBlockSize, tiering.pinScanLimit));
+        buf->setVictimSelector(
+            makeColdFirstSelector(*tracker, tiering.pinScanLimit));
     // Migration needs an event queue for background steps and a buffer
     // to promote into / demote out of; MmapPlatform rejects the config
     // before it gets here.
@@ -200,7 +200,7 @@ Ssd::migStep()
          ++i, ++migScanned) {
         std::uint64_t block = migCursor;
         migCursor = migCursor + 1 == frames ? 0 : migCursor + 1;
-        bool hot = tier->isHotAddr(block * nvmeBlockSize);
+        bool hot = tier->isHotFrame(block);
         if (hot && !buf->contains(block)) {
             Tick t = migPromote(block, now);
             if (t > now)

@@ -175,7 +175,7 @@ TEST(NvdimmC, BurstMissesQueueOnWindows)
                      done[i] = t;
                  });
     p.eventQueue().run();
-    EXPECT_GT(done[5], done[0] + 4 * cfg.refreshInterval);
+    EXPECT_GT(done[5], done[0] + 4 * NvdimmCPlatform::refreshInterval);
 }
 
 TEST(NvdimmC, HitsRunAtDramSpeed)

@@ -11,7 +11,10 @@
  * duplicate keys, and fails a run whose identity gate finds a
  * difference, naming the field. Each platform prices exactly the
  * energy sections of the devices it models, and a sharded platform's
- * energy is the sum of its shards'.
+ * energy is the sum of its shards'. HAMS_BENCH_SCALE and
+ * HAMS_BENCH_THREADS take only positive decimal integers (and a scale
+ * small enough not to wrap the scaled geometry); anything else is
+ * fatal, naming the variable and the value.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -54,27 +58,32 @@ tinyGeom()
     return g;
 }
 
-/** Scoped HAMS_BENCH_THREADS override. */
-class ThreadsEnv
+/** Scoped override of the environment variable @p name; a null
+ *  @p value unsets it. */
+class ScopedEnv
 {
   public:
-    explicit ThreadsEnv(const char* value)
+    ScopedEnv(const char* name, const char* value) : name(name)
     {
-        if (const char* old = std::getenv("HAMS_BENCH_THREADS"))
+        if (const char* old = std::getenv(name))
             saved = old;
-        setenv("HAMS_BENCH_THREADS", value, 1);
+        if (value)
+            setenv(name, value, 1);
+        else
+            unsetenv(name);
     }
 
-    ~ThreadsEnv()
+    ~ScopedEnv()
     {
-        if (saved.empty())
-            unsetenv("HAMS_BENCH_THREADS");
+        if (saved)
+            setenv(name, saved->c_str(), 1);
         else
-            setenv("HAMS_BENCH_THREADS", saved.c_str(), 1);
+            unsetenv(name);
     }
 
   private:
-    std::string saved;
+    const char* name;
+    std::optional<std::string> saved;
 };
 
 std::string
@@ -89,12 +98,79 @@ sweepErrorMessage(const std::vector<SweepCell>& cells)
 }
 
 // ---------------------------------------------------------------------
+// The HAMS_BENCH_SCALE and HAMS_BENCH_THREADS variables.
+// ---------------------------------------------------------------------
+
+TEST(BenchEnv, UnsetMeansDefault)
+{
+    ScopedEnv scale_env("HAMS_BENCH_SCALE", nullptr);
+    ScopedEnv threads_env("HAMS_BENCH_THREADS", nullptr);
+    EXPECT_EQ(bench::scale(), 1u);
+    EXPECT_GE(bench::benchThreads(), 1u);
+}
+
+TEST(BenchEnv, PositiveDecimalIsTaken)
+{
+    ScopedEnv scale_env("HAMS_BENCH_SCALE", "4");
+    ScopedEnv threads_env("HAMS_BENCH_THREADS", "3");
+    EXPECT_EQ(bench::scale(), 4u);
+    EXPECT_EQ(bench::benchThreads(), 3u);
+}
+
+TEST(BenchEnv, MalformedValuesAreFatal)
+{
+    const std::pair<const char*, void (*)()> vars[] = {
+        {"HAMS_BENCH_SCALE", [] { bench::scale(); }},
+        {"HAMS_BENCH_THREADS", [] { bench::benchThreads(); }},
+    };
+    for (const auto& [name, parse] : vars) {
+        for (const char* value :
+             {"-1", "4x", "abc", "0", "", " 4", "+4",
+              "18446744073709551616"}) {
+            ScopedEnv env(name, value);
+            std::string msg;
+            try {
+                parse();
+            } catch (const FatalError& e) {
+                msg = e.what();
+            }
+            ASSERT_FALSE(msg.empty()) << name << "='" << value << "'";
+            EXPECT_NE(msg.find(name), std::string::npos) << msg;
+            EXPECT_NE(msg.find(std::string("'") + value + "'"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+}
+
+TEST(BenchEnv, ScaleThatWouldWrapIsFatal)
+{
+    // The largest scale scaled() can apply without wrapping is taken
+    // and keeps every product exact; one more is rejected.
+    const BenchGeometry g;
+    std::uint64_t largest = std::max({g.datasetBytes, g.hostMemBytes,
+                                      g.ssdRawBytes, g.instructionBudget});
+    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max() / largest;
+    {
+        ScopedEnv env("HAMS_BENCH_SCALE", std::to_string(limit).c_str());
+        ASSERT_EQ(bench::scale(), limit);
+        BenchGeometry s = BenchGeometry::scaled();
+        EXPECT_EQ(s.datasetBytes / limit, g.datasetBytes);
+        EXPECT_EQ(s.hostMemBytes / limit, g.hostMemBytes);
+        EXPECT_EQ(s.ssdRawBytes / limit, g.ssdRawBytes);
+        EXPECT_EQ(s.instructionBudget / limit, g.instructionBudget);
+    }
+    ScopedEnv env("HAMS_BENCH_SCALE", std::to_string(limit + 1).c_str());
+    EXPECT_THROW(bench::scale(), FatalError);
+}
+
+// ---------------------------------------------------------------------
 // Error identity and the no-partial-table guarantee.
 // ---------------------------------------------------------------------
 
 TEST(RunSweepErrors, UnknownPlatformNamesTheCellSerial)
 {
-    ThreadsEnv env("1");
+    ScopedEnv env("HAMS_BENCH_THREADS", "1");
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"no-such-platform", "rndWr", tinyGeom()},
@@ -107,7 +183,7 @@ TEST(RunSweepErrors, UnknownPlatformNamesTheCellSerial)
 
 TEST(RunSweepErrors, UnknownPlatformNamesTheCellParallel)
 {
-    ThreadsEnv env("4");
+    ScopedEnv env("HAMS_BENCH_THREADS", "4");
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"no-such-platform", "rndWr", tinyGeom()},
@@ -124,7 +200,7 @@ TEST(RunSweepErrors, LowestIndexFailureWinsDeterministically)
 {
     // Two failing cells: the reported one must be the lower index no
     // matter which worker trips first.
-    ThreadsEnv env("4");
+    ScopedEnv env("HAMS_BENCH_THREADS", "4");
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"bogus-a", "seqWr", tinyGeom()},
@@ -153,11 +229,11 @@ TEST(RunSweepDeterminism, TableIdenticalAcrossThreadCounts)
 
     std::vector<RunResult> serial, parallel;
     {
-        ThreadsEnv env("1");
+        ScopedEnv env("HAMS_BENCH_THREADS", "1");
         serial = bench::runSweep(cells);
     }
     {
-        ThreadsEnv env("4");
+        ScopedEnv env("HAMS_BENCH_THREADS", "4");
         parallel = bench::runSweep(cells);
     }
     ASSERT_EQ(serial.size(), parallel.size());
@@ -176,11 +252,11 @@ TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
 
     std::vector<SmpCellResult> serial, parallel;
     {
-        ThreadsEnv env("1");
+        ScopedEnv env("HAMS_BENCH_THREADS", "1");
         serial = bench::runSmpSweep(cells);
     }
     {
-        ThreadsEnv env("3");
+        ScopedEnv env("HAMS_BENCH_THREADS", "3");
         parallel = bench::runSmpSweep(cells);
     }
     ASSERT_EQ(serial.size(), parallel.size());

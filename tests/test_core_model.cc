@@ -114,7 +114,7 @@ TEST(CacheModelTest, RejectsUnsupportedGeometry)
 
 TEST(CoreModel, RunsBudgetedInstructions)
 {
-    OraclePlatform oracle({1ull << 30, 2133});
+    OraclePlatform oracle(OracleConfig{1ull << 30});
     CoreModel core(oracle);
     auto gen = makeWorkload("seqRd", 16ull << 20);
     RunResult r = core.run(*gen, 100000);
@@ -126,7 +126,7 @@ TEST(CoreModel, RunsBudgetedInstructions)
 
 TEST(CoreModel, CachesFilterPlatformTraffic)
 {
-    OraclePlatform oracle({1ull << 30, 2133});
+    OraclePlatform oracle(OracleConfig{1ull << 30});
     CoreModel core(oracle);
     // A 1 MiB random working set fits in the 2 MB L2: after warmup the
     // caches absorb most of the traffic.
@@ -151,7 +151,7 @@ TEST(CoreModel, IpcCollapsesOnSlowPlatform)
     auto gen1 = makeWorkload("rndRd", 32ull << 20);
     auto gen2 = makeWorkload("rndRd", 32ull << 20);
 
-    OraclePlatform oracle({1ull << 30, 2133});
+    OraclePlatform oracle(OracleConfig{1ull << 30});
     CoreModel fast_core(oracle);
     RunResult fast = fast_core.run(*gen1, 300000);
 
@@ -210,7 +210,7 @@ TEST(CoreModel, HamsBeatsMmapOnRandomPages)
 
 TEST(CoreModel, CpuEnergyScalesWithTime)
 {
-    OraclePlatform oracle({1ull << 30, 2133});
+    OraclePlatform oracle(OracleConfig{1ull << 30});
     CoreModel core(oracle);
     auto gen = makeWorkload("KMN", 16ull << 20);
     RunResult r = core.run(*gen, 150000);

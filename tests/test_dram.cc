@@ -19,7 +19,7 @@ namespace {
 
 TEST(Ddr4Timing, SpeedGradeDerivesClock)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     // tCK = 2 / 2133 MT/s ~ 937 ps.
     EXPECT_NEAR(static_cast<double>(t.tCK), 937.0, 2.0);
     EXPECT_GT(t.tCL, nanoseconds(13));
@@ -28,7 +28,7 @@ TEST(Ddr4Timing, SpeedGradeDerivesClock)
 
 TEST(Ddr4Timing, PeakBandwidthScales)
 {
-    Ddr4Timing slow = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing slow = Ddr4Timing::speedGrade(paperDdr4Mts);
     Ddr4Timing fast = Ddr4Timing::speedGrade(3200);
     EXPECT_GT(fast.peakBandwidth(), slow.peakBandwidth());
     EXPECT_NEAR(slow.peakBandwidth(), 2133e6 * 8, 1e6);
@@ -41,7 +41,7 @@ TEST(Ddr4Timing, InvalidGradeRejected)
 
 TEST(DramDevice, RowMissThenRowHit)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     DramAccessResult first = d.access(0, 64, MemOp::Read, 0);
     EXPECT_FALSE(first.rowHit);
@@ -53,7 +53,7 @@ TEST(DramDevice, RowMissThenRowHit)
 
 TEST(DramDevice, RowHitLatencyIsCasPlusBurst)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     Tick warm = d.access(0, 64, MemOp::Read, 0).ready;
     Tick hit = d.access(64, 64, MemOp::Read, warm).ready;
@@ -62,7 +62,7 @@ TEST(DramDevice, RowHitLatencyIsCasPlusBurst)
 
 TEST(DramDevice, DifferentBanksOverlap)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     // Two accesses to different banks issued at the same tick should
     // finish sooner than twice a serialized row miss (bank parallelism;
@@ -74,7 +74,7 @@ TEST(DramDevice, DifferentBanksOverlap)
 
 TEST(DramDevice, BulkTransferApproachesPeakBandwidth)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     std::uint32_t size = 1 << 20; // 1 MiB
     Tick done = d.access(0, size, MemOp::Read, 0).ready;
@@ -87,7 +87,7 @@ TEST(DramDevice, FourKilobyteAccessInMicrosecondRange)
 {
     // The paper quotes ~2.4 us for a user-level 4 KiB DDR4 read; the
     // raw device access must be well under that but non-trivial.
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     Tick done = d.access(0, 4096, MemOp::Read, 0).ready;
     EXPECT_GT(done, nanoseconds(100));
@@ -96,7 +96,7 @@ TEST(DramDevice, FourKilobyteAccessInMicrosecondRange)
 
 TEST(DramDevice, ActivityCountersTrack)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     d.access(0, 64, MemOp::Read, 0);
     d.access(0, 64, MemOp::Write, 0);
@@ -108,13 +108,13 @@ TEST(DramDevice, ActivityCountersTrack)
 
 TEST(DramDevice, OutOfRangeAccessFails)
 {
-    DramDevice d(Ddr4Timing::speedGrade(2133), 1 << 20);
+    DramDevice d(Ddr4Timing::speedGrade(paperDdr4Mts), 1 << 20);
     EXPECT_THROW(d.access((1 << 20) - 32, 64, MemOp::Read, 0), FatalError);
 }
 
 TEST(DramDevice, OccupyBusSerialisesTraffic)
 {
-    Ddr4Timing t = Ddr4Timing::speedGrade(2133);
+    Ddr4Timing t = Ddr4Timing::speedGrade(paperDdr4Mts);
     DramDevice d(t, 1ull << 30);
     Tick end = d.occupyBus(0, microseconds(1));
     EXPECT_EQ(end, microseconds(1));
@@ -125,18 +125,16 @@ TEST(DramDevice, OccupyBusSerialisesTraffic)
 
 TEST(MemoryController, AddsFrontendLatency)
 {
-    MemCtrlConfig cfg;
-    cfg.frontendLatency = nanoseconds(10);
-    MemoryController mc(Ddr4Timing::speedGrade(2133), 1ull << 30, cfg);
+    MemoryController mc(Ddr4Timing::speedGrade(paperDdr4Mts), 1ull << 30);
     Tick done = mc.access(0, 64, MemOp::Read, 0);
-    DramDevice raw(Ddr4Timing::speedGrade(2133), 1ull << 30);
+    DramDevice raw(Ddr4Timing::speedGrade(paperDdr4Mts), 1ull << 30);
     Tick raw_done = raw.access(0, 64, MemOp::Read, 0).ready;
     EXPECT_GT(done, raw_done);
 }
 
 TEST(MemoryController, EstimateIsReasonable)
 {
-    MemoryController mc(Ddr4Timing::speedGrade(2133), 1ull << 30);
+    MemoryController mc(Ddr4Timing::speedGrade(paperDdr4Mts), 1ull << 30);
     Tick est = mc.estimate(4096);
     Tick real = mc.access(0, 4096, MemOp::Read, 0);
     // The estimate ignores bank conflicts but should be within 2x.

@@ -513,7 +513,7 @@ checkDirtyAgainstReference(bool cold_first)
     tcfg.hotThreshold = 2;
     HotnessTracker hot(key_space * 4096, tcfg);
     if (cold_first)
-        buf.setVictimSelector(makeColdFirstSelector(hot, 4096, 8));
+        buf.setVictimSelector(makeColdFirstSelector(hot, 8));
 
     std::set<std::uint64_t> resident;
     std::set<std::uint64_t> dirty;

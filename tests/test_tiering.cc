@@ -42,7 +42,6 @@ trackerCfg(std::uint32_t epoch_accesses = 16, std::uint16_t threshold = 4)
 {
     TieringConfig t;
     t.enabled = true;
-    t.frameBytes = 4096;
     t.epochAccesses = epoch_accesses;
     t.hotThreshold = threshold;
     return t;
@@ -224,7 +223,7 @@ TEST(DramBufferSeam, ColdFirstSkipsHotTailFrames)
 {
     HotnessTracker hot(64 * 4096, trackerCfg(1u << 20, 2));
     DramBuffer buf = smallBuffer(4);
-    buf.setVictimSelector(makeColdFirstSelector(hot, 4096, 8));
+    buf.setVictimSelector(makeColdFirstSelector(hot, 8));
 
     // Fill: LRU order (cold to hot end) is 1, 2, 3, 4.
     for (std::uint64_t k : {1ull, 2ull, 3ull, 4ull})
@@ -245,7 +244,7 @@ TEST(DramBufferSeam, AllHotWindowFallsBackToExactLruTail)
 {
     HotnessTracker hot(64 * 4096, trackerCfg(1u << 20, 1));
     DramBuffer buf = smallBuffer(4);
-    buf.setVictimSelector(makeColdFirstSelector(hot, 4096, 8));
+    buf.setVictimSelector(makeColdFirstSelector(hot, 8));
     for (std::uint64_t k : {1ull, 2ull, 3ull, 4ull}) {
         buf.insert(k, false);
         hot.touch(k * 4096); // everything resident is hot
@@ -260,7 +259,7 @@ TEST(DramBufferSeam, ScanLimitBoundsThePinnedWindow)
 {
     HotnessTracker hot(64 * 4096, trackerCfg(1u << 20, 1));
     DramBuffer buf = smallBuffer(4);
-    buf.setVictimSelector(makeColdFirstSelector(hot, 4096, 2));
+    buf.setVictimSelector(makeColdFirstSelector(hot, 2));
     for (std::uint64_t k : {1ull, 2ull, 3ull, 4ull})
         buf.insert(k, false);
     // Tail candidates 1 and 2 hot; 3 is cold but OUTSIDE the scan
@@ -275,12 +274,11 @@ TEST(DramBufferSeam, ScanLimitBoundsThePinnedWindow)
 TEST(DramBufferSeam, ColdFirstSelectorStoresInline)
 {
     // The selector runs per eviction on the hot path; its capture
-    // {tracker pointer, u64 frame bytes, u32 scan limit} must fit the
-    // InlineFunction budget so installing it never allocates.
+    // {tracker pointer, u32 scan limit} must fit the InlineFunction
+    // budget so installing it never allocates.
     struct Capture
     {
         const HotnessTracker* h;
-        std::uint64_t key_bytes;
         std::uint32_t scan_limit;
     };
     auto probe = [c = Capture{}](const DramBuffer&) -> std::uint32_t {
@@ -292,7 +290,7 @@ TEST(DramBufferSeam, ColdFirstSelectorStoresInline)
 
     HotnessTracker hot(4096, trackerCfg());
     alloc_hook::AllocCounter allocs;
-    DramBuffer::VictimSelector sel = makeColdFirstSelector(hot, 4096, 8);
+    DramBuffer::VictimSelector sel = makeColdFirstSelector(hot, 8);
     EXPECT_EQ(allocs.delta(), 0u) << "selector construction allocated";
 }
 
@@ -479,7 +477,7 @@ TEST(TieringDifferential, HotSetResidencyMonotoneInTheta)
             return t;
         }());
         DramBuffer buf = smallBuffer(1024);
-        buf.setVictimSelector(makeColdFirstSelector(hot, 4096, 64));
+        buf.setVictimSelector(makeColdFirstSelector(hot, 64));
 
         ZipfGenerator zipf(span_frames, theta);
         Rng rng(1234);
