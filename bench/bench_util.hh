@@ -198,7 +198,7 @@ void runCells(std::size_t count,
 
 /**
  * Closed-loop queue-depth driver for harnesses that issue raw platform
- * accesses (fig_gc, fig_tiering): @p queue_depth slots share
+ * accesses (fig_gc): @p queue_depth slots share
  * @p platform, each issuing its next access at its previous completion
  * tick. Conducted like SmpModel: the idle slot with the lowest issue
  * tick (slot index breaks ties) issues next, after every strictly

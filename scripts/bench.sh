@@ -7,7 +7,7 @@
 # still writes the file, then fails the run (and this script).
 #
 # Usage: scripts/bench.sh <target>... [-- <args for every target>]
-#   e.g. scripts/bench.sh fig_gc fig_tiering
+#   e.g. scripts/bench.sh fig_gc fig_recovery
 #        scripts/bench.sh micro_hotpaths -- --benchmark_filter='HamsMiss'
 #   HAMS_BENCH_SCALE=N enlarges the runs (default 1 = smoke size).
 #   HAMS_BENCH_THREADS=N caps the cross-cell worker pool.

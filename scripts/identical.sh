@@ -4,14 +4,14 @@
 #
 # Exports <base-rev> with `git archive` into <dir>/src-<rev>, builds it
 # and the working tree in Release (<dir>/build-base-<rev>,
-# <dir>/build-head), then runs the 15 figure and table binaries of
+# <dir>/build-head), then runs the 14 figure and table binaries of
 # each side, each from its own empty directory (<dir>/run-<side>/<bin>)
 # with HAMS_BENCH_JSON unset: every binary writes its BENCH_*.json
 # under the default relative name, so its "Results written to" line is
 # the same on both sides. It compares each binary's stdout, exit
 # status and JSON files byte for byte, in the order listed below, and
 # exits 1 naming the first binary whose output differs (with the head
-# of the diff). Exits 0 when all 15 are identical.
+# of the diff). Exits 0 when all 14 are identical.
 #
 # Usage: scripts/identical.sh <base-rev>
 #   IDENTICAL_DIR (default: build-identical in the repo root) holds the
@@ -29,7 +29,7 @@ fi
 bins=(fig05_ull_character fig06_mmf_performance fig07_sw_overhead
       fig10a_dma_overhead fig16_app_perf fig17_exec_breakdown
       fig18_memory_delay fig19_energy fig20_sensitivity fig_gc
-      fig_multicore fig_recovery fig_scaleout fig_tiering table1_features)
+      fig_multicore fig_recovery fig_scaleout table1_features)
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 dir="${IDENTICAL_DIR:-${root}/build-identical}"

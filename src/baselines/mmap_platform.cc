@@ -46,31 +46,6 @@ backendConfig(const MmapConfig& cfg)
     return c;
 }
 
-/**
- * Reject tiering switches that would do nothing: a consumer knob
- * without the tracker it reads, or migration with no SSD buffer to
- * promote into and demote out of. One fatal names every conflict.
- * (pinHotFrames without an SSD buffer still pins the page cache.)
- */
-void
-checkTiering(const TieringConfig& t, const SsdConfig& ssd)
-{
-    std::string conflicts;
-    auto conflict = [&conflicts](const char* what) {
-        conflicts += conflicts.empty() ? "" : "; ";
-        conflicts += what;
-    };
-    if (t.pinHotFrames && !t.enabled)
-        conflict("tiering.pinHotFrames without tiering.enabled");
-    if (t.migration && !t.enabled)
-        conflict("tiering.migration without tiering.enabled");
-    if (t.migration && !ssd.hasBuffer)
-        conflict("tiering.migration with no backing-SSD buffer "
-                 "(ssdBufferBytes = 0)");
-    if (!conflicts.empty())
-        fatal("mmap tiering switches that would be ignored: ", conflicts);
-}
-
 LinkConfig
 backendLink(const MmapConfig& cfg)
 {
@@ -104,11 +79,9 @@ backendName(MmapBackend b)
 MmapPlatform::MmapPlatform(const MmapConfig& cfg)
     : cfg(cfg), _name(backendName(cfg.backend))
 {
-    SsdConfig ssd_cfg = backendConfig(cfg);
-    checkTiering(cfg.tiering, ssd_cfg);
     dram = std::make_unique<MemoryController>(
         Ddr4Timing::speedGrade(paperDdr4Mts), cfg.dramBytes);
-    ssd = std::make_unique<Ssd>(ssd_cfg, &eq);
+    ssd = std::make_unique<Ssd>(backendConfig(cfg), &eq);
     link = std::make_unique<PcieLink>(backendLink(cfg));
 
     _capacity = ssd->capacityBytes();
@@ -118,16 +91,6 @@ MmapPlatform::MmapPlatform(const MmapConfig& cfg)
     tag_cfg.frameSize = nvmeBlockSize;
     cacheTags = std::make_unique<DramBuffer>(
         tag_cfg, _capacity / nvmeBlockSize);
-
-    if (cfg.tiering.enabled) {
-        // One tracker spans the file; page-cache keys, SSD LBAs and
-        // FTL LPN groups all resolve to the same 4 KiB frames.
-        hotness = std::make_unique<HotnessTracker>(_capacity, cfg.tiering);
-        if (cfg.tiering.pinHotFrames)
-            cacheTags->setVictimSelector(
-                makeColdFirstSelector(*hotness, cfg.tiering.pinScanLimit));
-        ssd->attachTiering(hotness.get(), cfg.tiering);
-    }
 }
 
 MmapPlatform::~MmapPlatform() = default;
@@ -168,8 +131,6 @@ MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
 {
     if (acc.addr + acc.size > _capacity)
         fatal("mmap access beyond file size");
-    if (hotness)
-        hotness->touch(acc.addr);
 
     std::uint64_t page = acc.addr / nvmeBlockSize;
     Tick done;
@@ -254,10 +215,10 @@ MmapPlatform::tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out)
 {
     // Hit or fault alike, the whole software stack is latency
     // arithmetic computed at issue time: always inline-completable.
-    // Device events a fault or writeback kicks (background GC,
-    // migration) are scheduled inside serve(), before the caller
-    // decides whether to deliver inline or schedule the completion on
-    // out.domain — the same order access() schedules them in.
+    // Device events a fault or writeback kicks (background GC) are
+    // scheduled inside serve(), before the caller decides whether to
+    // deliver inline or schedule the completion on out.domain — the
+    // same order access() schedules them in.
     out.bd = LatencyBreakdown{};
     out.done = serve(acc, at, out.bd);
     out.domain = &eq;

@@ -55,18 +55,6 @@ struct MmapConfig
      * events (see tryAccess()).
      */
     FtlConfig ftl;
-
-    /**
-     * Hotness-aware tiering (core/hotness_tracker.hh): the platform
-     * owns a tracker over the file span, feeds it from serve() and
-     * wires the knobs into the page-cache LRU (pinHotFrames) and the
-     * backing SSD (pinHotFrames on its buffer, migration). This is the
-     * only platform that runs a tracker. Default-inert. Migration
-     * events are ordered like backgroundGc's — see tryAccess().
-     * The constructor rejects a consumer knob without `enabled`, and
-     * `migration` on a backing SSD with no buffer: neither would act.
-     */
-    TieringConfig tiering;
 };
 
 /**
@@ -94,8 +82,6 @@ class MmapPlatform : public MemoryPlatform
     std::uint64_t pageCacheHits() const { return _hits; }
     std::uint64_t writebacks() const { return _writebacks; }
     Ssd& backingSsd() { return *ssd; }
-    /** Hotness tracker, or null when cfg.tiering.enabled is false. */
-    HotnessTracker* hotnessTracker() { return hotness.get(); }
     ///@}
 
   private:
@@ -116,8 +102,6 @@ class MmapPlatform : public MemoryPlatform
     std::unique_ptr<PcieLink> link;
     /** Page-cache bookkeeping (LRU + dirty bits); timing goes to dram. */
     std::unique_ptr<DramBuffer> cacheTags;
-    /** Hotness monitor over the file span (null unless tiering on). */
-    std::unique_ptr<HotnessTracker> hotness;
     std::uint64_t _pageFaults = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _writebacks = 0;

@@ -113,7 +113,7 @@
  *    before out.done, and the conductor pumps GC steps in
  *    deterministic tick order either way.
  *  - An inline-completable access that itself kicks background work
- *    (mmap's fault/writeback path waking GC or migration) schedules
+ *    (mmap's fault/writeback path waking GC) schedules
  *    those events inside tryAccess(), before the caller schedules or
  *    delivers the completion — the order access() produces — and a
  *    solo caller then sees them pending at or before out.done and

@@ -246,12 +246,15 @@ PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc)
     return makePpn(pu, block, page);
 }
 
-std::uint64_t
-PageFtl::remapForWrite(std::uint64_t lpn, Tick& at)
+Tick
+PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
 {
     if (lpn >= _logicalPages)
         fatal("LPN ", lpn, " beyond exported capacity (", _logicalPages,
               " pages)");
+    ++_stats.hostWrites;
+    if (gcActiveMachines > 0)
+        ++_stats.gcForegroundOverlap;
 
     std::uint64_t old_ppn = l2p.get(lpn);
     if (old_ppn != L2pMap::unmapped)
@@ -261,7 +264,6 @@ PageFtl::remapForWrite(std::uint64_t lpn, Tick& at)
     if (++nextPu == units.size())
         nextPu = 0;
 
-    // Foreground allocation semantics: never dips into the GC reserve.
     std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false);
     std::uint64_t pu2;
     std::uint32_t block, page;
@@ -271,44 +273,11 @@ PageFtl::remapForWrite(std::uint64_t lpn, Tick& at)
     b.validBits[page / 64] |= 1ull << (page % 64);
     ++b.validCount;
     l2p.set(lpn, ppn);
-    return ppn;
-}
 
-Tick
-PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
-{
-    ++_stats.hostWrites;
-    if (gcActiveMachines > 0)
-        ++_stats.gcForegroundOverlap;
-    std::uint64_t ppn = remapForWrite(lpn, at);
     Tick done = fil.submit({FlashOp::Type::Program, ppn, bytes}, at);
     if (backgroundGcEnabled())
         noteHostActivity(done);
     return done;
-}
-
-Tick
-PageFtl::backgroundReadPage(std::uint64_t lpn, std::uint32_t bytes,
-                            Tick at, FlashOpHandle& h)
-{
-    std::uint64_t ppn = l2p.get(lpn);
-    if (ppn == L2pMap::unmapped)
-        panic("backgroundReadPage on unmapped LPN ", lpn);
-    ++_stats.tierBgReads;
-    h = fil.submitTracked({FlashOp::Type::Read, ppn, bytes,
-                           /*background=*/true}, at);
-    return fil.completionOf(h);
-}
-
-Tick
-PageFtl::backgroundWritePage(std::uint64_t lpn, std::uint32_t bytes,
-                             Tick at, FlashOpHandle& h)
-{
-    ++_stats.tierBgWrites;
-    std::uint64_t ppn = remapForWrite(lpn, at);
-    h = fil.submitTracked({FlashOp::Type::Program, ppn, bytes,
-                           /*background=*/true}, at);
-    return fil.completionOf(h);
 }
 
 void

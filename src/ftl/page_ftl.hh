@@ -160,11 +160,7 @@ struct FtlConfig
     /* Pacer level at the most recent background step (0 = gentlest). */   \
     X(max, std::uint32_t, paceLevel)                                       \
     /* Deepest pacer level reached (pool closest to the reserve). */       \
-    X(max, std::uint32_t, paceLevelMax)                                    \
-    /* Tiering (core/hotness_tracker.hh consumers): background promotion   \
-     * reads and demotion writes issued for tiering. */                    \
-    X(sum, std::uint64_t, tierBgReads)                                     \
-    X(sum, std::uint64_t, tierBgWrites)
+    X(max, std::uint32_t, paceLevelMax)
 
 struct FtlStats
 {
@@ -212,32 +208,6 @@ class PageFtl
      * @return completion tick.
      */
     HAMS_HOT_PATH Tick writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at);
-
-    /**
-     * Background-priority read of @p lpn for tiering promotion: the
-     * flash op is submitTracked'd (foreground traffic can suspend it)
-     * and @p h receives the handle — the caller owns it and must
-     * release() it (or consume completionOf()) before power failure,
-     * exactly like the GC machines' slice ops. Counts toward
-     * tierBgReads, not hostReads. Panics on an unmapped LPN: callers
-     * check isMapped() first.
-     * @return the submit-time completion latch.
-     */
-    Tick backgroundReadPage(std::uint64_t lpn, std::uint32_t bytes,
-                            Tick at, FlashOpHandle& h);
-
-    /**
-     * Background-priority rewrite of @p lpn for tiering demotion
-     * (early writeback of a cold dirty buffer frame). Allocation takes
-     * the foreground path — demotion must never dip into the GC
-     * reserve — but the program carries background priority and @p h
-     * is a tracked handle with the same ownership contract as
-     * backgroundReadPage(). Counts toward tierBgWrites, not
-     * hostWrites.
-     * @return the submit-time completion latch.
-     */
-    Tick backgroundWritePage(std::uint64_t lpn, std::uint32_t bytes,
-                             Tick at, FlashOpHandle& h);
 
     /** Drop the mapping of @p lpn (TRIM). */
     HAMS_HOT_PATH void trim(std::uint64_t lpn);
@@ -439,12 +409,6 @@ class PageFtl
 
     /** Mark a physical page invalid (after overwrite/trim). */
     HAMS_HOT_PATH void invalidate(std::uint64_t ppn);
-
-    /** Map @p lpn (fatal beyond the exported capacity) to a fresh page
-     *  on the next unit round-robin and invalidate its old copy. The
-     *  allocation is foreground: @p at may advance past a GC stall.
-     *  @return the PPN to program. */
-    HAMS_HOT_PATH std::uint64_t remapForWrite(std::uint64_t lpn, Tick& at);
 
     /**
      * Allocate the next physical page on @p pu. Foreground callers

@@ -3,8 +3,8 @@
  * Stats structs whose fields are declared once.
  *
  * Each stats struct (LatencyBreakdown, HamsStats, NvmeEngineStats,
- * FtlStats, RunResult, ShardedStats, TieringStats) lists its fields in
- * one X-macro, each entry tagged with its merge rule:
+ * FtlStats, RunResult, ShardedStats) lists its fields in one X-macro,
+ * each entry tagged with its merge rule:
  *
  *     #define HAMS_FOO_FIELDS(X)              \
  *         X(sum, std::uint64_t, events)       \

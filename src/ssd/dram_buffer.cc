@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/hotness_tracker.hh"
 #include "sim/logging.hh"
 
 namespace hams {
@@ -193,11 +192,6 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
 
     if (resident >= capacityFrames) {
         std::uint32_t victim = lruTail;
-        if (victimSel) {
-            std::uint32_t pick = victimSel(*this);
-            if (pick != nil)
-                victim = pick;
-        }
         ev.happened = true;
         ev.frameKey = nodes[victim].key;
         ev.dirty = isDirty(ev.frameKey);
@@ -251,25 +245,6 @@ DramBuffer::dirtyFrames() const
     forEachDirtyAscending(dirtyTotal,
                           [&out](std::uint64_t key) { out.push_back(key); });
     return out;
-}
-
-DramBuffer::VictimSelector
-makeColdFirstSelector(const HotnessTracker& hot, std::uint32_t scan_limit)
-{
-    // The lambda runs per eviction on the hot path via InlineFunction
-    // type erasure (audited manually per the annotations policy): it
-    // walks bounded LRU links and probes the tracker — no allocation,
-    // no hash, pure integer reads.
-    const HotnessTracker* h = &hot;
-    return [h, scan_limit](const DramBuffer& buf) -> std::uint32_t {
-        std::uint32_t n = buf.lruTailNode();
-        for (std::uint32_t i = 0; i < scan_limit && n != DramBuffer::nilNode;
-             ++i, n = buf.lruPrevNode(n)) {
-            if (!h->isHotFrame(buf.nodeKey(n)))
-                return n;
-        }
-        return DramBuffer::nilNode; // all-hot window: exact LRU tail
-    };
 }
 
 void

@@ -34,12 +34,9 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace hams {
-
-class HotnessTracker;
 
 /** Internal buffer parameters. */
 struct DramBufferConfig
@@ -64,36 +61,12 @@ struct BufferEviction
 class DramBuffer
 {
   public:
-    /** Sentinel node id ("no node") for the victim-selection seam. */
-    static constexpr std::uint32_t nilNode = ~std::uint32_t(0);
-
-    /**
-     * Eviction policy seam: called when insert() must displace a frame.
-     * Returns the arena node id of the victim (walk the LRU list with
-     * lruTailNode()/lruPrevNode(), read keys with nodeKey()), or
-     * nilNode to fall back to the exact LRU tail. The selector runs on
-     * the per-access hot path, so it must be allocation-free and its
-     * capture must fit InlineFunction's 48-byte inline budget.
-     */
-    using VictimSelector =
-        InlineFunction<std::uint32_t(const DramBuffer&)>;
-
     /**
      * @param key_frames Key space: every frame key is below it (file
      *        pages for a page cache, LBA blocks for an SSD buffer). It
      *        sizes the dirty bitmap; dirtying a key beyond it is fatal.
      */
     DramBuffer(const DramBufferConfig& cfg, std::uint64_t key_frames);
-
-    /**
-     * Install an eviction tie-break policy (empty restores exact LRU).
-     * The default — no selector — evicts the exact LRU tail, and a
-     * regression test pins that order.
-     */
-    void setVictimSelector(VictimSelector sel)
-    {
-        victimSel = std::move(sel);
-    }
 
     /** Occupancy-modelled access: move @p bytes through the buffer. */
     HAMS_HOT_PATH Tick access(std::uint32_t bytes, Tick at);
@@ -102,7 +75,7 @@ class DramBuffer
     HAMS_HOT_PATH bool lookup(std::uint64_t key);
 
     /** True if @p key is resident, WITHOUT touching LRU order (for
-     *  policy probes — residency tests, migration candidate checks). */
+     *  residency probes). */
     HAMS_HOT_PATH bool
     contains(std::uint64_t key) const
     {
@@ -128,6 +101,7 @@ class DramBuffer
 
     /**
      * Insert @p key (possibly already present; then just update state).
+     * A full buffer displaces its exact LRU tail.
      * @return eviction descriptor if a frame had to be displaced.
      */
     HAMS_HOT_PATH BufferEviction insert(std::uint64_t key, bool dirty);
@@ -169,30 +143,8 @@ class DramBuffer
     std::uint64_t bytesAccessed() const { return _bytesAccessed; }
     const DramBufferConfig& config() const { return cfg; }
 
-    /** @name LRU introspection for victim selectors (hot path). */
-    ///@{
-    /** Least-recently-used node, or nilNode when empty. */
-    HAMS_HOT_PATH std::uint32_t lruTailNode() const { return lruTail; }
-    /** Next-more-recent node after @p node, or nilNode at the head. */
-    HAMS_HOT_PATH std::uint32_t
-    lruPrevNode(std::uint32_t node) const
-    {
-        return nodes[node].prev;
-    }
-    HAMS_HOT_PATH std::uint64_t
-    nodeKey(std::uint32_t node) const
-    {
-        return nodes[node].key;
-    }
-    HAMS_HOT_PATH bool
-    nodeDirty(std::uint32_t node) const
-    {
-        return isDirty(nodes[node].key);
-    }
-    ///@}
-
   private:
-    static constexpr std::uint32_t nil = nilNode;
+    static constexpr std::uint32_t nil = ~std::uint32_t(0);
 
     /** One resident frame: key + intrusive LRU links. */
     struct Node
@@ -250,9 +202,6 @@ class DramBuffer
     std::vector<std::uint32_t> table;
     std::uint32_t tableMask = 0;
 
-    /** Eviction tie-break policy; empty = exact LRU tail. */
-    VictimSelector victimSel;
-
     /** Bit k%64 of word k/64 = frame key k is resident and dirty. */
     std::vector<std::uint64_t> dirtyBits;
     /** Bit w%64 of word w/64 = dirtyBits[w] is nonzero. dirtyBits
@@ -285,18 +234,6 @@ DramBuffer::forEachDirtyAscending(std::size_t limit, Fn&& fn) const
     }
     return visited;
 }
-
-/**
- * Cold-first victim selector: walk up to @p scan_limit frames from the
- * LRU tail and evict the first one @p hot does not consider hot; when
- * every scanned candidate is hot, fall back to the exact LRU tail
- * (bounded pinning — the cache can never wedge on an all-hot window).
- * Buffer keys are 4 KiB frames, the tracker's own frames. The returned
- * functor captures {pointer, u32}, comfortably inside the 48-byte
- * inline budget (pinned by a static_assert in the tests).
- */
-DramBuffer::VictimSelector
-makeColdFirstSelector(const HotnessTracker& hot, std::uint32_t scan_limit);
 
 } // namespace hams
 

@@ -43,9 +43,6 @@ class Hil
     Hil(const HilConfig& cfg, PageFtl& ftl, DramBuffer* buffer,
         const FlashGeometry& geom);
 
-    /** FTL units per 4 KiB NVMe block. */
-    std::uint32_t unitsPerBlock() const { return _unitsPerBlock; }
-
     /**
      * Timed read of one 4 KiB block.
      * @param buffer_hit set to whether the internal buffer served it

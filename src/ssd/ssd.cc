@@ -7,14 +7,7 @@
 
 namespace hams {
 
-namespace {
-
-/** Frames promoted/demoted per migration step. */
-constexpr std::uint32_t migBatchFrames = 4;
-
-} // namespace
-
-Ssd::Ssd(const SsdConfig& cfg, EventQueue* eq) : cfg(cfg), eq(eq)
+Ssd::Ssd(const SsdConfig& cfg, EventQueue* eq) : cfg(cfg)
 {
     fil = std::make_unique<Fil>(cfg.geom, cfg.nand);
     ftl = std::make_unique<PageFtl>(cfg.geom, *fil, cfg.ftl);
@@ -65,166 +58,6 @@ Ssd::destage(std::uint64_t block)
     volatileData.erase(block);
 }
 
-void
-Ssd::attachTiering(const HotnessTracker* tracker, const TieringConfig& tiering)
-{
-    tier = tracker;
-    tcfg = tiering;
-    if (!tracker || !tiering.enabled) {
-        if (buf)
-            buf->setVictimSelector({});
-        migOn = false;
-        return;
-    }
-    if (tiering.pinHotFrames && buf)
-        buf->setVictimSelector(
-            makeColdFirstSelector(*tracker, tiering.pinScanLimit));
-    // Migration needs an event queue for background steps and a buffer
-    // to promote into / demote out of; MmapPlatform rejects the config
-    // before it gets here.
-    if (tiering.migration && (eq == nullptr || buf == nullptr))
-        panic("tiering migration on an SSD without ",
-              eq == nullptr ? "an event queue" : "a buffer");
-    migOn = tiering.migration;
-}
-
-void
-Ssd::noteMigActivity(Tick done)
-{
-    if (!migOn)
-        return;
-    migLastActivity = std::max(migLastActivity, done);
-    if (migScheduled)
-        return; // pending step re-checks the deadline when it fires
-    migScheduled = true;
-    eq->scheduleAt(std::max(eq->now(),
-                            migLastActivity + tcfg.migIdleDelay),
-                   [this] { migStep(); });
-}
-
-Tick
-Ssd::migPromote(std::uint64_t block, Tick at)
-{
-    // All units of the frame must be mapped — an unwritten frame has
-    // nothing to promote (reads of it are served as zeroes anyway).
-    std::uint32_t units = hil->unitsPerBlock();
-    std::uint32_t unit_bytes = nvmeBlockSize / units;
-    for (std::uint32_t u = 0; u < units; ++u)
-        if (!ftl->isMapped(block * units + u))
-            return at;
-    Tick done = at;
-    for (std::uint32_t u = 0; u < units; ++u) {
-        if (migOp.valid())
-            fil->release(migOp);
-        done = std::max(done, ftl->backgroundReadPage(
-                                  block * units + u, unit_bytes, at,
-                                  migOp));
-    }
-    // The frame arrives clean (flash still holds it); displacing a
-    // dirty victim rides the normal writeback path.
-    BufferEviction ev = buf->insert(block, /*dirty=*/false);
-    if (ev.happened && ev.dirty) {
-        done = std::max(done, hil->writebackFrame(ev.frameKey, at));
-        destage(ev.frameKey);
-    }
-    ++_tierStats.promotions;
-    return done;
-}
-
-Tick
-Ssd::migDemote(std::uint64_t block, Tick at)
-{
-    std::uint32_t units = hil->unitsPerBlock();
-    std::uint32_t unit_bytes = nvmeBlockSize / units;
-    Tick done = at;
-    for (std::uint32_t u = 0; u < units; ++u) {
-        if (migOp.valid())
-            fil->release(migOp);
-        done = std::max(done, ftl->backgroundWritePage(
-                                  block * units + u, unit_bytes, at,
-                                  migOp));
-    }
-    // The frame stays resident but clean: its bytes are durable now,
-    // so a later eviction is free and power loss cannot take it.
-    buf->markClean(block);
-    destage(block);
-    ++_tierStats.demotions;
-    return done;
-}
-
-void
-Ssd::migStep()
-{
-    migScheduled = false;
-    Tick now = eq->now();
-    // Host activity since this step was armed pushes the quiet-window
-    // deadline out; re-arm instead of competing with the host.
-    Tick deadline = migLastActivity + tcfg.migIdleDelay;
-    if (now < deadline) {
-        migScheduled = true;
-        eq->scheduleAt(deadline, [this] { migStep(); });
-        return;
-    }
-    // The previous batch's last flash op may have been pushed later by
-    // foreground suspension; wait for it before issuing more.
-    if (migOp.valid()) {
-        Tick ready = fil->completionOf(migOp);
-        if (ready > now) {
-            migScheduled = true;
-            eq->scheduleAt(ready, [this] { migStep(); });
-            return;
-        }
-        fil->release(migOp);
-        migOp = FlashOpHandle{};
-    }
-    if (!migActive) {
-        migActive = true;
-        migScanned = 0;
-    }
-    // Yield to GC: a free pool inside the watermark band means the
-    // flash complex is needed for reclamation, not tiering. Deactivate
-    // rather than self-reschedule (a pool pinned low must not keep the
-    // event queue alive forever); the next host completion re-arms.
-    if (ftl->minFreeBlocks() <= cfg.ftl.gcHighWater) {
-        ++_tierStats.paceDeferrals;
-        migActive = false;
-        return;
-    }
-    std::uint64_t frames = _logicalBlocks;
-    std::uint64_t scan =
-        std::min<std::uint64_t>(tcfg.migScanFrames, frames);
-    std::uint32_t moved = 0;
-    Tick done = now;
-    for (std::uint64_t i = 0; i < scan && moved < migBatchFrames &&
-                              migScanned < frames;
-         ++i, ++migScanned) {
-        std::uint64_t block = migCursor;
-        migCursor = migCursor + 1 == frames ? 0 : migCursor + 1;
-        bool hot = tier->isHotFrame(block);
-        if (hot && !buf->contains(block)) {
-            Tick t = migPromote(block, now);
-            if (t > now)
-                ++moved;
-            done = std::max(done, t);
-        } else if (!hot && buf->isDirty(block)) {
-            done = std::max(done, migDemote(block, now));
-            ++moved;
-        }
-    }
-    if (moved != 0)
-        ++_tierStats.migSteps;
-    if (migScanned >= frames) {
-        // One full wrap examined: this activation is done. Bounding an
-        // activation at a single wrap guarantees promote/evict churn
-        // terminates even when the hot set exceeds the buffer.
-        migActive = false;
-        return;
-    }
-    migScheduled = true;
-    eq->scheduleAt(std::max(done, now + tcfg.migIdleDelay),
-                   [this] { migStep(); });
-}
-
 Tick
 Ssd::hostRead(std::uint64_t slba, std::uint32_t blocks, Tick at,
               std::uint8_t* dst)
@@ -255,7 +88,6 @@ Ssd::hostRead(std::uint64_t slba, std::uint32_t blocks, Tick at,
         }
     }
     retire(done);
-    noteMigActivity(done);
     return done;
 }
 
@@ -293,7 +125,6 @@ Ssd::hostWrite(std::uint64_t slba, std::uint32_t blocks, bool fua, Tick at,
         }
     }
     retire(done);
-    noteMigActivity(done);
     return done;
 }
 
@@ -328,25 +159,12 @@ Ssd::hostFlush(Tick at)
     while (!volatileData.empty())
         destage(volatileData.keys().back());
     retire(done);
-    noteMigActivity(done);
     return done;
 }
 
 Tick
 Ssd::powerFail(std::uint64_t max_drain_frames)
 {
-    // In-flight background migration dies with the power exactly like
-    // GC: release the tracked handle while the FIL still honours it,
-    // and forget the (event-queue-resident, already-dropped) step.
-    if (migOp.valid()) {
-        fil->release(migOp);
-        migOp = FlashOpHandle{};
-    }
-    migScheduled = false;
-    migActive = false;
-    migScanned = 0;
-    migCursor = 0;
-    migLastActivity = 0;
     // In-flight background GC work dies with the power (the owner of
     // the event queue has already dropped the pending events). The
     // FTL must release its FlashOpHandles here, while the FIL still

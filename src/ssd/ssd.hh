@@ -18,13 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "core/hotness_tracker.hh"
 #include "dram/dram_device.hh"
 #include "flash/fil.hh"
 #include "ftl/page_ftl.hh"
 #include "mem/sparse_memory.hh"
 #include "sim/annotations.hh"
-#include "sim/fields.hh"
 #include "ssd/dram_buffer.hh"
 #include "ssd/hil.hh"
 #include "sim/types.hh"
@@ -197,22 +195,6 @@ struct SsdStats
     std::uint64_t throttledCommands = 0; //!< delayed by maxOutstanding
 };
 
-/** Background-migration statistics (see Ssd::attachTiering()). */
-#define HAMS_TIERING_STATS_FIELDS(X)                                       \
-    /* hot frames pulled into DRAM */                                      \
-    X(sum, std::uint64_t, promotions)                                      \
-    /* cold dirty frames pushed to flash */                                \
-    X(sum, std::uint64_t, demotions)                                       \
-    /* background steps that moved data */                                 \
-    X(sum, std::uint64_t, migSteps)                                        \
-    /* steps yielded to GC pool pressure */                                \
-    X(sum, std::uint64_t, paceDeferrals)
-
-struct TieringStats
-{
-    HAMS_FIELDS(TieringStats, HAMS_TIERING_STATS_FIELDS)
-};
-
 /**
  * One SSD. Host-visible operations are 4 KiB-block granular; timing and
  * (optionally) bytes move together so crash tests observe exactly what a
@@ -317,37 +299,6 @@ class Ssd
     /** Bring the device back up (clears transient busy state). */
     HAMS_COLD_PATH void powerRestore();
 
-    /**
-     * Wire hotness-aware tiering consumers into the device. The
-     * tracker is owned by the platform (it sees host accesses; the
-     * device only reads it) and must outlive the device, or be
-     * detached with a null @p tracker first.
-     *
-     * Per TieringConfig knob:
-     *  - `pinHotFrames`: installs a cold-first victim selector on the
-     *    internal DRAM buffer (hot frames skipped near the LRU tail).
-     *  - `migration`: arms the background promote/demote engine. It
-     *    follows the FTL's idle-GC discipline: host completions arm a
-     *    single pending event, each step runs only after
-     *    `migIdleDelay` of quiet, does a bounded batch of tracked
-     *    background flash ops, and deactivates when a full scan wrap
-     *    finds no candidates or the GC free pool is inside its
-     *    watermark band — so the event queue always drains. Requires
-     *    the constructor's event queue and an internal buffer (panics
-     *    without them; MmapPlatform rejects such a config first).
-     */
-    HAMS_COLD_PATH void attachTiering(const HotnessTracker* tracker,
-                                      const TieringConfig& tiering);
-
-    /** Background migration engine armed (platform inline paths that
-     *  cannot schedule events must decline when true). */
-    bool migrationEnabled() const { return migOn; }
-
-    /** A tracked background migration op is still outstanding. */
-    bool migrationInFlight() const { return migOp.valid(); }
-
-    const TieringStats& tieringStats() const { return _tierStats; }
-
     /** @name Introspection for tests and benches. */
     ///@{
     const SsdConfig& config() const { return cfg; }
@@ -378,18 +329,6 @@ class Ssd
     /** Move a volatile frame's bytes into the durable store. */
     HAMS_HOT_PATH void destage(std::uint64_t block);
 
-    /** Arm/extend the idle window after a host completion at @p done. */
-    HAMS_HOT_PATH void noteMigActivity(Tick done);
-
-    /** One background migration step (bounded scan + bounded batch). */
-    HAMS_COLD_PATH void migStep();
-
-    /** Promote @p block: timed background reads + clean buffer fill. */
-    HAMS_COLD_PATH Tick migPromote(std::uint64_t block, Tick at);
-
-    /** Demote @p block: timed background writes + durable destage. */
-    HAMS_COLD_PATH Tick migDemote(std::uint64_t block, Tick at);
-
     SsdConfig cfg;
     std::uint64_t _logicalBlocks;
     std::unique_ptr<Fil> fil;
@@ -405,30 +344,6 @@ class Ssd
 
     /** Outstanding-command completion times (min-heap). */
     std::priority_queue<Tick, std::vector<Tick>, std::greater<>> inflight;
-
-    /** @name Tiering (attachTiering()).
-     *
-     * The engine mirrors the FTL's idle-GC state machine: at most one
-     * pending event (`migScheduled`), an activation scans at most one
-     * full wrap of the frame space (`migScanned` vs logicalBlocks) so
-     * promotion/eviction churn can never ping-pong forever, and every
-     * terminal path either reschedules with strictly advancing work or
-     * deactivates — the queue is guaranteed to drain once the host
-     * goes quiet.
-     */
-    ///@{
-    EventQueue* eq = nullptr;
-    const HotnessTracker* tier = nullptr;
-    TieringConfig tcfg;
-    bool migOn = false;        //!< engine armed (knob + eq + buffer)
-    bool migScheduled = false; //!< a migStep event is pending
-    bool migActive = false;    //!< inside an activation (scan underway)
-    Tick migLastActivity = 0;  //!< latest host completion seen
-    std::uint64_t migCursor = 0;  //!< next frame to examine
-    std::uint64_t migScanned = 0; //!< frames examined this activation
-    FlashOpHandle migOp;  //!< last tracked op of the previous batch
-    TieringStats _tierStats;
-    ///@}
 };
 
 } // namespace hams

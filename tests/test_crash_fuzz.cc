@@ -37,7 +37,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "core/hams_system.hh"
@@ -425,180 +424,6 @@ TEST(CrashFuzz, SsdSupercapDrainInterruption)
     EXPECT_EQ(cuts, 40u);
     EXPECT_GT(interrupted, 5u)
         << "the drain was never actually interrupted mid-way";
-}
-
-TEST(CrashFuzz, SsdMidMigrationCuts)
-{
-    // Tiering arm: background promotion/demotion runs against the SSD
-    // rig (functional data, small buffer, near-zero quiet window so
-    // migration interleaves with host traffic) and seeded cuts land
-    // with a migration flash op in flight. Three properties per cut:
-    //
-    //  - acked persists survive: every block reads back an acknowledged
-    //    value no older than its durable floor (a demotion may silently
-    //    advance durability — that is its job — but durability never
-    //    regresses and foreign bytes never appear);
-    //  - demoted-then-trimmed data stays dead: a trimmed LPN must stay
-    //    unmapped across the cut and recovery, no matter how often the
-    //    migration engine touched its block before the trim;
-    //  - the power-fail chain releases the in-flight migration handle
-    //    (the trackedOps() leak check inside powerFail is fatal).
-    SsdConfig cfg = drainRigConfig();
-    cfg.hasSupercap = false;      // cuts lose the buffer outright
-    cfg.buffer.capacity = 64ull << 10; // 16 frames: constant churn
-    EventQueue eq;
-    Ssd ssd(cfg, &eq);
-
-    TieringConfig tcfg;
-    tcfg.enabled = true;
-    tcfg.epochAccesses = 1024;
-    tcfg.hotThreshold = 2;
-    tcfg.pinHotFrames = true;
-    tcfg.migration = true;
-    tcfg.migIdleDelay = microseconds(1);
-    tcfg.migScanFrames = 64;
-    HotnessTracker tracker(ssd.capacityBytes(), tcfg);
-    ssd.attachTiering(&tracker, tcfg);
-    ASSERT_TRUE(ssd.migrationEnabled());
-
-    FaultInjector inj(eq, 31337);
-    inj.watchSsd(&ssd);
-    Rng rng(31337);
-
-    std::uint64_t hot = std::min<std::uint64_t>(ssd.logicalBlocks(), 64);
-    std::uint32_t units = static_cast<std::uint32_t>(
-        nvmeBlockSize / cfg.geom.pageSize);
-    // Byte model: per block, every acknowledged fill in write order and
-    // the index of the newest one known durable (-1: none yet). A cut
-    // may surface any acked value at or past the floor; what it
-    // surfaces becomes the new floor (durability is monotone).
-    std::vector<std::vector<std::uint8_t>> acked(hot);
-    std::vector<int> floor(hot, -1);
-    std::set<std::uint64_t> trimmedLive; // trimmed, not rewritten since
-    std::vector<std::uint8_t> frame(nvmeBlockSize), out(nvmeBlockSize);
-
-    Tick t = 0;
-    std::uint64_t cuts = 0, mid_migration = 0;
-    for (int round = 0; round < 30; ++round) {
-        FaultPlan plan;
-        plan.policy = CutPolicy::RandomEvent;
-        plan.param = 4 + rng.below(24);
-        inj.arm(plan);
-
-        for (int op = 0; op < 150 && !inj.cutDue(); ++op) {
-            // The synchronous driver chains ops at completion ticks, so
-            // the SSD never sees a quiet gap and migration would stay
-            // armed-but-deferred forever. A short breather every few
-            // ops opens the idle window mid-round — movement happens
-            // under load and the seeded cuts can land on top of it.
-            if (op % 8 == 7)
-                t += microseconds(5);
-            inj.pumpToCut(t);
-            if (inj.cutDue())
-                break;
-            std::uint64_t blk = rng.below(hot);
-            // Skewed heat: the head quarter stays hot, the tail reads
-            // cold — promotions and demotions both have candidates.
-            tracker.touch(rng.below(hot / 4) * nvmeBlockSize);
-            tracker.touch(blk * nvmeBlockSize);
-            std::uint64_t dice = rng.below(100);
-            if (dice < 50) {
-                auto fill = static_cast<std::uint8_t>(
-                    (acked[blk].size() % 250) + 1);
-                std::memset(frame.data(), fill, frame.size());
-                bool fua = dice < 15;
-                t = ssd.hostWrite(blk, 1, fua, t, frame.data());
-                acked[blk].push_back(fill);
-                if (fua)
-                    floor[blk] =
-                        static_cast<int>(acked[blk].size()) - 1;
-                trimmedLive.erase(blk);
-            } else if (dice < 60) {
-                t = ssd.hostFlush(t);
-                for (std::uint64_t b = 0; b < hot; ++b)
-                    if (!acked[b].empty())
-                        floor[b] =
-                            static_cast<int>(acked[b].size()) - 1;
-            } else if (dice < 70) {
-                // Deallocate: what a dealloc command would do — drop
-                // the cached frame, unmap every unit LPN. The block's
-                // history restarts from zero.
-                if (ssd.buffer())
-                    ssd.buffer()->erase(blk);
-                for (std::uint32_t u = 0; u < units; ++u)
-                    ssd.pageFtl().trim(blk * units + u);
-                acked[blk].clear();
-                floor[blk] = -1;
-                trimmedLive.insert(blk);
-            } else {
-                t = ssd.hostRead(blk, 1, t);
-            }
-        }
-
-        // --- Cut at the seeded boundary.
-        mid_migration += ssd.migrationInFlight();
-        eq.reset(false);
-        ssd.powerFail(0);
-        inj.noteCut();
-        ++cuts;
-        tracker.clear(); // hotness is volatile advice
-        ssd.powerRestore();
-
-        // --- Recovery sweep.
-        for (std::uint64_t blk = 0; blk < hot; ++blk) {
-            ssd.peek(blk, 1, out.data());
-            ASSERT_EQ(out[0], out[nvmeBlockSize - 1])
-                << "round " << round << " block " << blk
-                << ": torn frame";
-            if (acked[blk].empty()) {
-                // Nothing acked since the last trim (or ever): only
-                // zeroes (never-written / post-trim) are acceptable
-                // unless a pre-trim durable version legitimately
-                // remains in the store's bytes — mapping is the
-                // authority for trims, checked below.
-                continue;
-            }
-            std::uint8_t v = out[0];
-            int idx = -1;
-            for (int i = static_cast<int>(acked[blk].size()) - 1;
-                 i >= 0; --i)
-                if (acked[blk][i] == v) {
-                    idx = i;
-                    break;
-                }
-            if (v == 0) {
-                ASSERT_EQ(floor[blk], -1)
-                    << "round " << round << " block " << blk
-                    << ": durable data vanished";
-                // The buffered history died with the cut: it can never
-                // become durable now, so a later flush must not raise
-                // the floor to a value the device no longer has.
-                acked[blk].clear();
-                continue;
-            }
-            ASSERT_GE(idx, floor[blk])
-                << "round " << round << " block " << blk
-                << ": durability regressed below the floor (read "
-                << int(v) << ")";
-            // What survived is the whole reachable history from here:
-            // everything buffered-after was lost, everything before was
-            // overwritten on flash.
-            acked[blk].assign(1, v);
-            floor[blk] = 0;
-        }
-        for (std::uint64_t blk : trimmedLive)
-            for (std::uint32_t u = 0; u < units; ++u)
-                ASSERT_FALSE(ssd.pageFtl().isMapped(blk * units + u))
-                    << "round " << round << " block " << blk
-                    << ": trimmed LPN resurrected across the cut";
-    }
-    EXPECT_EQ(cuts, 30u);
-    EXPECT_GT(mid_migration, 5u)
-        << "cuts never landed with a migration op in flight";
-    EXPECT_GT(ssd.tieringStats().promotions +
-                  ssd.tieringStats().demotions,
-              0u)
-        << "the migration engine never moved a frame";
 }
 
 // ---------------------------------------------------------------------

@@ -22,7 +22,6 @@
 #include "baselines/mmap_platform.hh"
 #include "baselines/oracle_platform.hh"
 #include "core/hams_system.hh"
-#include "core/hotness_tracker.hh"
 #include "ssd/device_configs.hh"
 #include "ssd/ssd.hh"
 #include "cpu/core_model.hh"
@@ -492,14 +491,12 @@ TEST(DramBufferLru, WritebackRoundIsAllocationFree)
  * The dirty bitmap against a std::set reference under seeded churn:
  * inserts clean and dirty, re-dirtying resident frames, markClean,
  * erase, writeback rounds that clean what they visit, capacity
- * evictions (exact LRU and cold-first victims) and dropAll. Keys span
- * five summary words (4096 keys each), in clusters that share bitmap
- * words and straddle summary-word boundaries. After every step the
- * ascending visit, its prefixes and dirtyCount() must match the
- * reference.
+ * evictions and dropAll. Keys span five summary words (4096 keys
+ * each), in clusters that share bitmap words and straddle
+ * summary-word boundaries. After every step the ascending visit, its
+ * prefixes and dirtyCount() must match the reference.
  */
-void
-checkDirtyAgainstReference(bool cold_first)
+TEST(DramBufferDirty, AscendingMatchesSortedReference)
 {
     constexpr std::size_t capacity = 48;
     constexpr std::uint64_t key_space = 5 * 4096;
@@ -507,17 +504,10 @@ checkDirtyAgainstReference(bool cold_first)
     cfg.capacity = capacity * 4096;
     cfg.frameSize = 4096;
     DramBuffer buf(cfg, key_space);
-    TieringConfig tcfg;
-    tcfg.enabled = true;
-    tcfg.epochAccesses = 1u << 20;
-    tcfg.hotThreshold = 2;
-    HotnessTracker hot(key_space * 4096, tcfg);
-    if (cold_first)
-        buf.setVictimSelector(makeColdFirstSelector(hot, 8));
 
     std::set<std::uint64_t> resident;
     std::set<std::uint64_t> dirty;
-    Rng rng(cold_first ? 1234 : 4321);
+    Rng rng(4321);
     auto pick = [&rng]() -> std::uint64_t {
         if (rng.below(2) == 0)
             return rng.below(key_space);
@@ -590,7 +580,6 @@ checkDirtyAgainstReference(bool cold_first)
           default:
             ASSERT_EQ(buf.lookup(key), resident.count(key) == 1)
                 << "step " << step;
-            hot.touch(key * 4096);
             break;
         }
         if (::testing::Test::HasFatalFailure())
@@ -612,16 +601,6 @@ checkDirtyAgainstReference(bool cold_first)
                                                       want.begin() + n))
                 << "step " << step << " k " << k;
         }
-    }
-}
-
-TEST(DramBufferDirty, AscendingMatchesSortedReference)
-{
-    for (bool cold_first : {false, true}) {
-        SCOPED_TRACE(cold_first ? "cold-first victims" : "exact LRU victims");
-        checkDirtyAgainstReference(cold_first);
-        if (HasFatalFailure())
-            return;
     }
 }
 

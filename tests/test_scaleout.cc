@@ -790,8 +790,8 @@ class StatsFields : public ::testing::Test
 
 using ListedStats =
     ::testing::Types<LatencyBreakdown, HamsStats, NvmeEngineStats, FtlStats,
-                     RunResult, ShardedStats, TieringStats, DramActivity,
-                     FlashActivity, EnergyBreakdownJ>;
+                     RunResult, ShardedStats, DramActivity, FlashActivity,
+                     EnergyBreakdownJ>;
 TYPED_TEST_SUITE(StatsFields, ListedStats);
 
 TYPED_TEST(StatsFields, ListCoversEveryMember)
