@@ -19,6 +19,7 @@
 #include "core/hams_system.hh"
 #include "core/mos_tag_array.hh"
 #include "cpu/cache_model.hh"
+#include "cpu/core_model.hh"
 #include "dram/dram_device.hh"
 #include "ftl/page_ftl.hh"
 #include "mem/sparse_memory.hh"
@@ -27,6 +28,7 @@
 #include "sim/rng.hh"
 #include "ssd/device_configs.hh"
 #include "ssd/dram_buffer.hh"
+#include "workload/workload.hh"
 
 namespace {
 
@@ -329,6 +331,110 @@ BM_MmapWritebackRound(benchmark::State& state)
     reportAllocRate(state, allocs);
 }
 BENCHMARK(BM_MmapWritebackRound);
+
+/**
+ * The page-cache traffic of perfbench's mmap_update, recorded once:
+ * its `update` generator (seed 1) over the 88 MiB dataset (64 MiB of
+ * host memory x 11/8), filtered through the core's default L1/L2 the
+ * way SmpModel does, with both caches cold at the start of every
+ * 130 M-instruction slice (perfbench builds a new core per slice).
+ * Each entry is one platform access, the page times two plus one for
+ * a write; an L2 dirty victim is a write ahead of the access that
+ * evicted it, and a flush barrier issues no access.
+ */
+const std::vector<std::uint32_t>&
+mmapUpdatePageTrace()
+{
+    static const std::vector<std::uint32_t> trace = [] {
+        constexpr std::size_t accesses = 1u << 20;
+        constexpr std::uint64_t slice_instr = 130000000;
+        auto gen = makeCoreWorkload("update", 88ull << 20, 0, 1, 1);
+        CoreConfig core;
+        CacheModel l1(core.l1);
+        CacheModel l2(core.l2);
+        std::vector<std::uint32_t> t;
+        t.reserve(accesses + 1);
+        auto record = [&t](Addr addr, bool write) {
+            t.push_back(static_cast<std::uint32_t>(addr / 4096 * 2 + write));
+        };
+        WorkloadOp op;
+        std::uint64_t instructions = 0;
+        while (t.size() < accesses) {
+            if (instructions >= slice_instr) {
+                l1.flush();
+                l2.flush();
+                instructions = 0;
+            }
+            if (!gen->next(op))
+                break;
+            instructions += op.computeInstructions;
+            if (op.flushBarrier || !op.hasAccess)
+                continue;
+            ++instructions;
+            bool write = op.access.op == MemOp::Write;
+            CacheResult r1 = l1.access(op.access.addr, write);
+            if (r1.hit)
+                continue;
+            if (r1.evictedDirty)
+                l2.access(r1.evictedLine, /*is_write=*/true);
+            CacheResult r2 = l2.access(op.access.addr, write);
+            if (r2.evictedDirty)
+                record(r2.evictedLine, true);
+            if (!r2.hit)
+                record(op.access.addr, write);
+        }
+        return t;
+    }();
+    return trace;
+}
+
+/**
+ * mmap_update's page cache (12,288 frames, keyed over the 1 GiB SSD's
+ * pages) replaying mmapUpdatePageTrace() as MmapPlatform does: a
+ * resident page is looked up (and marked dirty on a write), a missing
+ * one is inserted, evicting the LRU tail. Each op runs the trace up to
+ * and including its next miss, so it is one insert/evict plus the hits
+ * between two faults; `hit_frac` is the page-cache hit fraction
+ * (perfbench's mmap.page_cache_hit_frac). Writeback rounds, which only
+ * clean pages, are BM_MmapWritebackRound's. The warm-up replays the
+ * whole trace once, so the cache is full and every leaf of the LRU
+ * link table the trace needs exists before the timed loop.
+ */
+void
+BM_DramBufferInsertEvict(benchmark::State& state)
+{
+    const std::vector<std::uint32_t>& trace = mmapUpdatePageTrace();
+    DramBufferConfig cfg;
+    cfg.capacity = 12288 * 4096;
+    DramBuffer buf(cfg, (1ull << 30) / 4096);
+    std::size_t at = 0;
+    auto miss = [&]() {
+        std::uint64_t page = trace[at] >> 1;
+        bool write = trace[at] & 1;
+        at = at + 1 == trace.size() ? 0 : at + 1;
+        if (!buf.lookup(page)) {
+            buf.insert(page, write);
+            return true;
+        }
+        if (write)
+            buf.markDirty(page);
+        return false;
+    };
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        miss();
+    std::uint64_t accesses = 0;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state) {
+        do
+            ++accesses;
+        while (!miss());
+    }
+    reportAllocRate(state, allocs);
+    state.counters["hit_frac"] =
+        1.0 - static_cast<double>(state.iterations()) /
+                  static_cast<double>(accesses);
+}
+BENCHMARK(BM_DramBufferInsertEvict);
 
 void
 BM_SparseMemoryWrite4K(benchmark::State& state)

@@ -24,8 +24,7 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
                        /*with_supercap=*/false, /*with_buffer=*/false));
     link = std::make_unique<PcieLink>(ullFlashLink());
     _capacity = ssd->capacityBytes();
-    touchLeaves.resize((_capacity / nvmeBlockSize + touchLeafSize - 1) /
-                       touchLeafSize);
+    touches = DirectTable<std::uint32_t>(_capacity / nvmeBlockSize, 0);
 
     DramBufferConfig internal_cfg;
     internal_cfg.capacity = internalDramBytes;
@@ -87,9 +86,9 @@ FlatFlashPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         if (hostCacheTags) {
             // Hot-page promotion: after enough touches, migrate the
             // page into host DRAM over PCIe.
-            std::uint32_t& touches = touchSlot(page);
-            if (++touches >= cfg.promoteThreshold) {
-                touches = 0;
+            std::uint32_t& n = touches.at(page);
+            if (++n >= cfg.promoteThreshold) {
+                n = 0;
                 Tick mig_media = ssd->hostRead(page, 1, done);
                 Tick mig_dma = link->transfer(nvmeBlockSize,
                                               LinkDir::ToHost, mig_media);

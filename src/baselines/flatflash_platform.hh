@@ -17,11 +17,11 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "baselines/platform.hh"
 #include "dram/memory_controller.hh"
 #include "pcie/pcie_link.hh"
+#include "sim/direct_table.hh"
 #include "ssd/dram_buffer.hh"
 #include "ssd/ssd.hh"
 
@@ -66,25 +66,6 @@ class FlatFlashPlatform : public MemoryPlatform
     HAMS_HOT_PATH Tick serve(const MemAccess& acc, Tick at,
                              LatencyBreakdown& bd);
 
-    /**
-     * Touch counter of @p page for -M's promotion policy. Two-level
-     * direct-indexed table (spine pre-sized to the page space, leaves
-     * allocated on first touch) — the previous unordered_map probed a
-     * hash and could rehash-allocate on every MMIO-path access.
-     */
-    HAMS_HOT_PATH std::uint32_t&
-    touchSlot(std::uint64_t page)
-    {
-        auto& leaf = touchLeaves[page >> touchLeafBits];
-        if (!leaf) {
-            HAMS_LINT_SUPPRESS("first-touch leaf allocation "
-                               "(value-initialized to zero); reused "
-                               "for the platform's lifetime")
-            leaf = std::make_unique<std::uint32_t[]>(touchLeafSize);
-        }
-        return leaf[page & (touchLeafSize - 1)];
-    }
-
     FlatFlashConfig cfg;
     std::string _name;
     std::uint64_t _capacity;
@@ -95,10 +76,9 @@ class FlatFlashPlatform : public MemoryPlatform
     std::unique_ptr<DramBuffer> hostCacheTags;
     /** Pages resident in the SSD-internal DRAM (MMIO serving cache). */
     std::unique_ptr<DramBuffer> internalTags;
-    static constexpr std::uint32_t touchLeafBits = 12;
-    static constexpr std::uint32_t touchLeafSize = 1u << touchLeafBits;
-    /** page >> touchLeafBits -> leaf of per-page touch counters. */
-    std::vector<std::unique_ptr<std::uint32_t[]>> touchLeaves;
+    /** Per-page touch counters for -M's promotion policy,
+     *  direct-indexed by page (sim/direct_table.hh). */
+    DirectTable<std::uint32_t> touches;
     std::uint64_t _promotions = 0;
     std::uint64_t _hostHits = 0;
 };

@@ -1,7 +1,6 @@
 #include "cpu/core_model.hh"
 
 #include <utility>
-#include <vector>
 
 #include "cpu/smp_model.hh"
 
@@ -42,9 +41,8 @@ CoreModel::run(WorkloadGenerator& gen, std::uint64_t instruction_budget)
     // One retire loop serves every driver: a single core is a 1-core
     // SmpModel run (solo rules in cpu/smp_model.hh).
     SmpModel smp(platform, SmpConfig{cfg});
-    HAMS_LINT_SUPPRESS("one-element generator list, built once per run() call; not per-access work")
-    std::vector<WorkloadGenerator*> gens{&gen};
-    return std::move(smp.run(gens, instruction_budget).perCore[0]);
+    WorkloadGenerator* g = &gen;
+    return std::move(smp.run(&g, 1, instruction_budget).perCore[0]);
 }
 
 } // namespace hams

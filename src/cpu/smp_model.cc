@@ -235,10 +235,10 @@ SmpModel::issue(CoreCtx& c, DomainConductor& eq)
 }
 
 SmpResult
-SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
+SmpModel::run(WorkloadGenerator* const* gens, std::size_t cores,
               std::uint64_t per_core_budget)
 {
-    if (gens.empty())
+    if (cores == 0)
         fatal("smp run: no cores (empty generator list)");
 
     // The SMP conductor is a client of the platform's DOMAIN conductor:
@@ -247,16 +247,16 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     // oblivious to how many event queues sit under it.
     DomainConductor& eq = platform.conductor();
     Tick start = eq.now();
-    solo = gens.size() == 1;
+    solo = cores == 1;
 
     std::vector<CoreCtx> ctxs;
-    ctxs.reserve(gens.size());
-    for (WorkloadGenerator* gen : gens) {
+    ctxs.reserve(cores);
+    for (std::size_t i = 0; i < cores; ++i) {
         HAMS_LINT_SUPPRESS("capacity reserved to the core count just above; per-run setup")
-        ctxs.emplace_back(cfg.core, gen, per_core_budget);
+        ctxs.emplace_back(cfg.core, gens[i], per_core_budget);
         CoreCtx& c = ctxs.back();
         c.now = start;
-        c.res.workload = gen->spec().name;
+        c.res.workload = gens[i]->spec().name;
         c.res.platform = platform.name();
     }
 
@@ -329,10 +329,11 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     }
 
     SmpResult result;
+    result.perCore.reserve(cores);
     for (CoreCtx& c : ctxs) {
         c.res.simTime = c.now - start;
         finalizeRunResult(c.res, CoreConfig::freqGhz, cpuPower);
-        HAMS_LINT_SUPPRESS("per-run result assembly after the retire loop; not per-access work")
+        HAMS_LINT_SUPPRESS("capacity reserved to the core count just above; per-run result assembly")
         result.perCore.push_back(std::move(c.res));
     }
 

@@ -152,13 +152,22 @@ class SmpModel
     explicit SmpModel(MemoryPlatform& platform, const SmpConfig& cfg = {});
 
     /**
-     * Run every generator for @p per_core_budget instructions on its
-     * own core (gens.size() cores). Generators keep their stream
-     * position across calls, so warmup-then-measure works on the
-     * continuing streams; caches are rebuilt cold per call.
+     * Run each of the @p cores generators at @p gens for
+     * @p per_core_budget instructions on its own core. Generators keep
+     * their stream position across calls, so warmup-then-measure works
+     * on the continuing streams; caches are rebuilt cold per call.
      */
-    HAMS_HOT_PATH SmpResult run(const std::vector<WorkloadGenerator*>& gens,
-                  std::uint64_t per_core_budget);
+    HAMS_HOT_PATH SmpResult run(WorkloadGenerator* const* gens,
+                                std::size_t cores,
+                                std::uint64_t per_core_budget);
+
+    /** run() over a generator list, one core per entry. */
+    HAMS_HOT_PATH SmpResult
+    run(const std::vector<WorkloadGenerator*>& gens,
+        std::uint64_t per_core_budget)
+    {
+        return run(gens.data(), gens.size(), per_core_budget);
+    }
 
   private:
     struct CoreCtx;

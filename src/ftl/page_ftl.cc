@@ -36,7 +36,7 @@ PageFtl::PageFtl(const FlashGeometry& geom, Fil& fil, const FtlConfig& cfg)
     _logicalPages = static_cast<std::uint64_t>(
         static_cast<double>(geom.totalPages()) * (1.0 - cfg.overProvision));
 
-    l2p.init(_logicalPages);
+    l2p = DirectTable<std::uint64_t>(_logicalPages, unmapped);
 
     std::uint64_t pu_count = geom.parallelUnits();
     units.resize(pu_count);
@@ -124,7 +124,7 @@ PageFtl::readPage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
     if (gcActiveMachines > 0)
         ++_stats.gcForegroundOverlap;
     std::uint64_t ppn = l2p.get(lpn);
-    if (ppn == L2pMap::unmapped) {
+    if (ppn == unmapped) {
         if (backgroundGcEnabled())
             noteHostActivity(at);
         return at; // unmapped: zero-fill, no flash access
@@ -257,7 +257,7 @@ PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
         ++_stats.gcForegroundOverlap;
 
     std::uint64_t old_ppn = l2p.get(lpn);
-    if (old_ppn != L2pMap::unmapped)
+    if (old_ppn != unmapped)
         invalidate(old_ppn);
 
     std::uint64_t pu = nextPu;
@@ -272,7 +272,7 @@ PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
     b.pageLpns[page] = lpn;
     b.validBits[page / 64] |= 1ull << (page % 64);
     ++b.validCount;
-    l2p.set(lpn, ppn);
+    l2p.at(lpn) = ppn;
 
     Tick done = fil.submit({FlashOp::Type::Program, ppn, bytes}, at);
     if (backgroundGcEnabled())
@@ -284,23 +284,23 @@ void
 PageFtl::trim(std::uint64_t lpn)
 {
     std::uint64_t ppn = l2p.get(lpn);
-    if (ppn == L2pMap::unmapped)
+    if (ppn == unmapped)
         return;
     invalidate(ppn);
-    l2p.erase(lpn);
+    l2p.at(lpn) = unmapped;
 }
 
 bool
 PageFtl::isMapped(std::uint64_t lpn) const
 {
-    return l2p.get(lpn) != L2pMap::unmapped;
+    return l2p.get(lpn) != unmapped;
 }
 
 std::uint64_t
 PageFtl::physicalOf(std::uint64_t lpn) const
 {
     std::uint64_t ppn = l2p.get(lpn);
-    if (ppn == L2pMap::unmapped)
+    if (ppn == unmapped)
         panic("physicalOf on unmapped LPN ", lpn);
     return ppn;
 }
@@ -342,7 +342,7 @@ PageFtl::collect(std::uint64_t pu, Tick& at)
             nb.pageLpns[npage] = lpn;
             nb.validBits[npage / 64] |= 1ull << (npage % 64);
             ++nb.validCount;
-            l2p.set(lpn, new_ppn);
+            l2p.at(lpn) = new_ppn;
             ++_stats.gcRelocations;
 
             at = fil.submit({FlashOp::Type::Program, new_ppn,
@@ -470,7 +470,7 @@ PageFtl::gcSlice(std::uint64_t pu, Tick from, std::uint32_t batch)
         nb.pageLpns[npage] = lpn;
         nb.validBits[npage / 64] |= 1ull << (npage % 64);
         ++nb.validCount;
-        l2p.set(lpn, new_ppn);
+        l2p.at(lpn) = new_ppn;
         ++_stats.gcRelocations;
 
         FlashOpHandle ph =

@@ -69,13 +69,12 @@
 #ifndef HAMS_FTL_PAGE_FTL_HH_
 #define HAMS_FTL_PAGE_FTL_HH_
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "flash/fil.hh"
 #include "sim/annotations.hh"
+#include "sim/direct_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/fields.hh"
 #include "sim/types.hh"
@@ -503,65 +502,6 @@ class PageFtl
     HAMS_HOT_PATH void idleFire();
     ///@}
 
-    /**
-     * Two-level direct logical-to-physical map (no hashing): every
-     * host I/O probes this once per FTL unit, so the lookup is a
-     * shift, an index and a load. Leaves cover 512 LPNs and allocate
-     * lazily, keeping sparsity for mostly-unmapped devices.
-     */
-    class L2pMap
-    {
-      public:
-        static constexpr std::uint64_t unmapped = ~std::uint64_t(0);
-
-        void
-        init(std::uint64_t pages)
-        {
-            root.resize((pages + leafPages - 1) >> leafBits);
-        }
-
-        std::uint64_t
-        get(std::uint64_t lpn) const
-        {
-            // Out-of-range LPNs read as unmapped (the public FTL API
-            // tolerates them, as the old hash map did).
-            std::uint64_t hi = lpn >> leafBits;
-            if (hi >= root.size())
-                return unmapped;
-            const Leaf* leaf = root[hi].get();
-            return leaf ? (*leaf)[lpn & (leafPages - 1)] : unmapped;
-        }
-
-        void
-        set(std::uint64_t lpn, std::uint64_t ppn)
-        {
-            std::unique_ptr<Leaf>& leaf = root[lpn >> leafBits];
-            if (!leaf) {
-                HAMS_LINT_SUPPRESS("first-touch L2P leaf allocation; reused for the device's lifetime")
-                leaf = std::make_unique<Leaf>();
-                leaf->fill(unmapped);
-            }
-            (*leaf)[lpn & (leafPages - 1)] = ppn;
-        }
-
-        void
-        erase(std::uint64_t lpn)
-        {
-            std::uint64_t hi = lpn >> leafBits;
-            if (hi >= root.size())
-                return;
-            Leaf* leaf = root[hi].get();
-            if (leaf)
-                (*leaf)[lpn & (leafPages - 1)] = unmapped;
-        }
-
-      private:
-        static constexpr std::uint32_t leafBits = 9;
-        static constexpr std::uint32_t leafPages = 1u << leafBits;
-        using Leaf = std::array<std::uint64_t, leafPages>;
-        std::vector<std::unique_ptr<Leaf>> root;
-    };
-
     FlashGeometry geom;
     Fil& fil;
     FtlConfig cfg;
@@ -585,7 +525,13 @@ class PageFtl
 
     std::vector<Unit> units;
     std::vector<Block> blocks; //!< all blocks, indexed globally
-    L2pMap l2p;
+    /** l2p's value for an LPN with no physical page. */
+    static constexpr std::uint64_t unmapped = ~std::uint64_t(0);
+    /** Logical-to-physical map, direct-indexed by LPN
+     *  (sim/direct_table.hh): every host I/O probes it once per FTL
+     *  unit. Out-of-range LPNs read as unmapped, as the public FTL
+     *  API tolerates them. */
+    DirectTable<std::uint64_t> l2p;
 };
 
 } // namespace hams

@@ -20,29 +20,21 @@ SparseMemory::SparseMemory(std::uint64_t capacity, std::uint32_t frame_size)
     while ((1u << frameShift) != frame_size)
         ++frameShift;
 
-    std::uint64_t frames = capacity >> frameShift;
-    root.resize((frames + framesPerLeaf - 1) >> leafBits);
+    frameOf = DirectTable<std::uint8_t*>(capacity >> frameShift, nullptr);
 }
 
 std::uint8_t*
 SparseMemory::getFrame(std::uint64_t frame_no)
 {
-    std::unique_ptr<Leaf>& leaf = root[frame_no >> leafBits];
-    if (!leaf) {
-        HAMS_LINT_SUPPRESS("first-touch index-leaf allocation; reused for the memory's lifetime")
-        leaf = std::make_unique<Leaf>();
-    }
-    std::unique_ptr<std::uint8_t[]>& frame =
-        (*leaf)[frame_no & (framesPerLeaf - 1)];
+    std::uint8_t*& frame = frameOf.at(frame_no);
     if (!frame) {
-        HAMS_LINT_SUPPRESS("first-touch frame allocation (faulting a page in); steady-state reads and overwrites reuse it")
-        frame = std::make_unique<std::uint8_t[]>(_frameSize);
-        std::memset(frame.get(), 0, _frameSize);
-        ++_allocatedFrames;
+        HAMS_LINT_SUPPRESS("first-touch frame allocation (faulting a page in, zero-filled); steady-state reads and overwrites reuse it")
+        frames.push_back(std::make_unique<std::uint8_t[]>(_frameSize));
+        frame = frames.back().get();
     }
     lastFrameNo = frame_no;
-    lastFrame = frame.get();
-    return frame.get();
+    lastFrame = frame;
+    return frame;
 }
 
 void
@@ -65,7 +57,7 @@ SparseMemory::read(Addr addr, void* dst, std::uint64_t size) const
     while (size > 0) {
         std::uint64_t chunk =
             std::min<std::uint64_t>(size, _frameSize - off);
-        if (const std::uint8_t* f = findFrame(frame_no)) {
+        if (const std::uint8_t* f = frameOf.get(frame_no)) {
             std::memcpy(out, f + off, chunk);
             lastFrameNo = frame_no;
             lastFrame = const_cast<std::uint8_t*>(f);
@@ -139,7 +131,7 @@ SparseMemory::checksum(Addr addr, std::uint64_t size) const
     while (size > 0) {
         std::uint64_t chunk =
             std::min<std::uint64_t>(size, _frameSize - off);
-        if (const std::uint8_t* f = findFrame(frame_no)) {
+        if (const std::uint8_t* f = frameOf.get(frame_no)) {
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 h ^= f[off + i];
                 h *= prime;
@@ -158,9 +150,8 @@ SparseMemory::checksum(Addr addr, std::uint64_t size) const
 void
 SparseMemory::clear()
 {
-    for (auto& leaf : root)
-        leaf.reset();
-    _allocatedFrames = 0;
+    frameOf.clear();
+    frames.clear();
     lastFrameNo = ~std::uint64_t(0);
     lastFrame = nullptr;
 }

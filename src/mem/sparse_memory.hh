@@ -7,23 +7,24 @@
  * that are actually touched. Unwritten bytes read as zero, mirroring a
  * freshly formatted device.
  *
- * Lookup is a two-level direct page table (no hashing): a root array of
- * leaf pointers, each leaf holding 512 frame pointers. A last-frame
- * cache short-circuits the common case of consecutive accesses landing
- * in the same frame, and span transfers walk frames with direct
- * indexing instead of per-frame map lookups.
+ * Lookup is a direct page table (no hashing): a DirectTable of frame
+ * pointers (sim/direct_table.hh), whose leaves allocate on first
+ * touch; the frames themselves are owned by a list in allocation
+ * order. A last-frame cache short-circuits the common case of
+ * consecutive accesses landing in the same frame, and span transfers
+ * walk frames with direct indexing instead of per-frame map lookups.
  */
 
 #ifndef HAMS_MEM_SPARSE_MEMORY_HH_
 #define HAMS_MEM_SPARSE_MEMORY_HH_
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "sim/annotations.hh"
+#include "sim/direct_table.hh"
 #include "sim/types.hh"
 
 namespace hams {
@@ -74,35 +75,22 @@ class SparseMemory
     HAMS_COLD_PATH std::uint64_t checksum(Addr addr, std::uint64_t size) const;
 
     /** Number of frames actually allocated. */
-    std::size_t allocatedFrames() const { return _allocatedFrames; }
+    std::size_t allocatedFrames() const { return frames.size(); }
 
     /** Drop all contents (device reformat). */
     HAMS_COLD_PATH void clear();
 
   private:
-    /** log2 of frames per leaf table. */
-    static constexpr std::uint32_t leafBits = 9;
-    static constexpr std::uint32_t framesPerLeaf = 1u << leafBits;
-
-    using Leaf = std::array<std::unique_ptr<std::uint8_t[]>, framesPerLeaf>;
-
-    /** Frame data pointer, or nullptr for a hole. */
-    HAMS_HOT_PATH const std::uint8_t*
-    findFrame(std::uint64_t frame_no) const
-    {
-        const Leaf* leaf = root[frame_no >> leafBits].get();
-        return leaf ? (*leaf)[frame_no & (framesPerLeaf - 1)].get()
-                    : nullptr;
-    }
-
-    /** Frame data pointer, allocating leaf and frame as needed. */
+    /** Frame data pointer, allocating the frame as needed. */
     HAMS_HOT_PATH std::uint8_t* getFrame(std::uint64_t frame_no);
 
     std::uint64_t _capacity;
     std::uint32_t _frameSize;
     std::uint32_t frameShift; //!< log2(_frameSize)
-    std::size_t _allocatedFrames = 0;
-    std::vector<std::unique_ptr<Leaf>> root;
+    /** Frame number -> frame bytes (null = hole). */
+    DirectTable<std::uint8_t*> frameOf;
+    /** Owns every allocated frame, in allocation order. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> frames;
 
     /** Last-frame cache: valid until clear() (frames never move). */
     mutable std::uint64_t lastFrameNo = ~std::uint64_t(0);

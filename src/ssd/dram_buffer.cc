@@ -20,14 +20,11 @@ DramBuffer::DramBuffer(const DramBufferConfig& cfg,
 {
     if (capacityFrames == 0)
         fatal("DRAM buffer smaller than one frame");
-
-    // Table at <= 50% load so linear probes stay short.
-    std::uint64_t want = std::uint64_t(capacityFrames) * 2;
-    std::uint64_t size = 16;
-    while (size < want)
-        size <<= 1;
-    table.assign(size, 0);
-    tableMask = static_cast<std::uint32_t>(size - 1);
+    // LRU links hold keys in 32 bits, below the two marker values.
+    if (key_frames > nil)
+        fatal("DRAM buffer key space of ", key_frames,
+              " frames exceeds ", nil);
+    links = DirectTable<Links>(key_frames, Links{absent, absent});
 
     std::uint64_t summary_words = (key_frames + 4095) / 4096;
     dirtyBits.assign(summary_words * 64, 0);
@@ -46,111 +43,48 @@ DramBuffer::access(std::uint32_t bytes, Tick at)
     return done;
 }
 
-std::uint32_t
-DramBuffer::findSlot(std::uint64_t key) const
-{
-    std::uint32_t slot = idealSlot(key);
-    while (table[slot] != 0) {
-        if (nodes[table[slot] - 1].key == key)
-            return slot;
-        slot = (slot + 1) & tableMask;
-    }
-    return slot;
-}
-
 void
-DramBuffer::eraseSlot(std::uint32_t slot)
+DramBuffer::lruUnlink(Links& l)
 {
-    // Backward-shift deletion (Knuth 6.4 R): pull displaced entries
-    // into the hole so probe chains never break, without tombstones.
-    for (;;) {
-        table[slot] = 0;
-        std::uint32_t hole = slot;
-        std::uint32_t j = slot;
-        for (;;) {
-            j = (j + 1) & tableMask;
-            if (table[j] == 0)
-                return;
-            std::uint32_t ideal = idealSlot(nodes[table[j] - 1].key);
-            // If ideal lies cyclically in (hole, j], the entry is
-            // already as close to home as it can get.
-            bool stays = hole <= j ? (hole < ideal && ideal <= j)
-                                   : (hole < ideal || ideal <= j);
-            if (stays)
-                continue;
-            table[hole] = table[j];
-            slot = j;
-            break;
-        }
-    }
-}
-
-std::uint32_t
-DramBuffer::allocNode()
-{
-    if (freeHead != nil) {
-        std::uint32_t n = freeHead;
-        freeHead = nodes[n].next;
-        return n;
-    }
-    HAMS_LINT_SUPPRESS("node-arena growth to the resident high-water "
-                       "mark; steady state recycles off the free list")
-    nodes.emplace_back();
-    return static_cast<std::uint32_t>(nodes.size() - 1);
-}
-
-void
-DramBuffer::freeNode(std::uint32_t node)
-{
-    nodes[node].next = freeHead;
-    freeHead = node;
-}
-
-void
-DramBuffer::lruUnlink(std::uint32_t node)
-{
-    Node& n = nodes[node];
-    if (n.prev != nil)
-        nodes[n.prev].next = n.next;
+    if (l.prev != nil)
+        linksOf(l.prev).next = l.next;
     else
-        lruHead = n.next;
-    if (n.next != nil)
-        nodes[n.next].prev = n.prev;
+        lruHead = l.next;
+    if (l.next != nil)
+        linksOf(l.next).prev = l.prev;
     else
-        lruTail = n.prev;
+        lruTail = l.prev;
+    l = Links{absent, absent};
 }
 
 void
-DramBuffer::lruPushFront(std::uint32_t node)
+DramBuffer::lruPushFront(Links& l, std::uint32_t key)
 {
-    Node& n = nodes[node];
-    n.prev = nil;
-    n.next = lruHead;
+    l.prev = nil;
+    l.next = lruHead;
     if (lruHead != nil)
-        nodes[lruHead].prev = node;
-    lruHead = node;
+        linksOf(lruHead).prev = key;
+    lruHead = key;
     if (lruTail == nil)
-        lruTail = node;
+        lruTail = key;
 }
 
 bool
 DramBuffer::lookup(std::uint64_t key)
 {
-    std::uint32_t slot = findSlot(key);
-    if (table[slot] == 0)
+    Links* l = links.find(key);
+    if (!l || l->prev == absent)
         return false;
-    std::uint32_t node = table[slot] - 1;
-    lruUnlink(node);
-    lruPushFront(node);
+    if (key != lruHead) {
+        lruUnlink(*l);
+        lruPushFront(*l, static_cast<std::uint32_t>(key));
+    }
     return true;
 }
 
 void
 DramBuffer::setDirty(std::uint64_t key)
 {
-    if (key >= keyFrames)
-        fatal("dirty frame key ", key, " beyond the buffer's ",
-              keyFrames, "-key space");
     std::uint64_t w = key >> 6;
     dirtyBits[w] |= std::uint64_t(1) << (key & 63);
     dirtySummary[w >> 6] |= std::uint64_t(1) << (w & 63);
@@ -179,12 +113,11 @@ DramBuffer::markDirty(std::uint64_t key)
 BufferEviction
 DramBuffer::insert(std::uint64_t key, bool dirty)
 {
+    if (key >= keyFrames)
+        fatal("frame key ", key, " beyond the buffer's ", keyFrames,
+              "-key space");
     BufferEviction ev;
-    std::uint32_t slot = findSlot(key);
-    if (table[slot] != 0) {
-        std::uint32_t node = table[slot] - 1;
-        lruUnlink(node);
-        lruPushFront(node);
+    if (lookup(key)) {
         if (dirty && !isDirty(key))
             setDirty(key);
         return ev;
@@ -193,23 +126,15 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
     if (resident >= capacityFrames) {
         std::uint32_t victim = lruTail;
         ev.happened = true;
-        ev.frameKey = nodes[victim].key;
-        ev.dirty = isDirty(ev.frameKey);
+        ev.frameKey = victim;
+        ev.dirty = isDirty(victim);
         if (ev.dirty)
-            clearDirty(ev.frameKey);
-        lruUnlink(victim);
-        eraseSlot(findSlot(nodes[victim].key));
-        freeNode(victim);
+            clearDirty(victim);
+        lruUnlink(linksOf(victim));
         --resident;
-        // The backward shift may have moved entries; re-locate the
-        // insertion slot for the new key.
-        slot = findSlot(key);
     }
 
-    std::uint32_t node = allocNode();
-    nodes[node].key = key;
-    lruPushFront(node);
-    table[slot] = node + 1;
+    lruPushFront(links.at(key), static_cast<std::uint32_t>(key));
     ++resident;
     if (dirty)
         setDirty(key);
@@ -226,13 +151,9 @@ DramBuffer::markClean(std::uint64_t key)
 void
 DramBuffer::erase(std::uint64_t key)
 {
-    std::uint32_t slot = findSlot(key);
-    if (table[slot] == 0)
+    if (!contains(key))
         return;
-    std::uint32_t node = table[slot] - 1;
-    lruUnlink(node);
-    eraseSlot(slot);
-    freeNode(node);
+    lruUnlink(linksOf(static_cast<std::uint32_t>(key)));
     --resident;
     markClean(key);
 }
@@ -250,9 +171,13 @@ DramBuffer::dirtyFrames() const
 void
 DramBuffer::dropAll()
 {
-    std::fill(table.begin(), table.end(), 0);
-    nodes.clear();
-    freeHead = nil;
+    // Unlink only the resident keys: the cost is the resident frames,
+    // not every link leaf the run has touched.
+    for (std::uint32_t key = lruHead; key != nil;) {
+        Links& l = linksOf(key);
+        key = l.next;
+        l = Links{absent, absent};
+    }
     lruHead = nil;
     lruTail = nil;
     resident = 0;

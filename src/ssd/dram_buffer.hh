@@ -13,12 +13,15 @@
  * to flash) is faithful.
  *
  * Hot-path discipline: every page-sized host I/O walks this cache once
- * per 4 KiB block, so lookup/insert/evict are allocation-free — an
- * intrusive doubly-linked LRU over a node arena, indexed by an
- * open-addressing hash table (linear probing, backward-shift delete).
+ * per 4 KiB block, so lookup/insert/evict probe no hash and, once a
+ * key's leaf exists, allocate nothing. The LRU is an intrusive doubly
+ * linked list whose links live in a DirectTable (sim/direct_table.hh)
+ * indexed by the frame key itself: a key is resident exactly when its
+ * links are set. The table costs 8 B per key of every 512-key leaf a
+ * run has inserted into, kept for the buffer's lifetime.
  *
  * Dirty state lives in a bitmap over frame keys with one summary bit
- * per nonzero bitmap word, not in the LRU nodes. isDirty() and
+ * per nonzero bitmap word, not in the LRU links. isDirty() and
  * markClean() are bit tests, and a writeback round takes the smallest
  * dirty keys by count-trailing-zeros over the summary, then over the
  * words: O(batch + summary words), whatever the number of resident
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "sim/annotations.hh"
+#include "sim/direct_table.hh"
 #include "sim/types.hh"
 
 namespace hams {
@@ -64,7 +68,8 @@ class DramBuffer
     /**
      * @param key_frames Key space: every frame key is below it (file
      *        pages for a page cache, LBA blocks for an SSD buffer). It
-     *        sizes the dirty bitmap; dirtying a key beyond it is fatal.
+     *        sizes the LRU link table and the dirty bitmap; inserting
+     *        a key beyond it is fatal.
      */
     DramBuffer(const DramBufferConfig& cfg, std::uint64_t key_frames);
 
@@ -79,7 +84,7 @@ class DramBuffer
     HAMS_HOT_PATH bool
     contains(std::uint64_t key) const
     {
-        return table[findSlot(key)] != 0;
+        return links.get(key).prev != absent;
     }
 
     /** True if @p key is resident and dirty (a bit test, no probe:
@@ -101,7 +106,8 @@ class DramBuffer
 
     /**
      * Insert @p key (possibly already present; then just update state).
-     * A full buffer displaces its exact LRU tail.
+     * A full buffer displaces its exact LRU tail. A key beyond the key
+     * space is fatal.
      * @return eviction descriptor if a frame had to be displaced.
      */
     HAMS_HOT_PATH BufferEviction insert(std::uint64_t key, bool dirty);
@@ -144,42 +150,30 @@ class DramBuffer
     const DramBufferConfig& config() const { return cfg; }
 
   private:
-    static constexpr std::uint32_t nil = ~std::uint32_t(0);
-
-    /** One resident frame: key + intrusive LRU links. */
-    struct Node
+    /** A resident frame's LRU neighbours, by key. */
+    struct Links
     {
-        std::uint64_t key;
         std::uint32_t prev;
         std::uint32_t next;
     };
 
-    std::uint32_t idealSlot(std::uint64_t key) const
-    {
-        // Fibonacci hashing spreads sequential frame keys.
-        return static_cast<std::uint32_t>(
-                   (key * 0x9E3779B97F4A7C15ULL) >> 32) &
-               tableMask;
-    }
-
-    /** Table slot holding @p key, or the empty slot to insert into. */
-    std::uint32_t findSlot(std::uint64_t key) const;
-
-    /** Backward-shift deletion keeps probe chains intact. */
-    void eraseSlot(std::uint32_t slot);
-
-    std::uint32_t allocNode();
-    void freeNode(std::uint32_t node);
+    static constexpr std::uint32_t absent = ~std::uint32_t(0); //!< not resident
+    static constexpr std::uint32_t nil = absent - 1;           //!< list end
 
     /** @name Intrusive LRU list (head = most recent). */
     ///@{
-    void lruUnlink(std::uint32_t node);
-    void lruPushFront(std::uint32_t node);
+    /** The links of a resident key: its leaf exists, so this never
+     *  allocates. */
+    Links& linksOf(std::uint32_t key) { return links[key]; }
+    /** Take @p l out of the list, leaving its key not resident. */
+    void lruUnlink(Links& l);
+    /** Put @p key, whose links are @p l, at the head. */
+    void lruPushFront(Links& l, std::uint32_t key);
     ///@}
 
     /** @name Dirty bitmap maintenance. */
     ///@{
-    /** Set @p key's (clear) dirty bit. */
+    /** Set @p key's (clear) dirty bit; @p key is in the key space. */
     void setDirty(std::uint64_t key);
     /** Clear @p key's (set) dirty bit. */
     void clearDirty(std::uint64_t key);
@@ -192,15 +186,12 @@ class DramBuffer
     Tick busyUntil = 0;
     std::uint64_t _bytesAccessed = 0;
 
-    std::vector<Node> nodes;          //!< arena, grows to capacityFrames
-    std::uint32_t freeHead = nil;     //!< free node list through next
+    /** Frame key -> LRU links; {absent, absent} for a key not
+     *  resident. */
+    DirectTable<Links> links;
     std::uint32_t lruHead = nil;
     std::uint32_t lruTail = nil;
     std::size_t resident = 0;
-
-    /** Open-addressing table of node index + 1 (0 = empty). */
-    std::vector<std::uint32_t> table;
-    std::uint32_t tableMask = 0;
 
     /** Bit k%64 of word k/64 = frame key k is resident and dirty. */
     std::vector<std::uint64_t> dirtyBits;

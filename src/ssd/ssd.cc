@@ -16,6 +16,7 @@ Ssd::Ssd(const SsdConfig& cfg, EventQueue* eq) : cfg(cfg)
         ftl->logicalPages() * cfg.geom.pageSize / nvmeBlockSize;
     if (_logicalBlocks == 0)
         fatal("SSD '", cfg.name, "' exports zero capacity");
+    volatileData = VolatileStore(_logicalBlocks);
 
     if (cfg.hasBuffer)
         buf = std::make_unique<DramBuffer>(cfg.buffer, _logicalBlocks);

@@ -23,6 +23,7 @@
 #include "ftl/page_ftl.hh"
 #include "mem/sparse_memory.hh"
 #include "sim/annotations.hh"
+#include "sim/direct_table.hh"
 #include "ssd/dram_buffer.hh"
 #include "ssd/hil.hh"
 #include "sim/types.hh"
@@ -35,27 +36,33 @@ namespace hams {
  *
  * Replaces a per-write `unordered_map<block, vector<uint8_t>>` — a
  * hash probe plus a 4 KiB heap allocation per buffered write — with
- * hot-path-clean structures: a two-level block->slot index whose
- * leaves are allocated on first touch, a recycled pool of 4 KiB frame
- * buffers, and a dense key vector (insertion order) giving O(1)
+ * hot-path-clean structures: a block->slot index direct-indexed over
+ * the device's blocks (sim/direct_table.hh), a recycled pool of 4 KiB
+ * frame buffers, and a dense key vector (insertion order) giving O(1)
  * swap-remove erase and deterministic iteration. Steady-state
  * find/insert/erase touch no heap and probe no hash.
  */
 class VolatileStore
 {
   public:
+    /** An empty store (assign a sized one before use). */
+    VolatileStore() = default;
+
+    /** A store for blocks [0, @p blocks). */
+    explicit VolatileStore(std::uint64_t blocks) : index(blocks, -1) {}
+
     /** Frame bytes for @p block, or null when nothing is buffered. */
     HAMS_HOT_PATH std::uint8_t*
     find(std::uint64_t block)
     {
-        std::int32_t slot = slotOf(block);
+        std::int32_t slot = index.get(block);
         return slot < 0 ? nullptr : frames[slot].get();
     }
 
     HAMS_HOT_PATH const std::uint8_t*
     find(std::uint64_t block) const
     {
-        std::int32_t slot = slotOf(block);
+        std::int32_t slot = index.get(block);
         return slot < 0 ? nullptr : frames[slot].get();
     }
 
@@ -63,19 +70,7 @@ class VolatileStore
     HAMS_HOT_PATH std::uint8_t*
     insert(std::uint64_t block)
     {
-        std::uint64_t leaf = block >> leafBits;
-        if (leaf >= index.size()) {
-            HAMS_LINT_SUPPRESS("index-spine growth is first-touch, "
-                               "bounded by capacity / leaf span")
-            index.resize(leaf + 1);
-        }
-        if (!index[leaf]) {
-            HAMS_LINT_SUPPRESS("first-touch leaf allocation; reused "
-                               "for the device's lifetime")
-            index[leaf] = std::make_unique<std::int32_t[]>(leafSize);
-            std::fill_n(index[leaf].get(), leafSize, -1);
-        }
-        std::int32_t& slot = index[leaf][block & leafMask];
+        std::int32_t& slot = index.at(block);
         if (slot >= 0)
             return frames[slot].get();
         if (!freeSlots.empty()) {
@@ -104,24 +99,18 @@ class VolatileStore
     HAMS_HOT_PATH void
     erase(std::uint64_t block)
     {
-        std::uint64_t leaf = block >> leafBits;
-        if (leaf >= index.size() || !index[leaf])
+        std::int32_t* slot = index.find(block);
+        if (!slot || *slot < 0)
             return;
-        std::int32_t& slot = index[leaf][block & leafMask];
-        if (slot < 0)
-            return;
-        std::uint32_t pos = keyPos[slot];
+        std::uint32_t pos = keyPos[*slot];
         std::uint64_t last = occupied.back();
         occupied[pos] = last;
         occupied.pop_back();
-        if (last != block) {
-            std::int32_t lastSlot =
-                index[last >> leafBits][last & leafMask];
-            keyPos[lastSlot] = pos;
-        }
+        if (last != block)
+            keyPos[index.get(last)] = pos;
         HAMS_LINT_SUPPRESS("free-list growth bounded by the frame pool")
-        freeSlots.push_back(std::uint32_t(slot));
-        slot = -1;
+        freeSlots.push_back(std::uint32_t(*slot));
+        *slot = -1;
     }
 
     /** Drop every buffered frame (power loss without supercap). */
@@ -146,21 +135,8 @@ class VolatileStore
     std::size_t frameCount() const { return frames.size(); }
 
   private:
-    static constexpr std::uint32_t leafBits = 12;
-    static constexpr std::uint32_t leafSize = 1u << leafBits;
-    static constexpr std::uint64_t leafMask = leafSize - 1;
-
-    HAMS_HOT_PATH std::int32_t
-    slotOf(std::uint64_t block) const
-    {
-        std::uint64_t leaf = block >> leafBits;
-        if (leaf >= index.size() || !index[leaf])
-            return -1;
-        return index[leaf][block & leafMask];
-    }
-
-    /** block >> leafBits -> leaf of slot ids (-1 = not buffered). */
-    std::vector<std::unique_ptr<std::int32_t[]>> index;
+    /** Block -> slot id in frames (-1 = not buffered). */
+    DirectTable<std::int32_t> index;
     std::vector<std::unique_ptr<std::uint8_t[]>> frames;
     std::vector<std::uint32_t> keyPos; //!< slot -> index in occupied
     std::vector<std::uint32_t> freeSlots;

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "sim/alloc_hook.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/logging.hh"
 #include "sim/pool.hh"
 #include "sim/rng.hh"
 #include "ssd/dram_buffer.hh"
@@ -354,7 +356,8 @@ TEST(SparseMemorySpan, SteadyStateOverwriteIsAllocationFree)
 }
 
 // ---------------------------------------------------------------------
-// DramBuffer: intrusive LRU + open-addressing table vs reference model.
+// DramBuffer: intrusive LRU over a key-indexed link table (DirectTable)
+// vs reference model.
 // ---------------------------------------------------------------------
 
 /** Straightforward list+map LRU to differentially test against. */
@@ -416,17 +419,25 @@ class ReferenceLru
         pos;
 };
 
-TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
+/**
+ * Seeded lookup/insert/erase churn on a 16-frame buffer against
+ * ReferenceLru: the same victim key, dirty bit and residency after
+ * every op. The ops draw from 64 slots; @p key_of maps a slot to its
+ * frame key in a @p key_space-key buffer.
+ */
+template <typename KeyOf>
+void
+checkChurnAgainstReference(std::uint64_t key_space, KeyOf key_of)
 {
     DramBufferConfig cfg;
     cfg.capacity = 16 * 4096; // 16 frames: constant eviction pressure
     cfg.frameSize = 4096;
-    DramBuffer buf(cfg, 64);
+    DramBuffer buf(cfg, key_space);
     ReferenceLru ref(16);
 
     Rng rng(42);
     for (int i = 0; i < 20000; ++i) {
-        std::uint64_t key = rng.below(64);
+        std::uint64_t key = key_of(rng.below(64));
         switch (rng.below(3)) {
           case 0: {
             ASSERT_EQ(buf.lookup(key), ref.lookup(key)) << "op " << i;
@@ -450,6 +461,86 @@ TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
           }
         }
         ASSERT_EQ(buf.residentFrames(), ref.size()) << "op " << i;
+    }
+}
+
+TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
+{
+    // Dense: 64 adjacent keys, all in one leaf of links.
+    checkChurnAgainstReference(64, [](std::uint64_t slot) { return slot; });
+    if (::testing::Test::HasFatalFailure())
+        return;
+    // Spread: the same op mix over 64 keys across a 2^27-key space
+    // (Optane-M's 512 GiB at 4 KiB per key), one leaf each, so every
+    // LRU link crosses leaves.
+    constexpr std::uint64_t space = 1ull << 27;
+    checkChurnAgainstReference(space, [](std::uint64_t slot) {
+        return slot * (space / 64) + (slot * 4099) % (space / 64);
+    });
+}
+
+TEST(DramBuffer, KeyBeyondKeySpaceIsFatal)
+{
+    DramBufferConfig cfg;
+    cfg.capacity = 4 * 4096;
+    cfg.frameSize = 4096;
+    DramBuffer buf(cfg, 64);
+    for (std::uint64_t k = 0; k < 4; ++k)
+        buf.insert(k, false); // full: a bad insert must not evict
+
+    for (std::uint64_t key : {std::uint64_t(64), std::uint64_t(65),
+                              std::uint64_t(1) << 40}) {
+        for (bool dirty : {false, true}) {
+            try {
+                buf.insert(key, dirty);
+                FAIL() << "insert(" << key << ", " << dirty
+                       << ") was accepted";
+            } catch (const FatalError& e) {
+                std::string what = e.what();
+                EXPECT_NE(what.find(std::to_string(key)),
+                          std::string::npos)
+                    << what;
+                EXPECT_NE(what.find("64-key space"), std::string::npos)
+                    << what;
+            }
+            EXPECT_FALSE(buf.contains(key));
+            EXPECT_FALSE(buf.lookup(key));
+            EXPECT_FALSE(buf.isDirty(key));
+            EXPECT_FALSE(buf.markDirty(key));
+            buf.erase(key);
+            buf.markClean(key);
+        }
+    }
+    EXPECT_EQ(buf.residentFrames(), 4u);
+    EXPECT_EQ(buf.dirtyCount(), 0u);
+    for (std::uint64_t k = 0; k < 4; ++k)
+        EXPECT_TRUE(buf.contains(k)) << "key " << k;
+}
+
+TEST(DramBufferLru, DropAllForgetsEveryResidentKey)
+{
+    DramBufferConfig cfg;
+    cfg.capacity = 8 * 4096;
+    cfg.frameSize = 4096;
+    constexpr std::uint64_t space = 1ull << 20;
+    DramBuffer buf(cfg, space);
+    // Twelve keys over many link leaves: eight stay resident, four were
+    // evicted, and their links must read as not resident either way.
+    for (std::uint64_t i = 0; i < 12; ++i)
+        buf.insert(i * (space / 12), i % 3 == 0);
+    buf.dropAll();
+    EXPECT_EQ(buf.residentFrames(), 0u);
+    EXPECT_EQ(buf.dirtyCount(), 0u);
+    for (std::uint64_t i = 0; i < 12; ++i)
+        EXPECT_FALSE(buf.contains(i * (space / 12))) << "key " << i;
+
+    // Refilled, it evicts in insertion order like a new buffer.
+    for (std::uint64_t i = 0; i < 8; ++i)
+        EXPECT_FALSE(buf.insert(i * 7, false).happened);
+    for (std::uint64_t i = 8; i < 12; ++i) {
+        BufferEviction ev = buf.insert(i * 7, false);
+        ASSERT_TRUE(ev.happened);
+        EXPECT_EQ(ev.frameKey, (i - 8) * 7);
     }
 }
 
@@ -610,7 +701,8 @@ TEST(DramBufferLru, SteadyStateChurnIsAllocationFree)
     cfg.capacity = 8 * 4096;
     cfg.frameSize = 4096;
     DramBuffer buf(cfg, 64);
-    // Warm the node arena past capacity so evictions recycle nodes.
+    // Warm-up: the first insert allocates the link table's one leaf,
+    // and the buffer fills past capacity so the loop evicts.
     for (std::uint64_t k = 0; k < 32; ++k)
         buf.insert(k, k % 2 == 0);
 
