@@ -199,14 +199,16 @@ BM_FtlAllocate(benchmark::State& state)
 }
 BENCHMARK(BM_FtlAllocate);
 
+/**
+ * Foreground @p fg ops on one die keep suspending background programs
+ * while Arg(0) tracked background ops stay live across the device.
+ * The suspended die and its channel each hold one tracked op and the
+ * rest sit on other channels, so a registry that walks only the
+ * affected die/channel lists costs the same at every Arg.
+ */
 void
-BM_FilSuspendTrackedOps(benchmark::State& state)
+filSuspendTrackedOps(benchmark::State& state, FlashOp::Type fg)
 {
-    // Foreground reads on one die keep suspending background programs
-    // while Arg(0) tracked background ops stay live across the device.
-    // The suspended die and its channel each hold one tracked op and
-    // the rest sit on other channels, so a registry that walks only
-    // the affected die/channel lists costs the same at every Arg.
     FlashGeometry g;
     g.channels = 8;
     g.packagesPerChannel = 1;
@@ -217,7 +219,7 @@ BM_FilSuspendTrackedOps(benchmark::State& state)
     g.pageSize = 2048;
     Fil fil(g, NandTiming::zNand());
     // Background work latched far in the future stays in flight for
-    // the whole run, so every foreground read suspends and bumps it.
+    // the whole run, so every foreground op suspends and bumps it.
     const Tick horizon = seconds(1e5);
     auto background = [&](FlashOp::Type type, std::uint32_t ch,
                           std::uint32_t die) {
@@ -235,19 +237,32 @@ BM_FilSuspendTrackedOps(benchmark::State& state)
                    die);
     }
 
-    FlashOp read{FlashOp::Type::Read, 0, 2048};
+    FlashOp op{fg, 0, 2048};
     Tick t = 0;
     std::uint64_t suspensions = fil.activity().suspensions;
     std::uint64_t allocs = bench::threadAllocCallsNow();
     for (auto _ : state)
-        t = fil.submit(read, t);
+        t = fil.submit(op, t);
     reportAllocRate(state, allocs);
     benchmark::DoNotOptimize(t);
     state.counters["suspensions_per_op"] = benchmark::Counter(
         static_cast<double>(fil.activity().suspensions - suspensions) /
         static_cast<double>(state.iterations()));
 }
+
+void
+BM_FilSuspendTrackedOps(benchmark::State& state)
+{
+    filSuspendTrackedOps(state, FlashOp::Type::Read);
+}
 BENCHMARK(BM_FilSuspendTrackedOps)->Arg(16)->Arg(256);
+
+void
+BM_FilSuspendTrackedPrograms(benchmark::State& state)
+{
+    filSuspendTrackedOps(state, FlashOp::Type::Program);
+}
+BENCHMARK(BM_FilSuspendTrackedPrograms)->Arg(16)->Arg(256);
 
 void
 BM_QueuePairPushFetch(benchmark::State& state)

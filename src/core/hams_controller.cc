@@ -66,8 +66,10 @@ HamsController::frameOf(const MemAccess& acc) const
     if (acc.addr + acc.size > _mosCapacity)
         fatal("MoS access [", acc.addr, ", ", acc.addr + acc.size,
               ") beyond capacity ", _mosCapacity);
-    if (acc.addr / cfg.pageBytes != (acc.addr + acc.size - 1) /
-        cfg.pageBytes)
+    // The first and last byte share a page exactly when they differ
+    // only below the page bit; MosTagArray made pageBytes a power of
+    // two, so that is one xor and a compare, not two divisions.
+    if ((acc.addr ^ (acc.addr + acc.size - 1)) >= cfg.pageBytes)
         fatal("MoS access crosses a page boundary; split it upstream");
     return tags.indexOf(acc.addr);
 }

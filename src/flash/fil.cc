@@ -59,7 +59,7 @@ Fil::submit(const FlashOp& op, Tick at)
 }
 
 Tick
-Fil::dispatch(const FlashOp& op, FlashUnit u, Tick at)
+Fil::dispatch(const FlashOp& op, const FlashUnit& u, Tick at)
 {
     if (op.bytes > pool.geometry().pageSize)
         panic("flash op bytes ", op.bytes, " exceed page size ",
@@ -77,7 +77,7 @@ Fil::dispatch(const FlashOp& op, FlashUnit u, Tick at)
 }
 
 Tick
-Fil::admitForeground(FlashUnit u, Tick at, bool background,
+Fil::admitForeground(const FlashUnit& u, Tick at, bool background,
                      bool& suspended, Tick& suspend_from)
 {
     suspended = false;
@@ -99,7 +99,7 @@ Fil::admitForeground(FlashUnit u, Tick at, bool background,
 }
 
 Tick
-Fil::read(FlashUnit u, std::uint32_t bytes, Tick at, bool background)
+Fil::read(const FlashUnit& u, std::uint32_t bytes, Tick at, bool background)
 {
     bool suspended;
     Tick suspend_from;
@@ -136,7 +136,7 @@ Fil::read(FlashUnit u, std::uint32_t bytes, Tick at, bool background)
 }
 
 Tick
-Fil::program(FlashUnit u, std::uint32_t bytes, Tick at, bool background)
+Fil::program(const FlashUnit& u, std::uint32_t bytes, Tick at, bool background)
 {
     bool suspended;
     Tick suspend_from;
@@ -170,7 +170,7 @@ Fil::program(FlashUnit u, std::uint32_t bytes, Tick at, bool background)
 }
 
 Tick
-Fil::erase(FlashUnit u, Tick at, bool background)
+Fil::erase(const FlashUnit& u, Tick at, bool background)
 {
     bool suspended;
     Tick suspend_from;

@@ -109,6 +109,8 @@ class Fil
     }
 
     const FlashGeometry& geometry() const { return pool.geometry(); }
+    /** Die and plane busy state (tests). */
+    const NandPackagePool& packages() const { return pool; }
     const NandTiming& timing() const { return _timing; }
     const FlashActivity& activity() const { return _activity; }
 
@@ -123,13 +125,14 @@ class Fil
 
   private:
     /** submit() after the PPN is decoded to @p u. */
-    HAMS_HOT_PATH Tick dispatch(const FlashOp& op, FlashUnit u, Tick at);
+    HAMS_HOT_PATH Tick dispatch(const FlashOp& op, const FlashUnit& u,
+                                Tick at);
 
-    HAMS_HOT_PATH Tick read(FlashUnit u, std::uint32_t bytes, Tick at,
-                            bool background);
-    HAMS_HOT_PATH Tick program(FlashUnit u, std::uint32_t bytes, Tick at,
-                               bool background);
-    HAMS_HOT_PATH Tick erase(FlashUnit u, Tick at, bool background);
+    HAMS_HOT_PATH Tick read(const FlashUnit& u, std::uint32_t bytes,
+                            Tick at, bool background);
+    HAMS_HOT_PATH Tick program(const FlashUnit& u, std::uint32_t bytes,
+                               Tick at, bool background);
+    HAMS_HOT_PATH Tick erase(const FlashUnit& u, Tick at, bool background);
 
     /**
      * Foreground-priority admission to @p u's die/plane pair: when the
@@ -139,13 +142,13 @@ class Fil
      * foreground op's resource end is known (finishSuspend()).
      * @return the effective start tick; sets @p suspended.
      */
-    HAMS_HOT_PATH Tick admitForeground(FlashUnit u, Tick at,
+    HAMS_HOT_PATH Tick admitForeground(const FlashUnit& u, Tick at,
                                        bool background, bool& suspended,
                                        Tick& suspend_from);
 
     /** Push the suspended background work out by the stolen window. */
     HAMS_HOT_PATH void
-    finishSuspend(FlashUnit u, bool suspended, Tick suspend_from,
+    finishSuspend(const FlashUnit& u, bool suspended, Tick suspend_from,
                   Tick fg_end)
     {
         if (suspended)

@@ -21,7 +21,7 @@ NandPackagePool::NandPackagePool(const FlashGeometry& geom)
 }
 
 void
-NandPackagePool::pushBackgroundOut(FlashUnit u, Tick from, Tick delta)
+NandPackagePool::pushBackgroundOut(const FlashUnit& u, Tick from, Tick delta)
 {
     Tick& d = dieBgFree[u.die];
     if (d > from)
@@ -44,7 +44,7 @@ NandPackagePool::pushBackgroundOut(FlashUnit u, Tick from, Tick delta)
 }
 
 FlashOpHandle
-NandPackagePool::trackOp(FlashUnit u, Tick completion,
+NandPackagePool::trackOp(const FlashUnit& u, Tick completion,
                          bool transfer_tailed)
 {
     std::uint32_t slot = freeHead;

@@ -85,6 +85,13 @@ struct FlashOpHandle
  * NandPackagePool::unitOf(). Timing depends on an address only through
  * the channel, die and plane it occupies, so these three indices are
  * all the FIL needs.
+ *
+ * It travels by const reference. Passed by value, its 12 bytes are
+ * split across two registers: gcc builds it on the stack with three
+ * 4-byte stores and reloads the first two fields as one 8-byte word,
+ * a load that store forwarding cannot serve, so every flash op
+ * stalled on the hand-off from Fil::submit into read/program/erase.
+ * A reference reads each field with the 4-byte load that stored it.
  */
 struct FlashUnit
 {
@@ -131,44 +138,48 @@ class NandPackagePool
 
     /** Earliest tick die @p u.die can accept a command. */
     Tick
-    dieFreeAt(FlashUnit u) const
+    dieFreeAt(const FlashUnit& u) const
     {
         return std::max(dieFree[u.die], dieBgFree[u.die]);
     }
 
     /** Earliest tick plane @p u.plane can start a cell operation. */
     Tick
-    planeFreeAt(FlashUnit u) const
+    planeFreeAt(const FlashUnit& u) const
     {
         return std::max(planeFree[u.plane], planeBgFree[u.plane]);
     }
 
     /** @name Foreground-only timelines (suspend-priority admission). */
     ///@{
-    Tick dieFgFreeAt(FlashUnit u) const { return dieFree[u.die]; }
-    Tick planeFgFreeAt(FlashUnit u) const { return planeFree[u.plane]; }
+    Tick dieFgFreeAt(const FlashUnit& u) const { return dieFree[u.die]; }
+    Tick planeFgFreeAt(const FlashUnit& u) const { return planeFree[u.plane]; }
     ///@}
 
     /** Reserve the die until @p until (foreground timeline). */
-    void occupyDie(FlashUnit u, Tick until) { raise(dieFree[u.die], until); }
+    void
+    occupyDie(const FlashUnit& u, Tick until)
+    {
+        raise(dieFree[u.die], until);
+    }
 
     /** Reserve the plane until @p until (foreground timeline). */
     void
-    occupyPlane(FlashUnit u, Tick until)
+    occupyPlane(const FlashUnit& u, Tick until)
     {
         raise(planeFree[u.plane], until);
     }
 
     /** Reserve the die until @p until on the background timeline. */
     void
-    occupyDieBg(FlashUnit u, Tick until)
+    occupyDieBg(const FlashUnit& u, Tick until)
     {
         raise(dieBgFree[u.die], until);
     }
 
     /** Reserve the plane until @p until on the background timeline. */
     void
-    occupyPlaneBg(FlashUnit u, Tick until)
+    occupyPlaneBg(const FlashUnit& u, Tick until)
     {
         raise(planeBgFree[u.plane], until);
     }
@@ -181,7 +192,7 @@ class NandPackagePool
      * same die that was still in flight at @p from by the same window.
      * Walks only that die's list: O(cell-tailed ops on the die).
      */
-    void pushBackgroundOut(FlashUnit u, Tick from, Tick delta);
+    void pushBackgroundOut(const FlashUnit& u, Tick from, Tick delta);
 
     /** @name Tracked background ops (FlashOpHandle registry). */
     ///@{
@@ -197,7 +208,7 @@ class NandPackagePool
      * other op's completion is cell work: it is linked on its die's
      * list and extended only by the die push. O(1).
      */
-    FlashOpHandle trackOp(FlashUnit u, Tick completion,
+    FlashOpHandle trackOp(const FlashUnit& u, Tick completion,
                           bool transfer_tailed);
 
     /** Current (suspension-extended) completion tick of a live op. */

@@ -132,8 +132,15 @@ SyntheticWorkload::pickDataAddr()
 bool
 SyntheticWorkload::next(WorkloadOp& op)
 {
-    op = WorkloadOp{};
+    // Field by field, not `op = WorkloadOp{}`: gcc builds that in a
+    // stack temporary and copies it out with loads wider than its
+    // stores, which store forwarding cannot serve. Every field is
+    // written on every path; only the boundary op carries no access.
     op.computeInstructions = _spec.computePerAccess;
+    op.hasAccess = true;
+    op.opBoundary = false;
+    op.newPage = false;
+    op.flushBarrier = false;
 
     switch (phase) {
       case Phase::Btree: {
@@ -149,7 +156,6 @@ SyntheticWorkload::next(WorkloadOp& op)
             if (addr + 64 > dataBytes)
                 addr = dataBytes - 4096;
         }
-        op.hasAccess = true;
         op.access = MemAccess{addr & ~Addr(63), 64, MemOp::Read};
         if (--phaseLeft == 0) {
             phase = Phase::Data;
@@ -165,7 +171,6 @@ SyntheticWorkload::next(WorkloadOp& op)
             opRowBase = randomDataPage();
         Addr addr = pickDataAddr();
         bool is_read = rng.uniform() < _spec.readFraction;
-        op.hasAccess = true;
         op.access = MemAccess{addr, 64,
                               is_read ? MemOp::Read : MemOp::Write};
         if (--phaseLeft == 0) {
@@ -184,7 +189,6 @@ SyntheticWorkload::next(WorkloadOp& op)
         walCursor += 64;
         if (walCursor + 64 > walBytes)
             walCursor = 0;
-        op.hasAccess = true;
         op.access = MemAccess{addr, 64, MemOp::Write};
         if (--phaseLeft == 0) {
             phase = Phase::Boundary;
@@ -193,6 +197,8 @@ SyntheticWorkload::next(WorkloadOp& op)
         break;
       }
       case Phase::Boundary: {
+        op.hasAccess = false;
+        op.access = MemAccess{};
         op.opBoundary = true;
         ++opsEmitted;
         if (_spec.flushEveryOps > 0 &&

@@ -270,6 +270,86 @@ TEST(Fil, OversizedOpPanics)
                  "exceed page size");
 }
 
+/**
+ * Busy state of every die, plane and channel of @p fil: only @p u's
+ * die and plane (and channel) are busy, until @p die_until /
+ * @p plane_until overall and @p die_fg / @p plane_fg on the
+ * foreground timeline.
+ */
+void
+expectOnlyUnitBusy(const Fil& fil, const FlashUnit& u, Tick die_until,
+                   Tick die_fg, Tick plane_until, Tick plane_fg)
+{
+    const FlashGeometry& g = fil.geometry();
+    const NandPackagePool& pool = fil.packages();
+    for (std::uint32_t d = 0; d < g.dies(); ++d) {
+        FlashUnit v{0, d, 0};
+        bool mine = d == u.die;
+        EXPECT_EQ(pool.dieFreeAt(v), mine ? die_until : 0) << "die " << d;
+        EXPECT_EQ(pool.dieFgFreeAt(v), mine ? die_fg : 0) << "die " << d;
+    }
+    for (std::uint32_t p = 0; p < g.parallelUnits(); ++p) {
+        FlashUnit v{0, 0, p};
+        bool mine = p == u.plane;
+        EXPECT_EQ(pool.planeFreeAt(v), mine ? plane_until : 0)
+            << "plane " << p;
+        EXPECT_EQ(pool.planeFgFreeAt(v), mine ? plane_fg : 0)
+            << "plane " << p;
+    }
+    for (std::uint32_t c = 0; c < g.channels; ++c)
+        EXPECT_EQ(fil.channelFreeAt(c) > 0, c == u.channel)
+            << "channel " << c;
+}
+
+/**
+ * The FTL-to-FIL hand-off: Fil::submit on every (channel, die, plane)
+ * of @p g occupies exactly the unit NandPackagePool::unitOf decodes
+ * from the PPN — foreground, background, and a foreground read that
+ * suspends a background program, which pushes out that unit's
+ * background timelines and no other.
+ */
+void
+expectSubmitOccupiesDecodedUnit(const FlashGeometry& g)
+{
+    const NandTiming z = NandTiming::zNand();
+    for (std::uint32_t ch = 0; ch < g.channels; ++ch)
+    for (std::uint32_t die = 0; die < g.diesPerPackage; ++die)
+    for (std::uint32_t plane = 0; plane < g.planesPerDie; ++plane) {
+        SCOPED_TRACE(testing::Message() << "channel " << ch << " die "
+                                        << die << " plane " << plane);
+        std::uint64_t ppn = FlashAddress{ch, 0, die, plane, 1, 3}.flatten(g);
+        FlashUnit u = NandPackagePool(g).unitOf(ppn);
+        ASSERT_EQ(u.channel, ch);
+
+        Fil fg(g, z);
+        Tick done = fg.submit({FlashOp::Type::Program, ppn, 2048}, 0);
+        expectOnlyUnitBusy(fg, u, done, done, done, done);
+
+        Fil bg(g, z);
+        Tick bg_done =
+            bg.submit({FlashOp::Type::Program, ppn, 2048, true}, 0);
+        expectOnlyUnitBusy(bg, u, bg_done, 0, bg_done, 0);
+
+        // A foreground read lands on the background program mid-cell.
+        const Tick at = microseconds(20);
+        Tick read_done = bg.submit({FlashOp::Type::Read, ppn, 2048}, at);
+        EXPECT_EQ(bg.activity().suspensions, 1u);
+        Tick cell_done = at + z.tSuspend + z.cmdOverhead + z.tR;
+        EXPECT_EQ(read_done, cell_done + z.transferTime(2048));
+        Tick pushed = bg_done + (read_done - at);
+        expectOnlyUnitBusy(bg, u, pushed, read_done, pushed, cell_done);
+    }
+}
+
+TEST(Fil, SubmitOccupiesTheDecodedUnit)
+{
+    expectSubmitOccupiesDecodedUnit(smallGeom());
+    FlashGeometry g = smallGeom();
+    g.channels = 3;
+    g.blocksPerPlane = 24; // division decode
+    expectSubmitOccupiesDecodedUnit(g);
+}
+
 // ---------------------------------------------------------------------
 // Tracked-op registry (NandPackagePool) against a reference model that
 // scans every live op on each extension: the per-die and per-channel

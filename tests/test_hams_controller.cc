@@ -113,8 +113,24 @@ TEST(HamsControllerUnit, WaitersServedInOrder)
 TEST(HamsControllerUnit, PageCrossingAccessRejected)
 {
     HamsSystem sys(ctrlConfig());
-    MemAccess bad{sys.controller().pageBytes() - 32, 64, MemOp::Read};
+    Addr page = sys.controller().pageBytes();
+    MemAccess bad{page - 32, 64, MemOp::Read};
     EXPECT_THROW(sys.controller().access(bad, 0, nullptr), FatalError);
+    // Crossing out of a later page, by a single byte, is caught too.
+    MemAccess one_over{3 * page - 63, 64, MemOp::Read};
+    EXPECT_THROW(sys.controller().access(one_over, 0, nullptr),
+                 FatalError);
+}
+
+TEST(HamsControllerUnit, AccessEndingOnPageBoundaryAccepted)
+{
+    HamsSystem sys(ctrlConfig());
+    Addr page = sys.controller().pageBytes();
+    // The last line of page 2 ends exactly where page 3 begins.
+    sys.controller().access(MemAccess{3 * page - 64, 64, MemOp::Write},
+                            sys.eventQueue().now(), nullptr);
+    sys.eventQueue().run();
+    EXPECT_TRUE(sys.controller().tagArray().entry(2).dirty);
 }
 
 TEST(HamsControllerUnit, MemoryDelayAccumulates)

@@ -161,7 +161,6 @@ struct Scanner
     Function& fn;
     const std::vector<Token>& toks;
     AnalysisResult* res; //!< null = edges only
-    std::size_t* unresolved;
 
     std::map<std::string, std::string> locals;
     /** [begin,end] token intervals covered by a statement suppression,
@@ -176,10 +175,8 @@ struct Scanner
     };
     std::vector<Pending> pending;
 
-    Scanner(Model& model, Function& f, AnalysisResult* r,
-            std::size_t* unres)
-        : m(model), fn(f), toks(model.files[f.fileIdx].tokens), res(r),
-          unresolved(unres)
+    Scanner(Model& model, Function& f, AnalysisResult* r)
+        : m(model), fn(f), toks(model.files[f.fileIdx].tokens), res(r)
     {
     }
 
@@ -799,8 +796,10 @@ struct Scanner
                     if (cm->second.size() == 1) {
                         addEdge(*cm->second.begin(), t.text, false,
                                 line);
-                    } else {
-                        ++*unresolved;
+                    } else if (res) {
+                        res->unresolved.push_back(
+                            {fn.file, line, fn.qualName(), t.text,
+                             {cm->second.begin(), cm->second.end()}});
                     }
                 } else if (kGrowthMethods.count(t.text)) {
                     // Growth-shaped call on an unresolvable receiver:
@@ -900,8 +899,7 @@ struct Scanner
 void
 extractCalls(Model& m, Function& fn)
 {
-    std::size_t dummy = 0;
-    Scanner s(m, fn, nullptr, &dummy);
+    Scanner s(m, fn, nullptr);
     s.run();
 }
 
@@ -1019,7 +1017,7 @@ analyze(Model& m)
         ++res.reachable;
 
         std::size_t before = res.findings.size();
-        Scanner s(m, fn, &res, &res.unresolvedCalls);
+        Scanner s(m, fn, &res);
         s.run();
         for (std::size_t k = before; k < res.findings.size(); ++k)
             res.findings[k].trace = traceOf(i);

@@ -23,10 +23,10 @@
  * no-op object-like macros, so they survive as plain identifier tokens
  * exactly where the checker needs them. Calls whose receiver cannot be
  * resolved and whose method name is ambiguous across classes produce
- * no edge (counted and reported as `unresolved_calls` instead of
- * guessing) — the annotation sweep places HAMS_HOT_PATH directly on
- * every entry point, so missing edges cost recall on interior frames,
- * never on the annotated roots.
+ * no edge (counted as `unresolved_calls` and located by file, line,
+ * caller and candidate classes, instead of guessing) — the annotation
+ * sweep places HAMS_HOT_PATH directly on every entry point, so missing
+ * edges cost recall on interior frames, never on the annotated roots.
  *
  * compile_commands.json (when passed via --compdb) contributes its
  * translation-unit list; headers — where most of this simulator's hot
@@ -159,12 +159,24 @@ struct Finding
     std::string suppressReason;
 };
 
+/** A hot-reachable call whose receiver type is unknown and whose
+ *  method name several classes define: it gets no call-graph edge. */
+struct UnresolvedCall
+{
+    std::string file;
+    int line = 0;
+    std::string caller;                  //!< qualified calling function
+    std::string method;                  //!< the ambiguous callee name
+    std::vector<std::string> candidates; //!< classes defining it, sorted
+};
+
 struct AnalysisResult
 {
     std::vector<Finding> findings;
     std::size_t hotRoots = 0;
     std::size_t reachable = 0;
-    std::size_t unresolvedCalls = 0;
+    /** One entry per call site; its size is `unresolved_calls`. */
+    std::vector<UnresolvedCall> unresolved;
     std::size_t suppressedCount() const
     {
         std::size_t n = 0;

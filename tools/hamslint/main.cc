@@ -13,6 +13,10 @@
  *                   fail if more than N call sites could not be
  *                   resolved (guards against silent recall loss)
  *
+ * Every unresolved call site is listed after the findings, as
+ * `file:line: unresolved call 'method' in Caller::fn (candidates: A B)`,
+ * and in the JSON report's `unresolved_call_sites`.
+ *
  * Exit codes: 0 = clean (or all fixtures behave), 1 = unsuppressed
  * findings (or fixture mismatch), 2 = usage / IO error.
  *
@@ -22,6 +26,8 @@
  * bidirectional — a missing expected finding and an unexpected extra
  * finding both fail — so the suite pins the checker's verdicts both
  * ways (known-bad TUs must fire, known-good TUs must stay silent).
+ * The pseudo-rule `unresolved` pins an unresolved call site the same
+ * way.
  */
 
 #include "hamslint.hh"
@@ -130,7 +136,21 @@ writeJson(const std::string& path, const AnalysisResult& res)
     std::ofstream out(path);
     out << "{\n  \"hot_roots\": " << res.hotRoots
         << ",\n  \"reachable_functions\": " << res.reachable
-        << ",\n  \"unresolved_calls\": " << res.unresolvedCalls
+        << ",\n  \"unresolved_calls\": " << res.unresolved.size()
+        << ",\n  \"unresolved_call_sites\": [";
+    for (std::size_t i = 0; i < res.unresolved.size(); ++i) {
+        const UnresolvedCall& u = res.unresolved[i];
+        out << (i ? ",\n" : "\n") << "    {\"file\": \""
+            << jsonEscape(u.file) << "\", \"line\": " << u.line
+            << ", \"caller\": \"" << jsonEscape(u.caller)
+            << "\", \"method\": \"" << jsonEscape(u.method)
+            << "\", \"candidates\": [";
+        for (std::size_t k = 0; k < u.candidates.size(); ++k)
+            out << (k ? ", " : "") << "\"" << jsonEscape(u.candidates[k])
+                << "\"";
+        out << "]}";
+    }
+    out << (res.unresolved.empty() ? "]" : "\n  ]")
         << ",\n  \"active_findings\": " << res.activeCount()
         << ",\n  \"suppressed_findings\": " << res.suppressedCount()
         << ",\n  \"findings\": [";
@@ -181,6 +201,18 @@ printFindings(const AnalysisResult& res, bool showSuppressed)
             std::cout << "    reason: " << f.suppressReason << "\n";
         if (!f.trace.empty())
             std::cout << "    hot path: " << f.trace << "\n";
+    }
+}
+
+void
+printUnresolved(const AnalysisResult& res)
+{
+    for (const auto& u : res.unresolved) {
+        std::cout << u.file << ":" << u.line << ": unresolved call '"
+                  << u.method << "' in " << u.caller << " (candidates:";
+        for (const auto& c : u.candidates)
+            std::cout << " " << c;
+        std::cout << ")\n";
     }
 }
 
@@ -239,6 +271,8 @@ selfTest(const std::string& dir)
         for (const auto& f : res.findings)
             if (!f.suppressed)
                 got.insert({f.line, f.rule});
+        for (const auto& u : res.unresolved)
+            got.insert({u.line, "unresolved"});
 
         bool ok = true;
         for (const auto& e : expected)
@@ -260,6 +294,7 @@ selfTest(const std::string& dir)
                   << " fired)\n";
         if (!ok) {
             printFindings(res, true);
+            printUnresolved(res);
             ++failures;
         }
     }
@@ -328,18 +363,19 @@ main(int argc, char** argv)
     Model m;
     AnalysisResult res = runAnalysis(files, m);
     printFindings(res, showSuppressed);
+    printUnresolved(res);
     std::cout << "hamslint: " << res.hotRoots << " hot roots, "
               << res.reachable << " reachable functions, "
               << res.activeCount() << " active findings ("
               << res.suppressedCount() << " suppressed), "
-              << res.unresolvedCalls << " unresolved calls\n";
+              << res.unresolved.size() << " unresolved calls\n";
     if (!jsonPath.empty())
         writeJson(jsonPath, res);
 
     if (maxUnresolved >= 0 &&
-        res.unresolvedCalls > static_cast<std::size_t>(maxUnresolved)) {
+        res.unresolved.size() > static_cast<std::size_t>(maxUnresolved)) {
         std::cerr << "hamslint: unresolved call sites ("
-                  << res.unresolvedCalls << ") exceed --max-unresolved "
+                  << res.unresolved.size() << ") exceed --max-unresolved "
                   << maxUnresolved << "\n";
         return 1;
     }
