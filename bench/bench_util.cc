@@ -319,7 +319,7 @@ runSweep(const std::vector<SweepCell>& cells)
 
 std::unique_ptr<ShardedPlatform>
 makeShardedPlatform(const std::string& name, const BenchGeometry& geom,
-                    std::uint32_t devices, ShardPolicy policy)
+                    std::uint32_t devices)
 {
     std::vector<std::unique_ptr<MemoryPlatform>> shards;
     for (std::uint32_t s = 0; s < devices; ++s) {
@@ -328,10 +328,7 @@ makeShardedPlatform(const std::string& name, const BenchGeometry& geom,
             return nullptr;
         shards.push_back(std::move(shard));
     }
-    ShardedConfig cfg;
-    cfg.policy = policy;
-    cfg.stripeBytes = geom.mosPageBytes;
-    return std::make_unique<ShardedPlatform>(std::move(shards), cfg);
+    return std::make_unique<ShardedPlatform>(std::move(shards));
 }
 
 SmpResult
@@ -345,17 +342,14 @@ runShardedSmpOn(ShardedPlatform& platform, const std::string& workload,
                                  "multiple of " + std::to_string(m) +
                                  " devices");
     std::uint32_t per_shard_cores = cores / m;
-    bool ranged =
-        m == 1 || platform.config().policy == ShardPolicy::Range;
 
     std::vector<std::unique_ptr<WorkloadGenerator>> gens;
     std::vector<WorkloadGenerator*> raw;
     for (std::uint32_t c = 0; c < cores; ++c) {
         std::uint32_t shard = c % m;
-        Addr base = ranged ? platform.rangeBase(shard) : 0;
         gens.push_back(makeShardCoreWorkload(
             workload, geom.datasetBytesFor(workload), c / m,
-            per_shard_cores, shard, base));
+            per_shard_cores, shard, platform.rangeBase(shard)));
         raw.push_back(gens.back().get());
     }
 

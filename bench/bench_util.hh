@@ -166,17 +166,15 @@ std::vector<SmpCellResult> runSmpSweep(const std::vector<SmpSweepCell>& cells);
  */
 std::unique_ptr<ShardedPlatform>
 makeShardedPlatform(const std::string& name, const BenchGeometry& geom,
-                    std::uint32_t devices,
-                    ShardPolicy policy = ShardPolicy::Range);
+                    std::uint32_t devices);
 
 /**
  * Run @p workload over @p cores cores against a sharded platform:
  * core c drives shard c % M through its own shard-seeded generator
  * (workload/workload.hh makeShardCoreWorkload), placed at the shard's
- * range base under the Range policy (shard-friendly traffic) and at 0
- * under Hash (the stripe permutation spreads it). Requires
- * cores % M == 0. M = 1 is bit-identical to runSmpOn on the bare
- * platform.
+ * range base (ShardedPlatform::rangeBase), so its whole footprint
+ * stays inside that shard. Requires cores % M == 0. M = 1 is
+ * bit-identical to runSmpOn on the bare platform.
  */
 SmpResult runShardedSmpOn(ShardedPlatform& platform,
                           const std::string& workload, std::uint32_t cores,

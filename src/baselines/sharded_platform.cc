@@ -4,16 +4,8 @@
 
 #include "core/hams_system.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace hams {
-
-namespace {
-
-/** Seed of the Hash policy's stripe permutation. */
-constexpr std::uint64_t hashSeed = 0x5eedc0de;
-
-} // namespace
 
 /**
  * Pooled state of one in-flight cross-shard flush barrier: the fan-out
@@ -30,9 +22,8 @@ struct ShardedFlushCtx
 };
 
 ShardedPlatform::ShardedPlatform(
-    std::vector<std::unique_ptr<MemoryPlatform>> shards_,
-    const ShardedConfig& cfg)
-    : cfg(cfg), shards(std::move(shards_))
+    std::vector<std::unique_ptr<MemoryPlatform>> shards_)
+    : shards(std::move(shards_))
 {
     if (shards.empty())
         fatal("sharded platform: no shards");
@@ -46,86 +37,30 @@ ShardedPlatform::ShardedPlatform(
         dc.attach(s->eventQueue());
     dc.attach(hub);
 
+    shardBytes = shards[0]->capacity();
     if (shards.size() == 1) {
         // Pure pass-through: identity routing, the shard's own name,
         // no fence — bit-identical to the bare platform.
         _name = shards[0]->name();
-        _capacity = shards[0]->capacity();
         return;
     }
 
-    _name = shards[0]->name() + "-x" +
-            std::to_string(shards.size()) +
-            (cfg.policy == ShardPolicy::Hash ? "h" : "");
-    buildRouting();
+    for (const auto& s : shards)
+        if (s->capacity() != shardBytes)
+            fatal("sharded platform: unequal shard capacities (",
+                  shardBytes, " vs ", s->capacity(), ")");
+    _name = shards[0]->name() + "-x" + std::to_string(shards.size());
 }
 
 ShardedPlatform::~ShardedPlatform() = default;
 
-void
-ShardedPlatform::buildRouting()
-{
-    std::uint64_t shard_cap = shards[0]->capacity();
-    for (const auto& s : shards)
-        if (s->capacity() != shard_cap)
-            fatal("sharded platform: unequal shard capacities (",
-                  shard_cap, " vs ", s->capacity(), ")");
-    if (!isPow2(cfg.stripeBytes))
-        fatal("sharded platform: stripeBytes ", cfg.stripeBytes,
-              " is not a power of two");
-    if (shard_cap % cfg.stripeBytes != 0)
-        fatal("sharded platform: stripeBytes ", cfg.stripeBytes,
-              " does not divide shard capacity ", shard_cap);
-
-    std::uint64_t per_shard = shard_cap / cfg.stripeBytes;
-    std::uint64_t m = shards.size();
-    std::uint64_t total = per_shard * m;
-    _capacity = total * cfg.stripeBytes;
-    stripeShift = static_cast<std::uint32_t>(log2u64(cfg.stripeBytes));
-    stripeMask = cfg.stripeBytes - 1;
-
-    stripeShard.resize(total);
-    stripeLocalBase.resize(total);
-    stripesPerShard.assign(m, 0);
-
-    if (cfg.policy == ShardPolicy::Range) {
-        for (std::uint64_t i = 0; i < total; ++i) {
-            std::uint32_t s = static_cast<std::uint32_t>(i / per_shard);
-            stripeShard[i] = s;
-            stripeLocalBase[i] = (i % per_shard) << stripeShift;
-            ++stripesPerShard[s];
-        }
-        return;
-    }
-
-    // Hash: deal stripes round-robin over a seeded Fisher-Yates
-    // permutation — balanced (exactly per_shard stripes each) and
-    // injective (slot i/m within the shard) by construction, while
-    // decorrelating address ranges from shards.
-    std::vector<std::uint64_t> perm(total);
-    for (std::uint64_t i = 0; i < total; ++i)
-        perm[i] = i;
-    Rng rng(hashSeed);
-    for (std::uint64_t i = total - 1; i > 0; --i)
-        std::swap(perm[i], perm[rng.below(i + 1)]);
-    for (std::uint64_t i = 0; i < total; ++i) {
-        std::uint64_t stripe = perm[i];
-        std::uint32_t s = static_cast<std::uint32_t>(i % m);
-        stripeShard[stripe] = s;
-        stripeLocalBase[stripe] = (i / m) << stripeShift;
-        ++stripesPerShard[s];
-    }
-}
-
 Addr
 ShardedPlatform::rangeBase(std::uint32_t s) const
 {
-    if (shards.size() > 1 && cfg.policy != ShardPolicy::Range)
-        fatal("sharded platform: rangeBase on a non-range policy");
     if (s >= shards.size())
         fatal("sharded platform: rangeBase(", s, ") of ",
               shards.size(), " shards");
-    return Addr(s) * (_capacity / shards.size());
+    return Addr(s) * shardBytes;
 }
 
 void
@@ -231,19 +166,6 @@ ShardedPlatform::aggregatedHamsStats(HamsStats& out) const
     for (const auto& s : shards)
         if (auto* h = dynamic_cast<const HamsSystem*>(s.get())) {
             mergeFields(out, h->stats());
-            ++n;
-        }
-    return n;
-}
-
-std::uint32_t
-ShardedPlatform::aggregatedFtlStats(FtlStats& out) const
-{
-    std::uint32_t n = 0;
-    for (const auto& s : shards)
-        if (auto* h = dynamic_cast<const HamsSystem*>(s.get())) {
-            mergeFields(out,
-                        const_cast<HamsSystem*>(h)->ullFlash().ftlStats());
             ++n;
         }
     return n;

@@ -12,21 +12,15 @@
  * contract lives in the "Sharded platforms and event-queue domains"
  * section of baselines/platform.hh.
  *
- * Routing policies (the stripe table)
- * -----------------------------------
- * The address space is cut into fixed-size stripes (>= the largest
- * page granularity any shard manages, so a device page never crosses
- * shards). A construction-time table maps each stripe to its (shard,
- * shard-local base); the per-access route is one shift plus two array
- * loads — no hash probe, no division, no allocation.
- *
- *  - Range: shard s owns the contiguous span
- *    [s * shardCapacity, (s+1) * shardCapacity). Shard-friendly
- *    traffic is constructible by address range (rangeBase()).
- *  - Hash: stripes are dealt to shards through a seeded pseudo-random
- *    permutation — balanced by construction (every shard gets exactly
- *    stripes/M) and injective (each stripe has its own local slot), so
- *    no two global addresses ever alias in a shard.
+ * Range routing
+ * -------------
+ * Shard s owns the contiguous span [s * shardCapacity,
+ * (s+1) * shardCapacity) of the global address space, so shard-friendly
+ * traffic is constructible by address range (rangeBase()). The
+ * per-access route is one division by the shard capacity — no table,
+ * no hash probe, no allocation. Spans start at multiples of the shard
+ * capacity, so a device page crosses no shard boundary as long as that
+ * capacity is a whole number of pages.
  *
  * With one shard the platform is a pure pass-through: identity
  * routing, the caller's flush callback handed straight to the shard,
@@ -65,25 +59,8 @@
 
 namespace hams {
 
-/** How global stripes map onto shards. */
-enum class ShardPolicy : std::uint8_t { Range, Hash };
-
-/** Sharding-layer configuration. */
-struct ShardedConfig
-{
-    ShardPolicy policy = ShardPolicy::Range;
-
-    /**
-     * Routing granularity. Must be a power of two, divide every
-     * shard's capacity, and be at least the largest page granularity
-     * any shard manages (the HAMS MoS page, 128 KiB stock) so one
-     * device page never crosses shards.
-     */
-    std::uint64_t stripeBytes = 128 * 1024;
-};
-
 /** What the sharding layer itself did (per-shard work is in each
- *  shard's own stats; aggregate via aggregatedHamsStats etc.). */
+ *  shard's own stats; aggregate via aggregatedHamsStats). */
 #define HAMS_SHARDED_STATS_FIELDS(X)                                       \
     /* accesses routed and cross-shard flushes (M > 1) */                  \
     X(sum, std::uint64_t, routedAccesses)                                  \
@@ -98,8 +75,7 @@ struct ShardedStats
     HAMS_FIELDS(ShardedStats, HAMS_SHARDED_STATS_FIELDS)
 };
 
-struct HamsStats;    // core/hams_controller.hh
-struct FtlStats;     // ftl/page_ftl.hh
+struct HamsStats; // core/hams_controller.hh
 
 class ShardedPlatform : public MemoryPlatform
 {
@@ -117,14 +93,17 @@ class ShardedPlatform : public MemoryPlatform
      * order defines shard ids and, through the conductor, the
      * cross-domain tie-break (shard 0's domain first, hub last).
      */
-    ShardedPlatform(std::vector<std::unique_ptr<MemoryPlatform>> shards,
-                    const ShardedConfig& cfg = {});
+    explicit ShardedPlatform(
+        std::vector<std::unique_ptr<MemoryPlatform>> shards);
     ~ShardedPlatform() override;
 
     /** @name MemoryPlatform. */
     ///@{
     const std::string& name() const override { return _name; }
-    std::uint64_t capacity() const override { return _capacity; }
+    std::uint64_t capacity() const override
+    {
+        return shardBytes * shards.size();
+    }
     /** The hub (cross-shard coordination) domain only — drive the
      *  platform through conductor(). */
     EventQueue& eventQueue() override { return hub; }
@@ -145,7 +124,6 @@ class ShardedPlatform : public MemoryPlatform
     }
     MemoryPlatform& shard(std::uint32_t i) { return *shards[i]; }
     const ShardedStats& shardedStats() const { return _stats; }
-    const ShardedConfig& config() const { return cfg; }
 
     /** Owning shard and shard-local address of @p addr. */
     struct Route
@@ -155,26 +133,19 @@ class ShardedPlatform : public MemoryPlatform
     };
     HAMS_HOT_PATH Route route(Addr addr) const
     {
-        if (shards.size() == 1)
-            return {0, addr};
-        std::uint64_t idx = addr >> stripeShift;
-        return {stripeShard[idx],
-                stripeLocalBase[idx] + (addr & stripeMask)};
+        auto s = static_cast<std::uint32_t>(addr / shardBytes);
+        return {s, addr - Addr(s) * shardBytes};
     }
 
-    /** Range policy: first byte of shard @p s's contiguous span
-     *  (fatal under Hash — there is no contiguous span). */
+    /** First byte of shard @p s's contiguous span. */
     Addr rangeBase(std::uint32_t s) const;
     ///@}
 
-    /** @name Aggregated per-shard engine stats (mergeFields).
-     * Merged across the HAMS shards: counters summed, depth peaks
-     * maxed. @return number of HAMS shards folded in (0 = @p out
-     * untouched, e.g. an all-mmap sharded platform). */
-    ///@{
+    /** Merge the HAMS shards' controller stats into @p out
+     *  (mergeFields: counters summed, depth peaks maxed). @return
+     *  number of HAMS shards folded in (0 = @p out untouched, e.g. an
+     *  all-mmap sharded platform). */
     std::uint32_t aggregatedHamsStats(HamsStats& out) const;
-    std::uint32_t aggregatedFtlStats(FtlStats& out) const;
-    ///@}
 
     /** @name Whole-platform power failure (per-shard machinery).
      * Each HAMS shard fails/recovers independently; these fan over
@@ -189,24 +160,17 @@ class ShardedPlatform : public MemoryPlatform
     ///@}
 
   private:
-    HAMS_COLD_PATH void buildRouting();
     void shardFlushDone(struct ShardedFlushCtx* ctx, Tick done);
 
-    ShardedConfig cfg;
     std::vector<std::unique_ptr<MemoryPlatform>> shards;
     std::string _name;
-    std::uint64_t _capacity = 0;
 
     /** Cross-shard coordination domain (flush fences). */
     EventQueue hub;
     DomainConductor dc;
 
-    /** Stripe routing tables (empty when pass-through, M == 1). */
-    std::uint32_t stripeShift = 0;
-    std::uint64_t stripeMask = 0;
-    std::vector<std::uint32_t> stripeShard;
-    std::vector<Addr> stripeLocalBase;
-    std::vector<std::uint64_t> stripesPerShard;
+    /** Every shard's (equal) capacity: the range routing divisor. */
+    std::uint64_t shardBytes = 0;
 
     ShardedStats _stats;
     ObjectPool<ShardedFlushCtx> flushPool;

@@ -43,11 +43,4 @@ MosTagArray::clearBusyBits()
         e.busy = false;
 }
 
-void
-MosTagArray::invalidateAll()
-{
-    for (auto& e : entries)
-        e = MosTagEntry{};
-}
-
 } // namespace hams

@@ -97,9 +97,6 @@ class MosTagArray
     /** Clear stale busy bits (power-up recovery step). */
     HAMS_COLD_PATH void clearBusyBits();
 
-    /** Invalidate everything (cold start). */
-    HAMS_COLD_PATH void invalidateAll();
-
   private:
     std::uint32_t _pageBytes;
     std::vector<MosTagEntry> entries;

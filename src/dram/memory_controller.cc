@@ -24,13 +24,4 @@ MemoryController::access(Addr addr, std::uint32_t size, MemOp op, Tick at)
     return dram.access(addr, size, op, issued).ready;
 }
 
-Tick
-MemoryController::estimate(std::uint32_t size) const
-{
-    const Ddr4Timing& t = dram.timing();
-    std::uint64_t bursts =
-        (size + Ddr4Timing::burstBytes - 1) / Ddr4Timing::burstBytes;
-    return frontendLatency + rdimmLatency + t.tRCD + t.tCL + bursts * t.tBURST;
-}
-
 } // namespace hams

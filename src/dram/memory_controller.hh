@@ -34,9 +34,6 @@ class MemoryController
      */
     HAMS_HOT_PATH Tick access(Addr addr, std::uint32_t size, MemOp op, Tick at);
 
-    /** Latency an access would see, without mutating state (estimate). */
-    HAMS_HOT_PATH Tick estimate(std::uint32_t size) const;
-
     DramDevice& device() { return dram; }
     const DramDevice& device() const { return dram; }
 

@@ -19,13 +19,6 @@ QueuePair::sqFull() const
 }
 
 std::uint16_t
-QueuePair::sqDepth() const
-{
-    return static_cast<std::uint16_t>(
-        (_sqTail + _entries - _sqHead) % _entries);
-}
-
-std::uint16_t
 QueuePair::push(const NvmeCommand& cmd)
 {
     if (sqFull())

@@ -48,9 +48,6 @@ class QueuePair
     /** True if the SQ has room for another entry. */
     HAMS_HOT_PATH bool sqFull() const;
 
-    /** Number of occupied SQ slots. */
-    HAMS_HOT_PATH std::uint16_t sqDepth() const;
-
     /**
      * Write @p cmd at the SQ tail and advance it (the doorbell write is
      * timed by the caller).

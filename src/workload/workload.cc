@@ -1,45 +1,10 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/logging.hh"
 
 namespace hams {
-
-ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
-    : n(n), _theta(theta)
-{
-    if (n == 0)
-        fatal("Zipf generator over zero items");
-    if (theta <= 0.0)
-        fatal("Zipf theta must be positive, got ", theta);
-    if (std::fabs(theta - 1.0) < 1e-6)
-        fatal("Zipf theta = 1 is singular in the Gray et al. inverse "
-              "CDF; pick 0.99 or 1.01");
-    alpha = 1.0 / (1.0 - theta);
-    zetan = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        zetan += 1.0 / std::pow(static_cast<double>(i), theta);
-    double zeta2 = 1.0 + std::pow(2.0, -theta);
-    eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-          (1.0 - zeta2 / zetan);
-}
-
-std::uint64_t
-ZipfGenerator::next(Rng& rng) const
-{
-    double u = rng.uniform();
-    double uz = u * zetan;
-    if (uz < 1.0)
-        return 0;
-    if (uz < 1.0 + std::pow(0.5, _theta))
-        return 1;
-    auto rank = static_cast<std::uint64_t>(
-        static_cast<double>(n) *
-        std::pow(eta * u - eta + 1.0, alpha));
-    return rank >= n ? n - 1 : rank;
-}
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadSpec& spec,
                                      std::uint64_t seed)
@@ -59,9 +24,6 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadSpec& spec,
         walBase = 0;
         walBytes = 0;
     }
-    if (_spec.zipfTheta > 0)
-        zipf = std::make_unique<ZipfGenerator>(dataBytes / 4096,
-                                               _spec.zipfTheta);
     reset();
 }
 
@@ -97,8 +59,6 @@ Addr
 SyntheticWorkload::randomDataPage()
 {
     std::uint64_t pages = dataBytes / 4096;
-    if (zipf)
-        return zipf->next(rng) * 4096; // rank = page: low pages hot
     if (_spec.hotFraction > 0 && rng.chance(_spec.hotProbability)) {
         auto hot = static_cast<std::uint64_t>(
             static_cast<double>(pages) * _spec.hotFraction);

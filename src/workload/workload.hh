@@ -60,18 +60,6 @@ struct WorkloadSpec
     double hotFraction = 0.0;
     double hotProbability = 0.8;
 
-    /**
-     * Zipfian skew for random picks: 0 (the default) keeps the
-     * hotFraction/uniform behaviour bit-identical to before the knob
-     * existed (no extra RNG draws); > 0 draws random data pages from a
-     * Zipf(theta) distribution over the dataset pages instead, with
-     * page 0 the most popular (low pages = hot, matching the
-     * hotFraction convention). theta ~0.99 is the YCSB default;
-     * theta = 1 exactly is singular and rejected. Overrides the
-     * hotFraction split when set.
-     */
-    double zipfTheta = 0.0;
-
     /** @name SQLite-style structure. */
     ///@{
     /** Random B-tree page touches (reads) per op before the row. */
@@ -99,13 +87,12 @@ struct WorkloadSpec
 
     /**
      * Scale-out placement: constant offset added to every emitted
-     * address. With a range-sharded platform (baselines/
-     * sharded_platform.hh), baseAddr = rangeBase(shard) pins this
-     * generator's whole footprint inside one shard — the shard-friendly
-     * traffic of the scale-out bench. 0 (the default) leaves the
-     * stream exactly where a single-device run puts it. Keep it 4 KiB
-     * aligned so page-transition tracking (WorkloadOp::newPage) is
-     * unchanged.
+     * address. With a sharded platform (baselines/sharded_platform.hh),
+     * baseAddr = rangeBase(shard) pins this generator's whole footprint
+     * inside one shard — the shard-friendly traffic of the scale-out
+     * bench. 0 (the default) leaves the stream exactly where a
+     * single-device run puts it. Keep it 4 KiB aligned so
+     * page-transition tracking (WorkloadOp::newPage) is unchanged.
      */
     Addr baseAddr = 0;
 };
@@ -119,33 +106,6 @@ struct WorkloadOp
     bool opBoundary = false;   //!< a logical op (SQL op, page) completed
     bool newPage = false;      //!< access enters a different 4 KiB page
     bool flushBarrier = false; //!< fsync-style durability point
-};
-
-/**
- * Gray et al. (SIGMOD '94, the YCSB generator) Zipfian ranks over
- * [0, n): rank 0 most popular, P(rank) proportional to 1/(rank+1)^theta.
- * The harmonic normaliser zeta(n, theta) is computed once at
- * construction (O(n)); each draw is one uniform plus the approximate
- * inverse CDF (two pow() calls), allocation-free and a pure function of
- * the supplied Rng stream, so equal seeds give equal rank sequences.
- */
-class ZipfGenerator
-{
-  public:
-    ZipfGenerator(std::uint64_t n, double theta);
-
-    /** Next rank in [0, n), consuming one uniform from @p rng. */
-    std::uint64_t next(Rng& rng) const;
-
-    double theta() const { return _theta; }
-    std::uint64_t items() const { return n; }
-
-  private:
-    std::uint64_t n;
-    double _theta;
-    double alpha; //!< 1 / (1 - theta)
-    double zetan; //!< zeta(n, theta)
-    double eta;
 };
 
 /** Abstract deterministic op stream. */
@@ -195,7 +155,6 @@ class SyntheticWorkload : public WorkloadGenerator
     WorkloadSpec _spec;
     std::uint64_t seed;
     Rng rng;
-    std::unique_ptr<ZipfGenerator> zipf; //!< set when zipfTheta > 0
 
     Phase phase = Phase::Btree;
     std::uint32_t phaseLeft = 0;

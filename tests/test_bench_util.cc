@@ -422,8 +422,6 @@ TEST(EnergySections, ShardedEnergyIsTheSumOfItsShards)
     // Pricing the merged activity rounds differently from summing
     // per-shard prices, so this is the one comparison with a tolerance.
     BenchGeometry geom = tinyGeom();
-    // Stripe by 4 KiB: mmap-nvme's capacity is no multiple of 128 KiB.
-    geom.mosPageBytes = 4096;
     for (const char* name : {"hams-LE", "mmap-nvme"}) {
         SCOPED_TRACE(name);
         auto sp = bench::makeShardedPlatform(name, geom, 2);

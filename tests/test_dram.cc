@@ -132,16 +132,6 @@ TEST(MemoryController, AddsFrontendLatency)
     EXPECT_GT(done, raw_done);
 }
 
-TEST(MemoryController, EstimateIsReasonable)
-{
-    MemoryController mc(Ddr4Timing::speedGrade(paperDdr4Mts), 1ull << 30);
-    Tick est = mc.estimate(4096);
-    Tick real = mc.access(0, 4096, MemOp::Read, 0);
-    // The estimate ignores bank conflicts but should be within 2x.
-    EXPECT_GT(est, real / 2);
-    EXPECT_LT(est, real * 2);
-}
-
 TEST(Nvdimm, OperationalAccessWorks)
 {
     NvdimmConfig cfg;

@@ -104,7 +104,6 @@ TEST_F(QueuePairFixture, FullDetection)
         qp.push(makeFlushCommand(static_cast<std::uint16_t>(i)));
     }
     EXPECT_TRUE(qp.sqFull()); // 8-entry ring holds 7
-    EXPECT_EQ(qp.sqDepth(), 7);
 }
 
 TEST_F(QueuePairFixture, WrapAroundWorks)

@@ -1,15 +1,15 @@
 /**
  * @file
  * Scale-out tests: the DomainConductor's deterministic cross-domain
- * interleave; ShardedPlatform routing (range contiguity, hash balance
- * and injectivity); M = 1 bit-identity against the bare platform under
- * CoreModel and SmpModel; M > 1 rerun determinism with the inline fast
- * path on and off, background GC keeping shard domains busy; the
- * two-phase cross-shard flush barrier against per-shard twin
- * platforms; per-shard failure isolation; zero allocations on the
- * sharded hit path; the stats merge's sum-vs-max semantics; and that
- * every field of each stats struct's field list takes part in
- * equality, firstDifference and merge.
+ * interleave; ShardedPlatform's range routing (contiguous spans, also
+ * for a shard count that is not a power of two); M = 1 bit-identity
+ * against the bare platform under CoreModel and SmpModel; M > 1 rerun
+ * determinism with the inline fast path on and off, background GC
+ * keeping shard domains busy; the two-phase cross-shard flush barrier
+ * against per-shard twin platforms; per-shard failure isolation; zero
+ * allocations on the sharded hit path; the stats merge's sum-vs-max
+ * semantics; and that every field of each stats struct's field list
+ * takes part in equality, firstDifference and merge.
  */
 
 #include <gtest/gtest.h>
@@ -52,12 +52,12 @@ smallHams(HamsMode mode)
 }
 
 std::unique_ptr<ShardedPlatform>
-shardedHams(std::uint32_t m, HamsMode mode, ShardedConfig cfg = {})
+shardedHams(std::uint32_t m, HamsMode mode)
 {
     std::vector<std::unique_ptr<MemoryPlatform>> shards;
     for (std::uint32_t s = 0; s < m; ++s)
         shards.push_back(smallHams(mode));
-    return std::make_unique<ShardedPlatform>(std::move(shards), cfg);
+    return std::make_unique<ShardedPlatform>(std::move(shards));
 }
 
 /** Per-(shard, core) generators: core c drives shard c % M at its
@@ -187,64 +187,28 @@ TEST(DomainConductor, RunUntilAdvancesAllDomains)
 }
 
 // ---------------------------------------------------------------------
-// Routing tables.
+// Range routing.
 // ---------------------------------------------------------------------
 
 TEST(ShardedRouting, RangePolicyIsContiguous)
 {
-    auto sp = shardedHams(4, HamsMode::Extend);
-    std::uint64_t shard_cap = sp->shard(0).capacity();
-    EXPECT_EQ(sp->capacity(), 4 * shard_cap);
+    // 4 shards, and 3: a shard count that is not a power of two.
+    for (std::uint32_t m : {4u, 3u}) {
+        SCOPED_TRACE(m);
+        auto sp = shardedHams(m, HamsMode::Extend);
+        std::uint64_t shard_cap = sp->shard(0).capacity();
+        EXPECT_EQ(sp->capacity(), m * shard_cap);
 
-    for (std::uint32_t s = 0; s < 4; ++s) {
-        EXPECT_EQ(sp->rangeBase(s), Addr(s) * shard_cap);
-        // First and last stripe of the span, plus an interior offset.
-        for (Addr off : {Addr(0), Addr(4096), shard_cap - 64}) {
-            auto r = sp->route(sp->rangeBase(s) + off);
-            EXPECT_EQ(r.shard, s);
-            EXPECT_EQ(r.local, off);
+        for (std::uint32_t s = 0; s < m; ++s) {
+            EXPECT_EQ(sp->rangeBase(s), Addr(s) * shard_cap);
+            // First line of the span, an interior offset, and the
+            // span's last 64 B line.
+            for (Addr off : {Addr(0), Addr(4096), shard_cap - 64}) {
+                auto r = sp->route(sp->rangeBase(s) + off);
+                EXPECT_EQ(r.shard, s);
+                EXPECT_EQ(r.local, off);
+            }
         }
-    }
-}
-
-TEST(ShardedRouting, HashPolicyBalancedAndInjective)
-{
-    ShardedConfig cfg;
-    cfg.policy = ShardPolicy::Hash;
-    auto sp = shardedHams(4, HamsMode::Extend, cfg);
-
-    std::uint64_t stripe = cfg.stripeBytes;
-    std::uint64_t stripes = sp->capacity() / stripe;
-    std::vector<std::uint64_t> per_shard(4, 0);
-    std::vector<std::vector<bool>> used(
-        4, std::vector<bool>(stripes / 4, false));
-    for (std::uint64_t i = 0; i < stripes; ++i) {
-        auto r = sp->route(i * stripe);
-        ASSERT_LT(r.shard, 4u);
-        ASSERT_EQ(r.local % stripe, 0u);
-        std::uint64_t slot = r.local / stripe;
-        ASSERT_LT(slot, stripes / 4) << "local slot beyond shard";
-        EXPECT_FALSE(used[r.shard][slot]) << "two stripes alias";
-        used[r.shard][slot] = true;
-        ++per_shard[r.shard];
-    }
-    for (std::uint32_t s = 0; s < 4; ++s)
-        EXPECT_EQ(per_shard[s], stripes / 4) << "shard " << s;
-
-    // Offsets within a stripe keep their position.
-    auto base = sp->route(0);
-    auto off = sp->route(4096 + 64);
-    EXPECT_EQ(base.shard, sp->route(64).shard);
-    EXPECT_EQ(sp->route(64).local, base.local + 64);
-    (void)off;
-
-    // Same seed, same table — a fresh instance routes identically.
-    auto sp2 = shardedHams(4, HamsMode::Extend, cfg);
-    for (std::uint64_t i = 0; i < stripes; i += 7) {
-        auto r1 = sp->route(i * stripe);
-        auto r2 = sp2->route(i * stripe);
-        EXPECT_EQ(r1.shard, r2.shard);
-        EXPECT_EQ(r1.local, r2.local);
     }
 }
 

@@ -76,14 +76,6 @@ TEST(MosTagArray, ClearBusyPreservesTags)
     EXPECT_FALSE(t.entry(2).busy);
 }
 
-TEST(MosTagArray, InvalidateAllResetsEverything)
-{
-    MosTagArray t(1ull << 20, 128 * 1024);
-    t.entry(0).valid = true;
-    t.invalidateAll();
-    EXPECT_EQ(t.residentCount(), 0u);
-}
-
 TEST(MosTagArray, RejectsBadPageSize)
 {
     EXPECT_THROW(MosTagArray(1 << 20, 100000), FatalError);
