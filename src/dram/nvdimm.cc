@@ -94,30 +94,6 @@ Nvdimm::powerFail()
     return backup_time;
 }
 
-Tick
-Nvdimm::powerRestore()
-{
-    if (_state != State::Protected)
-        fatal("powerRestore on NVDIMM that is not protected (state=",
-              stateName(), _state == State::Operational
-                               ? "; double restore — the module already "
-                                 "completed a restore"
-                               : "",
-              ")");
-    ++restoreGen;
-    _state = State::Restoring;
-    // Stop-the-world restore: every frame streams back before service
-    // resumes, so the whole bitmap is set at once.
-    std::fill(restoredBits.begin(), restoredBits.end(), ~0ull);
-    std::fill(frameAvail.begin(), frameAvail.end(), Tick(0));
-    framesDone = framesTotal;
-    claimCursor = framesTotal;
-    Tick restore_time = fullRestoreTicks();
-    ctrl.device().reset();
-    _state = State::Operational;
-    return restore_time;
-}
-
 void
 Nvdimm::beginRestore(EventQueue& eq, Tick at, RestoreNotify notify,
                      RestoreDone done)
@@ -125,7 +101,12 @@ Nvdimm::beginRestore(EventQueue& eq, Tick at, RestoreNotify notify,
     if (_state != State::Protected)
         fatal("beginRestore on NVDIMM that is not protected (state=",
               stateName(), ", restored ", framesDone, "/", framesTotal,
-              " frames)");
+              " frames",
+              _state == State::Operational
+                  ? "; double restore — the module already completed a "
+                    "restore"
+                  : "",
+              ")");
     ++restoreGen;
     _state = State::Restoring;
     restoreEq = &eq;

@@ -9,21 +9,16 @@
  * next boot it restores them. Both take tens of seconds for an 8 GB
  * module, which the model reproduces from the backup bandwidth.
  *
- * Restore comes in two flavours:
- *
- *  - powerRestore(): the legacy stop-the-world restore — the module is
- *    Operational when the call returns and the caller charges the full
- *    restore time up front.
- *  - beginRestore(): the incremental engine. The module restores
- *    itself restoreFrameBytes at a time as events on the caller's
- *    queue, tracking progress in a per-frame restored-bitmap. Accesses
- *    to restored frames are legal mid-restore; an access to an
- *    unrestored frame is a model bug (the caller must stall it) and is
- *    fatal. requestRestoreSpan() jumps a frame ahead of the background
- *    cursor — the on-demand path a stalled access rides. All restore
- *    work (cursor batches and priority frames) serialises on the one
- *    on-DIMM flash stream, so the total restore time is unchanged;
- *    only the order is demand-driven.
+ * Restore is incremental (beginRestore()): the module restores
+ * itself restoreFrameBytes at a time as events on the caller's queue,
+ * tracking progress in a per-frame restored-bitmap. Accesses to
+ * restored frames are legal mid-restore; an access to an unrestored
+ * frame is a model bug (the caller must stall it) and is fatal.
+ * requestRestoreSpan() jumps a frame ahead of the background cursor —
+ * the on-demand path a stalled access rides. All restore work (cursor
+ * batches and priority frames) serialises on the one on-DIMM flash
+ * stream, so the total restore time is fullRestoreTicks() whatever
+ * the order; only the order is demand-driven.
  */
 
 #ifndef HAMS_DRAM_NVDIMM_HH_
@@ -54,8 +49,8 @@ struct NvdimmConfig
 
 /**
  * A persistent DDR4 module. Exposes timing via the embedded controller
- * and data via an optional functional store; powerFail()/powerRestore()
- * drive the backup/restore state machine used by the persistence tests.
+ * and data via an optional functional store; powerFail()/beginRestore()
+ * drive the backup/restore state machine.
  */
 class Nvdimm
 {
@@ -97,15 +92,6 @@ class Nvdimm
      */
     HAMS_COLD_PATH Tick powerFail();
 
-    /**
-     * Stop-the-world restore on the next boot: the module is
-     * Operational on return. Fatal with context unless Protected — in
-     * particular a double restore (already Operational) is a caller
-     * bug, mirroring the component-level powerFail contract.
-     * @return time the restore takes.
-     */
-    HAMS_COLD_PATH Tick powerRestore();
-
     /** @name Incremental restore engine. */
     ///@{
     /**
@@ -113,7 +99,10 @@ class Nvdimm
      * claims a few frames at a time; each batch commits at the
      * tick the on-DIMM stream finishes it, fires @p notify, and chains
      * the next claim. When every frame is restored the module flips to
-     * Operational and @p done fires. Fatal unless Protected.
+     * Operational and @p done fires. Fatal with context unless
+     * Protected — in particular a double restore (already
+     * Operational) is a caller bug, mirroring the component-level
+     * powerFail contract.
      */
     HAMS_COLD_PATH void beginRestore(EventQueue& eq, Tick at, RestoreNotify notify,
                       RestoreDone done);

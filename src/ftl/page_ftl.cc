@@ -124,15 +124,9 @@ PageFtl::readPage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
     if (gcActiveMachines > 0)
         ++_stats.gcForegroundOverlap;
     std::uint64_t ppn = l2p.get(lpn);
-    if (ppn == unmapped) {
-        if (backgroundGcEnabled())
-            noteHostActivity(at);
+    if (ppn == unmapped)
         return at; // unmapped: zero-fill, no flash access
-    }
-    Tick done = fil.submit({FlashOp::Type::Read, ppn, bytes}, at);
-    if (backgroundGcEnabled())
-        noteHostActivity(done);
-    return done;
+    return fil.submit({FlashOp::Type::Read, ppn, bytes}, at);
 }
 
 std::uint32_t
@@ -214,11 +208,7 @@ PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc)
                                             ? cfg.gcHighWater
                                             : cfg.gcLowWater + 1;
                 if (u.freeBlocks.size() <= kick_at)
-                    kickGc(pu, at, /*idle=*/false);
-                // After taking the new active block this unit sits
-                // below the high watermark: idle time should clean up.
-                if (u.freeBlocks.size() <= cfg.gcHighWater)
-                    idleArmWanted = true;
+                    kickGc(pu, at);
             }
         } else if (!inGc && u.freeBlocks.size() <= cfg.gcLowWater) {
             collect(pu, at);
@@ -274,10 +264,7 @@ PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
     ++b.validCount;
     l2p.at(lpn) = ppn;
 
-    Tick done = fil.submit({FlashOp::Type::Program, ppn, bytes}, at);
-    if (backgroundGcEnabled())
-        noteHostActivity(done);
-    return done;
+    return fil.submit({FlashOp::Type::Program, ppn, bytes}, at);
 }
 
 void
@@ -614,12 +601,11 @@ PageFtl::deactivateGc(std::uint64_t pu)
         g.sliceOp = {};
     }
     g.active = false;
-    g.idleKicked = false;
     --gcActiveMachines;
 }
 
 void
-PageFtl::kickGc(std::uint64_t pu, Tick at, bool idle)
+PageFtl::kickGc(std::uint64_t pu, Tick at)
 {
     Unit& u = units[pu];
     GcMachine& g = u.gc;
@@ -629,10 +615,7 @@ PageFtl::kickGc(std::uint64_t pu, Tick at, bool idle)
         return; // nothing collectable yet
     g.active = true;
     g.countedRun = false;
-    g.idleKicked = idle;
     ++gcActiveMachines;
-    if (idle)
-        ++_stats.gcIdleKicks;
     g.stepEvent = eq->scheduleAt(std::max({eq->now(), at, g.readyAt}),
                                  [this, pu] { gcStep(pu); });
 }
@@ -700,7 +683,6 @@ PageFtl::reclaimForeground(std::uint64_t pu, Tick at)
         if (!g.active) {
             g.active = true;
             g.countedRun = false;
-            g.idleKicked = false;
             ++gcActiveMachines;
         }
         if (g.victim < 0 && (u.freeBlocks.empty() || !pickVictim(pu)))
@@ -734,39 +716,6 @@ PageFtl::reclaimForeground(std::uint64_t pu, Tick at)
 }
 
 void
-PageFtl::noteHostActivity(Tick done)
-{
-    lastHostDone = std::max(lastHostDone, done);
-    // Timer-wheel style: at most one idle event is ever pending. If
-    // host activity moved the deadline, idleFire() re-posts itself
-    // instead of this hot path descheduling/rescheduling per op.
-    if (idleArmWanted && !idleEvent)
-        idleEvent = eq->scheduleAt(
-            std::max(eq->now(), lastHostDone + cfg.gcIdleThreshold),
-            [this] { idleFire(); });
-}
-
-void
-PageFtl::idleFire()
-{
-    idleEvent = 0;
-    Tick now = eq->now();
-    if (now < lastHostDone + cfg.gcIdleThreshold) {
-        // A later host op re-posted the deadline after we were armed.
-        idleEvent = eq->scheduleAt(lastHostDone + cfg.gcIdleThreshold,
-                                   [this] { idleFire(); });
-        return;
-    }
-    idleArmWanted = false;
-    for (std::uint64_t pu = 0; pu < units.size(); ++pu) {
-        Unit& u = units[pu];
-        if (!u.gc.active && u.freeBlocks.size() < cfg.gcHighWater &&
-            !u.closedBlocks.empty())
-            kickGc(pu, now, /*idle=*/true);
-    }
-}
-
-void
 PageFtl::onPowerFail()
 {
     for (std::uint64_t pu = 0; pu < units.size(); ++pu) {
@@ -787,7 +736,6 @@ PageFtl::onPowerFail()
         }
         g.nextPage = 0;
         g.active = false;
-        g.idleKicked = false;
         g.countedRun = false;
         g.stepEvent = 0; // the owner reset the queue; ids are dead
         // The latched schedule hints die with the in-flight work: a
@@ -797,8 +745,6 @@ PageFtl::onPowerFail()
         g.pendingFreeAt = 0;
     }
     gcActiveMachines = 0;
-    idleEvent = 0;
-    idleArmWanted = false;
     inGc = false;
 }
 

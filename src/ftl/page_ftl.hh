@@ -18,9 +18,11 @@
  *
  *  - **Background** (`backgroundGc = true` plus attachEventQueue()):
  *    each parallel unit owns a small GC state machine driven by events
- *    on the simulation queue. It activates at the low watermark or
- *    after the device has sat idle for `gcIdleThreshold`, relocates up
- *    to `gcBatchPages` pages per step as *background-priority* flash
+ *    on the simulation queue. It activates from two sources only: the
+ *    pressure kick when a foreground write opens a block at the low
+ *    watermark (at the high watermark with adaptive pacing), and the
+ *    foreground reclaim at the reserve (below). It relocates up to
+ *    `gcBatchPages` pages per step as *background-priority* flash
  *    ops (the FIL lets foreground ops suspend them), and returns the
  *    erased victim to the free pool at the erase-completion tick.
  *    Foreground writes only stall — never panic — when a unit's free
@@ -108,8 +110,6 @@ struct FtlConfig
     std::uint32_t gcReserveBlocks = 1;
     /** Pages relocated per background GC step event. */
     std::uint32_t gcBatchPages = 8;
-    /** Device idle time before proactive (idle-triggered) GC starts. */
-    Tick gcIdleThreshold = milliseconds(1);
     /**
      * Scale collection intensity with pool depletion (see the header
      * comment): batch size ramps up and step cadence tightens as the
@@ -146,10 +146,9 @@ struct FtlConfig
     X(sum, std::uint64_t, gcRelocations)                                   \
     X(sum, std::uint64_t, erases)                                          \
     /* Background-GC accounting: background step events executed;         \
-     * activations from the idle trigger; foreground writes that hit       \
-     * the reserve and their total stall time. */                          \
+     * foreground writes that hit the reserve and their total stall        \
+     * time. */                                                            \
     X(sum, std::uint64_t, gcBatches)                                       \
-    X(sum, std::uint64_t, gcIdleKicks)                                     \
     X(sum, std::uint64_t, gcWriteStalls)                                   \
     X(sum, Tick, gcStallTicks)                                             \
     /* Host ops issued while at least one GC machine was active. */        \
@@ -352,7 +351,6 @@ class PageFtl
     struct GcMachine
     {
         bool active = false;
-        bool idleKicked = false;  //!< activation came from the idle timer
         bool countedRun = false;  //!< gcRuns charged for this activation
         std::int32_t victim = -1; //!< block being relocated, -1 = none
         std::uint32_t nextPage = 0; //!< relocation cursor in the victim
@@ -430,7 +428,7 @@ class PageFtl
     /** @name Background GC engine. */
     ///@{
     /** Activate unit @p pu's machine (no-op if already active). */
-    HAMS_HOT_PATH void kickGc(std::uint64_t pu, Tick at, bool idle);
+    HAMS_HOT_PATH void kickGc(std::uint64_t pu, Tick at);
 
     /** Step event handler for unit @p pu. */
     HAMS_HOT_PATH void gcStep(std::uint64_t pu);
@@ -494,12 +492,6 @@ class PageFtl
      * @return the tick the write may proceed at (>= @p at).
      */
     HAMS_HOT_PATH Tick reclaimForeground(std::uint64_t pu, Tick at);
-
-    /** Record host activity / re-arm the idle-GC timer. */
-    HAMS_HOT_PATH void noteHostActivity(Tick done);
-
-    /** Idle timer fired: start GC on every unit that wants it. */
-    HAMS_HOT_PATH void idleFire();
     ///@}
 
     FlashGeometry geom;
@@ -515,12 +507,6 @@ class PageFtl
     ///@{
     EventQueue* eq = nullptr;
     std::uint32_t gcActiveMachines = 0;
-    Tick lastHostDone = 0;
-    /** Some unit dipped below the high watermark: keep the idle timer
-     *  armed after each host op until the idle pass hands it to the
-     *  per-unit machines. */
-    bool idleArmWanted = false;
-    EventId idleEvent = 0;
     ///@}
 
     std::vector<Unit> units;

@@ -7,28 +7,6 @@
 
 namespace hams {
 
-const char*
-cutPolicyName(CutPolicy p)
-{
-    switch (p) {
-      case CutPolicy::RandomEvent:
-        return "random_event";
-      case CutPolicy::MidGcSlice:
-        return "mid_gc_slice";
-      case CutPolicy::MidErase:
-        return "mid_erase";
-      case CutPolicy::MidSupercapDrain:
-        return "mid_supercap_drain";
-      case CutPolicy::KthFlush:
-        return "kth_flush";
-      case CutPolicy::MidRestore:
-        return "mid_restore";
-      case CutPolicy::MidReplay:
-        return "mid_replay";
-    }
-    return "unknown";
-}
-
 FaultInjector::FaultInjector(EventQueue& eq, std::uint64_t seed)
     : eq(eq), rng(seed)
 {

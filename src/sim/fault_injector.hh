@@ -65,8 +65,6 @@ enum class CutPolicy
     MidReplay,
 };
 
-const char* cutPolicyName(CutPolicy p);
-
 /** One armed cut. */
 struct FaultPlan
 {

@@ -36,7 +36,7 @@ smallHamsBgGc()
     Tick t = 0;
     for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
         t = ftl.writePage(lpn, ssd.config().geom.pageSize, t);
-    sys->eventQueue().run(); // settle pre-run idle collection
+    sys->eventQueue().run(); // drain the prefill's pressure kicks
     ssd.flashLayer().reset(); // prefilled but idle device
     ftl.onFlashReset();       // handles died with the FIL's registry
     return sys;

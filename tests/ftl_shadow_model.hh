@@ -63,9 +63,6 @@ bgConfig()
     cfg.gcLowWater = 2;
     cfg.gcHighWater = 4;
     cfg.gcBatchPages = 4;
-    // Comfortably above the ~100 us inter-write spacing of chained
-    // zNand programs, so back-to-back churn never looks idle.
-    cfg.gcIdleThreshold = microseconds(500);
     return cfg;
 }
 

@@ -164,7 +164,9 @@ TEST(Nvdimm, ContentsSurvivePowerCycle)
     Nvdimm n(cfg);
     n.data()->writeValue<std::uint64_t>(1234, 0xFEED);
     n.powerFail();
-    n.powerRestore();
+    EventQueue eq;
+    n.beginRestore(eq, 0, nullptr, nullptr);
+    eq.run();
     EXPECT_EQ(n.state(), Nvdimm::State::Operational);
     EXPECT_EQ(n.data()->readValue<std::uint64_t>(1234), 0xFEEDu);
 }
@@ -185,7 +187,8 @@ TEST(Nvdimm, RestoreRequiresProtectedState)
     cfg.capacity = 64ull << 20;
     cfg.functionalData = false;
     Nvdimm n(cfg);
-    EXPECT_THROW(n.powerRestore(), FatalError);
+    EventQueue eq;
+    EXPECT_THROW(n.beginRestore(eq, 0, nullptr, nullptr), FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -227,7 +230,7 @@ TEST(NvdimmRestore, IncrementalRestoreProgressesAndCompletes)
     EXPECT_EQ(n.framesRestored(), n.restoreFrames());
     EXPECT_EQ(notified, n.restoreFrames());
     // The single on-DIMM stream restores frames back to back, so the
-    // incremental engine finishes exactly at the stop-the-world cost.
+    // incremental engine finishes exactly at the full-restore cost.
     EXPECT_EQ(done_at, n.fullRestoreTicks());
     EXPECT_EQ(n.data()->readValue<std::uint64_t>(4096), 0xBEEFu);
 }
@@ -319,9 +322,11 @@ TEST(NvdimmRestore, DoubleRestoreIsFatalWithContext)
     cfg.functionalData = false;
     Nvdimm n(cfg);
     n.powerFail();
-    n.powerRestore();
+    EventQueue eq;
+    n.beginRestore(eq, 0, nullptr, nullptr);
+    eq.run();
     try {
-        n.powerRestore();
+        n.beginRestore(eq, eq.now(), nullptr, nullptr);
         FAIL() << "double restore did not fault";
     } catch (const FatalError& e) {
         EXPECT_NE(std::string(e.what()).find("double restore"),

@@ -3,8 +3,8 @@
  * Background garbage collection invariants (ftl/page_ftl.hh):
  * no L2P mapping lost or duplicated across GC bursts, trim during
  * relocation, wear-spread bounds, backpressure (stall, never panic)
- * at the reserve, sustained-write determinism, idle-triggered
- * collection, exact synchronous-mode equivalence, and zero-allocation
+ * at the reserve, sustained-write determinism, no collection without
+ * pressure, exact synchronous-mode equivalence, and zero-allocation
  * steady-state operation.
  */
 
@@ -223,12 +223,12 @@ TEST(BackgroundGc, SustainedWriteRerunsAreBitIdentical)
     expectSameFields(sa, sb, "FtlStats rerun");
 }
 
-TEST(BackgroundGc, IdleTriggerCollectsAheadOfThePressurePoint)
+TEST(BackgroundGc, NoCollectionBetweenTheWatermarks)
 {
     GcRig rig;
     // Churn a small hot set just until some unit sits *between* the
-    // watermarks (free == 3, low == 2, high == 4): pressure GC has no
-    // reason to run yet, so only the idle timer can clean up.
+    // watermarks (free == 3, low == 2, high == 4): no pressure kick
+    // has fired, and a machine starts only from one.
     std::uint64_t hot = rig.ftl.logicalPages() / 8;
     Tick t = 0;
     std::uint64_t i = 0;
@@ -237,14 +237,13 @@ TEST(BackgroundGc, IdleTriggerCollectsAheadOfThePressurePoint)
     ASSERT_EQ(rig.ftl.stats().gcRuns, 0u)
         << "setup overshot into pressure-triggered GC";
 
-    // Go idle: only the idle timer fires now.
+    // Drain the queue: nothing is pending, and nothing collects.
     rig.eq.run();
-    EXPECT_GT(rig.ftl.stats().gcIdleKicks, 0u)
-        << "device idle never started proactive GC";
-    EXPECT_GT(rig.ftl.stats().erases, 0u);
-    EXPECT_GE(rig.ftl.minFreeBlocks(), 4u)
-        << "idle GC should restore the high watermark";
+    EXPECT_EQ(rig.ftl.stats().erases, 0u);
+    EXPECT_EQ(rig.ftl.stats().gcRuns, 0u);
     EXPECT_FALSE(rig.ftl.gcActive());
+    EXPECT_TRUE(rig.eq.empty())
+        << "a drained queue still holds " << rig.eq.pending() << " events";
     expectMappingsExact(rig.ftl, hot);
 }
 
@@ -534,15 +533,14 @@ TEST(GcPacer, HoldsHigherFreeLevelsUnderSteadyChurn)
     // The pacer starts collecting as soon as a unit leaves the high
     // watermark; the fixed-rate engine waits for the low watermark.
     // Under random overwrite traffic the device can absorb (300 us
-    // between writes — slow enough that collection keeps up, far too
-    // busy for the idle trigger), the paced pool must therefore ride
-    // measurably higher in the watermark band. (At full saturation
-    // both engines are erase-bandwidth-bound and converge — that
-    // regime is covered by the fig_gc sweep's QD-8 cells.)
+    // between writes, slow enough that collection keeps up), the
+    // paced pool must therefore ride measurably higher in the
+    // watermark band. (At full saturation both engines are
+    // erase-bandwidth-bound and converge — that regime is covered by
+    // the fig_gc sweep's QD-8 cells.)
     auto run = [](bool paced, double& avg_free) {
         FtlConfig cfg = bgConfig();
         cfg.gcAdaptivePacing = paced;
-        cfg.gcIdleThreshold = milliseconds(50); // idle GC out of play
         GcRig rig(cfg);
         std::uint64_t pages = rig.ftl.logicalPages() / 2;
         Tick t = rig.churn(pages, 1);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pinned_region.hh"
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace hams {
@@ -97,7 +98,10 @@ TEST(PinnedRegion, RingContentsSurviveNvdimmPowerCycle)
     PinnedRegion p(n, smallPinned());
     p.queuePair().push(makeWriteCommand(9, 3, 1, 0x100, true));
     n.powerFail();
-    n.powerRestore();
+    EventQueue eq;
+    n.beginRestore(eq, 0, nullptr, nullptr);
+    eq.run();
+    EXPECT_EQ(n.state(), Nvdimm::State::Operational);
     EXPECT_EQ(p.queuePair().readSlot(0).cid, 9);
 }
 
