@@ -9,9 +9,10 @@
 # with HAMS_BENCH_JSON unset: every binary writes its BENCH_*.json
 # under the default relative name, so its "Results written to" line is
 # the same on both sides. It compares each binary's stdout, exit
-# status and JSON files byte for byte, in the order listed below, and
-# exits 1 naming the first binary whose output differs (with the head
-# of the diff). Exits 0 when all 14 are identical.
+# status and JSON files byte for byte, in the order listed below,
+# printing one line and the head of the diff for every (binary, file)
+# that differs. After comparing all of them it exits 1 if any differed,
+# and 0 with a summary line when all 14 are identical.
 #
 # Usage: scripts/identical.sh <base-rev>
 #   IDENTICAL_DIR (default: build-identical in the repo root) holds the
@@ -75,22 +76,30 @@ build_and_run() {
 build_and_run base "${base_src}" "${dir}/build-base-${rev}"
 build_and_run head "${root}" "${dir}/build-head"
 
+differing=0
 for b in "${bins[@]}"; do
     base_run="${dir}/run-base/${b}"
     head_run="${dir}/run-head/${b}"
     files="$( { ls "${base_run}"; ls "${head_run}"; } |
               grep -v '^stderr.txt$' | sort -u)"
+    same=1
     for f in ${files}; do
         if ! cmp -s "${base_run}/${f}" "${head_run}/${f}"; then
             echo "identical: ${b} differs in ${f} (base ${rev} vs working tree)"
             diff "${base_run}/${f}" "${head_run}/${f}" | head -n 20 || true
-            exit 1
+            same=0
+            differing=$((differing + 1))
         fi
     done
-    if [ "$(cat "${head_run}/status.txt")" != 0 ]; then
+    if [ "${same}" = 1 ] && [ "$(cat "${head_run}/status.txt")" != 0 ]; then
         echo "identical: warning: ${b} exits $(cat "${head_run}/status.txt")" \
              "on both sides (see ${head_run}/stderr.txt)" >&2
     fi
 done
+if [ "${differing}" != 0 ]; then
+    echo "identical: ${differing} (binary, file) pairs differ" \
+         "(base ${rev} vs working tree)"
+    exit 1
+fi
 echo "identical: stdout, exit status and JSON of all ${#bins[@]} binaries" \
      "are byte-identical (base ${rev} vs working tree)"

@@ -45,13 +45,16 @@ FlatFlashPlatform::FlatFlashPlatform(const FlatFlashConfig& cfg)
 
 FlatFlashPlatform::~FlatFlashPlatform() = default;
 
-Tick
-FlatFlashPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
+bool
+FlatFlashPlatform::tryAccess(const MemAccess& acc, Tick at,
+                             InlineCompletion& out)
 {
     if (acc.addr + acc.size > _capacity)
         fatal("flatflash access beyond capacity");
 
     std::uint64_t page = acc.addr / nvmeBlockSize;
+    LatencyBreakdown& bd = out.bd;
+    bd = LatencyBreakdown{};
     Tick done;
 
     if (hostCacheTags && hostCacheTags->lookup(page)) {
@@ -106,23 +109,7 @@ FlatFlashPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         }
     }
 
-    return done;
-}
-
-void
-FlatFlashPlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
-{
-    LatencyBreakdown bd;
-    Tick done = serve(acc, at, bd);
-    scheduleCompletion(eq, done, bd, std::move(cb));
-}
-
-bool
-FlatFlashPlatform::tryAccess(const MemAccess& acc, Tick at,
-                             InlineCompletion& out)
-{
-    out.bd = LatencyBreakdown{};
-    out.done = serve(acc, at, out.bd);
+    out.done = done;
     out.domain = &eq;
     return true;
 }

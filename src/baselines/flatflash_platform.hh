@@ -50,8 +50,6 @@ class FlatFlashPlatform : public MemoryPlatform
     const std::string& name() const override { return _name; }
     std::uint64_t capacity() const override { return _capacity; }
     EventQueue& eventQueue() override { return eq; }
-    HAMS_HOT_PATH void access(const MemAccess& acc, Tick at,
-                              AccessCb cb) override;
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                                  InlineCompletion& out) override;
     /** Host-cached pages make -M non-persistent (paper SSVII). */
@@ -62,10 +60,6 @@ class FlatFlashPlatform : public MemoryPlatform
     std::uint64_t hostHits() const { return _hostHits; }
 
   private:
-    /** The latency arithmetic shared by access() and tryAccess(). */
-    HAMS_HOT_PATH Tick serve(const MemAccess& acc, Tick at,
-                             LatencyBreakdown& bd);
-
     FlatFlashConfig cfg;
     std::string _name;
     std::uint64_t _capacity;

@@ -126,13 +126,21 @@ MmapPlatform::maybeStartWriteback(Tick at)
         [this, at](std::uint64_t page) { writebackPage(page, at); });
 }
 
-Tick
-MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
+bool
+MmapPlatform::tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out)
 {
+    // Hit or fault alike, the whole software stack is latency
+    // arithmetic computed at issue time: always inline-completable.
+    // Device events a fault or writeback kicks (background GC) are
+    // scheduled here, before the caller decides whether to deliver
+    // inline or schedule the completion on out.domain — the same order
+    // the default access() schedules them in.
     if (acc.addr + acc.size > _capacity)
         fatal("mmap access beyond file size");
 
     std::uint64_t page = acc.addr / nvmeBlockSize;
+    LatencyBreakdown& bd = out.bd;
+    bd = LatencyBreakdown{};
     Tick done;
 
     if (cacheTags->lookup(page)) {
@@ -199,28 +207,7 @@ MmapPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         bd.nvdimm += done - resumed;
     }
 
-    return done;
-}
-
-void
-MmapPlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
-{
-    LatencyBreakdown bd;
-    Tick done = serve(acc, at, bd);
-    scheduleCompletion(eq, done, bd, std::move(cb));
-}
-
-bool
-MmapPlatform::tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out)
-{
-    // Hit or fault alike, the whole software stack is latency
-    // arithmetic computed at issue time: always inline-completable.
-    // Device events a fault or writeback kicks (background GC) are
-    // scheduled inside serve(), before the caller decides whether to
-    // deliver inline or schedule the completion on out.domain — the
-    // same order access() schedules them in.
-    out.bd = LatencyBreakdown{};
-    out.done = serve(acc, at, out.bd);
+    out.done = done;
     out.domain = &eq;
     return true;
 }

@@ -69,7 +69,6 @@ class MmapPlatform : public MemoryPlatform
     const std::string& name() const override { return _name; }
     std::uint64_t capacity() const override { return _capacity; }
     EventQueue& eventQueue() override { return eq; }
-    HAMS_HOT_PATH void access(const MemAccess& acc, Tick at, AccessCb cb) override;
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                    InlineCompletion& out) override;
     bool persistent() const override { return true; } //!< via msync
@@ -85,9 +84,6 @@ class MmapPlatform : public MemoryPlatform
     ///@}
 
   private:
-    /** The hit/fault arithmetic shared by access() and tryAccess(). */
-    HAMS_HOT_PATH Tick serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd);
-
     /** Write one dirty page back (timing on SSD + link resources). */
     HAMS_HOT_PATH Tick writebackPage(std::uint64_t page, Tick at);
 

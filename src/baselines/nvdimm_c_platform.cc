@@ -51,13 +51,16 @@ NvdimmCPlatform::claimWindow(Tick t)
     return done;
 }
 
-Tick
-NvdimmCPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
+bool
+NvdimmCPlatform::tryAccess(const MemAccess& acc, Tick at,
+                           InlineCompletion& out)
 {
     if (acc.addr + acc.size > _capacity)
         fatal("nvdimm-C access beyond capacity");
 
     std::uint64_t page = acc.addr / nvmeBlockSize;
+    LatencyBreakdown& bd = out.bd;
+    bd = LatencyBreakdown{};
     Tick done;
 
     if (cacheTags->lookup(page)) {
@@ -94,23 +97,7 @@ NvdimmCPlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         bd.nvdimm += done - moved;
     }
 
-    return done;
-}
-
-void
-NvdimmCPlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
-{
-    LatencyBreakdown bd;
-    Tick done = serve(acc, at, bd);
-    scheduleCompletion(eq, done, bd, std::move(cb));
-}
-
-bool
-NvdimmCPlatform::tryAccess(const MemAccess& acc, Tick at,
-                           InlineCompletion& out)
-{
-    out.bd = LatencyBreakdown{};
-    out.done = serve(acc, at, out.bd);
+    out.done = done;
     out.domain = &eq;
     return true;
 }

@@ -41,7 +41,6 @@ class NvdimmCPlatform : public MemoryPlatform
     const std::string& name() const override { return _name; }
     std::uint64_t capacity() const override { return _capacity; }
     EventQueue& eventQueue() override { return eq; }
-    HAMS_HOT_PATH void access(const MemAccess& acc, Tick at, AccessCb cb) override;
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                    InlineCompletion& out) override;
     bool persistent() const override { return true; }
@@ -53,9 +52,6 @@ class NvdimmCPlatform : public MemoryPlatform
     static constexpr Tick refreshInterval = microseconds(7.8);
 
   private:
-    /** The latency arithmetic shared by access() and tryAccess(). */
-    HAMS_HOT_PATH Tick serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd);
-
     /** Earliest refresh window at or after @p t; consumes the slot. */
     HAMS_HOT_PATH Tick claimWindow(Tick t);
 

@@ -77,12 +77,15 @@ OptanePlatform::mediaAccess(std::uint32_t size, MemOp op, Tick at,
     return done;
 }
 
-Tick
-OptanePlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
+bool
+OptanePlatform::tryAccess(const MemAccess& acc, Tick at,
+                          InlineCompletion& out)
 {
     if (acc.addr + acc.size > cfg.pmmBytes)
         fatal("optane access beyond capacity");
 
+    LatencyBreakdown& bd = out.bd;
+    bd = LatencyBreakdown{};
     Tick done;
 
     if (cacheTags) {
@@ -113,23 +116,7 @@ OptanePlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
         done = mediaAccess(acc.size, acc.op, at, bd);
     }
 
-    return done;
-}
-
-void
-OptanePlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
-{
-    LatencyBreakdown bd;
-    Tick done = serve(acc, at, bd);
-    scheduleCompletion(eq, done, bd, std::move(cb));
-}
-
-bool
-OptanePlatform::tryAccess(const MemAccess& acc, Tick at,
-                          InlineCompletion& out)
-{
-    out.bd = LatencyBreakdown{};
-    out.done = serve(acc, at, out.bd);
+    out.done = done;
     out.domain = &eq;
     return true;
 }

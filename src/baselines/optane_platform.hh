@@ -44,16 +44,12 @@ class OptanePlatform : public MemoryPlatform
     const std::string& name() const override { return _name; }
     std::uint64_t capacity() const override { return cfg.pmmBytes; }
     EventQueue& eventQueue() override { return eq; }
-    HAMS_HOT_PATH void access(const MemAccess& acc, Tick at, AccessCb cb) override;
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                    InlineCompletion& out) override;
     bool persistent() const override { return !cfg.memoryMode; }
     DeviceActivity deviceActivity() const override;
 
   private:
-    /** The latency arithmetic shared by access() and tryAccess(). */
-    HAMS_HOT_PATH Tick serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd);
-
     /** Media access with 256 B amplification and bandwidth occupancy. */
     HAMS_HOT_PATH Tick mediaAccess(std::uint32_t size, MemOp op, Tick at,
                      LatencyBreakdown& bd);

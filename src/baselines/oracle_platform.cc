@@ -12,30 +12,15 @@ OraclePlatform::OraclePlatform(const OracleConfig& cfg) : cfg(cfg)
 
 OraclePlatform::~OraclePlatform() = default;
 
-Tick
-OraclePlatform::serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd)
-{
-    if (acc.addr + acc.size > cfg.capacityBytes)
-        fatal("oracle access beyond capacity");
-    Tick done = dram->access(acc.addr, acc.size, acc.op, at);
-    bd.nvdimm = done - at;
-    return done;
-}
-
-void
-OraclePlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
-{
-    LatencyBreakdown bd;
-    Tick done = serve(acc, at, bd);
-    scheduleCompletion(eq, done, bd, std::move(cb));
-}
-
 bool
 OraclePlatform::tryAccess(const MemAccess& acc, Tick at,
                           InlineCompletion& out)
 {
+    if (acc.addr + acc.size > cfg.capacityBytes)
+        fatal("oracle access beyond capacity");
+    out.done = dram->access(acc.addr, acc.size, acc.op, at);
     out.bd = LatencyBreakdown{};
-    out.done = serve(acc, at, out.bd);
+    out.bd.nvdimm = out.done - at;
     out.domain = &eq;
     return true;
 }

@@ -32,16 +32,12 @@ class OraclePlatform : public MemoryPlatform
     const std::string& name() const override { return _name; }
     std::uint64_t capacity() const override { return cfg.capacityBytes; }
     EventQueue& eventQueue() override { return eq; }
-    HAMS_HOT_PATH void access(const MemAccess& acc, Tick at, AccessCb cb) override;
     HAMS_HOT_PATH bool tryAccess(const MemAccess& acc, Tick at,
                    InlineCompletion& out) override;
     bool persistent() const override { return true; }
     DeviceActivity deviceActivity() const override;
 
   private:
-    /** The latency arithmetic shared by access() and tryAccess(). */
-    HAMS_HOT_PATH Tick serve(const MemAccess& acc, Tick at, LatencyBreakdown& bd);
-
     OracleConfig cfg;
     std::string _name = "oracle";
     EventQueue eq;

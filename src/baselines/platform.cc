@@ -5,6 +5,16 @@
 namespace hams {
 
 void
+MemoryPlatform::access(const MemAccess& acc, Tick at, AccessCb cb)
+{
+    InlineCompletion out;
+    if (!tryAccess(acc, at, out))
+        panic(name(), ": tryAccess() declined, but the platform has no "
+                      "access() of its own");
+    scheduleCompletion(*out.domain, out.done, out.bd, std::move(cb));
+}
+
+void
 MemoryPlatform::scheduleCompletion(EventQueue& eq, Tick done,
                                    const LatencyBreakdown& bd, AccessCb cb)
 {

@@ -24,6 +24,14 @@
  * completes hits (in either mode) whose frame is idle (not busy, so no
  * waiters can be parked and no fill can be racing the tag probe).
  *
+ * A platform that completes every access inline (mmap, FlatFlash,
+ * NVDIMM-C, Optane, the oracle) implements tryAccess() alone: the
+ * default MemoryPlatform::access() is tryAccess() plus a completion
+ * event at out.done on out.domain, so its event path is the inline
+ * path by construction. A platform whose tryAccess() can decline
+ * (HAMS, a sharded platform) must override access() with its own
+ * event path; the default treats a decline as an internal error.
+ *
  * Re-entrancy rules:
  *  - tryAccess() must not touch the event queue: no schedule, no
  *    step, no run — a false return must leave the queue untouched so
@@ -52,8 +60,9 @@
  *
  * Hot-path contract (machine-checked)
  * -----------------------------------
- * Every platform's access()/tryAccess()/serve() chain is a
- * HAMS_HOT_PATH (sim/annotations.hh): from those roots, transitively,
+ * Every platform's tryAccess() and access() — for an always-inline
+ * platform, the default MemoryPlatform::access() — are HAMS_HOT_PATH
+ * roots (sim/annotations.hh): from those roots, transitively,
  * steady-state code performs no heap allocation (pools and first-touch
  * tables only), probes no hash container, constructs no std::function,
  * keeps event-callback captures inside InlineFunction's 48-byte inline
@@ -178,6 +187,7 @@
 
 #include "energy/energy_meter.hh"
 #include "mem/request.hh"
+#include "sim/annotations.hh"
 #include "sim/domain_conductor.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
@@ -250,8 +260,14 @@ class MemoryPlatform
     /**
      * Issue one CPU-visible access (<= 64 B, never page-crossing) at
      * tick @p at.
+     *
+     * The default runs tryAccess() and schedules @p cb at out.done on
+     * out.domain, carrying out.bd; it panics if tryAccess() declines.
+     * Platforms whose tryAccess() can decline override it (see the
+     * immediate-completion contract in the file header).
      */
-    virtual void access(const MemAccess& acc, Tick at, AccessCb cb) = 0;
+    HAMS_HOT_PATH virtual void access(const MemAccess& acc, Tick at,
+                                      AccessCb cb);
 
     /**
      * Fast path: try to complete the access inline, without touching
@@ -260,14 +276,8 @@ class MemoryPlatform
      * latency attribution and the access is fully applied; on false,
      * nothing happened and the caller must issue it via access().
      */
-    virtual bool
-    tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out)
-    {
-        (void)acc;
-        (void)at;
-        (void)out;
-        return false;
-    }
+    virtual bool tryAccess(const MemAccess& acc, Tick at,
+                           InlineCompletion& out) = 0;
 
     /** True if acked writes survive power failure. */
     virtual bool persistent() const = 0;

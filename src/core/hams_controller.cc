@@ -320,56 +320,15 @@ HamsController::startMissIo(Op* op, Tick at)
     Addr victim_page = tags.mosPageAddr(e.tag, op->idx);
     std::uint64_t victim_slba = slbaOf(victim_page);
 
-    switch (cfg.hazard) {
-      case HazardPolicy::PrpClone:
-      case HazardPolicy::Unprotected: {
-        // Eviction and fill go out together; the device may complete
-        // them out of order. With a clone that is safe; unprotected it
-        // reproduces the paper's Fig. 13 corruption.
-        if (cfg.mode == HamsMode::Persist) {
-            // Persist mode still serialises: evict, then fill.
-            gateSubmit(evict_ready,
-                       [this, op, evict_prp, victim_slba](Tick t) {
-                NvmeCommand ev = makeWriteCommand(
-                    0, victim_slba, blocksPerPage(), evict_prp, true);
-                engine.submit(ev, t,
-                              [this, op](const NvmeCommand&,
-                                         const NvmeCmdTrace&, Tick when) {
-                                  gateRelease(when);
-                                  gateSubmit(when, [this, op](Tick t2) {
-                                      submitFill(op, t2);
-                                  });
-                              });
-            });
-        } else if (cfg.hazard == HazardPolicy::PrpClone) {
-            NvmeCommand ev = makeWriteCommand(0, victim_slba,
-                                              blocksPerPage(), evict_prp,
-                                              fua);
-            engine.submit(ev, evict_ready, nullptr);
-            submitFill(op, evict_ready);
-        } else {
-            // Unprotected: no clone and no ordering guarantee. A
-            // latency-minded controller issues the demand fill first
-            // and evicts lazily — so the eviction's DMA pulls the frame
-            // *after* the fill (and subsequent MMU writes) replaced its
-            // contents: the paper's Fig. 13 corruption.
-            submitFill(op, evict_ready);
-            NvmeCommand ev = makeWriteCommand(0, victim_slba,
-                                              blocksPerPage(), evict_prp,
-                                              fua);
-            engine.submit(ev, evict_ready, nullptr);
-        }
-        break;
-      }
-      case HazardPolicy::SerializeEvictFill: {
-        // Safe without a clone: the fill only starts once the eviction
-        // pulled the frame. Costs the full eviction latency on the
-        // critical path.
-        bool ser_fua = fua;
+    if (fua || cfg.hazard == HazardPolicy::SerializeEvictFill) {
+        // Evict, then fill: the fill only starts once the eviction
+        // pulled the frame, so it is safe without a clone and costs the
+        // full eviction latency on the critical path. Persist mode
+        // always serialises, whatever the hazard policy.
         gateSubmit(evict_ready,
-                   [this, op, evict_prp, victim_slba, ser_fua](Tick t) {
+                   [this, op, evict_prp, victim_slba, fua](Tick t) {
             NvmeCommand ev = makeWriteCommand(
-                0, victim_slba, blocksPerPage(), evict_prp, ser_fua);
+                0, victim_slba, blocksPerPage(), evict_prp, fua);
             engine.submit(ev, t,
                           [this, op](const NvmeCommand&,
                                      const NvmeCmdTrace&, Tick when) {
@@ -379,8 +338,27 @@ HamsController::startMissIo(Op* op, Tick at)
                               });
                           });
         });
-        break;
-      }
+        return;
+    }
+
+    // Extend mode: eviction and fill go out together; the device may
+    // complete them out of order. With a clone that is safe;
+    // unprotected it reproduces the paper's Fig. 13 corruption.
+    if (cfg.hazard == HazardPolicy::PrpClone) {
+        NvmeCommand ev = makeWriteCommand(0, victim_slba, blocksPerPage(),
+                                          evict_prp, fua);
+        engine.submit(ev, evict_ready, nullptr);
+        submitFill(op, evict_ready);
+    } else {
+        // Unprotected: no clone and no ordering guarantee. A
+        // latency-minded controller issues the demand fill first and
+        // evicts lazily — so the eviction's DMA pulls the frame *after*
+        // the fill (and subsequent MMU writes) replaced its contents:
+        // the paper's Fig. 13 corruption.
+        submitFill(op, evict_ready);
+        NvmeCommand ev = makeWriteCommand(0, victim_slba, blocksPerPage(),
+                                          evict_prp, fua);
+        engine.submit(ev, evict_ready, nullptr);
     }
 }
 

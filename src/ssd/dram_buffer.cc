@@ -148,16 +148,6 @@ DramBuffer::markClean(std::uint64_t key)
         clearDirty(key);
 }
 
-void
-DramBuffer::erase(std::uint64_t key)
-{
-    if (!contains(key))
-        return;
-    lruUnlink(linksOf(static_cast<std::uint32_t>(key)));
-    --resident;
-    markClean(key);
-}
-
 std::vector<std::uint64_t>
 DramBuffer::dirtyFrames() const
 {

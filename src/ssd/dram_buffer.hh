@@ -115,9 +115,6 @@ class DramBuffer
     /** Clear the dirty bit of a resident frame (after writeback). */
     HAMS_HOT_PATH void markClean(std::uint64_t key);
 
-    /** Remove a frame (invalidate). */
-    HAMS_HOT_PATH void erase(std::uint64_t key);
-
     /** Number of dirty frames, O(1). */
     std::size_t dirtyCount() const { return dirtyTotal; }
 
@@ -126,12 +123,12 @@ class DramBuffer
      * when fewer are dirty), in ascending key order; returns how many
      * were visited. Allocation-free; costs O(visited + summary words).
      *
-     * Visitor contract: @p fn may clean or erase the key it is being
-     * handed — a writeback round does exactly that through
-     * markClean() — because the loop works on copies of the current
-     * bitmap word and summary word. It must not dirty, clean or erase
-     * any other key of this buffer: an unvisited key changed behind
-     * the loop may be skipped or visited anyway.
+     * Visitor contract: @p fn may clean the key it is being handed —
+     * a writeback round does exactly that through markClean() —
+     * because the loop works on copies of the current bitmap word and
+     * summary word. It must not dirty or clean any other key of this
+     * buffer: an unvisited key changed behind the loop may be skipped
+     * or visited anyway.
      */
     template <typename Fn>
     HAMS_HOT_PATH std::size_t forEachDirtyAscending(std::size_t limit,

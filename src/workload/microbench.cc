@@ -34,29 +34,25 @@ microSpec(const std::string& name, std::uint64_t dataset_bytes)
     s.flushEveryOps = 0;
 
     if (name == "seqRd") {
+        // Table III: load ratio 28%, store ratio 43%.
         s.pattern = AccessPattern::Sequential;
         s.readFraction = 1.0;
-        s.loadRatio = 0.28;
-        s.storeRatio = 0.43;
     } else if (name == "rndRd") {
+        // Table III: load ratio 27%, store ratio 37%.
         s.pattern = AccessPattern::Random;
         s.readFraction = 1.0;
         s.hotFraction = 0.25;
         s.hotProbability = 0.85;
-        s.loadRatio = 0.27;
-        s.storeRatio = 0.37;
     } else if (name == "seqWr") {
+        // Table III: load ratio 28%, store ratio 43%.
         s.pattern = AccessPattern::Sequential;
         s.readFraction = 0.0;
-        s.loadRatio = 0.28;
-        s.storeRatio = 0.43;
     } else if (name == "rndWr") {
+        // Table III: load ratio 27%, store ratio 37%.
         s.pattern = AccessPattern::Random;
         s.readFraction = 0.0;
         s.hotFraction = 0.25;
         s.hotProbability = 0.85;
-        s.loadRatio = 0.27;
-        s.storeRatio = 0.37;
     } else {
         fatal("unknown micro workload '", name, "'");
     }

@@ -32,6 +32,7 @@ rodiniaSpec(const std::string& name, std::uint64_t dataset_bytes)
     s.flushEveryOps = 0;
 
     if (name == "BFS") {
+        // Table III: load ratio 21%, store ratio 4%.
         // Frontier expansion: pointer-chasing neighbour loads.
         s.pattern = AccessPattern::Random;
         s.readFraction = 0.95;
@@ -39,24 +40,20 @@ rodiniaSpec(const std::string& name, std::uint64_t dataset_bytes)
         s.computePerAccess = 15;
         s.hotFraction = 0.3; // frontier locality
         s.hotProbability = 0.75;
-        s.loadRatio = 0.21;
-        s.storeRatio = 0.04;
     } else if (name == "KMN") {
+        // Table III: load ratio 27%, store ratio 3%.
         // Streaming point reads; centroids stay cache resident.
         s.pattern = AccessPattern::Sequential;
         s.readFraction = 0.95;
         s.accessesPerOp = 16;
         s.computePerAccess = 25;
-        s.loadRatio = 0.27;
-        s.storeRatio = 0.03;
     } else if (name == "NN") {
+        // Table III: load ratio 16%, store ratio 5%.
         // Distance computation dominates; low memory intensity.
         s.pattern = AccessPattern::Sequential;
         s.readFraction = 0.97;
         s.accessesPerOp = 16;
         s.computePerAccess = 40;
-        s.loadRatio = 0.16;
-        s.storeRatio = 0.05;
     } else {
         fatal("unknown rodinia workload '", name, "'");
     }

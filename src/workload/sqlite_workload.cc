@@ -35,6 +35,7 @@ sqliteSpec(const std::string& name, std::uint64_t dataset_bytes)
     s.hotProbability = 0.8;
 
     if (name == "seqSel" || name == "rndSel") {
+        // Table III: load ratio 26%, store ratio 20%.
         s.pattern = name == "seqSel" ? AccessPattern::Sequential
                                      : AccessPattern::Random;
         s.readFraction = 1.0;
@@ -42,9 +43,8 @@ sqliteSpec(const std::string& name, std::uint64_t dataset_bytes)
         s.computePerAccess = 8000; // query evaluation dominates
         s.walBytesPerOp = 0;
         s.flushEveryOps = 0;
-        s.loadRatio = 0.26;
-        s.storeRatio = 0.20;
     } else if (name == "seqIns" || name == "rndIns") {
+        // Table III: load ratio 25%, store ratio 21%.
         s.pattern = name == "seqIns" ? AccessPattern::Sequential
                                      : AccessPattern::Random;
         s.readFraction = 0.3; // read-modify-write of leaf + header
@@ -52,17 +52,14 @@ sqliteSpec(const std::string& name, std::uint64_t dataset_bytes)
         s.computePerAccess = 2000;
         s.walBytesPerOp = 256;
         s.flushEveryOps = 32; // group commit
-        s.loadRatio = 0.25;
-        s.storeRatio = 0.21;
     } else if (name == "update") {
+        // Table III: load ratio 26%, store ratio 20%.
         s.pattern = AccessPattern::Random;
         s.readFraction = 0.5;
         s.accessesPerOp = 4;
         s.computePerAccess = 3000;
         s.walBytesPerOp = 256;
         s.flushEveryOps = 32;
-        s.loadRatio = 0.26;
-        s.storeRatio = 0.20;
     } else {
         fatal("unknown sqlite workload '", name, "'");
     }

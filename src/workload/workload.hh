@@ -70,12 +70,6 @@ struct WorkloadSpec
     std::uint32_t flushEveryOps = 0;
     ///@}
 
-    /** @name Documentation from Table III (not used by the engine). */
-    ///@{
-    double loadRatio = 0.28;
-    double storeRatio = 0.43;
-    ///@}
-
     /**
      * SMP sharding: start the sequential data cursor (and the WAL
      * cursor) this fraction of the way into its region, so N cores

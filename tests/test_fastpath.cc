@@ -15,7 +15,11 @@
 #include <tuple>
 #include <utility>
 
+#include "baselines/flatflash_platform.hh"
 #include "baselines/mmap_platform.hh"
+#include "baselines/nvdimm_c_platform.hh"
+#include "baselines/optane_platform.hh"
+#include "baselines/oracle_platform.hh"
 #include "core/hams_system.hh"
 #include "cpu/core_model.hh"
 #include "sim/alloc_hook.hh"
@@ -92,6 +96,92 @@ TEST(FastPathDifferential, MmfRndWrOnMmap)
 TEST(FastPathDifferential, SqliteUpdateOnMmap)
 {
     differential(smallMmap, "update", 800000);
+}
+
+/**
+ * The other always-inline baselines: their event path is the default
+ * MemoryPlatform::access() over tryAccess(), so inline off runs it on
+ * every access, and inline on must fire fewer events. Caches smaller
+ * than the 32 MiB dataset keep the miss arithmetic (refresh windows,
+ * migrations, promotions) in play; update's long compute phases need
+ * the larger budget to reach a few thousand accesses.
+ */
+template <typename MakePlatform>
+void
+baselineDifferential(MakePlatform make, const std::string& workload)
+{
+    std::uint64_t budget = workload == "update" ? 8000000 : 200000;
+    auto [p_on, p_off] = differential(make, workload, budget);
+    EXPECT_LT(p_on->eventQueue().fired(), p_off->eventQueue().fired());
+}
+
+TEST(FastPathDifferential, RndWrOnNvdimmC)
+{
+    baselineDifferential(
+        [] {
+            NvdimmCConfig c;
+            c.dramBytes = 16ull << 20;
+            c.flashRawBytes = 1ull << 30;
+            return std::make_unique<NvdimmCPlatform>(c);
+        },
+        "rndWr");
+}
+
+TEST(FastPathDifferential, UpdateOnOptaneP)
+{
+    baselineDifferential(
+        [] {
+            OptaneConfig c;
+            c.pmmBytes = 1ull << 30;
+            return std::make_unique<OptanePlatform>(c);
+        },
+        "update");
+}
+
+TEST(FastPathDifferential, RndWrOnOptaneM)
+{
+    baselineDifferential(
+        [] {
+            OptaneConfig c;
+            c.memoryMode = true;
+            c.pmmBytes = 1ull << 30;
+            c.dramCacheBytes = 16ull << 20;
+            return std::make_unique<OptanePlatform>(c);
+        },
+        "rndWr");
+}
+
+TEST(FastPathDifferential, RndRdOnFlatFlashP)
+{
+    baselineDifferential(
+        [] {
+            FlatFlashConfig c;
+            c.ssdRawBytes = 1ull << 30;
+            return std::make_unique<FlatFlashPlatform>(c);
+        },
+        "rndRd");
+}
+
+TEST(FastPathDifferential, UpdateOnFlatFlashM)
+{
+    baselineDifferential(
+        [] {
+            FlatFlashConfig c;
+            c.hostCaching = true;
+            c.hostDramBytes = 16ull << 20;
+            c.ssdRawBytes = 1ull << 30;
+            return std::make_unique<FlatFlashPlatform>(c);
+        },
+        "update");
+}
+
+TEST(FastPathDifferential, RndWrOnOracle)
+{
+    baselineDifferential(
+        [] {
+            return std::make_unique<OraclePlatform>(OracleConfig{1ull << 30});
+        },
+        "rndWr");
 }
 
 const char*

@@ -399,16 +399,6 @@ class ReferenceLru
         return ev;
     }
 
-    void
-    erase(std::uint64_t key)
-    {
-        auto it = pos.find(key);
-        if (it == pos.end())
-            return;
-        order.erase(it->second.first);
-        pos.erase(it);
-    }
-
     std::size_t size() const { return pos.size(); }
 
   private:
@@ -420,7 +410,7 @@ class ReferenceLru
 };
 
 /**
- * Seeded lookup/insert/erase churn on a 16-frame buffer against
+ * Seeded lookup/insert churn on a 16-frame buffer against
  * ReferenceLru: the same victim key, dirty bit and residency after
  * every op. The ops draw from 64 slots; @p key_of maps a slot to its
  * frame key in a @p key_space-key buffer.
@@ -438,12 +428,9 @@ checkChurnAgainstReference(std::uint64_t key_space, KeyOf key_of)
     Rng rng(42);
     for (int i = 0; i < 20000; ++i) {
         std::uint64_t key = key_of(rng.below(64));
-        switch (rng.below(3)) {
-          case 0: {
+        if (rng.below(2) == 0) {
             ASSERT_EQ(buf.lookup(key), ref.lookup(key)) << "op " << i;
-            break;
-          }
-          case 1: {
+        } else {
             bool dirty = rng.below(2) == 0;
             BufferEviction a = buf.insert(key, dirty);
             BufferEviction b = ref.insert(key, dirty);
@@ -452,13 +439,6 @@ checkChurnAgainstReference(std::uint64_t key_space, KeyOf key_of)
                 ASSERT_EQ(a.frameKey, b.frameKey) << "op " << i;
                 ASSERT_EQ(a.dirty, b.dirty) << "op " << i;
             }
-            break;
-          }
-          default: {
-            buf.erase(key);
-            ref.erase(key);
-            break;
-          }
         }
         ASSERT_EQ(buf.residentFrames(), ref.size()) << "op " << i;
     }
@@ -507,7 +487,6 @@ TEST(DramBuffer, KeyBeyondKeySpaceIsFatal)
             EXPECT_FALSE(buf.lookup(key));
             EXPECT_FALSE(buf.isDirty(key));
             EXPECT_FALSE(buf.markDirty(key));
-            buf.erase(key);
             buf.markClean(key);
         }
     }
@@ -581,7 +560,7 @@ TEST(DramBufferLru, WritebackRoundIsAllocationFree)
 /**
  * The dirty bitmap against a std::set reference under seeded churn:
  * inserts clean and dirty, re-dirtying resident frames, markClean,
- * erase, writeback rounds that clean what they visit, capacity
+ * writeback rounds that clean what they visit, capacity
  * evictions and dropAll. Keys span five summary words (4096 keys
  * each), in clusters that share bitmap words and straddle
  * summary-word boundaries. After every step the ascending visit, its
@@ -628,7 +607,7 @@ TEST(DramBufferDirty, AscendingMatchesSortedReference)
     std::vector<std::uint64_t> got;
     for (int step = 0; step < 20000; ++step) {
         std::uint64_t key = pick();
-        switch (rng.below(16)) {
+        switch (rng.below(15)) {
           case 0: case 1: case 2: case 3:
             insert(key, /*dirty=*/true, step);
             break;
@@ -646,12 +625,7 @@ TEST(DramBufferDirty, AscendingMatchesSortedReference)
             buf.markClean(key);
             dirty.erase(key);
             break;
-          case 11:
-            buf.erase(key);
-            resident.erase(key);
-            dirty.erase(key);
-            break;
-          case 12: {
+          case 11: {
             std::size_t batch = rng.below(8);
             std::size_t visited = buf.forEachDirtyAscending(
                 batch, [&buf](std::uint64_t k) { buf.markClean(k); });
@@ -661,7 +635,7 @@ TEST(DramBufferDirty, AscendingMatchesSortedReference)
                 dirty.erase(dirty.begin());
             break;
           }
-          case 13:
+          case 12:
             if (rng.below(64) == 0) {
                 buf.dropAll();
                 resident.clear();

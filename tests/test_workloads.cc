@@ -210,13 +210,6 @@ TEST(Workloads, RodiniaHasLowStoreRatio)
     }
 }
 
-TEST(Workloads, SpecRatiosDocumentTableIII)
-{
-    EXPECT_NEAR(microSpec("seqRd", datasetBytes).loadRatio, 0.28, 1e-9);
-    EXPECT_NEAR(sqliteSpec("update", datasetBytes).storeRatio, 0.20, 1e-9);
-    EXPECT_NEAR(rodiniaSpec("NN", datasetBytes).loadRatio, 0.16, 1e-9);
-}
-
 TEST(Workloads, TinyDatasetRejected)
 {
     EXPECT_THROW(makeWorkload("seqRd", 1024), FatalError);

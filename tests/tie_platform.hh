@@ -11,7 +11,6 @@
 #define HAMS_TESTS_TIE_PLATFORM_HH_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "baselines/platform.hh"
@@ -41,15 +40,6 @@ class TiePlatform : public MemoryPlatform
     std::uint64_t capacity() const override { return 1ull << 30; }
     EventQueue& eventQueue() override { return eq; }
     bool persistent() const override { return true; }
-
-    void
-    access(const MemAccess& acc, Tick at, AccessCb cb) override
-    {
-        calls.push_back({at, acc.addr});
-        LatencyBreakdown bd;
-        bd.nvdimm = latencyOf(acc);
-        scheduleCompletion(eq, at + bd.nvdimm, bd, std::move(cb));
-    }
 
     bool
     tryAccess(const MemAccess& acc, Tick at, InlineCompletion& out) override
