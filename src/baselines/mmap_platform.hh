@@ -45,8 +45,13 @@ struct MmapConfig
      *  reaches the flash. */
     std::uint64_t ssdBufferBytes = ~std::uint64_t(0);
 
-    /** Background writeback starts at this dirty fraction. */
-    double dirtyWatermark = 0.3;
+    /**
+     * Background writeback starts at this dirty fraction of the page
+     * cache, 0.3: the model's fixed analogue of Linux's
+     * vm.dirty_background_ratio, and the value every committed mmap
+     * figure row was measured at.
+     */
+    static constexpr double dirtyWatermark = 0.3;
 
     /**
      * Backing-SSD FTL knobs. With backgroundGc the device collects

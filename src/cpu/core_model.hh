@@ -25,13 +25,19 @@
 
 namespace hams {
 
-/** Core configuration. */
+/**
+ * Core configuration. The clock, the CPI and the cache geometry are
+ * constants of the paper's Table II core; only the host-side inline
+ * fast path is settable.
+ */
 struct CoreConfig
 {
     static constexpr double freqGhz = 2.0;
     static constexpr double baseCpi = 1.0;
-    CacheConfig l1{64 * 1024, 64, 4, nanoseconds(1)};
-    CacheConfig l2{2 * 1024 * 1024, 64, 8, nanoseconds(5)};
+    /** Table II's 64 KB L1D (4-way, 64 B lines, 1 ns hit). */
+    static constexpr CacheConfig l1{64 * 1024, 64, 4, nanoseconds(1)};
+    /** Table II's 2 MB L2 (8-way, 64 B lines, 5 ns hit). */
+    static constexpr CacheConfig l2{2 * 1024 * 1024, 64, 8, nanoseconds(5)};
     /**
      * Use MemoryPlatform::tryAccess to complete accesses inline where
      * that keeps the event-path issue order (the inline rule in

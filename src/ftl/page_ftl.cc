@@ -11,21 +11,10 @@ namespace hams {
 PageFtl::PageFtl(const FlashGeometry& geom, Fil& fil, const FtlConfig& cfg)
     : geom(geom), fil(fil), cfg(cfg)
 {
-    if (cfg.overProvision <= 0.0 || cfg.overProvision >= 0.5)
-        fatal("FTL over-provisioning must be in (0, 0.5), got ",
-              cfg.overProvision);
-    if (cfg.gcHighWater <= cfg.gcLowWater)
-        fatal("FTL gcHighWater must exceed gcLowWater");
     if (geom.blocksPerPlane <= cfg.gcHighWater + 1)
         fatal("flash geometry too small for the GC watermarks");
-    if (cfg.backgroundGc) {
-        if (cfg.gcReserveBlocks >= cfg.gcLowWater)
-            fatal("FTL gcReserveBlocks (", cfg.gcReserveBlocks,
-                  ") must stay below gcLowWater (", cfg.gcLowWater,
-                  ") so background GC starts before the reserve is hit");
-        if (cfg.gcBatchPages == 0)
-            fatal("FTL gcBatchPages must be at least 1");
-    }
+    if (cfg.backgroundGc && cfg.gcBatchPages == 0)
+        fatal("FTL gcBatchPages must be at least 1");
     if (cfg.gcAdaptivePacing && !cfg.backgroundGc)
         fatal("FTL gcAdaptivePacing requires backgroundGc: the pacer "
               "rate-limits the background machines");

@@ -8,6 +8,13 @@
  * levels wear (free blocks pop least-worn first). Timing flows through the FIL so GC relocation
  * traffic naturally delays foreground operations on the same resources.
  *
+ * The over-provisioning and the GC watermarks are constants of the one
+ * ULL-Flash FTL the simulator models, not settings: every bench,
+ * example and perfbench run uses the same values, and a figure run at
+ * other values would model another device. FtlConfig names each and
+ * why it holds its value; `static_assert`s keep their order. Only the
+ * GC personality and the background batch size are settable.
+ *
  * Garbage collection has two personalities:
  *
  *  - **Synchronous** (`backgroundGc = false`, the default): the caller
@@ -83,15 +90,31 @@
 
 namespace hams {
 
-/** FTL tuning knobs. */
+/** FTL tuning knobs: the fixed ULL-Flash constants and the GC personality. */
 struct FtlConfig
 {
-    /** Fraction of raw capacity reserved for garbage collection. */
-    double overProvision = 0.07;
-    /** GC starts when a parallel unit's free blocks drop to this. */
-    std::uint32_t gcLowWater = 2;
-    /** GC stops once free blocks recover to this. */
-    std::uint32_t gcHighWater = 4;
+    /**
+     * Fraction of raw capacity reserved for garbage collection, 7%:
+     * the customary spare area of an SSD whose binary-GiB raw array
+     * is sold in decimal GB (1 - 10^9 / 2^30 is 6.9%). Every
+     * FTL-backed device in the simulator exports 93% of its raw pages,
+     * and every committed figure row was measured at it.
+     */
+    static constexpr double overProvision = 0.07;
+    /**
+     * GC starts when a parallel unit's free blocks drop to this, 2:
+     * one block above the one-block reserve, so background GC starts
+     * while foreground writes can still allocate.
+     */
+    static constexpr std::uint32_t gcLowWater = 2;
+    /**
+     * GC stops once free blocks recover to this, 4: two blocks of
+     * hysteresis above the low watermark, so a burst frees at least
+     * two blocks instead of re-triggering on the next block opened.
+     * A geometry needs more than gcHighWater + 1 blocks per plane (the
+     * constructor checks).
+     */
+    static constexpr std::uint32_t gcHighWater = 4;
 
     /** @name Background GC (requires attachEventQueue()). */
     ///@{
@@ -103,11 +126,12 @@ struct FtlConfig
     bool backgroundGc = false;
     /**
      * Foreground writes stall (wait for background GC to free a
-     * block) once a unit's free pool is at or below this. The reserve
-     * keeps GC relocation always able to allocate. Must be below
-     * gcLowWater.
+     * block) once a unit's free pool is at or below this, 1: the one
+     * block that keeps GC relocation always able to allocate. It sits
+     * below gcLowWater, so background GC starts before the reserve is
+     * hit.
      */
-    std::uint32_t gcReserveBlocks = 1;
+    static constexpr std::uint32_t gcReserveBlocks = 1;
     /** Pages relocated per background GC step event. */
     std::uint32_t gcBatchPages = 8;
     /**
@@ -118,8 +142,13 @@ struct FtlConfig
      * preserves the fixed-batch, low-watermark-triggered behaviour.
      */
     bool gcAdaptivePacing = false;
-    /** Cadence slack per unused pacer level (gcAdaptivePacing). */
-    Tick gcPaceQuantum = microseconds(25);
+    /**
+     * Cadence slack per unused pacer level (gcAdaptivePacing), 25 us:
+     * a quarter of a Z-NAND page program (NandTiming::zNand). The band
+     * between the reserve and the high watermark has three levels, so
+     * a step at the high watermark waits 75 us, under one program.
+     */
+    static constexpr Tick gcPaceQuantum = microseconds(25);
     /**
      * Victim-quality term of the adaptive pacer (requires
      * gcAdaptivePacing; the constructor rejects it without): while
@@ -136,6 +165,15 @@ struct FtlConfig
     bool gcVictimQuality = false;
     ///@}
 };
+
+static_assert(FtlConfig::overProvision > 0.0 &&
+                  FtlConfig::overProvision < 0.5,
+              "FTL over-provisioning must be in (0, 0.5)");
+static_assert(FtlConfig::gcHighWater > FtlConfig::gcLowWater,
+              "FTL gcHighWater must exceed gcLowWater");
+static_assert(FtlConfig::gcReserveBlocks < FtlConfig::gcLowWater,
+              "FTL gcReserveBlocks must stay below gcLowWater so "
+              "background GC starts before the reserve is hit");
 
 /** FTL statistics. */
 #define HAMS_FTL_STATS_FIELDS(X)                                           \

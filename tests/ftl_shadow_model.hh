@@ -53,15 +53,16 @@ tinyGeom()
     return g;
 }
 
-/** Background GC with a one-block reserve under the 2/4 watermarks. */
+/**
+ * Background GC at the fixed one-block reserve and 2/4 watermarks,
+ * relocating four pages per step: half of tinyGeom()'s 8-page block,
+ * so a victim with live pages spans GC slices.
+ */
 inline FtlConfig
 bgConfig()
 {
     FtlConfig cfg;
     cfg.backgroundGc = true;
-    cfg.gcReserveBlocks = 1;
-    cfg.gcLowWater = 2;
-    cfg.gcHighWater = 4;
     cfg.gcBatchPages = 4;
     return cfg;
 }

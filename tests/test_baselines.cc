@@ -97,14 +97,22 @@ TEST(MmapPlatform, FlushWritesBackDirtyPages)
 
 TEST(MmapPlatform, DirtyEvictionWritesBack)
 {
+    // Four dirty pages stay under the 0.3 watermark of a 16-frame cache
+    // (4.8 pages), so background writeback never starts: only the
+    // reclaim path writes them back, when sixteen later faults evict
+    // them. Every other page is touched, which keeps readahead off.
     MmapConfig cfg = smallMmap();
-    cfg.pageCacheBytes = 16 * 4096; // tiny cache forces eviction
-    cfg.dirtyWatermark = 1.1;       // disable background writeback
+    cfg.pageCacheBytes = 16 * 4096;
     MmapPlatform p(cfg);
     Tick t = 0;
-    for (int i = 0; i < 32; ++i)
-        t = p.accessSync(MemAccess{Addr(i) * 4096, 64, MemOp::Write}, t);
-    EXPECT_GT(p.writebacks(), 0u);
+    for (int i = 0; i < 4; ++i)
+        t = p.accessSync(MemAccess{Addr(2 * i) * 4096, 64, MemOp::Write}, t);
+    EXPECT_EQ(p.writebacks(), 0u);
+    for (int i = 0; i < 16; ++i)
+        t = p.accessSync(
+            MemAccess{Addr(100 + 2 * i) * 4096, 64, MemOp::Read}, t);
+    EXPECT_EQ(p.pageFaults(), 20u);
+    EXPECT_EQ(p.writebacks(), 4u);
 }
 
 TEST(FlatFlash, MmioAccessCostsMicroseconds)

@@ -1,7 +1,8 @@
 /**
  * @file
  * FTL tests: mapping lifecycle, striping, garbage collection under
- * pressure, over-provisioning, TRIM and wear leveling.
+ * pressure, over-provisioning, TRIM, wear leveling and the geometry
+ * the GC watermarks need.
  */
 
 #include <gtest/gtest.h>
@@ -183,21 +184,19 @@ TEST_F(FtlFixture, GcRunsCountOnlyProductiveInvocations)
     EXPECT_LE(ftl.stats().gcRuns, ftl.stats().erases);
 }
 
-TEST(FtlConfigTest, BadOverProvisionRejected)
+TEST(FtlConfigTest, GeometryTooSmallForWatermarksRejected)
 {
-    Fil fil(tinyGeom(), NandTiming::zNand());
-    FtlConfig cfg;
-    cfg.overProvision = 0.9;
-    EXPECT_THROW(PageFtl(tinyGeom(), fil, cfg), FatalError);
-}
+    // A unit needs gcHighWater free blocks, the open block and a closed
+    // one for GC to collect: gcHighWater + 1 blocks per plane is one
+    // too few.
+    FlashGeometry g = tinyGeom();
+    g.blocksPerPlane = FtlConfig::gcHighWater + 1;
+    Fil small(g, NandTiming::zNand());
+    EXPECT_THROW(PageFtl(g, small, FtlConfig{}), FatalError);
 
-TEST(FtlConfigTest, WatermarkOrderEnforced)
-{
-    Fil fil(tinyGeom(), NandTiming::zNand());
-    FtlConfig cfg;
-    cfg.gcLowWater = 4;
-    cfg.gcHighWater = 4;
-    EXPECT_THROW(PageFtl(tinyGeom(), fil, cfg), FatalError);
+    g.blocksPerPlane = FtlConfig::gcHighWater + 2;
+    Fil fits(g, NandTiming::zNand());
+    EXPECT_NO_THROW(PageFtl(g, fits, FtlConfig{}));
 }
 
 } // namespace

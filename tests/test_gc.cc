@@ -32,8 +32,9 @@ using testing_support::tinyGeom;
 /** An FTL wired to its own queue, driven like an SSD would drive it. */
 struct GcRig
 {
-    explicit GcRig(const FtlConfig& cfg = bgConfig())
-        : fil(tinyGeom(), NandTiming::zNand()), ftl(tinyGeom(), fil, cfg)
+    explicit GcRig(const FtlConfig& cfg = bgConfig(),
+                   const FlashGeometry& geom = tinyGeom())
+        : fil(geom, NandTiming::zNand()), ftl(geom, fil, cfg)
     {
         ftl.attachEventQueue(&eq);
     }
@@ -296,13 +297,15 @@ TEST(BackgroundGc, GcRunsNeverExceedErases)
 
 TEST(BackgroundGc, ExhaustionReportsWatermarkState)
 {
-    // With almost no over-provisioning, a full unique fill followed by
+    // In 32-page blocks the fixed 7% over-provisioning is 18 spare
+    // pages per unit, under one block: a full unique fill followed by
     // overwrites leaves GC only near-full victims and no room to
-    // relocate them: the FTL must fail with an actionable watermark
+    // relocate them. The FTL must fail with an actionable watermark
     // report instead of a bare "GC failed".
-    FtlConfig cfg = bgConfig();
-    cfg.overProvision = 0.02;
-    GcRig rig(cfg);
+    FlashGeometry geom = tinyGeom();
+    geom.blocksPerPlane = 8;
+    geom.pagesPerBlock = 32;
+    GcRig rig(bgConfig(), geom);
     bool threw = false;
     Tick t = 0;
     try {
@@ -336,13 +339,10 @@ TEST(BackgroundGc, SteadyStateIsAllocationFree)
     rig.eq.run();
 }
 
-TEST(BackgroundGc, ConfigValidatesReserveBelowLowWater)
+TEST(BackgroundGc, ConfigRejectsConflicts)
 {
     Fil fil(tinyGeom(), NandTiming::zNand());
     FtlConfig cfg = bgConfig();
-    cfg.gcReserveBlocks = 2; // == gcLowWater
-    EXPECT_THROW(PageFtl(tinyGeom(), fil, cfg), FatalError);
-    cfg = bgConfig();
     cfg.gcBatchPages = 0;
     EXPECT_THROW(PageFtl(tinyGeom(), fil, cfg), FatalError);
     cfg = FtlConfig{};
@@ -491,41 +491,16 @@ TEST(GcPacer, BatchAndCadenceMonotoneInDepletion)
 
 TEST(GcPacer, KnobsAreInertWhenPacingOff)
 {
-    // With gcAdaptivePacing=false the pacer knobs must not influence
-    // the run at all: the transfer functions collapse to the static
-    // batch and zero slack, and a run with a wild gcPaceQuantum is
-    // bit-identical to the defaults.
-    {
-        Fil fil(tinyGeom(), NandTiming::zNand());
-        FtlConfig cfg = bgConfig();
-        PageFtl ftl(tinyGeom(), fil, cfg);
-        for (std::uint32_t f = 0; f <= tinyGeom().blocksPerPlane; ++f) {
-            EXPECT_EQ(ftl.paceBatch(f), cfg.gcBatchPages);
-            EXPECT_EQ(ftl.paceDelay(f), 0u);
-        }
+    // With gcAdaptivePacing=false the pacer must not influence the
+    // run: the transfer functions collapse to the static batch and
+    // zero slack at every free level.
+    Fil fil(tinyGeom(), NandTiming::zNand());
+    FtlConfig cfg = bgConfig();
+    PageFtl ftl(tinyGeom(), fil, cfg);
+    for (std::uint32_t f = 0; f <= tinyGeom().blocksPerPlane; ++f) {
+        EXPECT_EQ(ftl.paceBatch(f), cfg.gcBatchPages);
+        EXPECT_EQ(ftl.paceDelay(f), 0u);
     }
-
-    auto run = [](Tick quantum, std::vector<std::uint64_t>& ppns,
-                  FtlStats& stats, Tick& end) {
-        FtlConfig cfg = bgConfig();
-        cfg.gcPaceQuantum = quantum;
-        GcRig rig(cfg);
-        std::uint64_t pages = rig.ftl.logicalPages() / 3;
-        end = rig.churn(pages, 8);
-        rig.eq.run();
-        stats = rig.ftl.stats();
-        for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-            ppns.push_back(rig.ftl.physicalOf(lpn));
-    };
-    std::vector<std::uint64_t> ppns_a, ppns_b;
-    FtlStats sa, sb;
-    Tick ta, tb;
-    run(microseconds(25), ppns_a, sa, ta);
-    run(seconds(1), ppns_b, sb, tb);
-    EXPECT_EQ(ta, tb);
-    EXPECT_EQ(ppns_a, ppns_b);
-    expectSameFields(sa, sb, "FtlStats pacer knobs without pacing");
-    EXPECT_EQ(sa.paceLevelMax, 0u);
 }
 
 TEST(GcPacer, HoldsHigherFreeLevelsUnderSteadyChurn)
