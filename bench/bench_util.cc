@@ -176,39 +176,40 @@ makePlatform(const std::string& name, const BenchGeometry& geom)
     return std::make_unique<HamsSystem>(c);
 }
 
-namespace {
-
-/**
- * Measurement budget of one cell. Compute-heavy workloads need a
- * larger budget to issue a comparable number of memory operations (the
- * paper runs 213 G instructions of SQLite vs 67 G of microbenchmark).
- * Shared by runOn and runSmpOn so the single-core tables and the
- * multicore sweep can never drift apart.
- */
-std::uint64_t
-measuredBudget(const WorkloadGenerator& gen, const BenchGeometry& geom)
-{
-    std::uint64_t budget = geom.instructionBudget;
-    if (gen.spec().family == "sqlite")
-        budget *= 16;
-    return budget;
-}
-
-} // namespace
-
-RunResult
+SmpResult
 runOn(MemoryPlatform& platform, const std::string& workload,
-      const BenchGeometry& geom)
+      const BenchGeometry& geom, std::uint32_t cores)
 {
-    auto gen = makeWorkload(workload, geom.datasetBytesFor(workload));
-    CoreModel core(platform);
-    std::uint64_t budget = measuredBudget(*gen, geom);
+    auto* sharded = dynamic_cast<ShardedPlatform*>(&platform);
+    std::uint32_t m = sharded ? sharded->shardCount() : 1;
+    if (cores == 0 || cores % m != 0)
+        throw std::runtime_error(std::to_string(cores) +
+                                 " cores not a positive multiple of " +
+                                 std::to_string(m) + " devices");
+
+    std::vector<std::unique_ptr<WorkloadGenerator>> gens;
+    std::vector<WorkloadGenerator*> raw;
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        std::uint32_t shard = c % m;
+        gens.push_back(makeShardCoreWorkload(
+            workload, geom.datasetBytesFor(workload), c / m, cores / m,
+            shard, sharded ? sharded->rangeBase(shard) : 0));
+        raw.push_back(gens.back().get());
+    }
+
+    // Compute-heavy workloads need a larger budget to issue a
+    // comparable number of memory operations (the paper runs 213 G
+    // instructions of SQLite vs 67 G of microbenchmark).
+    std::uint64_t budget = geom.instructionBudget;
+    if (gens[0]->spec().family == "sqlite")
+        budget *= 16;
 
     // Warm up caches/FTL state (the paper preconditions the devices and
     // warm-up phases before measuring), then measure on the continuing
-    // stream.
-    core.run(*gen, budget / 2);
-    return core.run(*gen, budget);
+    // streams.
+    SmpModel smp(platform);
+    smp.run(raw, budget / 2);
+    return smp.run(raw, budget);
 }
 
 /**
@@ -282,41 +283,6 @@ runCells(std::size_t count,
         throw std::runtime_error(errors[minFailed.load()]);
 }
 
-namespace {
-
-std::unique_ptr<MemoryPlatform>
-makePlatformOrThrow(const std::string& name, const BenchGeometry& geom)
-{
-    auto platform = makePlatform(name, geom);
-    if (!platform)
-        throw std::runtime_error("unknown platform '" + name + "'");
-    return platform;
-}
-
-} // namespace
-
-std::vector<RunResult>
-runSweep(const std::vector<SweepCell>& cells)
-{
-    // Quiet the platform-construction banners (workers re-set the
-    // atomic flag harmlessly via makePlatform).
-    setQuiet(true);
-
-    std::vector<RunResult> results(cells.size());
-    runCells(
-        cells.size(),
-        [&](std::size_t i) {
-            return cells[i].platform + " x " + cells[i].workload;
-        },
-        [&](std::size_t i) {
-            auto platform =
-                makePlatformOrThrow(cells[i].platform, cells[i].geom);
-            results[i] =
-                runOn(*platform, cells[i].workload, cells[i].geom);
-        });
-    return results;
-}
-
 std::unique_ptr<ShardedPlatform>
 makeShardedPlatform(const std::string& name, const BenchGeometry& geom,
                     std::uint32_t devices)
@@ -331,101 +297,42 @@ makeShardedPlatform(const std::string& name, const BenchGeometry& geom,
     return std::make_unique<ShardedPlatform>(std::move(shards));
 }
 
-SmpResult
-runShardedSmpOn(ShardedPlatform& platform, const std::string& workload,
-                std::uint32_t cores, const BenchGeometry& geom)
-{
-    std::uint32_t m = platform.shardCount();
-    if (cores == 0 || cores % m != 0)
-        throw std::runtime_error("sharded SMP cell: " +
-                                 std::to_string(cores) + " cores not a "
-                                 "multiple of " + std::to_string(m) +
-                                 " devices");
-    std::uint32_t per_shard_cores = cores / m;
-
-    std::vector<std::unique_ptr<WorkloadGenerator>> gens;
-    std::vector<WorkloadGenerator*> raw;
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        std::uint32_t shard = c % m;
-        gens.push_back(makeShardCoreWorkload(
-            workload, geom.datasetBytesFor(workload), c / m,
-            per_shard_cores, shard, platform.rangeBase(shard)));
-        raw.push_back(gens.back().get());
-    }
-
-    SmpModel smp(platform);
-    std::uint64_t budget = measuredBudget(*gens[0], geom);
-    smp.run(raw, budget / 2); // warm devices, as runOn does
-    return smp.run(raw, budget);
-}
-
-SmpResult
-runSmpOn(MemoryPlatform& platform, const std::string& workload,
-         std::uint32_t cores, const BenchGeometry& geom)
-{
-    if (cores == 0)
-        throw std::runtime_error("SMP cell with 0 cores");
-
-    std::vector<std::unique_ptr<WorkloadGenerator>> gens;
-    std::vector<WorkloadGenerator*> raw;
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        gens.push_back(makeCoreWorkload(
-            workload, geom.datasetBytesFor(workload), c, cores));
-        raw.push_back(gens.back().get());
-    }
-
-    SmpModel smp(platform);
-    std::uint64_t budget = measuredBudget(*gens[0], geom);
-    smp.run(raw, budget / 2); // warm devices, as runOn does
-    return smp.run(raw, budget);
-}
-
 std::vector<SmpCellResult>
-runSmpSweep(const std::vector<SmpSweepCell>& cells)
+runSweep(const std::vector<SweepCell>& cells)
 {
+    // Quiet the platform-construction banners (workers re-set the
+    // atomic flag harmlessly via makePlatform).
     setQuiet(true);
 
     std::vector<SmpCellResult> results(cells.size());
     runCells(
         cells.size(),
         [&](std::size_t i) {
-            // Full cell coordinates, device dimension included, so a
-            // failing sharded cell is unambiguous in a mixed sweep.
-            std::string label = cells[i].platform + " x " +
-                                cells[i].workload + " x " +
-                                std::to_string(cells[i].cores) + "-core";
-            if (cells[i].devices > 1)
-                label += " x " + std::to_string(cells[i].devices) + "-dev";
+            const SweepCell& c = cells[i];
+            std::string label = c.platform + " x " + c.workload + " x " +
+                                std::to_string(c.cores) + "-core";
+            if (c.devices > 1)
+                label += " x " + std::to_string(c.devices) + "-dev";
             return label;
         },
         [&](std::size_t i) {
-            if (cells[i].devices > 1) {
-                auto platform =
-                    makeShardedPlatform(cells[i].platform, cells[i].geom,
-                                        cells[i].devices);
-                if (!platform)
-                    throw std::runtime_error("unknown platform '" +
-                                             cells[i].platform + "'");
-                results[i].smp =
-                    runShardedSmpOn(*platform, cells[i].workload,
-                                    cells[i].cores, cells[i].geom);
-                results[i].isSharded = true;
-                results[i].devices = cells[i].devices;
-                results[i].sharded = platform->shardedStats();
-                HamsStats agg{};
-                if (platform->aggregatedHamsStats(agg) > 0) {
-                    results[i].hasHamsStats = true;
-                    results[i].hams = agg;
-                }
-                return;
-            }
-            auto platform =
-                makePlatformOrThrow(cells[i].platform, cells[i].geom);
-            results[i].smp = runSmpOn(*platform, cells[i].workload,
-                                      cells[i].cores, cells[i].geom);
-            if (auto* hams = dynamic_cast<HamsSystem*>(platform.get())) {
-                results[i].hasHamsStats = true;
-                results[i].hams = hams->stats();
+            const SweepCell& c = cells[i];
+            SmpCellResult& r = results[i];
+            std::unique_ptr<MemoryPlatform> platform =
+                c.devices > 1
+                    ? makeShardedPlatform(c.platform, c.geom, c.devices)
+                    : makePlatform(c.platform, c.geom);
+            if (!platform)
+                throw std::runtime_error("unknown platform '" + c.platform +
+                                         "'");
+            r.smp = runOn(*platform, c.workload, c.geom, c.cores);
+            if (auto* sp = dynamic_cast<ShardedPlatform*>(platform.get())) {
+                r.sharded = sp->shardedStats();
+                r.hasHamsStats = sp->aggregatedHamsStats(r.hams) > 0;
+            } else if (auto* hams =
+                           dynamic_cast<HamsSystem*>(platform.get())) {
+                r.hasHamsStats = true;
+                r.hams = hams->stats();
             }
         });
     return results;
@@ -522,12 +429,6 @@ jsonOutPath(const std::string& fallback)
 {
     const char* env = std::getenv("HAMS_BENCH_JSON");
     return env && *env ? std::string(env) : fallback;
-}
-
-std::uint64_t
-allocCallsNow()
-{
-    return alloc_hook::newCalls();
 }
 
 std::uint64_t

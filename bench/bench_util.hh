@@ -1,8 +1,14 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction harnesses: the platform
- * factory (all eleven Fig. 16 platforms in scaled-down form), run
- * drivers and table printers.
+ * factory (all eleven Fig. 16 platforms in scaled-down form), the run
+ * path and the sweep runner over it, and table printers.
+ *
+ * One run path: every figure cell — single-core, multicore or sharded
+ * over several devices — goes through runOn, which holds the only
+ * warm-up-then-measure split. A single-core cell is its 1-core case,
+ * bit-identical to the CoreModel run the tables were recorded on
+ * (SmpOneCore.* in tests/test_smp.cc).
  *
  * Scaling: the paper runs 38-244 G instructions over 5-16 GB datasets
  * against an 8 GB NVDIMM on real hardware. The harnesses preserve the
@@ -74,61 +80,50 @@ std::unique_ptr<MemoryPlatform> makePlatform(const std::string& name,
 /** The eleven platform names in the paper's legend order. */
 const std::vector<std::string>& allPlatformNames();
 
-/** Run @p workload on @p platform for the geometry's budget. */
-RunResult runOn(MemoryPlatform& platform, const std::string& workload,
-                const BenchGeometry& geom);
+/**
+ * The one run path of every figure cell: run @p workload over
+ * @p cores cores on @p platform, first a warm-up of half the measured
+ * budget and then the measured run on the continuing streams, which
+ * is what this returns.
+ *
+ * Core c drives its own generator (workload/workload.hh
+ * makeShardCoreWorkload). On a ShardedPlatform of M shards core c
+ * drives shard c % M, as core c / M of that shard's cores, placed at
+ * the shard's range base (ShardedPlatform::rangeBase) so its whole
+ * footprint stays inside that shard. Any other platform counts as one
+ * shard at base 0. @p cores must be a positive multiple of M
+ * (std::runtime_error otherwise).
+ *
+ * A 1-core run is the single-core figure run: SmpModel's solo rules
+ * keep it bit-identical to CoreModel, and tests/test_smp.cc
+ * (SmpOneCore.*) pins that identity, so .combined is the cell's
+ * single-core RunResult.
+ */
+SmpResult runOn(MemoryPlatform& platform, const std::string& workload,
+                const BenchGeometry& geom, std::uint32_t cores = 1);
 
 /**
- * One (platform × workload) cell of a figure sweep: built via
- * makePlatform(platform, geom) and executed via runOn.
+ * One cell of a figure sweep: @p cores cores running @p workload on
+ * platform @p platform, built with makePlatform(platform, geom) and run
+ * through runOn.
  */
 struct SweepCell
 {
     std::string platform;
     std::string workload;
     BenchGeometry geom;
-};
-
-/**
- * Run every cell and return the results in input order.
- *
- * Each cell owns its platform — and therefore its EventQueue, devices
- * and workload generator — so cells are embarrassingly parallel: they
- * fan out across a thread pool (HAMS_BENCH_THREADS, default hardware
- * concurrency, 1 = serial) and the returned table is byte-identical to
- * serial execution, which is what lets the fig* harnesses print
- * deterministic tables from parallel runs.
- *
- * All-or-nothing: if any cell fails, the whole sweep throws
- * std::runtime_error naming the failing (platform × workload) cell —
- * never a table with default-constructed holes. With several failures
- * the lowest-index cell is reported, so the error is deterministic at
- * any thread count.
- */
-std::vector<RunResult> runSweep(const std::vector<SweepCell>& cells);
-
-/**
- * One N-core cell of an SMP sweep (cpu/smp_model.hh): @p cores cores
- * with per-core workload shards against one shared platform.
- */
-struct SmpSweepCell
-{
-    std::string platform;
-    std::string workload;
     std::uint32_t cores = 1;
-    BenchGeometry geom;
 
     /**
      * Device stacks behind the platform. 1 (the default) runs the bare
-     * single-device platform exactly as before; > 1 wraps @p devices
-     * independent stacks in a range-sharded ShardedPlatform (each
-     * shard gets the full geometry, core c drives shard c % devices)
-     * and requires cores % devices == 0.
+     * single-device platform; > 1 wraps @p devices independent stacks
+     * in a range-sharded ShardedPlatform (makeShardedPlatform) and
+     * requires cores % devices == 0.
      */
     std::uint32_t devices = 1;
 };
 
-/** SmpResult plus the shared platform's contention stats (HAMS only). */
+/** A cell's SmpResult plus its platform's contention stats. */
 struct SmpCellResult
 {
     SmpResult smp;
@@ -136,27 +131,26 @@ struct SmpCellResult
     /** Valid when hasHamsStats; with devices > 1 this is the
      *  mergeFields aggregate across the HAMS shards. */
     HamsStats hams;
-
-    /** Sharding-layer stats (valid when isSharded, i.e. devices > 1). */
-    bool isSharded = false;
-    std::uint32_t devices = 1;
+    /** Sharding-layer stats (valid when devices > 1). */
     ShardedStats sharded;
 };
 
 /**
- * Run @p workload sharded over @p cores cores on @p platform
- * (warmup-then-measure, same budgets as runOn).
+ * Run every cell and return the results in input order.
+ *
+ * Each cell owns its platform — and therefore its EventQueue, devices
+ * and workload generators — so cells are embarrassingly parallel: they
+ * fan out across runCells' pool and the returned table is
+ * byte-identical to serial execution, which is what lets the fig*
+ * harnesses print deterministic tables from parallel runs.
+ *
+ * All-or-nothing: if any cell fails, the whole sweep throws
+ * std::runtime_error naming the failing cell by its full coordinates
+ * ("hams-TE x rndRd x 8-core x 4-dev") — never a table with
+ * default-constructed holes. With several failures the lowest-index
+ * cell is reported, so the error is deterministic at any thread count.
  */
-SmpResult runSmpOn(MemoryPlatform& platform, const std::string& workload,
-                   std::uint32_t cores, const BenchGeometry& geom);
-
-/**
- * Run every SMP cell — parallel across cells, deterministic results in
- * input order, with runSweep's all-or-nothing error contract. Failing
- * cells are annotated with their full coordinates, including the
- * device dimension ("hams-TE x rndRd x 8-core x 4-dev").
- */
-std::vector<SmpCellResult> runSmpSweep(const std::vector<SmpSweepCell>& cells);
+std::vector<SmpCellResult> runSweep(const std::vector<SweepCell>& cells);
 
 /**
  * Build @p devices independent device stacks of platform @p name —
@@ -169,19 +163,7 @@ makeShardedPlatform(const std::string& name, const BenchGeometry& geom,
                     std::uint32_t devices);
 
 /**
- * Run @p workload over @p cores cores against a sharded platform:
- * core c drives shard c % M through its own shard-seeded generator
- * (workload/workload.hh makeShardCoreWorkload), placed at the shard's
- * range base (ShardedPlatform::rangeBase), so its whole footprint
- * stays inside that shard. Requires cores % M == 0. M = 1 is
- * bit-identical to runSmpOn on the bare platform.
- */
-SmpResult runShardedSmpOn(ShardedPlatform& platform,
-                          const std::string& workload, std::uint32_t cores,
-                          const BenchGeometry& geom);
-
-/**
- * Generic cell-parallel runner behind runSweep/runSmpSweep, for
+ * Generic cell-parallel runner behind runSweep, for
  * harnesses with custom cell types (fig_gc): invokes @p body(i) for
  * i in [0, count) across a worker pool (HAMS_BENCH_THREADS, default
  * hardware concurrency, 1 = serial). @p body writes its result by
@@ -239,17 +221,10 @@ void banner(const std::string& figure, const std::string& what);
 std::string jsonOutPath(const std::string& fallback);
 
 /**
- * Heap allocations since process start (global operator new calls).
- * Re-exported from sim/alloc_hook.hh so harnesses can report
- * allocations-per-operation alongside their timings.
- */
-std::uint64_t allocCallsNow();
-
-/**
- * Heap allocations made by the calling thread. Use this — not
- * allocCallsNow() — for per-cell allocs/access measurements: the
- * process-global counter picks up every concurrent worker's
- * allocations whenever HAMS_BENCH_THREADS > 1.
+ * Heap allocations made by the calling thread (sim/alloc_hook.hh), for
+ * per-cell allocs/access measurements: a process-global counter would
+ * pick up every concurrent worker's allocations whenever
+ * HAMS_BENCH_THREADS > 1.
  */
 std::uint64_t threadAllocCallsNow();
 

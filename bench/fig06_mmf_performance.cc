@@ -39,7 +39,7 @@ main()
     for (const auto& wl : sqliteWorkloadNames())
         for (const auto& b : backends)
             cells.push_back({b, wl, geom});
-    std::vector<RunResult> results = runSweep(cells);
+    std::vector<SmpCellResult> results = runSweep(cells);
     std::size_t cursor = 0;
 
     // ---- (a) microbenchmark bandwidth ----
@@ -53,7 +53,7 @@ main()
     for (const auto& wl : microWorkloadNames()) {
         std::printf("%-10s", wl.c_str());
         for (std::size_t i = 0; i < backends.size(); ++i) {
-            const RunResult& r = results[cursor++];
+            const RunResult& r = results[cursor++].smp.combined;
             double mbs = r.pagesPerSec * 4096.0 / 1e6;
             ull_sum[i] += mbs;
             std::printf(" %12.1f", mbs);
@@ -76,7 +76,7 @@ main()
     for (const auto& wl : sqliteWorkloadNames()) {
         std::printf("%-10s", wl.c_str());
         for (std::size_t i = 0; i < backends.size(); ++i) {
-            const RunResult& r = results[cursor++];
+            const RunResult& r = results[cursor++].smp.combined;
             double us = r.opsPerSec > 0 ? 1e6 / r.opsPerSec : 0;
             lat_sum[i] += us;
             std::printf(" %12.1f", us);

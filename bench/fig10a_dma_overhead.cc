@@ -31,7 +31,7 @@ main()
     double share_max = 0;
     for (const auto& wl : workloads) {
         auto hams_l = makePlatform("hams-LE", geom);
-        RunResult r = runOn(*hams_l, wl, geom);
+        RunResult r = runOn(*hams_l, wl, geom).combined;
         double total = ticksToSeconds(r.stallBreakdown.os +
                                       r.stallBreakdown.nvdimm +
                                       r.stallBreakdown.dma +

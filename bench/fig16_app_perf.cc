@@ -43,11 +43,11 @@ main()
     for (const auto& platform : allPlatformNames())
         for (const auto& wl : allWorkloadNames())
             cells.push_back({platform, wl, geom});
-    std::vector<RunResult> table = runSweep(cells);
+    std::vector<SmpCellResult> table = runSweep(cells);
 
     std::map<std::string, std::map<std::string, RunResult>> results;
     for (std::size_t i = 0; i < cells.size(); ++i)
-        results[cells[i].platform][cells[i].workload] = table[i];
+        results[cells[i].platform][cells[i].workload] = table[i].smp.combined;
 
     // ---- (a) K pages/s ----
     std::printf("\n(a) micro + Rodinia performance (K pages/s)\n");

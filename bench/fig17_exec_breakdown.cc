@@ -38,7 +38,7 @@ main()
         double mmap_total = 0;
         for (const auto& platform : platforms) {
             auto p = makePlatform(platform, geom);
-            RunResult r = runOn(*p, wl, geom);
+            RunResult r = runOn(*p, wl, geom).combined;
 
             double os, ssd, app;
             double total = static_cast<double>(r.simTime);

@@ -44,7 +44,7 @@ main()
         double hit_rate = 0;
         for (const auto& platform : platforms) {
             auto p = makePlatform(platform, geom);
-            RunResult r = runOn(*p, wl, geom);
+            RunResult r = runOn(*p, wl, geom).combined;
 
             // Per-access delay so slower platforms (fewer completed
             // accesses in the fixed budget) compare fairly.

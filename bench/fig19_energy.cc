@@ -51,7 +51,7 @@ main()
         double mmap_total = 0;
         for (const auto& platform : platforms) {
             auto p = makePlatform(platform, geom);
-            RunResult r = runOn(*p, wl, geom);
+            RunResult r = runOn(*p, wl, geom).combined;
             // Durability point: dirty data must reach persistent media
             // everywhere. HAMS completes instantly (the NVDIMM is the
             // persistence domain); mmap pays the msync writeback — the

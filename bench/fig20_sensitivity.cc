@@ -46,7 +46,7 @@ main()
             page_cells.push_back({"hams-TE", wl, g});
         }
     }
-    std::vector<RunResult> page_results = runSweep(page_cells);
+    std::vector<SmpCellResult> page_results = runSweep(page_cells);
     std::size_t cursor = 0;
 
     std::vector<double> page_score(page_sizes.size(), 0);
@@ -54,7 +54,7 @@ main()
         std::printf("%-10s", wl.c_str());
         std::vector<double> row;
         for (std::size_t i = 0; i < page_sizes.size(); ++i) {
-            const RunResult& r = page_results[cursor++];
+            const RunResult& r = page_results[cursor++].smp.combined;
             row.push_back(r.opsPerSec);
             std::printf(" %9.0f", r.opsPerSec);
         }
@@ -88,15 +88,15 @@ main()
         big_cells.push_back({"hams-TE", wl, big});
         big_cells.push_back({"oracle", wl, big});
     }
-    std::vector<RunResult> big_results = runSweep(big_cells);
+    std::vector<SmpCellResult> big_results = runSweep(big_cells);
 
     double te_over_mmap = 0, te_over_oracle = 0;
     int n = 0;
     cursor = 0;
     for (const auto& wl : sqliteWorkloadNames()) {
-        const RunResult& rm = big_results[cursor++];
-        const RunResult& rt = big_results[cursor++];
-        const RunResult& ro = big_results[cursor++];
+        const RunResult& rm = big_results[cursor++].smp.combined;
+        const RunResult& rt = big_results[cursor++].smp.combined;
+        const RunResult& ro = big_results[cursor++].smp.combined;
         std::printf("%-10s %12.0f %12.0f %12.0f %13.2fx %13.2fx\n",
                     wl.c_str(), rm.opsPerSec, rt.opsPerSec, ro.opsPerSec,
                     rt.opsPerSec / rm.opsPerSec,

@@ -59,12 +59,12 @@ main()
                                                 "mmap", "optane-P"};
     const std::vector<std::string> workloads = {"rndRd", "update"};
 
-    std::vector<SmpSweepCell> cells;
+    std::vector<SweepCell> cells;
     for (const auto& p : platforms)
         for (const auto& w : workloads)
             for (std::uint32_t n : core_counts)
-                cells.push_back({p, w, n, geom});
-    std::vector<SmpCellResult> results = runSmpSweep(cells);
+                cells.push_back({p, w, geom, n});
+    std::vector<SmpCellResult> results = runSweep(cells);
 
     std::printf("\n%-10s %-8s %5s %14s %8s %10s %9s %10s %9s\n",
                 "platform", "workload", "cores", "ops/s(agg)", "scale",

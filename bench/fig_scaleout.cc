@@ -85,18 +85,18 @@ main()
     const std::vector<std::uint32_t> cpds = {1, 4}; // cores per device
     const std::vector<std::uint32_t> devices = {1, 2, 4, 8};
 
-    std::vector<SmpSweepCell> cells;
+    std::vector<SweepCell> cells;
     std::vector<std::string> names;
     for (const auto& p : platforms)
         for (const auto& w : workloads)
             for (std::uint32_t cpd : cpds)
                 for (std::uint32_t m : devices) {
-                    cells.push_back({p, w, cpd * m, geom, m});
+                    cells.push_back({p, w, geom, cpd * m, m});
                     names.push_back("scaleout/" + p + "/" + w + "/d" +
                                     std::to_string(m) + "/c" +
                                     std::to_string(cpd));
                 }
-    std::vector<SmpCellResult> results = runSmpSweep(cells);
+    std::vector<SmpCellResult> results = runSweep(cells);
 
     std::printf("\n%-8s %-8s %4s %4s %6s %14s %8s %9s %11s %11s\n",
                 "platform", "workload", "dev", "c/d", "cores",
@@ -107,7 +107,7 @@ main()
     ScaleoutSummary summary{true, true};
     double base_ops = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const SmpSweepCell& c = cells[i];
+        const SweepCell& c = cells[i];
         const SmpCellResult& cell = results[i];
         const RunResult& comb = cell.smp.combined;
         std::uint32_t m = c.devices;
@@ -151,7 +151,7 @@ main()
         if (!m1 && !(m == 4 && c.platform == "hams-TE" && c.cores == 16))
             continue;
         auto sp = makeShardedPlatform(c.platform, geom, m);
-        SmpResult twin = runShardedSmpOn(*sp, c.workload, c.cores, geom);
+        SmpResult twin = runOn(*sp, c.workload, geom, c.cores);
         std::string d = firstDifference(twin.combined, comb);
         if (!d.empty())
             d = "combined." + d;

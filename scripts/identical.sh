@@ -4,7 +4,8 @@
 #
 # Exports <base-rev> with `git archive` into <dir>/src-<rev>, builds it
 # and the working tree in Release (<dir>/build-base-<rev>,
-# <dir>/build-head), then runs the 14 figure and table binaries of
+# <dir>/build-head), removing any other revision's src-* and
+# build-base-* directories first, then runs the 14 figure and table binaries of
 # each side, each from its own empty directory (<dir>/run-<side>/<bin>)
 # with HAMS_BENCH_JSON unset: every binary writes its BENCH_*.json
 # under the default relative name, so its "Results written to" line is
@@ -38,6 +39,14 @@ mkdir -p "${dir}"
 dir="$(cd "${dir}" && pwd)"
 rev="$(git -C "${root}" rev-parse --short "$1")"
 base_src="${dir}/src-${rev}"
+
+# Keep one base: drop every other revision's export and build.
+for old in "${dir}"/src-* "${dir}"/build-base-*; do
+    case "${old}" in
+        "${base_src}" | "${dir}/build-base-${rev}") ;;
+        *) rm -rf "${old}" ;;
+    esac
+done
 
 if [ ! -d "${base_src}" ]; then
     rm -rf "${base_src}.tmp"

@@ -4,12 +4,13 @@
 #
 # Exports <base-rev> with `git archive` into build-ab/src-<rev>, builds
 # each side's perfbench into its own directory (build-ab/target-base-<rev>,
-# build-ab/target-head, via CARGO_TARGET_DIR), then runs alternating
-# pairs — even pairs base first, odd pairs head first, so slow drift of
-# the host cancels — and prints per-pair host ns/access, the medians,
-# the base IQR, how many pairs the head won, the median setup_s and
-# peak RSS of each side, and whether the simulated-output fingerprints
-# and every sim_*/ok_frac metric agree. Each side's build and run
+# build-ab/target-head, via CARGO_TARGET_DIR; any other revision's
+# src-* and target-base-* directories are removed first), then runs
+# alternating pairs — even pairs base first, odd pairs head first, so
+# slow drift of the host cancels — and prints per-pair host ns/access,
+# the medians, the base IQR, how many pairs the head won, the median
+# setup_s and peak RSS of each side, and whether the simulated-output
+# fingerprints and every sim_*/ok_frac metric agree. Each side's build and run
 # stderr goes to build-ab/<side>.log; a failing run prints its tail.
 #
 # Usage: scripts/perf_ab.sh <base-rev> <workload> [pairs] [seed]
@@ -36,6 +37,13 @@ rev="$(git -C "${root}" rev-parse --short "${base_rev}")"
 base_src="${ab}/src-${rev}"
 
 mkdir -p "${ab}"
+# Keep one base: drop every other revision's export and build.
+for old in "${ab}"/src-* "${ab}"/target-base-*; do
+    case "${old}" in
+        "${base_src}" | "${ab}/target-base-${rev}") ;;
+        *) rm -rf "${old}" ;;
+    esac
+done
 if [ ! -d "${base_src}" ]; then
     mkdir -p "${base_src}.tmp"
     git -C "${root}" archive "${rev}" | tar -x -C "${base_src}.tmp"

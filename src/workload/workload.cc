@@ -205,8 +205,7 @@ std::unique_ptr<WorkloadGenerator>
 makeWorkload(const std::string& name, std::uint64_t dataset_bytes,
              std::uint64_t seed)
 {
-    return std::make_unique<SyntheticWorkload>(
-        specForName(name, dataset_bytes), seed);
+    return makeShardCoreWorkload(name, dataset_bytes, 0, 1, 0, 0, seed);
 }
 
 std::unique_ptr<WorkloadGenerator>
@@ -214,16 +213,8 @@ makeCoreWorkload(const std::string& name, std::uint64_t dataset_bytes,
                  std::uint32_t core, std::uint32_t ncores,
                  std::uint64_t base_seed)
 {
-    if (ncores == 0 || core >= ncores)
-        fatal("bad workload shard: core ", core, " of ", ncores);
-    WorkloadSpec spec = specForName(name, dataset_bytes);
-    spec.shardOffsetFrac =
-        static_cast<double>(core) / static_cast<double>(ncores);
-    // Distinct, well-spread seed per core (odd multiplier, so streams
-    // never collide); core 0 keeps base_seed and is identical to the
-    // single-core generator.
-    std::uint64_t seed = base_seed + core * 0x9E3779B97F4A7C15ull;
-    return std::make_unique<SyntheticWorkload>(spec, seed);
+    return makeShardCoreWorkload(name, dataset_bytes, core, ncores, 0, 0,
+                                 base_seed);
 }
 
 std::uint64_t
@@ -251,6 +242,8 @@ makeShardCoreWorkload(const std::string& name, std::uint64_t dataset_bytes,
     spec.shardOffsetFrac =
         static_cast<double>(core) / static_cast<double>(ncores);
     spec.baseAddr = shard_base;
+    // Distinct, well-spread seed per core (odd multiplier, so streams
+    // never collide); core 0 keeps the shard's seed.
     std::uint64_t seed =
         shardSeed(base_seed, shard) + core * 0x9E3779B97F4A7C15ull;
     return std::make_unique<SyntheticWorkload>(spec, seed);

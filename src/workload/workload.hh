@@ -164,7 +164,9 @@ class SyntheticWorkload : public WorkloadGenerator
     std::uint64_t walBytes = 0;
 };
 
-/** Construct any of the twelve Table III workloads by name. */
+/** Construct any of the twelve Table III workloads by name: core 0 of
+ *  1 on shard 0 at base 0 of makeShardCoreWorkload, which builds every
+ *  generator. */
 std::unique_ptr<WorkloadGenerator> makeWorkload(const std::string& name,
                                                 std::uint64_t dataset_bytes,
                                                 std::uint64_t seed = 42);
@@ -174,8 +176,9 @@ std::unique_ptr<WorkloadGenerator> makeWorkload(const std::string& name,
  * smp_model.hh): core @p core of @p ncores draws from its own seed
  * stream (random patterns) and starts its sequential/WAL cursors
  * core/ncores of the way into the region — all over the SAME shared
- * dataset, so cores contend for the same platform pages. Core 0 of 1
- * is bit-identical to makeWorkload(name, dataset_bytes, base_seed).
+ * dataset, so cores contend for the same platform pages. It is
+ * makeShardCoreWorkload on shard 0 at base 0, so core 0 of 1 is
+ * makeWorkload(name, dataset_bytes, base_seed).
  */
 std::unique_ptr<WorkloadGenerator>
 makeCoreWorkload(const std::string& name, std::uint64_t dataset_bytes,
@@ -201,7 +204,7 @@ std::uint64_t shardSeed(std::uint64_t base_seed, std::uint32_t shard);
  * shard)'s stream and emitting addresses offset by @p shard_base
  * (WorkloadSpec::baseAddr — use ShardedPlatform::rangeBase for
  * shard-friendly traffic). @p dataset_bytes is the PER-SHARD dataset.
- * Shard 0 with shard_base 0 is bit-identical to makeCoreWorkload.
+ * makeWorkload and makeCoreWorkload are its shard-0, base-0 calls.
  */
 std::unique_ptr<WorkloadGenerator>
 makeShardCoreWorkload(const std::string& name, std::uint64_t dataset_bytes,

@@ -2,8 +2,9 @@
  * @file
  * Sweep-runner tests: a failing cell's error names the exact
  * (platform × workload) cell at any thread count and never yields a
- * partial table, and sweep tables are bit-identical across
- * HAMS_BENCH_THREADS settings — the property that lets the figure
+ * partial table, and sweep tables — 1-core, multicore and sharded
+ * cells alike — are bit-identical across HAMS_BENCH_THREADS
+ * settings — the property that lets the figure
  * harnesses print deterministic tables from parallel runs — and the
  * closed-loop queue-depth driver reports every completion once. The
  * bench harness (harness.hh) writes snake_case keys, nests listed
@@ -43,7 +44,6 @@ namespace {
 
 using bench::BenchGeometry;
 using bench::SmpCellResult;
-using bench::SmpSweepCell;
 using bench::SweepCell;
 
 /** Tiny geometry so a sweep cell runs in milliseconds. */
@@ -220,55 +220,45 @@ TEST(RunSweepErrors, LowestIndexFailureWinsDeterministically)
 
 TEST(RunSweepDeterminism, TableIdenticalAcrossThreadCounts)
 {
+    // 1-core, multicore and sharded cells in one sweep.
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"mmap", "rndWr", tinyGeom()},
         {"nvdimm-C", "seqRd", tinyGeom()},
         {"optane-P", "rndRd", tinyGeom()},
-    };
-
-    std::vector<RunResult> serial, parallel;
-    {
-        ScopedEnv env("HAMS_BENCH_THREADS", "1");
-        serial = bench::runSweep(cells);
-    }
-    {
-        ScopedEnv env("HAMS_BENCH_THREADS", "4");
-        parallel = bench::runSweep(cells);
-    }
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameFields(serial[i], parallel[i],
-                         cells[i].platform + " x " + cells[i].workload);
-}
-
-TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
-{
-    std::vector<SmpSweepCell> cells = {
-        {"hams-TE", "rndRd", 2, tinyGeom()},
-        {"hams-TE", "rndRd", 4, tinyGeom()},
-        {"mmap", "rndRd", 2, tinyGeom()},
+        {"hams-TE", "rndRd", tinyGeom(), 2},
+        {"hams-TE", "rndRd", tinyGeom(), 4},
+        {"mmap", "rndRd", tinyGeom(), 2},
+        {"hams-TE", "update", tinyGeom(), 2, 2},
     };
 
     std::vector<SmpCellResult> serial, parallel;
     {
         ScopedEnv env("HAMS_BENCH_THREADS", "1");
-        serial = bench::runSmpSweep(cells);
+        serial = bench::runSweep(cells);
     }
     {
         ScopedEnv env("HAMS_BENCH_THREADS", "3");
-        parallel = bench::runSmpSweep(cells);
+        parallel = bench::runSweep(cells);
     }
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_EQ(serial[i].smp.cores(), parallel[i].smp.cores());
+        std::string cell = cells[i].platform + " x " + cells[i].workload +
+                           " x " + std::to_string(cells[i].cores) +
+                           "-core x " + std::to_string(cells[i].devices) +
+                           "-dev";
+        ASSERT_EQ(serial[i].smp.cores(), cells[i].cores) << cell;
+        ASSERT_EQ(parallel[i].smp.cores(), cells[i].cores) << cell;
         for (std::uint32_t c = 0; c < serial[i].smp.cores(); ++c)
             expectSameFields(serial[i].smp.perCore[c],
-                             parallel[i].smp.perCore[c], "per-core");
+                             parallel[i].smp.perCore[c], cell + " per-core");
         expectSameFields(serial[i].smp.combined, parallel[i].smp.combined,
-                         "combined");
-        ASSERT_EQ(serial[i].hasHamsStats, parallel[i].hasHamsStats);
-        expectSameFields(serial[i].hams, parallel[i].hams, "HamsStats");
+                         cell + " combined");
+        ASSERT_EQ(serial[i].hasHamsStats, parallel[i].hasHamsStats) << cell;
+        expectSameFields(serial[i].hams, parallel[i].hams,
+                         cell + " HamsStats");
+        expectSameFields(serial[i].sharded, parallel[i].sharded,
+                         cell + " ShardedStats");
     }
 }
 
@@ -397,7 +387,7 @@ TEST(EnergySections, EachPlatformPricesItsOwnDevices)
         covered.push_back(row.platform);
         auto p = bench::makePlatform(row.platform, tinyGeom());
         ASSERT_NE(p, nullptr);
-        RunResult r = bench::runOn(*p, "rndRd", tinyGeom());
+        RunResult r = bench::runOn(*p, "rndRd", tinyGeom()).combined;
         EnergyBreakdownJ e = p->memoryEnergy(r.simTime);
         EXPECT_EQ(e.cpu, 0.0);
         EXPECT_EQ(e.nvdimm > 0, row.nvdimm);
@@ -426,7 +416,7 @@ TEST(EnergySections, ShardedEnergyIsTheSumOfItsShards)
         SCOPED_TRACE(name);
         auto sp = bench::makeShardedPlatform(name, geom, 2);
         ASSERT_NE(sp, nullptr);
-        SmpResult r = bench::runShardedSmpOn(*sp, "rndRd", 2, geom);
+        SmpResult r = bench::runOn(*sp, "rndRd", geom, 2);
         Tick t = r.combined.simTime;
         EnergyBreakdownJ sum{};
         for (std::uint32_t i = 0; i < sp->shardCount(); ++i)

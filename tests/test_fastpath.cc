@@ -54,8 +54,9 @@ smallHams(HamsMode mode)
 }
 
 /**
- * Run @p workload twice (warmup + measure, the runOn() pattern — the
- * chained second run also checks event-queue time at run boundaries)
+ * Run @p workload twice (warmup + measure, the split bench::runOn
+ * makes on every figure cell — the chained second run also checks
+ * event-queue time at run boundaries)
  * on two fresh, identical platforms, fast path forced on vs off, and
  * demand bit-identical simulated-time outputs. Returns the {on, off}
  * platforms for platform-specific checks.
